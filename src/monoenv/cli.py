@@ -137,7 +137,10 @@ def cmd_bounds(args) -> int:
             rows.append(("concave bound at domain range", cb.bound, _fmt_point(cb.point)))
     elif isinstance(dom, RatioBox):
         D, E = bounds.ratio_box_constants(n, dom.r)
-        tE = ((dom.r ** n - 1.0) / (n * (dom.r - 1.0))) ** (1.0 / (n - 1))
+        # tE = ((r^n - 1) / (n (r - 1)))^(1/(n-1)), in logs so large n cannot overflow
+        logr = math.log(dom.r)
+        tE = math.exp((n * logr + math.log1p(-math.exp(-n * logr))
+                       - math.log(n * (dom.r - 1.0))) / (n - 1))
         rows.append(("D (convex envelope error)", D, "on the diagonal"))
         rows.append(("E (concave envelope error)", E, _fmt_point(np.full(n, tE))))
     elif isinstance(dom, SymBox):

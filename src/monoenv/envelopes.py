@@ -6,7 +6,6 @@ domain membership up front. Pure functions over immutable inputs.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,6 @@ from .core import (
     UnsupportedDomain,
     as_points,
 )
-
-SYMBOX_ENUM_LIMIT = 20  # direct signed-subset evaluation up to here, closed form beyond
 
 
 @dataclass(frozen=True)
@@ -163,62 +160,22 @@ def convex_env_ratiobox(n: int, r: float, x) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
-@functools.lru_cache(maxsize=None)
-def _parity_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sign vectors in {-1,1}^n split by parity of the -1 count (even, odd)."""
-    masks = np.arange(2 ** n, dtype=np.uint64)
-    bits = ((masks[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.int8)
-    parity = bits.sum(axis=1) % 2
-    signs = (1 - 2 * bits).astype(float)
-    return signs[parity == 0], signs[parity == 1]
+def symbox_lo_hi(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Convex and concave envelope values of x_1...x_n over [-1,1]^n, per row.
 
-
-def _symbox_lo_hi_enum(n: int, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Direct evaluation over all signed subsets (2^(n-1) per side).
-
-    Lower bounds come from sign rows with evenly many -1 entries; upper
-    bounds need oddly many +1 entries, which is the even--1 matrix for odd n
-    and the odd one for even n.
+    The binding signed subset flips signs on the negative coordinates and,
+    when their count has the wrong parity, sacrifices the smallest magnitude:
+    lo = tot - k - (n-1) and hi = 2 min|x_j| - k - tot + (n-1), clipped to
+    [-1, 1], where tot = sum |x_j| and k = 2 min|x_j| when oddly many x_j < 0
+    (else 0). No domain check; the rows must lie in the box.
     """
-    if n <= 12:
-        even, odd = _parity_signs(n)
-        hi_signs = even if n % 2 == 1 else odd
-        lo = np.max(X @ even.T, axis=-1) - (n - 1)
-        hi = np.min(X @ hi_signs.T, axis=-1) + (n - 1)
-    else:
-        # chunk the sign enumeration to bound memory
-        lo = np.full(X.shape[0], -np.inf)
-        hi = np.full(X.shape[0], np.inf)
-        total = 2 ** n
-        step = 1 << 16
-        hi_parity = 0 if n % 2 == 1 else 1
-        for start in range(0, total, step):
-            masks = np.arange(start, min(start + step, total), dtype=np.uint64)
-            bits = ((masks[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.int8)
-            parity = bits.sum(axis=1) % 2
-            signs = (1 - 2 * bits).astype(float)
-            vals = X @ signs.T
-            ev = parity == 0
-            hi_rows = ev if hi_parity == 0 else ~ev
-            if np.any(ev):
-                lo = np.maximum(lo, vals[:, ev].max(axis=-1) - (n - 1))
-            if np.any(hi_rows):
-                hi = np.minimum(hi, vals[:, hi_rows].min(axis=-1) + (n - 1))
-    return np.maximum(lo, -1.0), np.minimum(hi, 1.0)
-
-
-def _symbox_lo_hi_closed(n: int, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed form: the binding subset flips signs on negative coordinates,
-    sacrificing the smallest magnitude when the parity does not match."""
+    n = X.shape[-1]
     absX = np.abs(X)
-    tot = absX.sum(axis=-1)
-    smallest = absX.min(axis=-1)
-    negs = (X < 0).sum(axis=-1)
-    odd = negs % 2 == 1
-    lo_best = np.where(odd, tot - 2 * smallest, tot)
-    hi_best = np.where(odd, -tot, -(tot - 2 * smallest))
-    lo = np.maximum(lo_best - (n - 1), -1.0)
-    hi = np.minimum(hi_best + (n - 1), 1.0)
+    tot = np.add.reduce(absX, axis=-1)
+    sm2 = 2.0 * np.minimum.reduce(absX, axis=-1)
+    k = np.logical_xor.reduce(X < 0, axis=-1) * sm2
+    lo = np.maximum(tot - k - (n - 1), -1.0)
+    hi = np.minimum(sm2 - k - tot + (n - 1), 1.0)
     return lo, hi
 
 
@@ -230,10 +187,7 @@ def envelopes_symbox(n: int, x) -> tuple[float, float] | tuple[np.ndarray, np.nd
     """
     X, single = as_points(x, n)
     SymBox(n).require_inside(X)
-    if n <= SYMBOX_ENUM_LIMIT:
-        lo, hi = _symbox_lo_hi_enum(n, X)
-    else:
-        lo, hi = _symbox_lo_hi_closed(n, X)
+    lo, hi = symbox_lo_hi(X)
     if single:
         return float(lo[0]), float(hi[0])
     return lo, hi

@@ -3,19 +3,23 @@
 The hull of {(x, w) in [-1,1]^(n+1) : w = x_1...x_n} is cut out by one
 parity inequality per odd subset of the n+1 coordinates (w counted as
 coordinate n+1), together with the box bounds. Facets are stored as subset
-bitmasks, so evaluating one costs O(n).
+bitmasks. A ``FacetSystem`` is always the full hull: its envelope bounds come
+from the closed form in :mod:`monoenv.envelopes`, membership is one product
+with the facet sign matrix, and the parsers accept only the full facet set.
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import math
 import re
 from dataclasses import dataclass
 import numpy as np
 
 from . import lp
 from .core import ScaleExceeded, as_points
+from .envelopes import symbox_lo_hi
 
 MEMBERSHIP_TOL = 1e-9
 FACET_ENUM_LIMIT = 20
@@ -45,25 +49,6 @@ class SignedSubsetInequality:
     def subset(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.nvars) if (self.mask >> i) & 1)
 
-    def coefficients(self) -> np.ndarray:
-        signs = -np.ones(self.nvars)
-        for i in range(self.nvars):
-            if (self.mask >> i) & 1:
-                signs[i] = 1.0
-        return signs
-
-    def value(self, z) -> float | np.ndarray:
-        Z, single = as_points(z, self.nvars)
-        inside = np.zeros(Z.shape[1], dtype=bool)
-        for i in range(self.nvars):
-            if (self.mask >> i) & 1:
-                inside[i] = True
-        vals = Z[:, inside].sum(axis=1) - Z[:, ~inside].sum(axis=1)
-        return float(vals[0]) if single else vals
-
-    def satisfied(self, z, tol: float = MEMBERSHIP_TOL) -> bool:
-        return bool(self.value(z) >= self.rhs - tol)
-
 
 @dataclass(frozen=True)
 class FacetSystem:
@@ -76,8 +61,17 @@ class FacetSystem:
     def nvars(self) -> int:
         return self.n + 1
 
+    @functools.cached_property
+    def _signs(self) -> np.ndarray:
+        masks = np.array([f.mask for f in self.facets], dtype=np.int64)
+        bits = (masks[:, None] >> np.arange(self.nvars)) & 1
+        signs = (2 * bits - 1).astype(float)
+        signs.setflags(write=False)
+        return signs
+
     def sign_matrix(self) -> np.ndarray:
-        return np.vstack([f.coefficients() for f in self.facets])
+        """Facet coefficient rows (+1 on the subset, -1 off it); read-only."""
+        return self._signs
 
     def to_ub(self) -> tuple[np.ndarray, np.ndarray]:
         """Inequalities as A z <= b (facet rows only, box handled separately)."""
@@ -85,26 +79,14 @@ class FacetSystem:
         b = np.full(len(self.facets), self.n - 1.0)
         return A, b
 
-    @functools.cached_property
-    def _xpart_signs(self) -> tuple[np.ndarray, np.ndarray]:
-        """x-coordinate sign rows of the facets, split by whether the lifted
-        coordinate belongs to the subset (lower-bounding vs upper-bounding)."""
-        wbit = 1 << self.n
-        low = np.vstack([f.coefficients()[: self.n] for f in self.facets if f.mask & wbit])
-        upp = np.vstack([f.coefficients()[: self.n] for f in self.facets if not f.mask & wbit])
-        return low, upp
-
     def envelope_bounds(self, x) -> tuple[np.ndarray, np.ndarray] | tuple[float, float]:
         """Implied range [lo(x), hi(x)] for the lifted coordinate at each x.
 
-        Facets containing coordinate n+1 give lower bounds on w, the others
-        upper bounds; both get clipped to the [-1, 1] box.
+        Facets containing coordinate n+1 bound w from below, the others from
+        above; on the full hull both sides reduce to the closed form.
         """
         X, single = as_points(x, self.n)
-        low, upp = self._xpart_signs
-        rhs = -(self.n - 1.0)
-        lo = np.maximum(np.max(rhs - X @ low.T, axis=1), -1.0)
-        hi = np.minimum(np.min(X @ upp.T - rhs, axis=1), 1.0)
+        lo, hi = symbox_lo_hi(X)
         if single:
             return float(lo[0]), float(hi[0])
         return lo, hi
@@ -144,9 +126,10 @@ def hull_membership(fs: FacetSystem, x, w: float,
                     tol: float = MEMBERSHIP_TOL) -> MembershipResult:
     """Check (x, w) against the box bounds and every parity facet."""
     X, _ = as_points(x, fs.n)
-    z = np.concatenate([X[0], [float(w)]])
+    z = np.append(X[0], float(w))
     box_bad = tuple(i + 1 for i, v in enumerate(z) if abs(v) > 1.0 + tol)
-    violated = tuple(f for f in fs.facets if not f.satisfied(z, tol))
+    ok = fs.sign_matrix() @ z >= -(fs.n - 1.0) - tol
+    violated = tuple(fs.facets[i] for i in np.flatnonzero(~ok))
     return MembershipResult(member=not box_bad and not violated,
                             violated=violated, box_violations=box_bad)
 
@@ -249,35 +232,69 @@ _TEXT_HEADER = re.compile(r"#\s*symbox-hull\s+n=(\d+)\s+facets=(\d+)")
 _TEXT_LINE = re.compile(r"I=\{([\d,]*)\}\s+sense=(\w+)\s+rhs=(\S+)")
 
 
-def parse_facets_text(text: str) -> FacetSystem:
+def _full_hull(n: int, rows: list[tuple[int, str, float]]) -> FacetSystem:
+    """The hull for parsed (mask, sense, rhs) rows, which must be exactly its
+    2^n odd-subset facets, each ``GE`` with rhs -(n-1), in any order."""
+    fs = build_symbox_hull(n)
+    for mask, sense, rhs in rows:
+        if sense != "GE":
+            raise ValueError(f"unknown facet sense {sense!r}; facets are GE")
+        if rhs != -(n - 1.0):
+            raise ValueError(f"facet rhs {rhs!r} is not -(n-1) = {1.0 - n:g}")
+    want = [f.mask for f in fs.facets]
+    got = sorted(mask for mask, _, _ in rows)
+    if got != want:
+        extra = sorted(set(got) - set(want))
+        if extra:
+            raise ValueError(f"mask {extra[0]} is not an odd subset of the "
+                             f"{n + 1} coordinates")
+        raise ValueError(f"facet set is not the full hull: need each of the 2^{n} "
+                         f"odd subsets once, got {len(set(got))} distinct in {len(got)} rows")
+    return fs
+
+
+def _nonblank_lines(text: str) -> list[str]:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    m = _TEXT_HEADER.match(lines[0])
+    if not lines:
+        raise ValueError("empty facet input")
+    return lines
+
+
+def parse_facets_text(text: str) -> FacetSystem:
+    """Parse :func:`export_facets_text` output; only the full hull is accepted."""
+    lines = _nonblank_lines(text)
+    m = _TEXT_HEADER.fullmatch(lines[0])
     if not m:
         raise ValueError("missing facet header line")
     n = int(m.group(1))
-    facets = []
+    rows = []
     for ln in lines[1:]:
-        g = _TEXT_LINE.match(ln)
+        g = _TEXT_LINE.fullmatch(ln)
         if not g:
             raise ValueError(f"bad facet line: {ln!r}")
         idx = [int(s) for s in g.group(1).split(",") if s]
-        mask = 0
-        for i in idx:
-            mask |= 1 << (i - 1)
-        facets.append(SignedSubsetInequality(mask=mask, n=n, sense=g.group(2)))
-    if len(facets) != int(m.group(2)):
+        if len(set(idx)) != len(idx) or not all(1 <= i <= n + 1 for i in idx):
+            raise ValueError(f"facet subset outside 1..{n + 1} or repeated: {ln!r}")
+        mask = sum(1 << (i - 1) for i in idx)
+        rows.append((mask, g.group(2), float(g.group(3))))
+    if len(rows) != int(m.group(2)):
         raise ValueError("facet count disagrees with header")
-    return FacetSystem(n=n, facets=tuple(facets))
+    return _full_hull(n, rows)
 
 
 def parse_facets_csv(text: str) -> FacetSystem:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    """Parse :func:`export_facets_csv` output; only the full hull is accepted."""
+    lines = _nonblank_lines(text)
     if lines[0] != "mask,sense,rhs":
         raise ValueError("missing csv header")
-    rows = [ln.split(",") for ln in lines[1:]]
-    masks = [int(r[0]) for r in rows]
+    rows = []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"bad csv row: {ln!r}")
+        rows.append((int(parts[0]), parts[1], float(parts[2])))
+    if not rows or not math.isfinite(rows[0][2]):
+        raise ValueError("csv needs facet rows with a finite rhs")
     # n from the rhs column: rhs = -(n-1)
-    n = int(round(-float(rows[0][2]))) + 1
-    facets = tuple(SignedSubsetInequality(mask=msk, n=n, sense=r[1])
-                   for msk, r in zip(masks, rows))
-    return FacetSystem(n=n, facets=facets)
+    n = int(round(-rows[0][2])) + 1
+    return _full_hull(n, rows)

@@ -302,9 +302,14 @@ def parse_polynomial_text(text: str, n: Optional[int] = None) -> Polynomial:
 def parse_polynomial_json(text: str) -> Polynomial:
     """Parse {"n": ..., "terms": [{"coeff": c, "alpha": [..]}, ...]}."""
     data = json.loads(text)
-    terms = tuple((float(t["coeff"]), tuple(int(a) for a in t["alpha"]))
-                  for t in data["terms"])
-    return Polynomial(n=int(data["n"]), terms=terms)
+    try:
+        terms = tuple((float(t["coeff"]), tuple(int(a) for a in t["alpha"]))
+                      for t in data["terms"])
+        n = int(data["n"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"polynomial JSON needs 'n' and 'terms' with 'coeff' and "
+                         f"'alpha' entries: {exc!r}") from exc
+    return Polynomial(n=n, terms=terms)
 
 
 def load_polynomial(path: str) -> Polynomial:

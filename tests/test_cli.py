@@ -29,6 +29,15 @@ class TestBounds:
         assert code == EXIT_OK
         assert out.count("0.25") >= 2
 
+    def test_ratio_constants_beyond_float_range(self, capsys):
+        from monoenv import bounds
+        code, out, _ = run_cli(capsys, "bounds", "--n", "2000", "--r", "2", "--domain", "ratio")
+        assert code == EXIT_OK
+        D, E = bounds.ratio_box_constants(2000, 2.0)
+        printed = {ln[0]: ln.split("  at ")[0].split()[-1]
+                   for ln in out.splitlines() if ln[:2] in ("D ", "E ")}
+        assert printed == {"D": f"{D:.9g}", "E": f"{E:.9g}"}
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "--domain", "warp"])
@@ -175,6 +184,13 @@ class TestGap:
         code, out, _ = run_cli(capsys, "gap", "--poly", str(poly))
         assert code == EXIT_OK
         assert "tight bound" in out
+
+    def test_json_without_terms_is_usage_error(self, capsys, tmp_path):
+        poly = tmp_path / "p.json"
+        poly.write_text(json.dumps({"n": 2}))
+        code, _, err = run_cli(capsys, "gap", "--poly", str(poly))
+        assert code == EXIT_USAGE
+        assert "'terms'" in err
 
 
 class TestSigmaRoot:

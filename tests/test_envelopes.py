@@ -17,8 +17,6 @@ from monoenv import (
 from monoenv import bounds, envelopes, oracle
 from monoenv.envelopes import (
     LinearUnderestimator,
-    _symbox_lo_hi_closed,
-    _symbox_lo_hi_enum,
     concave_env_ratiobox,
     concave_env_unitbox,
     convex_env_ratiobox,
@@ -206,6 +204,34 @@ class TestRatioBoxEnvelopes:
             assert np.all(f <= concave_env_ratiobox(n, r, X) + 1e-12)
 
 
+def _symbox_enum_reference(X):
+    """Envelopes of x_1...x_n over [-1,1]^n by enumerating all signed subsets.
+
+    lo is the best sign row with evenly many -1 entries, hi the worst row with
+    oddly many +1 entries, each shifted by n-1 and clipped to [-1, 1].
+    """
+    n = X.shape[1]
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    negs = (signs < 0).sum(axis=1)
+    lo = (X @ signs[negs % 2 == 0].T).max(axis=1) - (n - 1)
+    hi = (X @ signs[(n - negs) % 2 == 1].T).min(axis=1) + (n - 1)
+    return np.maximum(lo, -1.0), np.minimum(hi, 1.0)
+
+
+def _symbox_tie_rows(n, rng):
+    """Rows where the closed form's parity and minimum choices are ties."""
+    alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    signs = rng.choice([-1.0, 1.0], (4, n))
+    rows = [np.zeros(n), np.full(n, -0.0), np.where(alt > 0, 0.0, -0.0),
+            np.ones(n), -np.ones(n), alt, *signs, *(0.5 * signs), *(signs / n)]
+    x = rng.choice([-1.0, 1.0], n) * rng.uniform(0.2, 1.0, n)
+    x[0] = -0.0
+    rows.append(x.copy())
+    x[0], x[1] = 0.1, -0.1  # two coordinates share the smallest magnitude
+    rows.append(x)
+    return np.array(rows)
+
+
 class TestSymBoxEnvelopes:
     def test_vertex_exact(self):
         assert envelopes_symbox(3, [1.0, 1.0, 1.0]) == (1.0, 1.0)
@@ -220,13 +246,14 @@ class TestSymBoxEnvelopes:
         assert envelopes_symbox(2, [0.0, 0.0]) == (-1.0, 1.0)
 
     def test_enum_matches_closed_form(self):
+        # the production closed form against the signed-subset enumeration
         rng = np.random.default_rng(9)
-        for n in range(2, 13):
-            X = rng.uniform(-1.0, 1.0, (100, n))
-            lo1, hi1 = _symbox_lo_hi_enum(n, X)
-            lo2, hi2 = _symbox_lo_hi_closed(n, X)
-            assert np.allclose(lo1, lo2, atol=1e-12)
-            assert np.allclose(hi1, hi2, atol=1e-12)
+        for n in range(2, 17):
+            X = np.vstack([rng.uniform(-1.0, 1.0, (100, n)), _symbox_tie_rows(n, rng)])
+            lo1, hi1 = _symbox_enum_reference(X)
+            lo2, hi2 = envelopes_symbox(n, X)
+            assert np.max(np.abs(lo1 - lo2)) <= 1e-12
+            assert np.max(np.abs(hi1 - hi2)) <= 1e-12
 
     def test_closed_form_used_beyond_limit(self):
         x = np.full(25, 0.5)

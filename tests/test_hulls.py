@@ -73,6 +73,19 @@ class TestMembership:
             for x in rng.uniform(-1.0, 1.0, (200, n)):
                 assert hull_membership(fs, x, eval_monomial(m, x)).member
 
+    def test_violated_matches_per_facet_sums(self):
+        # one facet at a time: sum over the subset minus the rest >= -(n-1)
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 4):
+            fs = build_symbox_hull(n)
+            for _ in range(200):
+                z = rng.uniform(-1.2, 1.2, n + 1)
+                want = [f for f in fs.facets
+                        if sum(z[i - 1] for i in f.subset())
+                        - sum(z[i] for i in range(n + 1) if i + 1 not in f.subset())
+                        < -(n - 1) - 1e-9]
+                assert list(hull_membership(fs, z[:-1], z[-1]).violated) == want
+
     def test_reflection_equivalence(self):
         rng = np.random.default_rng(1)
         n = 3
@@ -92,14 +105,20 @@ class TestMembership:
             assert err1 == pytest.approx(err2, abs=1e-12)
 
     def test_envelope_bounds_match_closed_form(self):
+        # reference from the facet rows A [x; w] <= b: rows with a negative w
+        # coefficient (w in the subset) bound w from below, the rest from above
         rng = np.random.default_rng(2)
         for n in (2, 3, 5, 7):
             fs = build_symbox_hull(n)
+            A, b = fs.to_ub()
+            below = A[:, n] < 0
             X = rng.uniform(-1.0, 1.0, (200, n))
-            lo1, hi1 = fs.envelope_bounds(X)
-            lo2, hi2 = envelopes.envelopes_symbox(n, X)
-            assert np.allclose(lo1, lo2, atol=1e-12)
-            assert np.allclose(hi1, hi2, atol=1e-12)
+            bound = (b - X @ A[:, :n].T) / A[:, n]
+            lo_ref = np.maximum(bound[:, below].max(axis=1), -1.0)
+            hi_ref = np.minimum(bound[:, ~below].min(axis=1), 1.0)
+            for lo, hi in (fs.envelope_bounds(X), envelopes.envelopes_symbox(n, X)):
+                assert np.max(np.abs(lo - lo_ref)) <= 1e-12
+                assert np.max(np.abs(hi - hi_ref)) <= 1e-12
 
     def test_max_member_error_equals_bound(self):
         rng = np.random.default_rng(3)
@@ -181,6 +200,76 @@ class TestExport:
         lines = export_facets_text(fs).splitlines()
         assert lines[1] == "I={1} sense=GE rhs=-1"
         assert lines[4] == "I={1,2,3} sense=GE rhs=-1"
+
+
+_FULL_N2 = [(1, "GE", -1), (2, "GE", -1), (4, "GE", -1), (7, "GE", -1)]
+
+
+def _facet_inputs(n, rows):
+    """The same (mask, sense, rhs) rows written in the text and the CSV format."""
+    text = [f"# symbox-hull n={n} facets={len(rows)}"]
+    for mask, sense, rhs in rows:
+        idx = ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
+        text.append(f"I={{{idx}}} sense={sense} rhs={rhs}")
+    csv = ["mask,sense,rhs"] + [f"{m},{s},{r}" for m, s, r in rows]
+    return {"text": "\n".join(text) + "\n", "csv": "\n".join(csv) + "\n"}
+
+
+_PARSERS = {"text": parse_facets_text, "csv": parse_facets_csv}
+
+
+class TestParseFullHullOnly:
+    """The parsers accept exactly the 2^n odd-subset GE facets with rhs -(n-1)."""
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_shuffled_full_set_accepted(self, fmt):
+        rows = [_FULL_N2[i] for i in (3, 1, 0, 2)]
+        assert _PARSERS[fmt](_facet_inputs(2, rows)[fmt]) == build_symbox_hull(2)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("text", ["", "  \n\n"])
+    def test_empty_input(self, fmt, text):
+        with pytest.raises(ValueError, match="empty"):
+            _PARSERS[fmt](text)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_even_parity_mask(self, fmt):
+        rows = _FULL_N2[:3] + [(3, "GE", -1)]
+        with pytest.raises(ValueError, match="mask 3 is not an odd subset"):
+            _PARSERS[fmt](_facet_inputs(2, rows)[fmt])
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_out_of_range_mask(self, fmt):
+        rows = _FULL_N2[:3] + [(64, "GE", -1)]
+        with pytest.raises(ValueError):
+            _PARSERS[fmt](_facet_inputs(2, rows)[fmt])
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_unknown_sense(self, fmt):
+        rows = _FULL_N2[:2] + [(4, "LE", -1)] + _FULL_N2[3:]
+        with pytest.raises(ValueError, match="sense 'LE'"):
+            _PARSERS[fmt](_facet_inputs(2, rows)[fmt])
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_partial_set(self, fmt):
+        with pytest.raises(ValueError, match="not the full hull"):
+            _PARSERS[fmt](_facet_inputs(2, _FULL_N2[:3])[fmt])
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_duplicated_facet(self, fmt):
+        with pytest.raises(ValueError, match="not the full hull"):
+            _PARSERS[fmt](_facet_inputs(2, _FULL_N2 + _FULL_N2[:1])[fmt])
+
+    def test_trailing_text_on_a_facet_line(self):
+        text = _facet_inputs(2, _FULL_N2)["text"].replace("rhs=-1\n", "rhs=-1 LE\n", 1)
+        with pytest.raises(ValueError, match="bad facet line"):
+            parse_facets_text(text)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_wrong_rhs(self, fmt):
+        rows = _FULL_N2[:3] + [(7, "GE", -2)]
+        with pytest.raises(ValueError, match="rhs"):
+            _PARSERS[fmt](_facet_inputs(2, rows)[fmt])
 
 
 class TestParityRegrouping:
