@@ -20,6 +20,7 @@ from .core import (
     ScaleExceeded,
     UnitBox,
 )
+from .golden import golden_max
 
 BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
@@ -415,7 +416,7 @@ def d_bound_cases(n: int, r: float) -> DBoundResult:
     k = int(np.argmax(vals))
     a = ts[max(k - 1, 0)]
     b = ts[min(k + 1, len(ts) - 1)]
-    t_ss = _golden_max(lambda t: psi_value(n, r, t), a, b)
+    t_ss = golden_max(lambda t, _: psi_value(n, r, t).tolist(), [a], [b], 80, 1e-14)[0]
 
     thresh = (n - 1) / n
     logr = math.log(r)
@@ -429,28 +430,6 @@ def d_bound_cases(n: int, r: float) -> DBoundResult:
         bound = r ** (n * n / (n - 1)) * (logr / (r - 1.0)) ** (n / (n - 1)) - r ** n
         case = "loose"
     return DBoundResult(bound=bound, case=case, t_star=t_star, t_star_star=t_ss)
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f, a: float, b: float, iters: int = 80) -> float:
-    """Golden-section maximizer of a unimodal scalar function on [a, b]."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        if b - a <= 1e-14:
-            break
-    return 0.5 * (a + b)
 
 
 def symbox_error(n: int) -> float:
@@ -492,12 +471,16 @@ def find_root_power_linear(lam1: int, lam2: float) -> RootResult:
     For lam2 >= lam1 the polynomial is positive on (0, 1] and no root exists
     (certified on a grid). Otherwise bisection on
     [1 - (lam2/lam1)**(1/(lam1-1)), 1] drives |value| below 1e-12.
+    lam1 = lam2 = 1 gives the zero polynomial, which every s solves; that is
+    a ``ValueError``, not "no root".
     """
     if int(lam1) != lam1 or lam1 < 1:
         raise ValueError("lam1 must be an integer >= 1")
     lam1 = int(lam1)
-    if lam2 < 1.0:
+    if not lam2 >= 1.0:
         raise ValueError("lam2 must be >= 1")
+    if lam1 == 1 and lam2 == 1.0:
+        raise ValueError("lam1 = lam2 = 1 gives the zero polynomial: every s is a root")
     if lam2 >= lam1:
         grid = np.linspace(1e-3, 1.0, 1000)
         cert = float(np.min(root_poly_value(lam1, lam2, grid)))

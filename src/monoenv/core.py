@@ -6,6 +6,7 @@ function, so concurrent use needs no synchronization.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -159,6 +160,11 @@ class Domain:
     n: int
 
     def halfspaces(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, b) with the domain = {x : A x <= b}; read-only arrays shared by
+        every equal domain value."""
+        return _cached_halfspaces(self)
+
+    def _halfspaces(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -178,32 +184,45 @@ class Domain:
             bad = np.asarray(X, float).reshape(-1, self.n)[~ok][0]
             raise OutsideDomain(f"point {bad.tolist()} is outside {self}")
 
-    def coordinate_range(self, x, j: int) -> tuple[float, float]:
-        """Feasible interval for coordinate j with the other coordinates fixed."""
+    def coordinate_range(self, x, j: int):
+        """Feasible interval for coordinate j with the other coordinates fixed;
+        per row when x is a stack of points."""
         d = np.zeros(self.n)
         d[j] = 1.0
         tlo, thi = self.line_range(x, d)
-        xj = float(np.asarray(x, float)[j])
+        xj = np.asarray(x, float)[..., j]
         return xj + tlo, xj + thi
 
-    def line_range(self, x, d) -> tuple[float, float]:
-        """Feasible parameter interval {t : x + t d in domain} (x feasible)."""
+    def line_range(self, x, d):
+        """Feasible parameter interval {t : x + t d in domain} (x feasible);
+        per row when x or d is a stack of rows."""
         A, b = self.halfspaces()
         x = np.asarray(x, dtype=float)
         d = np.asarray(d, dtype=float)
-        num = b - A @ x
-        den = A @ d
-        tlo, thi = -np.inf, np.inf
-        pos = den > 1e-14
-        neg = den < -1e-14
-        if np.any(pos):
-            thi = float(np.min(num[pos] / den[pos]))
-        if np.any(neg):
-            tlo = float(np.max(num[neg] / den[neg]))
+        # one matrix-vector product per row, so a row of a stack gets the
+        # same bits as the row alone
+        num = b - np.matmul(A, x[..., None])[..., 0]
+        den = np.matmul(A, d[..., None])[..., 0]
+        shape = np.broadcast_shapes(num.shape, den.shape)
+        thi = np.min(np.divide(num, den, out=np.full(shape, np.inf),
+                               where=den > 1e-14), axis=-1)
+        tlo = np.max(np.divide(num, den, out=np.full(shape, -np.inf),
+                               where=den < -1e-14), axis=-1)
+        if thi.ndim == 0:
+            return float(tlo), float(thi)
         return tlo, thi
 
     def vertices(self) -> np.ndarray:
         raise UnsupportedDomain(f"{type(self).__name__} has no vertex list")
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_halfspaces(dom: Domain) -> tuple[np.ndarray, np.ndarray]:
+    # keyed on the domain value: estimators build a fresh equal domain per call
+    A, b = dom._halfspaces()
+    A.setflags(write=False)
+    b.setflags(write=False)
+    return A, b
 
 
 def _box_vertices(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -223,7 +242,7 @@ class _BoxDomain(Domain):
     def upper_vec(self) -> np.ndarray:
         raise NotImplementedError
 
-    def halfspaces(self):
+    def _halfspaces(self):
         n = self.n
         eye = np.eye(n)
         A = np.vstack([eye, -eye])
@@ -331,7 +350,7 @@ class StdSimplex(Domain):
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
-    def halfspaces(self):
+    def _halfspaces(self):
         n = self.n
         A = np.vstack([-np.eye(n), np.ones((1, n))])
         b = np.concatenate([np.zeros(n), [1.0]])
@@ -367,7 +386,7 @@ class CornerSimplexOne(Domain):
     def n(self) -> int:
         return len(self.lam)
 
-    def halfspaces(self):
+    def _halfspaces(self):
         n = self.n
         inv = 1.0 / np.asarray(self.lam)
         A = np.vstack([np.eye(n), -inv[None, :]])
@@ -396,7 +415,7 @@ class ComplementSimplex(Domain):
         if self.n < 2:
             raise ValueError("n must be >= 2")
 
-    def halfspaces(self):
+    def _halfspaces(self):
         n = self.n
         eye = np.eye(n)
         A = np.vstack([eye, -eye, np.ones((1, n))])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .core import ScaleExceeded, as_points
+from .core import DimensionMismatch, ScaleExceeded, as_points
 from .envelopes import symbox_lo_hi
 
 MEMBERSHIP_TOL = 1e-9
@@ -124,9 +124,17 @@ class MembershipResult:
 
 def hull_membership(fs: FacetSystem, x, w: float,
                     tol: float = MEMBERSHIP_TOL) -> MembershipResult:
-    """Check (x, w) against the box bounds and every parity facet."""
+    """Check one point (x, w) against the box bounds and every parity facet.
+
+    Raises ``DimensionMismatch`` for more than one point and ``ValueError``
+    for a non-finite coordinate.
+    """
     X, _ = as_points(x, fs.n)
+    if len(X) != 1:
+        raise DimensionMismatch(f"hull_membership checks one point, got {len(X)}")
     z = np.append(X[0], float(w))
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"hull_membership needs finite (x, w), got {z.tolist()}")
     box_bad = tuple(i + 1 for i, v in enumerate(z) if abs(v) > 1.0 + tol)
     ok = fs.sign_matrix() @ z >= -(fs.n - 1.0) - tol
     violated = tuple(fs.facets[i] for i in np.flatnonzero(~ok))

@@ -2,16 +2,17 @@
 extremes, sampled-hull envelope values via tiny LPs, numeric intercepts, and
 a high-precision decimal reference for the constant-ratio box concave error.
 
-Grids use cell-center sampling (no boundary ties); the incumbent is then
-polished by per-coordinate golden-section plus a line search along the
-incumbent's orthant diagonal, which is where the attainment loci live. All
-randomness is seeded, so results are reproducible bit for bit.
+Grids use cell-center sampling (no boundary ties); the incumbent, and from
+n = 5 on the seeded restarts too, are then polished by per-coordinate
+golden-section plus line searches along each start's orthant diagonal, which
+is where the attainment loci live. All starts are refined in lockstep: each
+golden-section step evaluates the function once, on one row per start still
+searching. All randomness is seeded, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Callable, Optional, Sequence
@@ -33,6 +34,7 @@ from .core import (
     error_report,
     monomial_values,
 )
+from .golden import golden_max
 from .lp import solve_equality_lp
 
 OVER = "OVER"
@@ -66,9 +68,6 @@ class GridSpec:
             ) from None
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 @functools.lru_cache(maxsize=16)
 def _grid_points(dom: Domain, res: int, max_points: int) -> np.ndarray:
     """Cell-center grid over the domain's bounding box, filtered to members."""
@@ -85,78 +84,82 @@ def _grid_points(dom: Domain, res: int, max_points: int) -> np.ndarray:
     return pts
 
 
-def _golden_line(func1, x: np.ndarray, d: np.ndarray, tlo: float, thi: float,
-                 iters: int = 60) -> tuple[float, float]:
-    """Golden-section max of t -> func1(x + t d) on [tlo, thi]."""
-    a, b = tlo, thi
-    c = b - _INVPHI * (b - a)
-    e = a + _INVPHI * (b - a)
-    fc = func1(x + c * d)
-    fe = func1(x + e * d)
-    for _ in range(iters):
-        if fc >= fe:
-            b, e, fe = e, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = func1(x + c * d)
-        else:
-            a, c, fc = c, e, fe
-            e = a + _INVPHI * (b - a)
-            fe = func1(x + e * d)
-        if b - a <= 1e-13:
-            break
-    t = 0.5 * (a + b)
-    return t, func1(x + t * d)
+def _values(func: Callable[[np.ndarray], np.ndarray], P: np.ndarray) -> list:
+    return np.asarray(func(P), dtype=float).tolist()
+
+
+def _search(func, X: np.ndarray, V: list, D: np.ndarray, rows: list,
+            tlo: list, thi: list) -> None:
+    """Golden-section search from each listed row of X along the same row of D
+    over [tlo, thi]; a row moves to its line maximum when that beats V."""
+    if not rows:
+        return
+    Xr, Dr = X[rows], D[rows]
+
+    def along(ts, idx):
+        T = np.array(ts)[:, None]
+        if len(idx) == len(rows):  # every row still searching: no gather
+            return _values(func, Xr + T * Dr)
+        return _values(func, Xr[idx] + T * Dr[idx])
+
+    P = Xr + np.array(golden_max(along, tlo, thi, 60, 1e-13))[:, None] * Dr
+    for k, p, v in zip(rows, P, _values(func, P)):
+        if v > V[k]:
+            X[k] = p
+            V[k] = v
+
+
+def _line(func, dom: Domain, X: np.ndarray, V: list, D: np.ndarray, rows) -> None:
+    """:func:`_search` over each listed row's whole feasible segment."""
+    tlo, thi = dom.line_range(X, D)
+    ok = [k for k in rows
+          if thi[k] > tlo[k] and np.isfinite(tlo[k]) and np.isfinite(thi[k])]
+    _search(func, X, V, D, ok, tlo[ok].tolist(), thi[ok].tolist())
 
 
 def _refine(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
-            x0: np.ndarray, v0: float, cell: np.ndarray, passes: int,
-            center_weights: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
-    """Coordinate golden-section around the incumbent cell, then line searches
-    along the incumbent's orthant diagonal and centering directions.
+            X: np.ndarray, V: list, cell: np.ndarray, passes: int,
+            center_weights: Optional[np.ndarray] = None) -> tuple[np.ndarray, list]:
+    """Coordinate golden-section around each start's cell, then line searches
+    along its orthant diagonal and centering directions.
+
+    The starts (rows of X, values V) move through this schedule in lockstep,
+    one estimator call per golden-section step for all of them; each row does
+    the arithmetic it would do alone.
 
     A centering direction moves toward equal |coordinates| while preserving a
     weighted signed sum, which tracks hinge ridges {sum w_j x_j = const}; the
     unweighted move covers multilinear cuts and ``center_weights`` (usually
     the monomial's exponents) covers slope-weighted ones.
     """
-
-    def func1(p: np.ndarray) -> float:
-        return float(func(p[None, :])[0])
-
-    def line(x, v, d):
-        tlo, thi = dom.line_range(x, d)
-        if thi > tlo and np.isfinite(tlo) and np.isfinite(thi):
-            t, vt = _golden_line(func1, x, d, tlo, thi)
-            if vt > v:
-                return x + t * d, vt
-        return x, v
-
-    n = dom.n
-    x, v = x0.copy(), v0
+    K, n = X.shape
+    X, V = X.copy(), list(V)
+    everyone = range(K)
     weightings = [np.ones(n)]
     if center_weights is not None and not np.all(np.asarray(center_weights) == 1.0):
         weightings.append(np.asarray(center_weights, dtype=float))
     for _ in range(passes):
         for j in range(n):
-            lo_j, hi_j = dom.coordinate_range(x, j)
-            a = max(lo_j, x[j] - cell[j])
-            b = min(hi_j, x[j] + cell[j])
-            if b - a <= 1e-14:
-                continue
-            d = np.zeros(n)
-            d[j] = 1.0
-            t, vt = _golden_line(func1, x, d, a - x[j], b - x[j])
-            if vt > v:
-                x = x + t * d
-                v = vt
-        diag = np.where(x < 0, -1.0, 1.0)
-        x, v = line(x, v, diag)
+            lo_j, hi_j = dom.coordinate_range(X, j)
+            cj = float(cell[j])
+            rows, tlo, thi = [], [], []
+            for k, l, h, xj in zip(everyone, lo_j.tolist(), hi_j.tolist(), X[:, j].tolist()):
+                a = max(l, xj - cj)
+                b = min(h, xj + cj)
+                if b - a > 1e-14:
+                    rows.append(k)
+                    tlo.append(a - xj)
+                    thi.append(b - xj)
+            D = np.zeros((K, n))
+            D[:, j] = 1.0
+            _search(func, X, V, D, rows, tlo, thi)
+        diag = np.where(X < 0, -1.0, 1.0)
+        _line(func, dom, X, V, diag, everyone)
         for w in weightings:
-            target = float(np.sum(w * diag * x) / np.sum(w))
-            cen = diag * target - x
-            if np.max(np.abs(cen)) > 1e-12:
-                x, v = line(x, v, cen)
-    return x, v
+            target = np.sum(w * diag * X, axis=1) / np.sum(w)
+            cen = diag * target[:, None] - X
+            _line(func, dom, X, V, cen, np.flatnonzero(np.max(np.abs(cen), axis=1) > 1e-12))
+    return X, V
 
 
 def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
@@ -165,8 +168,9 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     """Maximize a vectorized function over a structured domain.
 
     Grid scan (lexicographic tie-break), golden-section refinement from the
-    incumbent, plus seeded random restarts when the grid is coarse (n >= 5).
-    The refined value never falls below the grid incumbent.
+    incumbent, plus seeded random restarts when the grid is coarse (n >= 5),
+    all refined in lockstep; the first best start wins. The refined value
+    never falls below the grid incumbent.
     """
     spec = grid or GridSpec()
     n = dom.n
@@ -178,8 +182,7 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     k = int(np.argmax(vals))  # first max in C order = lexicographic argmax
     lo, hi = dom.bounding_box()
     cell = (hi - lo) / res
-    x, v = _refine(func, dom, pts[k].copy(), float(vals[k]), cell, spec.refine_passes,
-                   center_weights)
+    X, V = pts[k:k + 1], [float(vals[k])]
 
     if n >= 5 and spec.restarts > 0:
         rng = np.random.default_rng(spec.seed)
@@ -189,12 +192,11 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
             cand = lo + rng.random((max(4 * spec.restarts, 64), n)) * span
             cand = cand[dom.contains_many(cand)]
             starts.extend(cand[: spec.restarts - len(starts)])
-        for s in starts:
-            xs, vs = _refine(func, dom, np.asarray(s), float(func(s[None, :])[0]),
-                             cell, spec.refine_passes, center_weights)
-            if vs > v:
-                x, v = xs, vs
-    return v, x
+        S = np.array(starts)
+        X, V = np.vstack([X, S]), V + _values(func, S)
+    X, V = _refine(func, dom, X, V, cell, spec.refine_passes, center_weights)
+    best = max(range(len(V)), key=V.__getitem__)  # first of the largest, as in a scan
+    return V[best], X[best]
 
 
 def grid_minimize(func, dom: Domain, grid: Optional[GridSpec] = None,

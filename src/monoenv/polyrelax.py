@@ -23,8 +23,9 @@ class Polynomial:
     """A finite sum of monomial terms (coefficient, exponent vector).
 
     Duplicate exponent vectors are merged and zero coefficients dropped at
-    construction; exponents are nonnegative integers (a zero exponent means
-    the variable does not appear in that term).
+    construction; coefficients must be finite, and exponents are nonnegative
+    integers (a zero exponent means the variable does not appear in that
+    term).
     """
 
     n: int
@@ -39,6 +40,8 @@ class Polynomial:
             if any(a < 0 or float(b) != int(b) for a, b in zip(key, alpha)):
                 raise ValueError(f"exponents must be nonnegative integers, got {alpha}")
             merged[key] = merged.get(key, 0.0) + float(coeff)
+            if not math.isfinite(merged[key]):
+                raise ValueError(f"non-finite coefficient {merged[key]!r} for exponents {key}")
         cleaned = tuple(
             (c, a) for a, c in sorted(merged.items()) if c != 0.0
         )

@@ -369,6 +369,40 @@ class TestDBoundCases:
             assert res.t_star == pytest.approx(res.t_star_star, abs=1e-5)
 
 
+    def test_t_star_star_unchanged_by_shared_golden_section(self):
+        # the one-bracket scalar recurrence d_bound_cases used before the
+        # golden-section search was shared with the oracle
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+
+        def scalar_golden_max(f, a, b, iters=80):
+            c = b - invphi * (b - a)
+            d = a + invphi * (b - a)
+            fc, fd = f(c), f(d)
+            for _ in range(iters):
+                if fc >= fd:
+                    b, d, fd = d, c, fc
+                    c = b - invphi * (b - a)
+                    fc = f(c)
+                else:
+                    a, c, fc = c, d, fd
+                    d = a + invphi * (b - a)
+                    fd = f(d)
+                if b - a <= 1e-14:
+                    break
+            return 0.5 * (a + b)
+
+        rng = np.random.default_rng(3)
+        samples = [(int(rng.integers(2, 40)), float(1.01 + 9.0 * rng.random()))
+                   for _ in range(40)]
+        samples += [(100, 2.0), (100, 1.2), (64, 5.0), (3, 2.0), (10, 1.2), (50, 2.0),
+                    (100, 10.0), (100, 1.01), (2, 1.5), (5, 10.0)]
+        ts = np.linspace(0.0, 1.0, 10_001)
+        for n, r in samples:
+            k = int(np.argmax(psi_value(n, r, ts)))
+            a, b = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
+            want = scalar_golden_max(lambda t: psi_value(n, r, t), a, b)
+            assert d_bound_cases(n, r).t_star_star == want
+
 class TestSymboxError:
     def test_two(self):
         assert symbox_error(2) == pytest.approx(1.0)
@@ -431,6 +465,16 @@ class TestRootFinder:
         with pytest.raises(ValueError):
             find_root_power_linear(0, 1.0)
 
+
+    def test_zero_polynomial_is_an_error(self):
+        # (1 - s) + s - 1 vanishes everywhere: neither "no root" nor one root
+        with pytest.raises(ValueError, match="zero polynomial"):
+            find_root_power_linear(1, 1.0)
+        assert not find_root_power_linear(1, 1.5).has_root
+
+    def test_rejects_nan_lambda2(self):
+        with pytest.raises(ValueError):
+            find_root_power_linear(3, float("nan"))
 
 class TestDegreeInequality:
     def test_equality_at_two(self):

@@ -185,6 +185,13 @@ class TestGap:
         assert code == EXIT_OK
         assert "tight bound" in out
 
+    def test_nan_coefficient_is_usage_error(self, capsys, tmp_path):
+        poly = tmp_path / "p.txt"
+        poly.write_text("nan 1 1\n1 2 0\n")
+        code, out, err = run_cli(capsys, "gap", "--poly", str(poly))
+        assert code == EXIT_USAGE
+        assert out == "" and "non-finite coefficient" in err
+
     def test_json_without_terms_is_usage_error(self, capsys, tmp_path):
         poly = tmp_path / "p.json"
         poly.write_text(json.dumps({"n": 2}))
@@ -211,6 +218,11 @@ class TestSigmaRoot:
         assert code == EXIT_OK
         assert "no root" in out
 
+
+    def test_zero_polynomial_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "root", "--lambda1", "1", "--lambda2", "1")
+        assert code == EXIT_USAGE
+        assert "no root" not in out and "zero polynomial" in err
 
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,33 @@ class TestDomains:
                 assert dom.contains(y, tol=1e-7)
                 y[j] = hi_j
                 assert dom.contains(y, tol=1e-7)
+
+    @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: type(d).__name__)
+    def test_halfspaces_read_only_and_shared(self, dom):
+        A, b = dom.halfspaces()
+        assert not A.flags.writeable and not b.flags.writeable
+        with pytest.raises(ValueError):
+            A[0, 0] = 7.0
+        twin = dataclasses.replace(dom)
+        assert twin == dom and twin is not dom
+        A2, b2 = twin.halfspaces()
+        assert A2 is A and b2 is b
+
+    @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: type(d).__name__)
+    def test_stacked_ranges_match_row_by_row(self, dom):
+        # a stack of rows gets the bits each row gets alone
+        rng = np.random.default_rng(9)
+        V = dom.vertices()
+        W = rng.random((6, len(V)))
+        X = (W / W.sum(axis=1, keepdims=True)) @ V
+        D = rng.standard_normal((6, dom.n))
+        tlo, thi = dom.line_range(X, D)
+        for k in range(6):
+            assert (tlo[k], thi[k]) == dom.line_range(X[k], D[k])
+        for j in range(dom.n):
+            lo_j, hi_j = dom.coordinate_range(X, j)
+            for k in range(6):
+                assert (lo_j[k], hi_j[k]) == dom.coordinate_range(X[k], j)
 
     def test_vertex_count(self):
         assert len(UnitBox(4).vertices()) == 16

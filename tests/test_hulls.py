@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from monoenv import Monomial, ScaleExceeded, eval_monomial
+from monoenv import DimensionMismatch, Monomial, ScaleExceeded, eval_monomial
 from monoenv import bounds, envelopes
 from monoenv.hulls import (
     FacetSystem,
@@ -103,6 +103,21 @@ class TestMembership:
             err1 = abs(w - eval_monomial(m, x))
             err2 = abs(w2 - eval_monomial(m, x2))
             assert err1 == pytest.approx(err2, abs=1e-12)
+
+    def test_several_points_rejected(self):
+        # only the first row used to be checked: [5, 5] passed as a member
+        with pytest.raises(DimensionMismatch):
+            hull_membership(build_symbox_hull(2), [[0.0, 0.0], [5.0, 5.0]], 0.0)
+        assert hull_membership(build_symbox_hull(2), [[0.0, 0.0]], 0.0).member
+
+    @pytest.mark.parametrize("x, w", [([0.0, 0.0], float("nan")),
+                                      ([0.0, 0.0], float("inf")),
+                                      ([float("nan"), 0.0], 0.0),
+                                      ([0.0, -float("inf")], 0.0)])
+    def test_non_finite_point_rejected(self, x, w):
+        # used to report a non-member violating every facet
+        with pytest.raises(ValueError, match="finite"):
+            hull_membership(build_symbox_hull(2), x, w)
 
     def test_envelope_bounds_match_closed_form(self):
         # reference from the facet rows A [x; w] <= b: rows with a negative w

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from monoenv import (
     Verdict,
     eval_monomial,
 )
-from monoenv import bounds, envelopes, oracle
+from monoenv import bounds, envelopes, hulls, oracle
 from monoenv.core import monomial_values
 from monoenv.oracle import GridSpec, extremize_f, grid_maximize, max_gap, sampled_hull_envelope, sigma_numeric
 
@@ -363,3 +365,148 @@ class TestScaledBoxTransport:
             for s in __import__("itertools").product((-1.0, 1.0), repeat=n)
         )
         assert best <= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Lockstep refinement against the one-start-at-a-time schedule
+# ---------------------------------------------------------------------------
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _seq_golden_line(func1, x, d, tlo, thi, iters=60):
+    a, b = tlo, thi
+    c = b - _INVPHI * (b - a)
+    e = a + _INVPHI * (b - a)
+    fc = func1(x + c * d)
+    fe = func1(x + e * d)
+    for _ in range(iters):
+        if fc >= fe:
+            b, e, fe = e, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = func1(x + c * d)
+        else:
+            a, c, fc = c, e, fe
+            e = a + _INVPHI * (b - a)
+            fe = func1(x + e * d)
+        if b - a <= 1e-13:
+            break
+    t = 0.5 * (a + b)
+    return t, func1(x + t * d)
+
+
+def _seq_refine(func, dom, x0, v0, cell, passes, center_weights=None):
+    def func1(p):
+        return float(func(p[None, :])[0])
+
+    def line(x, v, d):
+        tlo, thi = dom.line_range(x, d)
+        if thi > tlo and np.isfinite(tlo) and np.isfinite(thi):
+            t, vt = _seq_golden_line(func1, x, d, tlo, thi)
+            if vt > v:
+                return x + t * d, vt
+        return x, v
+
+    n = dom.n
+    x, v = x0.copy(), v0
+    weightings = [np.ones(n)]
+    if center_weights is not None and not np.all(np.asarray(center_weights) == 1.0):
+        weightings.append(np.asarray(center_weights, dtype=float))
+    for _ in range(passes):
+        for j in range(n):
+            lo_j, hi_j = dom.coordinate_range(x, j)
+            a = max(lo_j, x[j] - cell[j])
+            b = min(hi_j, x[j] + cell[j])
+            if b - a <= 1e-14:
+                continue
+            d = np.zeros(n)
+            d[j] = 1.0
+            t, vt = _seq_golden_line(func1, x, d, a - x[j], b - x[j])
+            if vt > v:
+                x = x + t * d
+                v = vt
+        diag = np.where(x < 0, -1.0, 1.0)
+        x, v = line(x, v, diag)
+        for w in weightings:
+            target = float(np.sum(w * diag * x) / np.sum(w))
+            cen = diag * target - x
+            if np.max(np.abs(cen)) > 1e-12:
+                x, v = line(x, v, cen)
+    return x, v
+
+
+def _seq_grid_maximize(func, dom, spec, center_weights=None):
+    """The incumbent, then each restart, refined one after another."""
+    n = dom.n
+    res = spec.resolution_for(n)
+    pts = oracle._grid_points(dom, res, spec.max_points)
+    vals = func(pts)
+    k = int(np.argmax(vals))
+    lo, hi = dom.bounding_box()
+    cell = (hi - lo) / res
+    x, v = _seq_refine(func, dom, pts[k].copy(), float(vals[k]), cell, spec.refine_passes,
+                       center_weights)
+    if n >= 5 and spec.restarts > 0:
+        rng = np.random.default_rng(spec.seed)
+        span = hi - lo
+        starts = []
+        while len(starts) < spec.restarts:
+            cand = lo + rng.random((max(4 * spec.restarts, 64), n)) * span
+            cand = cand[dom.contains_many(cand)]
+            starts.extend(cand[: spec.restarts - len(starts)])
+        for s in starts:
+            xs, vs = _seq_refine(func, dom, np.asarray(s), float(func(s[None, :])[0]),
+                                 cell, spec.refine_passes, center_weights)
+            if vs > v:
+                x, v = xs, vs
+    return v, x
+
+
+def _lockstep_case(name):
+    """(domain, function, exponents) at n = 5; every function gives a row the
+    same bits whatever rows share its call (no BLAS products)."""
+    alpha = (1, 2, 1, 3, 1)
+    m = Monomial(alpha)
+    ml = Monomial.multilinear(5)
+    if name == "UnitBox":
+        return UnitBox(5), lambda X: envelopes.concave_env_unitbox(m, X) - monomial_values(m, X), alpha
+    if name == "SymBox":
+        fs = hulls.build_symbox_hull(5)
+        return SymBox(5), lambda X: fs.envelope_upper(X) - monomial_values(ml, X), alpha
+    if name == "RatioBox":
+        return (RatioBox(5, 1.8),
+                lambda X: monomial_values(ml, X) - envelopes.convex_env_ratiobox(5, 1.8, X), alpha)
+    return StdSimplex(5), lambda X: monomial_values(m, X), alpha
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestLockstepRefinement:
+    @pytest.mark.parametrize("name", ["UnitBox", "SymBox", "RatioBox", "StdSimplex"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_matches_one_start_at_a_time(self, name, weighted):
+        dom, func, alpha = _lockstep_case(name)
+        weights = np.asarray(alpha, float) if weighted else None
+        spec = GridSpec(resolution=6, refine_passes=2, restarts=5, seed=5)
+        v_ref, x_ref = _seq_grid_maximize(func, dom, spec, weights)
+        v, x = grid_maximize(func, dom, spec, center_weights=weights)
+        assert _bits(v) == _bits(v_ref)
+        assert np.array_equal(_bits(x), _bits(x_ref))
+
+    def test_default_spec_matches_on_unit_box(self):
+        dom, func, alpha = _lockstep_case("UnitBox")
+        weights = np.asarray(alpha, float)
+        v_ref, x_ref = _seq_grid_maximize(func, dom, GridSpec(), weights)
+        v, x = grid_maximize(func, dom, GridSpec(), center_weights=weights)
+        assert _bits(v) == _bits(v_ref)
+        assert np.array_equal(_bits(x), _bits(x_ref))
+
+    def test_first_of_equal_values_wins(self):
+        # a constant function: every start ties, so the grid incumbent stays
+        spec = GridSpec(resolution=4, restarts=3, seed=2)
+        v, x = grid_maximize(lambda X: np.zeros(len(X)), UnitBox(5), spec)
+        pts = oracle._grid_points(UnitBox(5), 4, spec.max_points)
+        assert v == 0.0
+        assert np.array_equal(x, pts[0])

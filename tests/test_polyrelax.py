@@ -27,6 +27,22 @@ class TestPolynomial:
         p = Polynomial(2, ((1.0, (1, 1)), (2.0, (1, 1)), (0.0, (2, 0)), (-3.0, (1, 1))))
         assert p.terms == ()
 
+    @pytest.mark.parametrize("coeff", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_coefficient_rejected(self, coeff):
+        # a nan coefficient used to give gap_bound tight=1.5, cheap=nan
+        with pytest.raises(ValueError, match="non-finite"):
+            Polynomial(2, ((1.0, (1, 1)), (coeff, (2, 0))))
+
+    def test_overflowing_merge_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Polynomial(1, ((1e308, (2,)), (1e308, (2,))))
+
+    def test_non_finite_coefficient_rejected_by_parsers(self):
+        with pytest.raises(ValueError):
+            parse_polynomial_text("nan 1 1\n")
+        with pytest.raises(ValueError):
+            parse_polynomial_json('{"n": 2, "terms": [{"coeff": NaN, "alpha": [1, 1]}]}')
+
     def test_total_degree(self):
         p = Polynomial(3, ((1.0, (1, 1, 0)), (2.0, (2, 1, 1))))
         assert p.total_degree == 4
