@@ -305,6 +305,13 @@ def _log_relaxed_D(n: int, r: float) -> float:
 _EXP_OVERFLOW = 709.0  # log of the largest representable double
 
 
+def _require_ratio_box(n: int, r: float) -> None:
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if not r > 1.0:
+        raise ValueError("need r > 1")
+
+
 def _exp_or_inf(logv: float) -> float:
     return math.exp(logv) if logv < _EXP_OVERFLOW else math.inf
 
@@ -317,10 +324,7 @@ def ratio_box_constants(n: int, r: float) -> tuple[float, float]:
     float range the values are reconstructed from their logarithms (inf once
     unrepresentable); comparisons should use :func:`ratio_box_ratios`.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if not r > 1.0:
-        raise ValueError("need r > 1")
+    _require_ratio_box(n, r)
     if n * math.log(r) > _EXP_OVERFLOW - 10.0:
         return _exp_or_inf(_log_D(n, r)), _exp_or_inf(_log_E(n, r))
     D = max((1.0 + (i / n) * (r - 1.0)) ** n - r ** i for i in range(1, n))
@@ -333,10 +337,7 @@ def ratio_box_constants(n: int, r: float) -> tuple[float, float]:
 def ratio_box_relaxed_error(n: int, r: float) -> float:
     """Error of the relaxed convex envelope that keeps only the first and last
     affine pieces; at n = 2 this coincides with D."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if not r > 1.0:
-        raise ValueError("need r > 1")
+    _require_ratio_box(n, r)
     t = _relaxed_breakpoint(n, r)
     t = min(max(t, 1.0), r)
     return t ** n - n * t + (n - 1)
@@ -344,6 +345,7 @@ def ratio_box_relaxed_error(n: int, r: float) -> float:
 
 def ratio_box_ratios(n: int, r: float) -> tuple[float, float]:
     """(D/E, relaxedD/E) computed in the log domain to dodge r**n overflow."""
+    _require_ratio_box(n, r)
     logE = _log_E(n, r)
     return (
         math.exp(_log_D(n, r) - logE),
@@ -351,12 +353,17 @@ def ratio_box_ratios(n: int, r: float) -> tuple[float, float]:
     )
 
 
+def ratio_box_e_ratio(n: int, r: float) -> float:
+    """E/(r**n - 1) in the log domain, without the O(n) search for D."""
+    _require_ratio_box(n, r)
+    return math.exp(_log_E(n, r) - _log_diff_exp(n * math.log(r), 0.0))
+
+
 def ratio_box_asymptotics(n: int, r: float) -> tuple[float, float]:
     """(E/(r**n - 1), D/(r**n - 1)) in the log domain."""
-    log_span = _log_diff_exp(n * math.log(r), 0.0)
     return (
-        math.exp(_log_E(n, r) - log_span),
-        math.exp(_log_D(n, r) - log_span),
+        ratio_box_e_ratio(n, r),
+        math.exp(_log_D(n, r) - _log_diff_exp(n * math.log(r), 0.0)),
     )
 
 
@@ -392,10 +399,7 @@ def d_bound_cases(n: int, r: float) -> DBoundResult:
     maximizer t** by scan plus golden-section, then applies whichever of the
     three bound regimes matches; in the first regime the bound equals D.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if not r > 1.0:
-        raise ValueError("need r > 1")
+    _require_ratio_box(n, r)
     if n * math.log(r) > _EXP_OVERFLOW - 10.0:
         raise ScaleExceeded(f"r**n overflows for n={n}, r={r}; the bound is unrepresentable")
     # psi'(0) > 0 and psi'(1) < 0, so a sign change exists; bisection on the

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -461,7 +462,17 @@ class ErrorReport:
 
 def error_report(bound: float, measured: float, points: Sequence = (),
                  tol: float = TOL_ORACLE, grid=None) -> ErrorReport:
-    """Classify a measurement against a bound at the given tolerance."""
+    """Classify a measurement against a bound at the given tolerance.
+
+    A ``nan`` measurement or bound, or a ``nan`` or negative tolerance, raises
+    ``ValueError``: every comparison with ``nan`` is false, which would read as
+    ``VALID_UPPER``. An infinite bound is allowed.
+    """
+    if math.isnan(measured) or math.isnan(bound):
+        raise ValueError(f"cannot classify a nan measurement or bound "
+                         f"(measured={measured}, bound={bound})")
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tol}")
     if measured > bound + tol:
         verdict = Verdict.VIOLATED
     elif abs(measured - bound) <= tol:

@@ -54,7 +54,7 @@ class LinearUnderestimator:
 def underestimator_value(u: LinearUnderestimator, x) -> float | np.ndarray:
     """intercept + sum_j beta_j (x_j - 1)."""
     X, single = as_points(x, u.n)
-    vals = u.intercept + (X - 1.0) @ np.asarray(u.beta)
+    vals = u.intercept + np.einsum("ij,j->i", X - 1.0, np.asarray(u.beta))
     return float(vals[0]) if single else vals
 
 
@@ -146,7 +146,7 @@ def concave_env_ratiobox(n: int, r: float, x) -> float | np.ndarray:
     RatioBox(n, r).require_inside(X)
     asc = np.sort(X, axis=-1)
     coeffs = np.array([float(r) ** (n - 1 - k) for k in range(n)])
-    vals = asc @ coeffs - sum(float(r) ** j for j in range(1, n))
+    vals = np.einsum("ij,j->i", asc, coeffs) - sum(float(r) ** j for j in range(1, n))
     return float(vals[0]) if single else vals
 
 

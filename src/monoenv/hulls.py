@@ -187,6 +187,8 @@ def verify_integrality(n: int, trials: int = 1000, seed: int = 42) -> Integralit
     against the dense LP solver on seeded random objectives."""
     if n > 6:
         raise ScaleExceeded(f"integrality verification supports n <= 6, got {n}")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     fs = build_symbox_hull(n)
     A_ub, b_ub = fs.to_ub()
     lower = -np.ones(fs.nvars)

@@ -317,7 +317,7 @@ def sigma_numeric(m: Monomial, dom: Domain, beta,
         raise ValueError(f"beta must have dimension {m.n}")
 
     def objective(X):
-        return monomial_values(m, X) - X @ b
+        return monomial_values(m, X) - np.einsum("ij,j->i", X, b)
 
     best, _ = grid_minimize(objective, dom, grid, center_weights=b)
     try:
@@ -361,7 +361,7 @@ def relaxation_error_PB(m: Monomial, B: Sequence, dom: Domain,
         f = monomial_values(m, X)
         under = np.zeros(X.shape[0])
         for s, sig in pairs:
-            under = np.maximum(under, sig + (X - 1.0) @ s)
+            under = np.maximum(under, sig + np.einsum("ij,j->i", X - 1.0, s))
         over = np.min(X, axis=-1)
         return np.maximum(f - under, over - f)
 

@@ -2,53 +2,43 @@
 
 One test per criterion; every test prints a PASS/FAIL line so a plain
 ``pytest tests/test_acceptance.py -v -s`` doubles as the acceptance report.
+Criteria 1-9 and 11 run the functions of ``monoenv.checks``, the code that
+``monoenv verify`` runs, on the parameter sets below and assert on their
+records; criterion 10 has no ``verify`` case and lives here only.
 """
 
 import itertools
 import math
 import time
-from decimal import Decimal
 
 import numpy as np
-import pytest
 
-from monoenv import (
-    ComplementSimplex,
-    Monomial,
-    RatioBox,
-    StdSimplex,
-    SubBox,
-    SymBox,
-    UnitBox,
-    eval_monomial,
-)
-from monoenv import bounds, envelopes, hulls, oracle, polyrelax
-from monoenv.core import monomial_values
+from monoenv import Monomial, UnitBox, bounds, checks, polyrelax
 
 
 def _emit(label: str, ok: bool, detail: str = "") -> None:
     print(f"ACCEPTANCE {label}: {'PASS' if ok else 'FAIL'} {detail}")
 
 
+def _argmax_off(ch: checks.Check, target) -> float:
+    """Largest coordinate distance of the oracle's attainment point from target."""
+    return float(np.max(np.abs(ch.report.attainment_points[0] - target)))
+
+
 def test_criterion_01_unitbox_hull_error():
     """Oracle max gap of the min-coordinate overestimator equals c1(d)."""
-    cases = [(2, (1, 1)), (2, (2, 1)), (3, (1, 1, 1)), (3, (2, 1, 1)), (2, (3, 2))]
     ok = True
-    for n, alpha in cases:
+    for alpha in [(1, 1), (2, 1), (1, 1, 1), (2, 1, 1), (3, 2)]:
         t0 = time.monotonic()
-        m = Monomial(alpha)
-        d = m.degree
-        rep = oracle.max_gap(m, UnitBox(n),
-                             lambda X, m=m: envelopes.concave_env_unitbox(m, X),
-                             oracle.OVER, bound=bounds.c1(d))
+        [ch] = checks.unitbox(alpha)
         elapsed = time.monotonic() - t0
-        value_ok = abs(rep.measured_value - bounds.c1(d)) <= 1e-4
-        target = d ** (1.0 / (1.0 - d))
-        arg_ok = bool(np.max(np.abs(rep.attainment_points[0] - target)) <= 1e-3)
+        d = sum(alpha)
+        value_ok = abs(ch.measured - bounds.c1(d)) <= 1e-4
+        arg_ok = _argmax_off(ch, d ** (1.0 / (1.0 - d))) <= 1e-3
         case_ok = value_ok and arg_ok and elapsed < 10.0
         ok = ok and case_ok
         _emit(f"1 unitbox alpha={alpha}", case_ok,
-              f"measured={rep.measured_value:.8f} bound={bounds.c1(d):.8f} t={elapsed:.2f}s")
+              f"measured={ch.measured:.8f} bound={bounds.c1(d):.8f} t={elapsed:.2f}s")
         assert value_ok and arg_ok
         assert elapsed < 10.0
     assert ok
@@ -57,63 +47,38 @@ def test_criterion_01_unitbox_hull_error():
 def test_criterion_02_multilinear_convex_envelope():
     """Oracle max gap of the hinge envelope equals (1 - 1/n)^n for n = 2..5."""
     for n in range(2, 6):
-        m = Monomial.multilinear(n)
-        bound = bounds.c2(n)
-        rep = oracle.max_gap(m, UnitBox(n),
-                             lambda X, n=n: envelopes.convex_env_unitbox_multilinear(n, X),
-                             oracle.UNDER, bound=bound)
-        value_ok = abs(rep.measured_value - bound) <= 1e-4
-        arg_ok = bool(np.max(np.abs(rep.attainment_points[0] - (1.0 - 1.0 / n))) <= 1e-3)
+        [ch] = checks.cvxmulti(n)
+        value_ok = abs(ch.measured - bounds.c2(n)) <= 1e-4
+        arg_ok = _argmax_off(ch, 1.0 - 1.0 / n) <= 1e-3
         _emit(f"2 cvx multilinear n={n}", value_ok and arg_ok,
-              f"measured={rep.measured_value:.8f} bound={bound:.8f}")
+              f"measured={ch.measured:.8f} bound={bounds.c2(n):.8f}")
         assert value_ok and arg_ok
 
 
 def test_criterion_03_ratio_box():
     """Both ratio-box envelope gaps match D and E on the diagonal."""
     for n, r in [(2, 2.0), (3, 2.0), (3, 1.5), (4, 2.0)]:
-        m = Monomial.multilinear(n)
         D, E = bounds.ratio_box_constants(n, r)
-        conc = oracle.max_gap(m, RatioBox(n, r),
-                              lambda X, n=n, r=r: envelopes.concave_env_ratiobox(n, r, X),
-                              oracle.OVER, bound=E)
-        cvx = oracle.max_gap(m, RatioBox(n, r),
-                             lambda X, n=n, r=r: envelopes.convex_env_ratiobox(n, r, X),
-                             oracle.UNDER, bound=D)
-        conc_ok = abs(conc.measured_value - E) <= 1e-3
-        cvx_ok = abs(cvx.measured_value - D) <= 1e-3
-        diag_ok = all(
-            bool(np.max(np.abs(p - np.mean(p))) <= 1e-3)
-            for p in (conc.attainment_points[0], cvx.attainment_points[0])
-        )
+        conc, cvx = checks.ratiobox(n, r)
+        conc_ok = abs(conc.measured - E) <= 1e-3
+        cvx_ok = abs(cvx.measured - D) <= 1e-3
+        diag_ok = all(_argmax_off(ch, np.mean(ch.report.attainment_points[0])) <= 1e-3
+                      for ch in (conc, cvx))
         _emit(f"3 ratio box n={n} r={r}", conc_ok and cvx_ok and diag_ok,
-              f"conc={conc.measured_value:.7f}/{E:.7f} cvx={cvx.measured_value:.7f}/{D:.7f}")
+              f"conc={conc.measured:.7f}/{E:.7f} cvx={cvx.measured:.7f}/{D:.7f}")
         assert conc_ok and cvx_ok and diag_ok
 
 
 def test_criterion_04_symmetric_box():
     """Max facet-system error equals 1 + ((n-2)/n)^n; every reflection of the
-    anchor attainment point realizes the bound exactly."""
+    anchor attainment point is a hull member realizing the bound within 1e-9."""
     for n in range(2, 6):
-        m = Monomial.multilinear(n)
-        fs = hulls.build_symbox_hull(n)
-        bound = bounds.symbox_error(n)
-        under = oracle.max_gap(m, SymBox(n), fs.envelope_lower, oracle.UNDER, bound=bound)
-        over = oracle.max_gap(m, SymBox(n), fs.envelope_upper, oracle.OVER, bound=bound)
-        measured = max(under.measured_value, over.measured_value)
-        scan_ok = abs(measured - bound) <= 1e-3
-
-        x0, w0 = bounds.symbox_attainment(n)
-        reflect_ok = True
-        for mask in range(2 ** n):
-            s = np.array([-1.0 if (mask >> i) & 1 else 1.0 for i in range(n)])
-            x, w = s * x0, w0 * float(np.prod(s))
-            err = abs(w - eval_monomial(m, x))
-            reflect_ok = reflect_ok and abs(err - bound) <= 1e-9
-            reflect_ok = reflect_ok and hulls.hull_membership(fs, x, w).member
-        _emit(f"4 symbox n={n}", scan_ok and reflect_ok,
-              f"measured={measured:.8f} bound={bound:.8f}")
-        assert scan_ok and reflect_ok
+        under, over, reflections = checks.symbox(n)
+        measured = max(under.measured, over.measured)
+        scan_ok = abs(measured - bounds.symbox_error(n)) <= 1e-3
+        _emit(f"4 symbox n={n}", scan_ok and reflections.ok,
+              f"measured={measured:.8f} bound={bounds.symbox_error(n):.8f}")
+        assert scan_ok and reflections.ok and reflections.measured <= 1e-9
 
 
 def test_criterion_05_integrality():
@@ -121,11 +86,10 @@ def test_criterion_05_integrality():
     objectives per dimension, all at +/-1 points with even -1 parity."""
     t0 = time.monotonic()
     for n in range(2, 6):
-        rep = hulls.verify_integrality(n, trials=1000, seed=42)
-        _emit(f"5 integrality n={n}", rep.passed,
-              f"max_gap={rep.max_value_gap:.2e} trials={rep.trials}")
-        assert rep.passed
-        assert rep.max_value_gap <= 1e-9
+        [ch] = checks.integrality(n, trials=1000, seed=42)
+        _emit(f"5 integrality n={n}", ch.ok, f"max_gap={ch.measured:.2e} trials=1000")
+        assert ch.ok
+        assert ch.measured <= 1e-9
     elapsed = time.monotonic() - t0
     _emit("5 integrality runtime", elapsed < 60.0, f"t={elapsed:.1f}s")
     assert elapsed < 60.0
@@ -137,183 +101,80 @@ def test_criterion_06_simplex_tightness():
     as equality)."""
     for n, a0 in itertools.product((2, 3), (1, 2)):
         alpha = (a0,) * n
-        m = Monomial(alpha)
-        sb = bounds.simplex_bounds(m)
-        dom = StdSimplex(n)
-        conc = oracle.max_gap(m, dom, lambda X, m=m: envelopes.concave_env_unitbox(m, X),
-                              oracle.OVER, bound=sb.conc)
-        cvx = oracle.max_gap(m, dom, lambda X: np.zeros(X.shape[0]),
-                             oracle.UNDER, bound=sb.cvx)
-        conc_ok = abs(conc.measured_value - sb.conc) <= 1e-4
-        cvx_ok = abs(cvx.measured_value - sb.cvx) <= 1e-4
+        sb = bounds.simplex_bounds(Monomial(alpha))
+        conc, cvx = checks.simplex(alpha)
+        conc_ok = abs(conc.measured - sb.conc) <= 1e-4
+        cvx_ok = abs(cvx.measured - sb.cvx) <= 1e-4
         _emit(f"6 simplex alpha={alpha}", conc_ok and cvx_ok,
-              f"conc={conc.measured_value:.7f}/{sb.conc:.7f} "
-              f"cvx={cvx.measured_value:.7f}/{sb.cvx:.7f}")
+              f"conc={conc.measured:.7f}/{sb.conc:.7f} cvx={cvx.measured:.7f}/{sb.cvx:.7f}")
         assert conc_ok and cvx_ok
 
-    m = Monomial((2, 1))
-    sb = bounds.simplex_bounds(m)
-    conc = oracle.max_gap(m, StdSimplex(2), lambda X: envelopes.concave_env_unitbox(m, X),
-                          oracle.OVER, bound=sb.conc)
-    slack = sb.conc - conc.measured_value
-    strict = slack > 1e-4
-    _emit("6 simplex alpha=(2,1) non-tightness", strict,
+    conc, _ = checks.simplex((2, 1))
+    slack = bounds.simplex_bounds(Monomial((2, 1))).conc - conc.measured
+    _emit("6 simplex alpha=(2,1) non-tightness", slack > 1e-4,
           f"bound exceeds measured by {slack:.6f}")
-    assert strict
+    assert slack > 1e-4
 
 
 def test_criterion_07a_figure_ratio_dominance():
     """D/E <= 1 + 1e-12 over n = 2..100 and the seven r values (log domain)."""
     t0 = time.monotonic()
-    worst = 0.0
-    for n in range(2, 101):
-        for r in (1.01, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0):
-            ratio, _ = bounds.ratio_box_ratios(n, r)
-            worst = max(worst, ratio)
+    ch = checks.figure1()[0]
     elapsed = time.monotonic() - t0
-    ok = worst <= 1.0 + 1e-12 and elapsed < 10.0
-    _emit("7a D/E dominance", ok, f"max_ratio={worst:.12f} t={elapsed:.2f}s")
-    assert worst <= 1.0 + 1e-12
+    _emit("7a D/E dominance", ch.ok and elapsed < 10.0,
+          f"max_ratio={ch.measured:.12f} t={elapsed:.2f}s")
+    assert ch.measured <= 1.0 + 1e-12
     assert elapsed < 10.0
 
 
 def test_criterion_07b_concave_error_asymptote():
-    """E/(r^n - 1) -> 1 at r = 2, checked from n = 100 on.
-
-    E is the largest diagonal gap 1 + t(r^n - 1) - (1 + (r-1)t)^n over t in
-    [0, 1]. Its deficit 1 - E/(r^n - 1) behaves like
-    (r/(r-1)) (1 + ln(n(r-1)/r)) / n, so the convergence is only logarithmic:
-    E/(2^100 - 1) = 0.903285..., and |E/(r^n - 1) - 1| <= 0.05 first holds at
-    n = 228. Checked here:
-    (a) at n = 100 the closed form matches a 50-digit decimal evaluation of
-        the diagonal maximum within 1e-12, and a scan over t finds no gap
-        above the stationary value;
-    (b) the deficit is positive and strictly decreasing over n = 2..1000;
-    (c) deficit / leading term is within 0.02 of 1 at n = 100, and its
-        distance from 1 shrinks at n = 10^3, 10^4, 10^5;
-    (d) by the decimal reference the 0.05 window holds at n = 228, 300, 1000
-        and fails at n = 227, and the closed form gives the same verdicts.
-    """
-    r = 2.0
-
-    def e_ratio(n):
-        return bounds.ratio_box_asymptotics(n, r)[0]
-
-    def leading(n):
-        return (r / (r - 1.0)) * (1.0 + math.log(n * (r - 1.0) / r)) / n
-
-    t_star, ref = oracle.ratio_box_diagonal_max(100, r)
-    scan = [oracle.ratio_box_diagonal_gap(100, r, Decimal(k) / 200) for k in range(201)]
-    scan_top = scan.index(max(scan)) / 200
-    err = abs(e_ratio(100) - float(ref))
-
-    deficits = [1.0 - e_ratio(n) for n in range(2, 1001)]
-    decreasing = all(b < a for a, b in zip(deficits, deficits[1:]))
-
-    dist = [abs((1.0 - e_ratio(n)) / leading(n) - 1.0) for n in (100, 10**3, 10**4, 10**5)]
-    shrinking = all(b < a for a, b in zip(dist, dist[1:]))
-
-    window = (227, 228, 300, 1000)
-    ref_in = [abs(1 - oracle.ratio_box_diagonal_max(n, r)[1]) <= Decimal("0.05") for n in window]
-    closed_in = [abs(e_ratio(n) - 1.0) <= 0.05 for n in window]
-
-    ok = (err <= 1e-12 and max(scan) <= ref and abs(scan_top - float(t_star)) <= 1 / 200
-          and deficits[-1] > 0 and decreasing and dist[0] <= 0.02 and shrinking
-          and ref_in == [False, True, True, True] and closed_in == ref_in)
+    """E/(r^n - 1) -> 1 at r = 2, checked from n = 100 on; ``checks.figure1``
+    describes its four records."""
+    fit, step, lead, window = checks.figure1()[1:5]
+    ok = all(ch.ok for ch in (fit, step, lead, window))
     _emit("7b E/(r^n-1) at n=100 r=2", ok,
-          f"ratio={e_ratio(100):.6f} |closed-decimal|={err:.1e} "
-          f"|deficit/leading-1|={dist[0]:.4f} window from n=228")
-    assert err <= 1e-12, f"closed form {e_ratio(100)!r} vs decimal {ref} at n=100"
-    assert max(scan) <= ref, "a scan point over t beats the stationary value"
-    assert abs(scan_top - float(t_star)) <= 1 / 200, (scan_top, t_star)
-    assert deficits[-1] > 0 and decreasing, "1 - E/(r^n-1) not positive and decreasing"
-    assert dist[0] <= 0.02, f"deficit/leading term off by {dist[0]:.4f} at n=100"
-    assert shrinking, f"|deficit/leading - 1| at n=1e2..1e5: {dist}"
-    assert ref_in == [False, True, True, True], f"decimal window verdicts {ref_in}"
-    assert closed_in == ref_in, f"closed-form window verdicts {closed_in}"
+          f"ratio={bounds.ratio_box_e_ratio(100, 2.0):.6f} |closed-decimal|={fit.measured:.1e} "
+          f"|deficit/leading-1|={lead.measured:.4f} window from n=228")
+    assert fit.measured <= 1e-12, f"closed form vs decimal at n=100 off by {fit.measured}"
+    assert fit.ok, "a scan point over t beats the stationary value or peaks away from t*"
+    assert step.ok, "1 - E/(r^n-1) not positive and decreasing"
+    assert lead.measured <= 0.02, f"deficit/leading term off by {lead.measured:.4f} at n=100"
+    assert lead.ok, "|deficit/leading - 1| does not shrink at n=1e3..1e5"
+    assert window.ok, "window verdicts at n=227,228,300,1000 (decimal or closed form) wrong"
 
 
 def test_criterion_07c_convex_error_asymptote():
     """D/(r^n - 1) <= 1/e + 0.02 at n = 100 when the first or second bound
     regime applies."""
-    res = bounds.d_bound_cases(100, 2.0)
-    assert res.case in ("exact", "stationary")
-    _, d_ratio = bounds.ratio_box_asymptotics(100, 2.0)
-    ok = d_ratio <= 1.0 / math.e + 0.02
-    _emit("7c D/(r^n-1) at n=100 r=2", ok, f"ratio={d_ratio:.6f} case={res.case}")
-    assert ok
+    ch = checks.figure1()[5]
+    _emit("7c D/(r^n-1) at n=100 r=2", ch.ok, f"ratio={ch.measured:.6f} {ch.name}")
+    assert ch.ok and ch.measured <= 1.0 / math.e + 0.02
 
 
 def test_criterion_08_fixed_point_and_roots():
     """Transfer-map fixed point to 1e-12 on 100 random triples; root finder
     residual and strict lower bound across the sweep."""
-    rng = np.random.default_rng(2024)
-    worst_fp = 0.0
-    for _ in range(100):
-        n = int(rng.integers(2, 5))
-        alpha = tuple(int(a) for a in rng.integers(1, 4, size=n))
-        m = Monomial(alpha)
-        beta = 1.0 + 3.0 * rng.random(n)
-        kappa = 1.0 + (np.asarray(alpha) - 1.0) * rng.random(n)
-        j = int(rng.integers(0, n))
-        kappa[j] = min(kappa[j], beta[j], alpha[j])
-        sigma = float(rng.random() * 0.9 * beta.sum())
-        C = bounds.c_beta_kappa(m, beta, kappa, sigma)
-        worst_fp = max(worst_fp, abs(bounds.phi_beta_kappa(beta, kappa, sigma, C) - C))
-    fp_ok = worst_fp <= 1e-12
-    _emit("8 fixed point (100 triples)", fp_ok, f"worst={worst_fp:.2e}")
-    assert fp_ok
+    [fp] = checks.fixedpoint(seed=2024)
+    _emit("8 fixed point (100 triples)", fp.measured <= 1e-12, f"worst={fp.measured:.2e}")
+    assert fp.measured <= 1e-12
 
-    worst_res = 0.0
-    bound_ok = True
-    for lam1 in range(2, 11):
-        for lam2 in np.arange(1.0, lam1, 0.25):
-            res = bounds.find_root_power_linear(lam1, float(lam2))
-            assert res.has_root
-            worst_res = max(worst_res, abs(res.residual))
-            bound_ok = bound_ok and res.root > res.lower_bound
-    root_ok = worst_res <= 1e-12 and bound_ok
+    [root] = checks.root_sweep()
+    root_ok = root.ok and root.measured <= 1e-12
     _emit("8 root sweep lam1=2..10", root_ok,
-          f"worst_residual={worst_res:.2e} lower_bound_strict={bound_ok}")
+          f"worst_residual={root.measured:.2e} root_above_lower_bound={root.ok}")
     assert root_ok
 
 
 def test_criterion_09_underestimator_validity():
     """Slope-gamma cuts never overshoot the monomial on 1e5-point grids over
     20 random sub-boxes; the numeric intercept of slope alpha is 1."""
-    rng = np.random.default_rng(77)
-    worst = -np.inf
-    for _ in range(20):
-        n = int(rng.integers(2, 4))
-        while True:
-            alpha = tuple(int(a) for a in rng.integers(1, 4, size=n))
-            if sum(alpha) <= 6:
-                break
-        m = Monomial(alpha)
-        lower = 0.5 * rng.random(n)
-        upper = lower + (1.0 - lower) * rng.random(n)
-        box = SubBox(tuple(lower), tuple(upper))
-        g = envelopes.gamma_vector(m, box)
-        res = max(2, int(math.ceil(100_000 ** (1.0 / n))))
-        axes = [np.linspace(lower[j], upper[j], res) for j in range(n)]
-        pts = np.stack([mm.ravel() for mm in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        assert len(pts) >= 100_000
-        viol = float(np.max((1.0 + (pts - 1.0) @ g) - monomial_values(m, pts)))
-        worst = max(worst, viol)
-    grid_ok = worst <= 1e-12
-    _emit("9 gamma validity (20 boxes, 1e5-point grids)", grid_ok, f"worst={worst:.2e}")
+    grid, sigma = checks.underestimator(seed=77)
+    grid_ok = grid.ok and grid.measured <= 1e-12
+    _emit("9 gamma validity (20 boxes, 1e5-point grids)", grid_ok, f"worst={grid.measured:.2e}")
     assert grid_ok
-
-    worst_sig = 0.0
-    for _ in range(10):
-        n = int(rng.integers(2, 4))
-        alpha = tuple(int(a) for a in rng.integers(1, 4, size=n))
-        m = Monomial(alpha)
-        sig = oracle.sigma_numeric(m, UnitBox(n), np.asarray(alpha, dtype=float))
-        worst_sig = max(worst_sig, abs(sig - 1.0))
-    sig_ok = worst_sig <= 1e-6
-    _emit("9 sigma(alpha)=1 (10 random alpha)", sig_ok, f"worst={worst_sig:.2e}")
-    assert sig_ok
+    _emit("9 sigma(alpha)=1 (10 random alpha)", sigma.measured <= 1e-6,
+          f"worst={sigma.measured:.2e}")
+    assert sigma.measured <= 1e-6
 
 
 def test_criterion_10_polynomial_gap():
@@ -338,17 +199,6 @@ def test_criterion_10_polynomial_gap():
 
 def test_criterion_11_inequality_sweeps():
     """Degree inequality chain and constant orderings across d = 2..50."""
-    dineq_ok = all(bounds.dineq_check(d) for d in range(2, 51))
-    eq_only_at_two = (abs(bounds.dineq_margins(2)[1]) <= 1e-15
-                      and all(bounds.dineq_margins(d)[1] > 0 for d in range(3, 51)))
-    c1s = [bounds.c1(d) for d in range(2, 51)]
-    c2s = [bounds.c2(d) for d in range(2, 51)]
-    order_ok = (c1s[0] == c2s[0]
-                and all(y < x for x, y in zip(c1s[1:], c2s[1:])))
-    mono_ok = (all(b > a for a, b in zip(c1s, c1s[1:]))
-               and all(b > a for a, b in zip(c2s, c2s[1:])))
-    toward_ok = c2s[-1] < 1.0 / math.e and abs(c2s[-1] - 1.0 / math.e) < 4e-3
-    ok = dineq_ok and eq_only_at_two and order_ok and mono_ok and toward_ok
-    _emit("11 inequality sweeps", ok,
-          f"dineq={dineq_ok} order={order_ok} monotone={mono_ok}")
-    assert ok
+    [ch] = checks.sweeps()
+    _emit("11 inequality sweeps", ch.ok, ch.name)
+    assert ch.ok

@@ -326,6 +326,19 @@ class TestRatioBoxConstants:
         assert seq[1] == pytest.approx(float(oracle.ratio_box_diagonal_max(100, 2.0)[1]), abs=1e-12)
         assert abs(seq[3] - 1.0) <= 0.05
 
+    def test_e_ratio_alone_equals_asymptotics(self):
+        for n in (2, 3, 10, 100, 228, 10 ** 5):
+            for r in (1.01, 2.0, 10.0):
+                assert bounds.ratio_box_e_ratio(n, r) == ratio_box_asymptotics(n, r)[0]
+
+    @pytest.mark.parametrize("func", [bounds.ratio_box_e_ratio, ratio_box_asymptotics,
+                                      bounds.ratio_box_ratios])
+    @pytest.mark.parametrize("n, r", [(1, 2.0), (3, 1.0), (3, float("nan"))])
+    def test_log_domain_forms_reject_bad_parameters(self, func, n, r):
+        # n = 1 used to end in a ZeroDivisionError
+        with pytest.raises(ValueError, match="need"):
+            func(n, r)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             ratio_box_constants(1, 2.0)

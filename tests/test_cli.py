@@ -1,8 +1,11 @@
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from monoenv import checks
 from monoenv.cli import EXIT_OK, EXIT_SCALE, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -81,12 +84,61 @@ class TestVerify:
         assert "bound=1e-12" in out
 
     def test_verification_failure_exit_code(self, capsys, monkeypatch):
-        import monoenv.cli as cli
-        monkeypatch.setattr(cli, "verify_sweeps",
-                            lambda: [cli.Check("forced", "VIOLATED", 1.0, 0.0)])
+        monkeypatch.setitem(checks.CASES, "sweeps",
+                            lambda: [checks.Check("forced", "VIOLATED", 1.0, 0.0)])
         code, out, _ = run_cli(capsys, "verify", "--case", "sweeps")
         assert code == EXIT_VERIFY
         assert "VIOLATED" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--case", "ratiobox", "--n", "3", "--r", "0"],
+        ["--case", "ratiobox", "--n", "0"],
+        ["--case", "cvxmulti", "--n", "0"],
+        ["--case", "symbox", "--n", "0"],
+        ["--case", "integrality", "--n", "0"],
+        ["--case", "unitbox", "--grid", "0"],
+        ["--case", "integrality", "--trials", "0"],
+        ["--case", "integrality", "--trials", "-5"],
+        ["--case", "all", "--trials", "0"],
+        ["--case", "unitbox", "--tol", "nan"],
+        ["--case", "unitbox", "--tol", "-1"],
+    ], ids=" ".join)
+    def test_given_value_is_used_not_replaced(self, capsys, argv):
+        # each of these once ran a default instead, or reported a vacuous verdict
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: ")
+
+
+class TestRegistry:
+    def test_all_runs_every_case(self, capsys, monkeypatch):
+        seen = []
+
+        def stub(name):
+            def run(grid, tol, seed):
+                seen.append((name, tol, seed))
+                return [checks.Check(name, "PASS", 0.0, 0.0)]
+            return run
+
+        for name in list(checks.CASES):
+            monkeypatch.setitem(checks.CASES, name, stub(name))
+        code, out, _ = run_cli(capsys, "verify", "--case", "all", "--tol", "0.5", "--seed", "3")
+        assert code == EXIT_OK
+        assert seen == [(name, 0.5, 3) for name in checks.CASES]
+        assert out.splitlines()[-1] == f"{len(checks.CASES)}/{len(checks.CASES)} checks passed"
+
+    def test_all_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--case", "all")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "21/21 checks passed"
+
+    def test_every_criterion_runs_in_an_acceptance_test(self):
+        source = (Path(__file__).parent / "test_acceptance.py").read_text()
+        public = [name for name, fn in vars(checks).items()
+                  if inspect.isfunction(fn) and fn.__module__ == checks.__name__
+                  and not name.startswith("_")]
+        assert sorted(public) == sorted(fn.__name__ for fn in checks.CASES.values())
+        assert [name for name in public if f"checks.{name}(" not in source] == []
 
 
 class TestFigure1:

@@ -237,6 +237,20 @@ class TestErrorReport:
         assert rep.verdict is Verdict.VIOLATED
         assert not rep.ok
 
+    @pytest.mark.parametrize("bound, measured, tol", [
+        (0.25, float("nan"), 1e-4),
+        (float("nan"), 0.25, 1e-4),
+        (0.25, 0.25, float("nan")),
+        (0.25, 0.25, -1.0),
+    ], ids=["nan-measured", "nan-bound", "nan-tol", "negative-tol"])
+    def test_rejects_nan_and_negative_tolerance(self, bound, measured, tol):
+        # each of these used to classify as VALID_UPPER or VIOLATED
+        with pytest.raises(ValueError):
+            error_report(bound, measured, tol=tol)
+
+    def test_infinite_bound_is_valid_upper(self):
+        assert error_report(float("inf"), 0.25).verdict is Verdict.VALID_UPPER
+
 
 def test_monomial_values_handles_negative_grid():
     m = Monomial((1, 2))

@@ -180,6 +180,12 @@ class TestIntegrality:
         with pytest.raises(ScaleExceeded):
             verify_integrality(7, trials=1)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_rejects_no_trials(self, trials):
+        # zero trials would compare nothing and report a pass
+        with pytest.raises(ValueError, match="trials"):
+            verify_integrality(3, trials=trials)
+
     def test_deterministic(self):
         a = verify_integrality(2, trials=50, seed=5)
         b = verify_integrality(2, trials=50, seed=5)

@@ -171,6 +171,52 @@ class TestRelaxationError:
             oracle.relaxation_error_PB(m, [2.0 * np.ones(2)], UnitBox(2))
 
 
+def test_all_nan_estimator_is_an_error_not_valid_upper():
+    m = Monomial.multilinear(2)
+    with pytest.raises(ValueError, match="nan"):
+        max_gap(m, UnitBox(2), lambda X: np.full(len(X), np.nan), oracle.OVER, bound=0.25)
+
+
+def _captured(monkeypatch, name, call):
+    """The function that ``call`` hands to ``oracle.<name>`` (the last one)."""
+    seen = []
+    real = getattr(oracle, name)
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, name, lambda func, *a, **k: seen.append(func) or real(func, *a, **k))
+        call()
+    return seen[-1]
+
+
+def _batch_cases(monkeypatch):
+    """(name, n, function of a row stack, points) for every estimator and grid
+    objective built by a row-times-vector reduction."""
+    rng = np.random.default_rng(11)
+    for n in range(2, 9):
+        box = 1.0 + 0.7 * rng.random((64, n))
+        yield "concave_env_ratiobox", n, lambda X, n=n: envelopes.concave_env_ratiobox(n, 1.7, X), box
+        m, beta = Monomial.multilinear(n), 1.0 + rng.random(n)
+        u = envelopes.LinearUnderestimator(tuple(beta), 0.5)
+        yield "underestimator_value", n, lambda X, u=u: envelopes.underestimator_value(u, X), box
+        unit = rng.random((64, n))
+        if n <= 6:
+            obj = _captured(monkeypatch, "grid_minimize",
+                            lambda: sigma_numeric(m, UnitBox(n), beta, GridSpec(resolution=2)))
+            yield "sigma_numeric", n, obj, unit
+        err = _captured(monkeypatch, "grid_maximize", lambda: oracle.relaxation_error_PB(
+            m, [np.ones(n)], UnitBox(n), GridSpec(resolution=2, restarts=0)))
+        # rows where the cut x -> 1 + sum(x - 1), not min(x), sets the error
+        cand = rng.random((20_000, n)) ** 0.2
+        f, cut = monomial_values(m, cand), 1.0 + np.sum(cand - 1.0, axis=1)
+        yield "relaxation_error_PB", n, err, cand[(cut > 0) & (f - cut > cand.min(axis=1) - f)][:64]
+
+
+def test_row_values_do_not_depend_on_the_batch(monkeypatch):
+    for name, n, func, X in _batch_cases(monkeypatch):
+        alone = np.array([func(X[i:i + 1])[0] for i in range(len(X))])
+        for k in range(1, len(X) + 1):
+            assert np.array_equal(_bits(func(X[:k])), _bits(alone[:k])), (name, n, k)
+
+
 class TestGridEngine:
     def test_monotone_under_inclusion(self):
         m = Monomial.multilinear(2)
@@ -476,6 +522,9 @@ def _lockstep_case(name):
     if name == "RatioBox":
         return (RatioBox(5, 1.8),
                 lambda X: monomial_values(ml, X) - envelopes.convex_env_ratiobox(5, 1.8, X), alpha)
+    if name == "RatioBoxConcave":
+        return (RatioBox(5, 1.8),
+                lambda X: envelopes.concave_env_ratiobox(5, 1.8, X) - monomial_values(ml, X), alpha)
     return StdSimplex(5), lambda X: monomial_values(m, X), alpha
 
 
@@ -484,7 +533,8 @@ def _bits(a):
 
 
 class TestLockstepRefinement:
-    @pytest.mark.parametrize("name", ["UnitBox", "SymBox", "RatioBox", "StdSimplex"])
+    @pytest.mark.parametrize("name", ["UnitBox", "SymBox", "RatioBox", "RatioBoxConcave",
+                                      "StdSimplex"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
     def test_matches_one_start_at_a_time(self, name, weighted):
         dom, func, alpha = _lockstep_case(name)
