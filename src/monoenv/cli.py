@@ -68,7 +68,8 @@ def _write(out_path: Optional[str], text: str) -> None:
 
 
 def _gridspec(args) -> oracle.GridSpec:
-    return oracle.GridSpec(resolution=args.grid, seed=args.seed)
+    seed = oracle.GridSpec.seed if args.seed is None else args.seed
+    return oracle.GridSpec(resolution=args.grid, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -162,19 +163,37 @@ def cmd_bounds(args) -> int:
 # `--case all` runs every case with these arguments and the shared flags (grid,
 # tol, seed, trials capped at 200); it does not read --alpha, --n or --r
 _ALL_ARGS = {"unitbox": {"alpha": (1, 1, 1)}, "integrality": {"n": 3}}
+_SHARED = ("grid", "tol", "seed", "trials")
+# the case parameters each flag feeds; --seed also seeds the GridSpec restarts
+_FEEDS = {"alpha": ("alpha",), "n": ("n",), "r": ("r",), "trials": ("trials",),
+          "tol": ("tol",), "grid": ("grid",), "seed": ("seed", "grid")}
+
+
+def _params(name: str):
+    return inspect.signature(checks.CASES[name]).parameters
 
 
 def _run_case(name: str, given: dict) -> list[checks.Check]:
     """Run a case on the given arguments it takes; its signature defaults the rest."""
-    fn = checks.CASES[name]
-    params = inspect.signature(fn).parameters
-    return fn(**{k: v for k, v in given.items() if k in params and v is not None})
+    params = _params(name)
+    return checks.CASES[name](**{k: v for k, v in given.items() if k in params and v is not None})
+
+
+def _require_read(args) -> None:
+    """A flag the user gave must feed a parameter of the case (under `all`, of some case)."""
+    names = list(checks.CASES) if args.case == "all" else [args.case]
+    passed = _SHARED if args.case == "all" else _FEEDS
+    params = {p for name in names for p in _params(name)}
+    for flag, feeds in _FEEDS.items():
+        if getattr(args, flag) is not None and not (flag in passed and params.intersection(feeds)):
+            raise ValueError(f"--case {args.case} does not read --{flag}")
 
 
 def cmd_verify(args) -> int:
+    _require_read(args)
     shared = {"grid": _gridspec(args), "tol": args.tol, "seed": args.seed}
     if args.case == "all":
-        shared["trials"] = min(args.trials, 200)
+        shared["trials"] = 200 if args.trials is None else min(args.trials, 200)
         results = [ch for name in checks.CASES
                    for ch in _run_case(name, {**shared, **_ALL_ARGS.get(name, {})})]
     else:
@@ -325,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
-        sp.add_argument("--seed", type=int, default=42)
+        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--grid", type=int, default=None,
                         help="per-coordinate grid resolution override")
         sp.add_argument("--tol", type=float, default=None)
@@ -349,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=_ints, default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--r", type=float, default=None)
-    sp.add_argument("--trials", type=int, default=1000)
+    sp.add_argument("--trials", type=int, default=None)
     add_common(sp)
     sp.set_defaults(func=cmd_verify)
 

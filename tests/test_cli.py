@@ -110,6 +110,34 @@ class TestVerify:
         assert out == "" and err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--case", "sweeps", "--tol", "nan"],
+        ["--case", "unitbox", "--n", "5"],
+        ["--case", "all", "--alpha", "1,1"],
+        ["--case", "all", "--n", "3"],
+        ["--case", "all", "--r", "2"],
+        ["--case", "integrality", "--grid", "8"],
+        ["--case", "figure1", "--seed", "1"],
+    ], ids=" ".join)
+    def test_unread_flag_is_a_usage_error(self, capsys, argv):
+        # each of these once ran as if the flag had not been given, and exited 0
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: ") and argv[2] in err
+
+    def test_seed_feeds_the_grid_restarts(self, capsys, monkeypatch):
+        seen = []
+
+        def stub(grid, tol=None):
+            seen.append(grid.seed)
+            return [checks.Check("stub", "PASS", 0.0, 0.0)]
+
+        monkeypatch.setitem(checks.CASES, "unitbox", stub)
+        assert run_cli(capsys, "verify", "--case", "unitbox", "--seed", "5")[0] == EXIT_OK
+        assert run_cli(capsys, "verify", "--case", "unitbox")[0] == EXIT_OK
+        assert seen == [5, 42]
+
+
 class TestRegistry:
     def test_all_runs_every_case(self, capsys, monkeypatch):
         seen = []
@@ -126,6 +154,19 @@ class TestRegistry:
         assert code == EXIT_OK
         assert seen == [(name, 0.5, 3) for name in checks.CASES]
         assert out.splitlines()[-1] == f"{len(checks.CASES)}/{len(checks.CASES)} checks passed"
+
+    def test_all_keeps_signature_defaults_and_caps_trials(self, capsys, monkeypatch):
+        seen = []
+
+        def run(seed=42, trials=1000):
+            seen.append((seed, trials))
+            return [checks.Check("stub", "PASS", 0.0, 0.0)]
+
+        for name in list(checks.CASES):
+            monkeypatch.setitem(checks.CASES, name, run)
+        assert run_cli(capsys, "verify", "--case", "all")[0] == EXIT_OK
+        assert run_cli(capsys, "verify", "--case", "all", "--trials", "50")[0] == EXIT_OK
+        assert seen == [(42, 200)] * len(checks.CASES) + [(42, 50)] * len(checks.CASES)
 
     def test_all_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--case", "all")
