@@ -296,7 +296,7 @@ def cmd_gap(args) -> int:
         )
     code = EXIT_OK
     if args.certify:
-        rep = polyrelax.certify_gap_small_instance(poly, UnitBox(poly.n), _gridspec(args))
+        rep = polyrelax.certify_gap_small_instance(poly, UnitBox(poly.n))
         lines.append(f"z*              {_fmt(rep.z_star)} at {_fmt_point(rep.argmin_exact)}")
         lines.append(f"z_mon           {_fmt(rep.z_mon)} at {_fmt_point(rep.argmin_relaxed)}")
         lines.append(f"measured gap    {_fmt(rep.gap)} <= tight {_fmt(rep.tight_bound)}: "
@@ -343,12 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
                 description="Monomial envelope error bounds and their verification")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_common(sp, reads=()):
+        # every subcommand takes the shared flags; `reads` names those it uses
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--grid", type=int, default=None,
                         help="per-coordinate grid resolution override")
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--out", type=str, default=None)
+        sp.set_defaults(reads=reads)
 
     sp = sub.add_parser("bounds", help="print closed-form bounds for a monomial/domain")
     sp.add_argument("--alpha", type=_ints, default=None)
@@ -369,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--r", type=float, default=None)
     sp.add_argument("--trials", type=int, default=None)
-    add_common(sp)
+    add_common(sp, reads=("seed", "grid", "tol"))  # cmd_verify checks them per case
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("figure1", help="emit the D/E comparison sweep as CSV (+SVG)")
@@ -401,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lower", type=_floats, default=None)
     sp.add_argument("--upper", type=_floats, default=None)
     sp.add_argument("--lam", type=_floats, default=None)
-    add_common(sp)
+    add_common(sp, reads=("seed", "grid"))
     sp.set_defaults(func=cmd_sigma)
 
     sp = sub.add_parser("root", help="unique (0,1] root of (1-s)^lam1 + lam2*s - 1")
@@ -416,6 +418,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("seed", "grid", "tol"):
+            if getattr(args, flag) is not None and flag not in args.reads:
+                raise ValueError(f"{args.command} does not read --{flag}")
         return args.func(args)
     except ScaleExceeded as exc:
         sys.stderr.write(f"scale refusal: {exc}\n")

@@ -102,18 +102,44 @@ class Monomial:
         return float(np.prod([float(a) ** a for a in self.alpha]))
 
 
+def fold_columns(ufunc: np.ufunc, X: np.ndarray) -> np.ndarray:
+    """``ufunc`` across the last axis of X, left to right:
+    ufunc(...ufunc(X[..., 0], X[..., 1])..., X[..., n-1]).
+
+    One in-place two-operand call per column over all rows at once, instead
+    of a reduction along the short axis once per row.
+    """
+    out = X[..., 0].copy()
+    for j in range(1, X.shape[-1]):
+        ufunc(out, X[..., j], out=out)
+    return out
+
+
 def monomial_values(m: Monomial, X: np.ndarray) -> np.ndarray:
     """Vectorized prod_j x_j**alpha_j over rows of X, sign-safe at negative bases.
 
-    Powers are taken on |x_j| (so no real-pow domain issues) with the sign
-    tracked explicitly from the exponent parity.
+    The factors are multiplied into one accumulator left to right. A unit
+    exponent contributes x_j + 0.0 (|x_j| sign(x_j), with -0.0 read as 0.0);
+    a higher one pow(|x_j|, alpha_j), negated where x_j < 0 for odd alpha_j.
+    The exponent reaches ``np.power`` as a full array and the result is a
+    new array: a scalar or stride-0 exponent 2, or an in-place call on one
+    row, takes numpy's ``x*x`` path, which is not ``pow()``.
     """
-    a = np.asarray(m.alpha, dtype=np.int64)
-    mags = np.power(np.abs(X), a)
-    odd = (a % 2).astype(bool)
-    neg = (X < 0) & odd
-    signs = np.where(neg, -1.0, 1.0)
-    return np.prod(mags * signs, axis=-1)
+    X = np.asarray(X, dtype=float)
+    out = None
+    for j, a in enumerate(m.alpha):
+        col = X[..., j]
+        if a == 1:
+            f = col + 0.0
+        else:
+            f = np.power(np.abs(col), np.full(col.shape, float(a)))
+            if a % 2:
+                np.negative(f, out=f, where=col < 0)
+        if out is None:
+            out = f
+        else:
+            np.multiply(out, f, out=out)
+    return out
 
 
 def eval_monomial(m: Monomial, x) -> float | np.ndarray:
@@ -173,6 +199,10 @@ class Domain:
 
     def contains_many(self, X, tol: float = TOL_EXACT) -> np.ndarray:
         P, _ = as_points(X, self.n)
+        return self._contains_rows(P, tol)
+
+    def _contains_rows(self, P: np.ndarray, tol: float) -> np.ndarray:
+        """Row mask of A p <= b + tol for a (m, n) float array."""
         A, b = self.halfspaces()
         return np.all(P @ A.T <= b + tol, axis=1)
 
@@ -234,6 +264,19 @@ def _box_vertices(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return np.array(list(itertools.product(*cols)), dtype=float)
 
 
+@functools.lru_cache(maxsize=256)
+def _box_limits(dom: Domain, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    # A box's halfspace rows are +-e_j, so A p <= b + tol says
+    # -(-l_j + tol) <= p_j <= u_j + tol, coordinate by coordinate. A nan or
+    # inf coordinate fails one side, as it made its whole row nan in A p.
+    _, b = dom.halfspaces()
+    n = dom.n
+    lo, hi = -(b[n:] + tol), b[:n] + tol
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    return lo, hi
+
+
 class _BoxDomain(Domain):
     """Shared behavior for the four box families."""
 
@@ -252,6 +295,12 @@ class _BoxDomain(Domain):
 
     def bounding_box(self):
         return self.lower_vec(), self.upper_vec()
+
+    def _contains_rows(self, P, tol):
+        lo, hi = _box_limits(self, tol)
+        ok = P <= hi
+        ok &= P >= lo
+        return fold_columns(np.logical_and, ok)
 
     def vertices(self) -> np.ndarray:
         return _box_vertices(self.lower_vec(), self.upper_vec())

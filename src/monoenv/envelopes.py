@@ -24,6 +24,7 @@ from .core import (
     UnitBox,
     UnsupportedDomain,
     as_points,
+    fold_columns,
 )
 
 
@@ -62,7 +63,7 @@ def concave_env_unitbox(m: Monomial, x) -> float | np.ndarray:
     """Concave envelope of x**alpha over [0,1]^n: min_j x_j (any alpha >= 1)."""
     X, single = as_points(x, m.n)
     UnitBox(m.n).require_inside(X)
-    vals = np.min(X, axis=-1)
+    vals = fold_columns(np.minimum, X)
     return float(vals[0]) if single else vals
 
 
@@ -155,8 +156,10 @@ def convex_env_ratiobox(n: int, r: float, x) -> float | np.ndarray:
     X, single = as_points(x, n)
     RatioBox(n, r).require_inside(X)
     s = np.sum(X, axis=-1)
-    pieces = [float(r) ** (i - 1) * (s - (n - i) - float(r) * (i - 1)) for i in range(1, n + 1)]
-    vals = np.max(np.stack(pieces, axis=-1), axis=-1)
+    cuts = (float(r) ** (i - 1) * (s - (n - i) - float(r) * (i - 1)) for i in range(1, n + 1))
+    vals = next(cuts)
+    for cut in cuts:
+        np.maximum(vals, cut, out=vals)
     return float(vals[0]) if single else vals
 
 
@@ -172,8 +175,8 @@ def symbox_lo_hi(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = X.shape[-1]
     absX = np.abs(X)
     tot = np.add.reduce(absX, axis=-1)
-    sm2 = 2.0 * np.minimum.reduce(absX, axis=-1)
-    k = np.logical_xor.reduce(X < 0, axis=-1) * sm2
+    sm2 = 2.0 * fold_columns(np.minimum, absX)
+    k = fold_columns(np.not_equal, X < 0) * sm2
     lo = np.maximum(tot - k - (n - 1), -1.0)
     hi = np.minimum(sm2 - k - tot + (n - 1), 1.0)
     return lo, hi

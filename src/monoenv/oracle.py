@@ -29,9 +29,11 @@ from .core import (
     StdSimplex,
     SymBox,
     UnitBox,
+    UnsupportedDomain,
     _BoxDomain,
     as_points,
     error_report,
+    fold_columns,
     monomial_values,
 )
 from .golden import golden_max
@@ -322,7 +324,7 @@ def sigma_numeric(m: Monomial, dom: Domain, beta,
     best, _ = grid_minimize(objective, dom, grid, center_weights=b)
     try:
         verts = dom.vertices()
-    except Exception:
+    except UnsupportedDomain:
         verts = None
     if verts is not None:
         best = min(best, float(np.min(objective(verts))))
@@ -362,7 +364,7 @@ def relaxation_error_PB(m: Monomial, B: Sequence, dom: Domain,
         under = np.zeros(X.shape[0])
         for s, sig in pairs:
             under = np.maximum(under, sig + np.einsum("ij,j->i", X - 1.0, s))
-        over = np.min(X, axis=-1)
+        over = fold_columns(np.minimum, X)
         return np.maximum(f - under, over - f)
 
     spec = grid or GridSpec()

@@ -14,7 +14,6 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as _bounds
-from . import oracle as _oracle
 from .core import Domain, ScaleExceeded, UnitBox
 
 
@@ -245,8 +244,7 @@ def _relaxed_minimum_lp(p: Polynomial) -> tuple[float, np.ndarray]:
     return float(val + const), z[:n]
 
 
-def certify_gap_small_instance(p: Polynomial, dom: Domain,
-                               grid: Optional[_oracle.GridSpec] = None) -> CertifyReport:
+def certify_gap_small_instance(p: Polynomial, dom: Domain) -> CertifyReport:
     """Measure the actual convexification gap of a small multilinear instance
     and compare it with the computed ``tight`` bound.
 

@@ -317,6 +317,30 @@ class TestSigmaRoot:
         assert code == EXIT_USAGE
         assert "no root" not in out and "zero polynomial" in err
 
+@pytest.mark.parametrize("argv, flag", [
+    (["bounds", "--n", "2", "--domain", "sym", "--grid", "8"], "grid"),
+    (["verify", "--case", "sweeps", "--seed", "3"], "seed"),
+    (["figure1", "--n-max", "3", "--tol", "0.1"], "tol"),
+    (["facets", "--n", "2", "--tol", "nan", "--seed", "3", "--grid", "0"], "seed"),
+    (["gap", "--poly", "{poly}", "--certify", "--grid", "8"], "grid"),
+    (["sigma", "--alpha", "1,2", "--tol", "0.1"], "tol"),
+    (["root", "--lambda1", "6", "--lambda2", "3", "--tol", "nan", "--grid", "0"], "grid"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_unread_shared_flag_is_a_usage_error(capsys, tmp_path, argv, flag):
+    # apart from verify, each of these printed its usual output and exited 0
+    poly = tmp_path / "p.txt"
+    poly.write_text("1 1 1 0\n-1 0 1 1\n")
+    argv = [str(poly) if a == "{poly}" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ") and f"does not read --{flag}" in err
+
+
+def test_sigma_reads_grid_and_seed(capsys):
+    code, out, _ = run_cli(capsys, "sigma", "--alpha", "1,2", "--grid", "4", "--seed", "2")
+    assert code == EXIT_OK and "sigma numeric" in out
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

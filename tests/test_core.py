@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from monoenv import (
     ComplementSimplex,
@@ -20,7 +23,8 @@ from monoenv import (
     scale_error,
     scale_point,
 )
-from monoenv.core import monomial_values
+from monoenv import envelopes
+from monoenv.core import TOL_EXACT, monomial_values
 
 
 class TestMonomial:
@@ -256,3 +260,143 @@ def test_monomial_values_handles_negative_grid():
     m = Monomial((1, 2))
     X = np.array([[-0.5, -0.5], [-1.0, 1.0], [0.5, -1.0]])
     assert np.allclose(monomial_values(m, X), [-0.125, -1.0, 0.5])
+
+
+def test_square_at_n1_matches_square_beside_a_unit_factor():
+    # numpy squares a stride-0 exponent 2 by x*x, which is not pow(); with the
+    # length-1 exponent of n = 1 it used to take that path on 5.5 % of points
+    x = np.random.default_rng(3).uniform(-2.0, 2.0, 10_000)
+    one = monomial_values(Monomial((2,)), x[:, None])
+    two = monomial_values(Monomial((2, 1)), np.column_stack([x, np.ones_like(x)]))
+    assert np.array_equal(one.view(np.int64), two.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# Column-wise kernels against the row reductions they replaced
+# ---------------------------------------------------------------------------
+
+def _rows_monomial(alpha, X):
+    a = np.asarray(alpha, dtype=np.int64)
+    mags = np.power(np.abs(X), a)
+    neg = (X < 0) & (a % 2).astype(bool)
+    return np.prod(mags * np.where(neg, -1.0, 1.0), axis=-1)
+
+
+def _rows_contains(dom, X, tol):
+    A, b = dom.halfspaces()
+    return np.all(X @ A.T <= b + tol, axis=1)
+
+
+def _rows_ratio_cvx(n, r, X):
+    s = np.sum(X, axis=-1)
+    pieces = [r ** (i - 1) * (s - (n - i) - r * (i - 1)) for i in range(1, n + 1)]
+    return np.max(np.stack(pieces, axis=-1), axis=-1)
+
+
+def _rows_symbox(X):
+    n = X.shape[-1]
+    absX = np.abs(X)
+    tot = np.add.reduce(absX, axis=-1)
+    sm2 = 2.0 * np.minimum.reduce(absX, axis=-1)
+    k = np.logical_xor.reduce(X < 0, axis=-1) * sm2
+    return np.maximum(tot - k - (n - 1), -1.0), np.minimum(sm2 - k - tot + (n - 1), 1.0)
+
+
+def _same_bits(got, want):
+    """Equal values, nan where nan, and the same sign bit on every non-nan
+    entry (a unit factor keeps a nan's sign, the row kernel dropped it)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=want.dtype.kind == "f")
+    if want.dtype.kind == "f":
+        real = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[real]), np.signbit(want[real]))
+
+
+# nan and inf rows warn in the old and the new kernels alike
+_quiet = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, np.nan, np.inf, -np.inf,
+            1.0 + TOL_EXACT, -1.0 - TOL_EXACT, -TOL_EXACT, 2.0 + TOL_EXACT)
+
+
+def _rows(draw, n, special=_SPECIAL, lo=-2.5, hi=2.5):
+    elems = st.one_of(st.sampled_from(special), st.floats(lo, hi))
+    return draw(hnp.arrays(np.float64, (draw(st.integers(1, 6)), n), elements=elems))
+
+
+@st.composite
+def _monomial_rows(draw):
+    n = draw(st.integers(2, 6))
+    alpha = tuple(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)))
+    big = st.floats(allow_nan=True, allow_infinity=True)
+    X = _rows(draw, n)
+    X[draw(hnp.arrays(np.bool_, X.shape))] = draw(big)  # overflow and underflow too
+    return alpha, X
+
+
+_SIGNED_ZEROS = np.array([[-0.0, 1.0, -2.0], [-0.0, -0.0, 0.5], [0.0, -0.0, -0.0],
+                          [-1.5, -0.0, np.nan], [-0.0, np.inf, 1.0], [-0.5, -0.0, 0.0]])
+
+
+@_quiet
+@given(_monomial_rows())
+@example(((1, 1, 1), _SIGNED_ZEROS))
+@example(((3, 1, 2), _SIGNED_ZEROS))
+@example(((2, 5, 3), _SIGNED_ZEROS))
+def test_monomial_values_matches_the_row_product(case):
+    alpha, X = case
+    _same_bits(monomial_values(Monomial(alpha), X), _rows_monomial(alpha, X))
+
+
+@st.composite
+def _box_rows(draw):
+    n = draw(st.integers(1, 6))
+    dom = draw(st.sampled_from([UnitBox(n), SymBox(n), RatioBox(n, 1.7),
+                                SubBox((0.25,) * n, (0.5,) * n)]))
+    lo, hi = dom.bounding_box()
+    tol = draw(st.sampled_from([TOL_EXACT, 0.0, 1e-3]))
+    # the exact boundaries u + tol and -(-l + tol), and their neighbours
+    edges = [v for u in (hi + tol, -(-lo + tol)) for v in u.tolist()]
+    edges += [np.nextafter(v, s) for v in edges for s in (-np.inf, np.inf)]
+    return dom, tol, _rows(draw, n, special=_SPECIAL + tuple(edges))
+
+
+@_quiet
+@given(_box_rows())
+def test_box_contains_many_matches_the_halfspace_rows(case):
+    dom, tol, X = case
+    _same_bits(dom.contains_many(X, tol), _rows_contains(dom, X, tol))
+
+
+@st.composite
+def _symbox_rows(draw):
+    return _rows(draw, draw(st.sampled_from([1, 2, 3, 5, 8, 13, 24])))
+
+
+@_quiet
+@given(_symbox_rows())
+def test_symbox_lo_hi_matches_the_row_reductions(X):
+    for rows in (X, X[0]):  # a stack of rows, and one point as a vector
+        lo, hi = envelopes.symbox_lo_hi(rows)
+        want_lo, want_hi = _rows_symbox(rows)
+        _same_bits(lo, want_lo)
+        _same_bits(hi, want_hi)
+
+
+@given(st.data())
+def test_unit_box_min_matches_the_row_min(data):
+    # rows inside the box up to the tolerance, with -0.0 and 0.0 ties
+    n = data.draw(st.integers(1, 8))
+    X = _rows(data.draw, n, special=(0.0, -0.0, -TOL_EXACT, 1.0, 1.0 + TOL_EXACT, 0.5),
+              lo=0.0, hi=1.0)
+    got = envelopes.concave_env_unitbox(Monomial.multilinear(n), X)
+    _same_bits(got, np.min(X, axis=-1))
+
+
+@given(st.data())
+def test_ratio_box_convex_envelope_matches_the_stacked_max(data):
+    n = data.draw(st.integers(1, 8))
+    r = data.draw(st.sampled_from([1.1, 1.7, 3.0]))
+    X = _rows(data.draw, n, special=(1.0, r, 1.0 - TOL_EXACT, r + TOL_EXACT), lo=1.0, hi=r)
+    _same_bits(envelopes.convex_env_ratiobox(n, r, X), _rows_ratio_cvx(n, r, X))

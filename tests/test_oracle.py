@@ -11,6 +11,7 @@ from monoenv import (
     SubBox,
     SymBox,
     UnitBox,
+    UnsupportedDomain,
     Verdict,
     eval_monomial,
 )
@@ -147,6 +148,26 @@ class TestSigmaNumeric:
             assert -1e-9 <= val <= 1.0 + 1e-9
 
 
+    def test_vertex_failure_propagates(self):
+        # a domain without a vertex list falls back to the grid; any other
+        # failure of vertices() is a fault and must not be swallowed
+        class Broken(UnitBox):
+            def vertices(self):
+                raise RuntimeError("vertex list failed")
+
+        class NoVertices(UnitBox):
+            def vertices(self):
+                raise UnsupportedDomain("no vertex list")
+
+        m, spec = Monomial((2, 1)), GridSpec(resolution=4)
+        with pytest.raises(RuntimeError, match="vertex list failed"):
+            sigma_numeric(m, Broken(2), [1.0, 1.0], spec)
+        grid_only = float(np.sum([1.0, 1.0])) + oracle.grid_minimize(
+            lambda X: monomial_values(m, X) - np.einsum("ij,j->i", X, np.ones(2)), UnitBox(2), spec,
+            center_weights=np.ones(2))[0]
+        assert sigma_numeric(m, NoVertices(2), [1.0, 1.0], spec) == grid_only
+
+
 class TestRelaxationError:
     def test_mccormick_case(self):
         m = Monomial.multilinear(2)
@@ -189,7 +210,7 @@ def _captured(monkeypatch, name, call):
 
 def _batch_cases(monkeypatch):
     """(name, n, function of a row stack, points) for every estimator and grid
-    objective built by a row-times-vector reduction."""
+    objective built by a row-times-vector reduction or a fold across columns."""
     rng = np.random.default_rng(11)
     for n in range(2, 9):
         box = 1.0 + 0.7 * rng.random((64, n))
@@ -208,6 +229,24 @@ def _batch_cases(monkeypatch):
         cand = rng.random((20_000, n)) ** 0.2
         f, cut = monomial_values(m, cand), 1.0 + np.sum(cand - 1.0, axis=1)
         yield "relaxation_error_PB", n, err, cand[(cut > 0) & (f - cut > cand.min(axis=1) - f)][:64]
+        # the column-wise kernels: products, minima, maxima, parities, membership
+        alpha = tuple(int(a) for a in rng.integers(1, 5, n))
+        signed = rng.uniform(-1.5, 1.5, (64, n))
+        signed[:8] = rng.choice([0.0, -0.0, 1.0, -1.0], (8, n))
+        yield "monomial_values", n, lambda X, a=alpha: monomial_values(Monomial(a), X), signed
+        corner = rng.random((64, n))
+        corner[:8] = rng.choice([0.0, -0.0, 1.0], (8, n))
+        yield "concave_env_unitbox", n, lambda X, a=alpha: envelopes.concave_env_unitbox(
+            Monomial(a), X), corner
+        yield "convex_env_unitbox_multilinear", n, lambda X, n=n: (
+            envelopes.convex_env_unitbox_multilinear(n, X)), corner
+        yield "convex_env_ratiobox", n, lambda X, n=n: envelopes.convex_env_ratiobox(n, 1.7, X), box
+        near = rng.uniform(-1.0 - 2e-9, 1.0 + 2e-9, (64, n))
+        yield "contains_many", n, lambda X, n=n: SymBox(n).contains_many(X).astype(float), near
+    for n in (1, 2, 3, 5, 8, 13, 24):
+        sym = rng.uniform(-1.0, 1.0, (64, n))
+        sym[:8] = rng.choice([0.0, -0.0, 1.0, -1.0], (8, n))
+        yield "envelopes_symbox", n, lambda X, n=n: np.stack(envelopes.envelopes_symbox(n, X), 1), sym
 
 
 def test_row_values_do_not_depend_on_the_batch(monkeypatch):
