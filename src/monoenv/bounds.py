@@ -13,12 +13,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    ComplementSimplex,
     DimensionMismatch,
     Domain,
     Monomial,
     ScaleExceeded,
-    UnitBox,
+    UnsupportedDomain,
 )
 from .golden import golden_max
 
@@ -152,31 +151,24 @@ class SigmaInterval:
 def sigma_beta(m: Monomial, dom: Domain, beta) -> SigmaInterval:
     """Best valid intercept sigma(beta), exactly where a formula exists.
 
+    The domain supplies the range (:meth:`Domain.intercept_range`).
     ComplementSimplex: exactly min_j beta_j. UnitBox: within [0, 1], and
     exactly 1 when beta >= alpha componentwise. Other unit-box families:
     [0, sum(beta)) with the numeric value available through the oracle.
     Domains outside the unit box are rejected (the enclosure fails there:
     the intercept can go negative).
     """
-    from .core import RatioBox, SymBox, UnsupportedDomain
-
     b = np.asarray(beta, dtype=float)
     if b.shape != (m.n,):
         raise DimensionMismatch(f"beta must have dimension {m.n}")
-    if np.any(b < 1.0):
+    if not np.all(b >= 1.0):
         raise ValueError("beta must be >= 1 componentwise")
     if dom.n != m.n:
         raise DimensionMismatch("domain dimension mismatch")
-    if isinstance(dom, (RatioBox, SymBox)):
+    if not dom.inside_unit_box():
         raise UnsupportedDomain("intercept bounds need a domain inside the unit box")
-    if isinstance(dom, ComplementSimplex):
-        v = float(b.min())
-        return SigmaInterval(lo=v, hi=v, exact=True)
-    if isinstance(dom, UnitBox):
-        if np.all(b >= np.asarray(m.alpha) - 1e-15):
-            return SigmaInterval(lo=1.0, hi=1.0, exact=True)
-        return SigmaInterval(lo=0.0, hi=1.0, exact=False)
-    return SigmaInterval(lo=0.0, hi=float(b.sum()), exact=False)
+    lo, hi = dom.intercept_range(m, b)
+    return SigmaInterval(lo=lo, hi=hi, exact=lo == hi)
 
 
 def ratio_r(beta, kappa) -> float:

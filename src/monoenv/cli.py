@@ -76,29 +76,70 @@ def _gridspec(args) -> oracle.GridSpec:
 # bounds
 # ---------------------------------------------------------------------------
 
-def _domain_from_args(args, n: int):
-    name = args.domain
-    if name == "unit":
-        return UnitBox(n)
-    if name == "sub":
-        if not (args.lower and args.upper):
-            raise ValueError("--domain sub needs --lower and --upper")
-        return SubBox(args.lower, args.upper)
-    if name == "ratio":
-        if args.r is None:
-            raise ValueError("--domain ratio needs --r")
-        return RatioBox(n, args.r)
-    if name == "sym":
-        return SymBox(n)
-    if name == "simplex":
-        return StdSimplex(n)
-    if name == "corner":
-        if not args.lam:
-            raise ValueError("--domain corner needs --lam")
-        return CornerSimplexOne(args.lam)
-    if name == "comp":
-        return ComplementSimplex(n)
-    raise ValueError(f"unknown domain {name!r}")
+def _gamma_rows(mono: Monomial, dom) -> list[tuple[str, float, str]]:
+    g = envelopes.gamma_vector(mono, dom)
+    return [("gamma bound (convex over domain)", bounds.gamma_bound(g), "gamma=" + _fmt_point(g))]
+
+
+def _subbox_rows(mono: Monomial, dom) -> list[tuple[str, float, str]]:
+    rows = _gamma_rows(mono, dom)
+    fmin, _ = oracle.extremize_f(mono, dom, "min")
+    fmax, _ = oracle.extremize_f(mono, dom, "max")
+    cb = bounds.concave_bound_xi(mono, fmin, fmax)
+    return rows + [("concave bound at domain range", cb.bound, _fmt_point(cb.point))]
+
+
+def _ratio_rows(mono: Monomial, dom) -> list[tuple[str, float, str]]:
+    n, r = mono.n, dom.r
+    D, E = bounds.ratio_box_constants(n, r)
+    # tE = ((r^n - 1) / (n (r - 1)))^(1/(n-1)), in logs so large n cannot overflow
+    logr = math.log(r)
+    tE = math.exp((n * logr + math.log1p(-math.exp(-n * logr))
+                   - math.log(n * (r - 1.0))) / (n - 1))
+    return [("D (convex envelope error)", D, "on the diagonal"),
+            ("E (concave envelope error)", E, _fmt_point(np.full(n, tE)))]
+
+
+def _symbox_rows(mono: Monomial, dom) -> list[tuple[str, float, str]]:
+    x0, w0 = bounds.symbox_attainment(mono.n)
+    return [("hull error over the symmetric box", bounds.symbox_error(mono.n),
+             _fmt_point(x0) + f" w={_fmt(w0)} (+ reflections)")]
+
+
+def _simplex_rows(mono: Monomial, dom) -> list[tuple[str, float, str]]:
+    sb = bounds.simplex_bounds(mono)
+    d = mono.degree
+    return [("simplex concave bound", sb.conc,
+             _fmt_point(np.full(mono.n, mono.alpha_power() ** (1.0 / d) / d))),
+            ("simplex convex envelope error", sb.cvx,
+             _fmt_point(np.asarray(mono.alpha, float) / d))]
+
+
+# the flags that describe a domain, with their parsers
+_DOMAIN_FLAGS = {"r": float, "lower": _floats, "upper": _floats, "lam": _floats}
+# --domain name: (the domain flags it reads, its constructor from n and their
+# values, the rows `bounds` prints for it)
+_DOMAINS = {
+    "unit": ((), UnitBox, _gamma_rows),
+    "sub": (("lower", "upper"), lambda n, lower, upper: SubBox(lower, upper), _subbox_rows),
+    "ratio": (("r",), RatioBox, _ratio_rows),
+    "sym": ((), SymBox, _symbox_rows),
+    "simplex": ((), StdSimplex, _simplex_rows),
+    "corner": (("lam",), lambda n, lam: CornerSimplexOne(lam), _gamma_rows),
+    "comp": ((), ComplementSimplex, _gamma_rows),
+}
+
+
+def _domain(args, n: int):
+    """The --domain the user chose; a domain flag it does not read is a usage error."""
+    reads, build, _ = _DOMAINS[args.domain]
+    for flag in _DOMAIN_FLAGS:
+        if getattr(args, flag, None) is not None and flag not in reads:
+            raise ValueError(f"--domain {args.domain} does not read --{flag}")
+    values = [getattr(args, flag) for flag in reads]
+    if None in values:
+        raise ValueError(f"--domain {args.domain} needs " + " and ".join(f"--{f}" for f in reads))
+    return build(n, *values)
 
 
 def cmd_bounds(args) -> int:
@@ -117,36 +158,7 @@ def cmd_bounds(args) -> int:
                      _fmt_point(np.full(n, d ** (1.0 / (1.0 - d))))))
         rows.append(("c2 (convex, degree-only)", bs.c2,
                      _fmt_point(np.full(n, 1.0 - 1.0 / d))))
-
-    dom = _domain_from_args(args, n)
-    if isinstance(dom, (UnitBox, SubBox, CornerSimplexOne, ComplementSimplex)):
-        g = envelopes.gamma_vector(mono, dom)
-        rows.append(("gamma bound (convex over domain)", bounds.gamma_bound(g),
-                     "gamma=" + _fmt_point(g)))
-        if isinstance(dom, SubBox):
-            fmin, _ = oracle.extremize_f(mono, dom, "min")
-            fmax, _ = oracle.extremize_f(mono, dom, "max")
-            cb = bounds.concave_bound_xi(mono, fmin, fmax)
-            rows.append(("concave bound at domain range", cb.bound, _fmt_point(cb.point)))
-    elif isinstance(dom, RatioBox):
-        D, E = bounds.ratio_box_constants(n, dom.r)
-        # tE = ((r^n - 1) / (n (r - 1)))^(1/(n-1)), in logs so large n cannot overflow
-        logr = math.log(dom.r)
-        tE = math.exp((n * logr + math.log1p(-math.exp(-n * logr))
-                       - math.log(n * (dom.r - 1.0))) / (n - 1))
-        rows.append(("D (convex envelope error)", D, "on the diagonal"))
-        rows.append(("E (concave envelope error)", E, _fmt_point(np.full(n, tE))))
-    elif isinstance(dom, SymBox):
-        x0, w0 = bounds.symbox_attainment(n)
-        rows.append(("hull error over the symmetric box", bounds.symbox_error(n),
-                     _fmt_point(x0) + f" w={_fmt(w0)} (+ reflections)"))
-    elif isinstance(dom, StdSimplex):
-        sb = bounds.simplex_bounds(mono)
-        aa = mono.alpha_power()
-        rows.append(("simplex concave bound", sb.conc,
-                     _fmt_point(np.full(n, aa ** (1.0 / d) / d))))
-        rows.append(("simplex convex envelope error", sb.cvx,
-                     _fmt_point(np.asarray(mono.alpha, float) / d)))
+    rows += _DOMAINS[args.domain][2](mono, _domain(args, n))
 
     width = max(len(r[0]) for r in rows)
     lines = [f"alpha={list(mono.alpha)} degree={d} domain={args.domain}"]
@@ -309,7 +321,7 @@ def cmd_gap(args) -> int:
 
 def cmd_sigma(args) -> int:
     mono = Monomial(args.alpha)
-    dom = _domain_from_args(args, mono.n)
+    dom = _domain(args, mono.n)
     beta = np.asarray(args.beta if args.beta else mono.alpha, dtype=float)
     iv = bounds.sigma_beta(mono, dom, beta)
     lines = [f"alpha={list(mono.alpha)} beta={[float(b) for b in beta]} domain={args.domain}"]
@@ -352,15 +364,18 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=str, default=None)
         sp.set_defaults(reads=reads)
 
+    def add_domain(sp, choices):
+        # --domain and the domain flags that one of its choices reads
+        sp.add_argument("--domain", type=str, default="unit", choices=choices)
+        read = {flag for name in choices for flag in _DOMAINS[name][0]}
+        for flag, parse in _DOMAIN_FLAGS.items():
+            if flag in read:
+                sp.add_argument(f"--{flag}", type=parse, default=None)
+
     sp = sub.add_parser("bounds", help="print closed-form bounds for a monomial/domain")
     sp.add_argument("--alpha", type=_ints, default=None)
     sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--r", type=float, default=None)
-    sp.add_argument("--domain", type=str, default="unit",
-                    choices=["unit", "sub", "ratio", "sym", "simplex", "corner", "comp"])
-    sp.add_argument("--lower", type=_floats, default=None)
-    sp.add_argument("--upper", type=_floats, default=None)
-    sp.add_argument("--lam", type=_floats, default=None)
+    add_domain(sp, list(_DOMAINS))
     add_common(sp)
     sp.set_defaults(func=cmd_bounds)
 
@@ -397,12 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sigma", help="best valid intercept for a slope vector")
     sp.add_argument("--alpha", type=_ints, required=True)
     sp.add_argument("--beta", type=_floats, default=None)
-    sp.add_argument("--r", type=float, default=None)
-    sp.add_argument("--domain", type=str, default="unit",
-                    choices=["unit", "sub", "simplex", "corner", "comp"])
-    sp.add_argument("--lower", type=_floats, default=None)
-    sp.add_argument("--upper", type=_floats, default=None)
-    sp.add_argument("--lam", type=_floats, default=None)
+    add_domain(sp, ["unit", "sub", "simplex", "corner", "comp"])
     add_common(sp, reads=("seed", "grid"))
     sp.set_defaults(func=cmd_sigma)
 

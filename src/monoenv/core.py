@@ -181,10 +181,19 @@ class Domain:
     """Base class for the structured domain families.
 
     Each family is described exactly by finitely many halfspaces A x <= b, and
-    all membership queries reduce to those inequalities.
+    all membership queries reduce to those inequalities. What the bounds need
+    to know about a family (is it a box, does it lie in the unit box, closed
+    forms for monomial extremes and intercepts) is answered here, by the
+    family, so no other module tests which family it holds.
     """
 
     n: int
+    is_box = False  # True on the four axis-aligned box families
+
+    def __post_init__(self):
+        # for the families given n; SubBox and CornerSimplexOne check their vectors
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
 
     def halfspaces(self) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) with the domain = {x : A x <= b}; read-only arrays shared by
@@ -246,6 +255,22 @@ class Domain:
     def vertices(self) -> np.ndarray:
         raise UnsupportedDomain(f"{type(self).__name__} has no vertex list")
 
+    def inside_unit_box(self) -> bool:
+        """Whether the domain lies in [0, 1]^n, read from its bounding box."""
+        lo, hi = self.bounding_box()
+        return bool(np.all(lo >= 0.0) and np.all(hi <= 1.0))
+
+    def monomial_extreme(self, m: Monomial, sense: str) -> Optional[tuple[float, np.ndarray]]:
+        """Closed-form (value, point) of the "min" or "max" of x**alpha over the
+        domain, or None where the family has none."""
+        return None
+
+    def intercept_range(self, m: Monomial, beta: np.ndarray) -> tuple[float, float]:
+        """(lo, hi) around the best valid intercept sigma(beta) of the
+        underestimator sigma + beta.(x - 1) of x**alpha, for a domain inside
+        the unit box (beta >= 1); lo == hi when the value is exact."""
+        return 0.0, float(beta.sum())
+
 
 @functools.lru_cache(maxsize=256)
 def _cached_halfspaces(dom: Domain) -> tuple[np.ndarray, np.ndarray]:
@@ -280,21 +305,12 @@ def _box_limits(dom: Domain, tol: float) -> tuple[np.ndarray, np.ndarray]:
 class _BoxDomain(Domain):
     """Shared behavior for the four box families."""
 
-    def lower_vec(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def upper_vec(self) -> np.ndarray:
-        raise NotImplementedError
+    is_box = True
 
     def _halfspaces(self):
-        n = self.n
-        eye = np.eye(n)
-        A = np.vstack([eye, -eye])
-        b = np.concatenate([self.upper_vec(), -self.lower_vec()])
-        return A, b
-
-    def bounding_box(self):
-        return self.lower_vec(), self.upper_vec()
+        lo, hi = self.bounding_box()
+        eye = np.eye(self.n)
+        return np.vstack([eye, -eye]), np.concatenate([hi, -lo])
 
     def _contains_rows(self, P, tol):
         lo, hi = _box_limits(self, tol)
@@ -303,7 +319,15 @@ class _BoxDomain(Domain):
         return fold_columns(np.logical_and, ok)
 
     def vertices(self) -> np.ndarray:
-        return _box_vertices(self.lower_vec(), self.upper_vec())
+        return _box_vertices(*self.bounding_box())
+
+    def monomial_extreme(self, m, sense):
+        lo, hi = self.bounding_box()
+        if not np.all(lo >= 0.0):
+            return None
+        # monotone increasing on the nonnegative orthant
+        corner = hi if sense == "max" else lo
+        return float(monomial_values(m, corner[None, :])[0]), corner
 
 
 @dataclass(frozen=True)
@@ -312,15 +336,14 @@ class UnitBox(_BoxDomain):
 
     n: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+    def bounding_box(self):
+        return np.zeros(self.n), np.ones(self.n)
 
-    def lower_vec(self):
-        return np.zeros(self.n)
-
-    def upper_vec(self):
-        return np.ones(self.n)
+    def intercept_range(self, m, beta):
+        # the all-ones vertex binds once beta >= alpha
+        if np.all(beta >= np.asarray(m.alpha) - 1e-15):
+            return 1.0, 1.0
+        return 0.0, 1.0
 
 
 @dataclass(frozen=True)
@@ -345,11 +368,8 @@ class SubBox(_BoxDomain):
     def n(self) -> int:
         return len(self.lower)
 
-    def lower_vec(self):
-        return np.asarray(self.lower, dtype=float)
-
-    def upper_vec(self):
-        return np.asarray(self.upper, dtype=float)
+    def bounding_box(self):
+        return np.asarray(self.lower, dtype=float), np.asarray(self.upper, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -360,17 +380,13 @@ class RatioBox(_BoxDomain):
     r: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        super().__post_init__()
         if not self.r > 1.0:
             raise ValueError("ratio r must be > 1")
         object.__setattr__(self, "r", float(self.r))
 
-    def lower_vec(self):
-        return np.ones(self.n)
-
-    def upper_vec(self):
-        return np.full(self.n, self.r)
+    def bounding_box(self):
+        return np.ones(self.n), np.full(self.n, self.r)
 
 
 @dataclass(frozen=True)
@@ -379,15 +395,19 @@ class SymBox(_BoxDomain):
 
     n: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+    def bounding_box(self):
+        return -np.ones(self.n), np.ones(self.n)
 
-    def lower_vec(self):
-        return -np.ones(self.n)
-
-    def upper_vec(self):
-        return np.ones(self.n)
+    def monomial_extreme(self, m, sense):
+        point = np.ones(m.n)
+        if sense == "max":
+            return 1.0, point
+        odd = [i for i, a in enumerate(m.alpha) if a % 2 == 1]
+        if odd:
+            point[odd[0]] = -1.0
+            return -1.0, point
+        point[0] = 0.0
+        return 0.0, point
 
 
 @dataclass(frozen=True)
@@ -395,10 +415,6 @@ class StdSimplex(Domain):
     """{x >= 0 : sum_j x_j <= 1}."""
 
     n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
 
     def _halfspaces(self):
         n = self.n
@@ -411,6 +427,13 @@ class StdSimplex(Domain):
 
     def vertices(self) -> np.ndarray:
         return np.vstack([np.zeros(self.n), np.eye(self.n)])
+
+    def monomial_extreme(self, m, sense):
+        if sense == "min":
+            return 0.0, np.zeros(m.n)
+        # stationary point of the product on the unit-sum face
+        point = np.asarray(m.alpha, dtype=float) / m.degree
+        return m.alpha_power() / float(m.degree) ** m.degree, point
 
 
 @dataclass(frozen=True)
@@ -454,6 +477,15 @@ class CornerSimplexOne(Domain):
             vs.append(v)
         return np.vstack(vs)
 
+    def monomial_extreme(self, m, sense):
+        if sense == "max":
+            return 1.0, np.ones(m.n)
+        vals = [(1.0 - self.lam[i]) ** m.alpha[i] for i in range(m.n)]
+        i = int(np.argmin(vals))
+        point = np.ones(m.n)
+        point[i] = 1.0 - self.lam[i]
+        return float(vals[i]), point
+
 
 @dataclass(frozen=True)
 class ComplementSimplex(Domain):
@@ -480,6 +512,10 @@ class ComplementSimplex(Domain):
             raise ScaleExceeded(f"vertex enumeration refused for n={self.n}")
         vs = [v for v in itertools.product((0.0, 1.0), repeat=self.n) if sum(v) < self.n]
         return np.array(vs, dtype=float)
+
+    def intercept_range(self, m, beta):
+        v = float(beta.min())
+        return v, v
 
 
 # ---------------------------------------------------------------------------

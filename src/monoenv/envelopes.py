@@ -1,7 +1,8 @@
 """Closed-form envelopes and linear underestimators over the structured domains.
 
 All evaluators accept a single point or a stack of points (rows) and validate
-domain membership up front. Pure functions over immutable inputs.
+domain membership up front, through one checked-evaluation helper. Pure
+functions over immutable inputs.
 """
 
 from __future__ import annotations
@@ -12,14 +13,10 @@ import numpy as np
 
 from .core import (
     TOL_EXACT,
-    CornerSimplexOne,
-    ComplementSimplex,
     DimensionMismatch,
     Domain,
     Monomial,
     RatioBox,
-    StdSimplex,
-    SubBox,
     SymBox,
     UnitBox,
     UnsupportedDomain,
@@ -59,20 +56,25 @@ def underestimator_value(u: LinearUnderestimator, x) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
+def _checked(dom: Domain, x, value):
+    """``value`` on the rows of x once they are checked to lie in dom; for a
+    single point, each array it returns becomes a float."""
+    X, single = as_points(x, dom.n)
+    dom.require_inside(X)
+    out = value(X)
+    if not single:
+        return out
+    return tuple(float(v[0]) for v in out) if type(out) is tuple else float(out[0])
+
+
 def concave_env_unitbox(m: Monomial, x) -> float | np.ndarray:
     """Concave envelope of x**alpha over [0,1]^n: min_j x_j (any alpha >= 1)."""
-    X, single = as_points(x, m.n)
-    UnitBox(m.n).require_inside(X)
-    vals = fold_columns(np.minimum, X)
-    return float(vals[0]) if single else vals
+    return _checked(UnitBox(m.n), x, lambda X: fold_columns(np.minimum, X))
 
 
 def convex_env_unitbox_multilinear(n: int, x) -> float | np.ndarray:
     """Convex envelope of x_1...x_n over [0,1]^n: max{0, 1 + sum_j (x_j - 1)}."""
-    X, single = as_points(x, n)
-    UnitBox(n).require_inside(X)
-    vals = np.maximum(0.0, 1.0 + np.sum(X - 1.0, axis=-1))
-    return float(vals[0]) if single else vals
+    return _checked(UnitBox(n), x, lambda X: np.maximum(0.0, 1.0 + np.sum(X - 1.0, axis=-1)))
 
 
 def gamma_vector(m: Monomial, dom: Domain) -> np.ndarray:
@@ -84,16 +86,10 @@ def gamma_vector(m: Monomial, dom: Domain) -> np.ndarray:
     """
     if dom.n != m.n:
         raise DimensionMismatch(f"domain dimension {dom.n} != monomial dimension {m.n}")
-    if isinstance(dom, (RatioBox, SymBox)):
+    if not dom.inside_unit_box():
         raise UnsupportedDomain("gamma requires a domain inside the unit box")
-    if isinstance(dom, SubBox):
-        upper = dom.upper_vec()
-    elif isinstance(dom, (UnitBox, StdSimplex, ComplementSimplex, CornerSimplexOne)):
-        # Coordinate projections of these families all reach 1 from within [0,1].
-        upper = np.ones(m.n)
-    else:
-        raise UnsupportedDomain(f"unsupported domain family {type(dom).__name__}")
-    sigma2 = 1.0 - upper
+    # the upper end of each coordinate projection is the bounding box's upper corner
+    sigma2 = 1.0 - dom.bounding_box()[1]
     gamma = np.empty(m.n)
     for i, (s, a) in enumerate(zip(sigma2, m.alpha)):
         if s <= 0.0:
@@ -115,12 +111,9 @@ def underestimator_necessary(m: Monomial, dom: Domain, beta) -> bool:
         raise DimensionMismatch(f"beta must have dimension {m.n}")
     if np.any(beta < 1.0):
         raise ValueError("beta must be >= 1 componentwise")
-    if isinstance(dom, UnitBox):
-        lower, upper = np.zeros(m.n), np.ones(m.n)
-    elif isinstance(dom, SubBox):
-        lower, upper = dom.lower_vec(), dom.upper_vec()
-    else:
+    if not (dom.is_box and dom.inside_unit_box()):
         raise UnsupportedDomain("edge test needs a box inside the unit box")
+    lower, upper = dom.bounding_box()
     gamma = gamma_vector(m, dom)
     for i in range(m.n):
         if beta[i] > m.alpha[i]:
@@ -143,24 +136,23 @@ def concave_env_ratiobox(n: int, r: float, x) -> float | np.ndarray:
     sum_{j=1}^{n-1} r**j: the largest weight goes to the smallest coordinate,
     which is the minimizing assignment among all permutations.
     """
-    X, single = as_points(x, n)
-    RatioBox(n, r).require_inside(X)
-    asc = np.sort(X, axis=-1)
     coeffs = np.array([float(r) ** (n - 1 - k) for k in range(n)])
-    vals = np.einsum("ij,j->i", asc, coeffs) - sum(float(r) ** j for j in range(1, n))
-    return float(vals[0]) if single else vals
+    shift = sum(float(r) ** j for j in range(1, n))
+    return _checked(RatioBox(n, r), x,
+                    lambda X: np.einsum("ij,j->i", np.sort(X, axis=-1), coeffs) - shift)
 
 
 def convex_env_ratiobox(n: int, r: float, x) -> float | np.ndarray:
     """Convex envelope of x_1...x_n over [1,r]^n: an n-piece max of affine cuts."""
-    X, single = as_points(x, n)
-    RatioBox(n, r).require_inside(X)
-    s = np.sum(X, axis=-1)
-    cuts = (float(r) ** (i - 1) * (s - (n - i) - float(r) * (i - 1)) for i in range(1, n + 1))
-    vals = next(cuts)
-    for cut in cuts:
-        np.maximum(vals, cut, out=vals)
-    return float(vals[0]) if single else vals
+    def value(X):
+        s = np.sum(X, axis=-1)
+        cuts = (float(r) ** (i - 1) * (s - (n - i) - float(r) * (i - 1)) for i in range(1, n + 1))
+        vals = next(cuts)
+        for cut in cuts:
+            np.maximum(vals, cut, out=vals)
+        return vals
+
+    return _checked(RatioBox(n, r), x, value)
 
 
 def symbox_lo_hi(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,9 +180,4 @@ def envelopes_symbox(n: int, x) -> tuple[float, float] | tuple[np.ndarray, np.nd
     Returns (lo, hi) with lo <= f(x) <= hi; both are exact envelope values of
     the multilinear monomial.
     """
-    X, single = as_points(x, n)
-    SymBox(n).require_inside(X)
-    lo, hi = symbox_lo_hi(X)
-    if single:
-        return float(lo[0]), float(hi[0])
-    return lo, hi
+    return _checked(SymBox(n), x, symbox_lo_hi)

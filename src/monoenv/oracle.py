@@ -21,16 +21,12 @@ import numpy as np
 
 from .core import (
     TOL_ORACLE,
-    CornerSimplexOne,
     Domain,
     ErrorReport,
     Monomial,
     ScaleExceeded,
-    StdSimplex,
-    SymBox,
     UnitBox,
     UnsupportedDomain,
-    _BoxDomain,
     as_points,
     error_report,
     fold_columns,
@@ -236,48 +232,16 @@ def max_gap(m: Monomial, dom: Domain, estimator: Callable[[np.ndarray], np.ndarr
 
 def extremize_f(m: Monomial, dom: Domain, sense: str,
                 grid: Optional[GridSpec] = None) -> tuple[float, np.ndarray]:
-    """Monomial extreme value over a domain, by closed form where available
-    and by grid plus refinement otherwise."""
+    """Monomial extreme value over a domain: the domain's closed form
+    (:meth:`Domain.monomial_extreme`) where it has one, else grid plus
+    refinement."""
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
-    a = np.asarray(m.alpha, dtype=float)
-
-    if isinstance(dom, StdSimplex):
-        if sense == "max":
-            # stationary point of the product on the unit-sum face
-            point = a / m.degree
-            return m.alpha_power() / float(m.degree) ** m.degree, point
-        return 0.0, np.zeros(m.n)
-    if isinstance(dom, CornerSimplexOne):
-        if sense == "max":
-            return 1.0, np.ones(m.n)
-        vals = [(1.0 - dom.lam[i]) ** m.alpha[i] for i in range(m.n)]
-        i = int(np.argmin(vals))
-        point = np.ones(m.n)
-        point[i] = 1.0 - dom.lam[i]
-        return float(vals[i]), point
-    if isinstance(dom, SymBox):
-        if sense == "max":
-            return 1.0, np.ones(m.n)
-        odd = [i for i, ai in enumerate(m.alpha) if ai % 2 == 1]
-        if odd:
-            point = np.ones(m.n)
-            point[odd[0]] = -1.0
-            return -1.0, point
-        point = np.ones(m.n)
-        point[0] = 0.0
-        return 0.0, point
-    if isinstance(dom, _BoxDomain):
-        lo, hi = dom.bounding_box()
-        if np.all(lo >= 0.0):  # monotone increasing on the nonnegative orthant
-            corner = hi if sense == "max" else lo
-            return float(monomial_values(m, corner[None, :])[0]), corner
-
-    if sense == "max":
-        v, x = grid_maximize(lambda X: monomial_values(m, X), dom, grid)
-    else:
-        v, x = grid_minimize(lambda X: monomial_values(m, X), dom, grid)
-    return v, x
+    closed = dom.monomial_extreme(m, sense)
+    if closed is not None:
+        return closed
+    search = grid_maximize if sense == "max" else grid_minimize
+    return search(lambda X: monomial_values(m, X), dom, grid)
 
 
 def sampled_hull_envelope(m: Monomial, box: Domain, x, side: str) -> float:
@@ -289,7 +253,7 @@ def sampled_hull_envelope(m: Monomial, box: Domain, x, side: str) -> float:
     """
     if not m.is_multilinear():
         raise ValueError("sampled hull envelopes require a multilinear monomial")
-    if not isinstance(box, _BoxDomain):
+    if not box.is_box:
         raise ValueError("sampled hull envelopes require a box domain")
     if m.n > 4:
         raise ScaleExceeded("sampled hull envelope supports n <= 4")

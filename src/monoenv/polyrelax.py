@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as _bounds
-from .core import Domain, ScaleExceeded, UnitBox
+from .core import Domain, Monomial, ScaleExceeded, UnitBox, as_points, monomial_values
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,18 @@ class Polynomial:
     def is_multilinear(self) -> bool:
         return all(all(e in (0, 1) for e in a) for _, a in self.terms)
 
-    def evaluate(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        out = np.zeros(X.shape[0])
+    def evaluate(self, X) -> float | np.ndarray:
+        """Value at a point, or per row of a stack; each term is
+        :func:`monomial_values` of its monomial on the variables it uses."""
+        P, single = as_points(X, self.n)
+        out = np.zeros(P.shape[0])
         for coeff, alpha in self.terms:
-            a = np.asarray(alpha)
-            out += coeff * np.prod(np.power(X, a), axis=-1)
+            support = [j for j, e in enumerate(alpha) if e > 0]
+            if support:
+                out += coeff * monomial_values(Monomial(tuple(alpha[j] for j in support)),
+                                               P[:, support])
+            else:
+                out += coeff
         return float(out[0]) if single else out
 
 
@@ -253,8 +256,8 @@ def certify_gap_small_instance(p: Polynomial, dom: Domain) -> CertifyReport:
     envelope-substituted objective. Both are deterministic, which keeps the
     guaranteed sign of the gap (z_mon <= z*) free of grid noise.
     """
-    if not isinstance(dom, UnitBox):
-        raise ValueError("certification is defined over the unit box")
+    if dom != UnitBox(p.n):
+        raise ValueError(f"certification is defined over the unit box of dimension {p.n}")
     if not p.is_multilinear():
         raise ValueError("certification supports multilinear polynomials only")
     if p.n > 4:

@@ -341,6 +341,69 @@ def test_sigma_reads_grid_and_seed(capsys):
     assert code == EXIT_OK and "sigma numeric" in out
 
 
+# the domain flags each --domain reads, and a valid value for every flag
+DOMAIN_READS = {"unit": (), "sub": ("lower", "upper"), "ratio": ("r",), "sym": (),
+                "simplex": (), "corner": ("lam",), "comp": ()}
+FLAG_VALUES = {"r": "2", "lower": "0,0", "upper": "1,1", "lam": "0.5,0.5"}
+SIGMA_DOMAINS = ("unit", "sub", "simplex", "corner", "comp")
+
+
+def _domain_argv(command, domain, extra=()):
+    argv = [command, "--alpha", "1,1", "--domain", domain]
+    for flag in DOMAIN_READS[domain] + tuple(extra):
+        argv += [f"--{flag}", FLAG_VALUES[flag]]
+    return argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["sigma", "--alpha", "1,2", "--r", "2", "--lower", "0,0", "--lam", "0.5,0.5"],
+    ["bounds", "--n", "2", "--domain", "sym", "--r", "3", "--lam", "0.2,0.3"],
+], ids=lambda v: v[0])
+def test_unread_domain_flag_commands_exit_1(capsys, argv):
+    # both printed their usual output and exited 0 while the flags were ignored;
+    # sigma now has no --r, so argparse ends it
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_USAGE and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command, domain, flag", [
+    (command, domain, flag)
+    for command, domains in (("bounds", DOMAIN_READS), ("sigma", SIGMA_DOMAINS))
+    for domain in domains for flag in FLAG_VALUES
+    if flag not in DOMAIN_READS[domain] and not (command == "sigma" and flag == "r")
+])
+def test_unread_domain_flag_is_a_usage_error(capsys, command, domain, flag):
+    code, out, err = run_cli(capsys, *_domain_argv(command, domain, [flag]))
+    assert code == EXIT_USAGE
+    assert out == "" and err == f"error: --domain {domain} does not read --{flag}\n"
+
+
+@pytest.mark.parametrize("domain", SIGMA_DOMAINS)
+def test_sigma_takes_no_ratio_flag(capsys, domain):
+    with pytest.raises(SystemExit) as exc:
+        main(_domain_argv("sigma", domain, ["r"]))
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --r" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, domain", [("bounds", d) for d in DOMAIN_READS]
+                         + [("sigma", d) for d in SIGMA_DOMAINS])
+def test_each_domain_runs_on_the_flags_it_reads(capsys, command, domain):
+    code, out, _ = run_cli(capsys, *_domain_argv(command, domain), *(
+        ["--grid", "4"] if command == "sigma" else []))
+    assert code == EXIT_OK and f"domain={domain}" in out
+
+
+@pytest.mark.parametrize("domain", [d for d, reads in DOMAIN_READS.items() if reads])
+def test_missing_domain_flag_is_a_usage_error(capsys, domain):
+    code, out, err = run_cli(capsys, "bounds", "--alpha", "1,1", "--domain", domain)
+    reads = " and ".join(f"--{f}" for f in DOMAIN_READS[domain])
+    assert code == EXIT_USAGE and err == f"error: --domain {domain} needs {reads}\n"
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

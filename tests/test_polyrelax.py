@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from monoenv import UnitBox, ScaleExceeded
+from monoenv import DimensionMismatch, Monomial, SubBox, UnitBox, ScaleExceeded
 from monoenv import bounds
+from monoenv.core import monomial_values
 from monoenv.polyrelax import (
     CertifyReport,
     Polynomial,
@@ -56,6 +57,35 @@ class TestPolynomial:
     def test_evaluate(self):
         p = Polynomial(2, ((2.0, (1, 1)), (-1.0, (0, 2)), (0.5, (0, 0))))
         assert p.evaluate(np.array([1.0, 2.0])) == pytest.approx(2 * 2 - 4 + 0.5)
+
+    def test_evaluate_rejects_points_of_another_width(self):
+        # a (m, 1) stack used to broadcast against both exponents
+        p = Polynomial(2, ((1.0, (2, 1)), (-1.0, (0, 1))))
+        with pytest.raises(DimensionMismatch):
+            p.evaluate(np.full((4, 1), 0.5))
+        with pytest.raises(DimensionMismatch):
+            p.evaluate([0.5, 0.5, 0.5])
+
+    @pytest.mark.parametrize("alpha", [(2, 0, 0), (0, 3, 1), (1, 1, 1), (2, 0, 5),
+                                       (4, 4, 0), (0, 0, 0)])
+    def test_each_term_is_monomial_values_on_its_support(self, alpha):
+        X = np.random.default_rng(5).uniform(-2.0, 2.0, size=(2000, 3))
+        support = [j for j, e in enumerate(alpha) if e > 0]
+        if support:
+            want = monomial_values(Monomial(tuple(alpha[j] for j in support)), X[:, support])
+        else:
+            want = np.ones(len(X))
+        got = Polynomial(3, ((1.0, alpha),)).evaluate(X)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_square_at_n1_matches_square_beside_a_unit_factor(self):
+        # numpy's x*x path for a length-1 exponent array differed from pow()
+        # in the last bit at about 2.6 % of these points
+        x = np.random.default_rng(0).uniform(-2.0, 2.0, 10_000)
+        one = Polynomial(1, ((1.0, (2,)),)).evaluate(x[:, None])
+        two = Polynomial(2, ((1.0, (2, 1)),)).evaluate(np.stack([x, np.ones_like(x)], -1))
+        assert np.array_equal(one.view(np.int64), two.view(np.int64))
+        assert Polynomial(1, ((1.0, (2,)),)).evaluate([x[0]]) == one[0]
 
     def test_multilinear_flag(self):
         assert Polynomial(2, ((1.0, (1, 0)),)).is_multilinear()
@@ -202,6 +232,15 @@ class TestCertify:
     def test_rejects_non_multilinear(self):
         with pytest.raises(ValueError):
             certify_gap_small_instance(Polynomial(2, ((1.0, (2, 1)),)), UnitBox(2))
+
+    @pytest.mark.parametrize("dom", [UnitBox(1), UnitBox(3), SubBox((0.0, 0.0), (1.0, 1.0))],
+                             ids=repr)
+    def test_rejects_another_domain_than_its_unit_box(self, dom):
+        # UnitBox(1) used to give z_star=-1, gap=1.0 at a 1-d argmin
+        p = Polynomial(2, ((1.0, (1, 1)), (-1.0, (1, 0))))
+        with pytest.raises(ValueError, match="unit box of dimension 2"):
+            certify_gap_small_instance(p, dom)
+        assert certify_gap_small_instance(p, UnitBox(2)).passed
 
     def test_scale_guard(self):
         p = Polynomial(5, ((1.0, (1, 1, 1, 1, 1)),))
