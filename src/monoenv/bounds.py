@@ -13,11 +13,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    DimensionMismatch,
     Domain,
     Monomial,
     ScaleExceeded,
     UnsupportedDomain,
+    slopes,
 )
 from .golden import golden_max
 
@@ -81,10 +81,7 @@ def concave_bound_xi(m: Monomial, fmin: float, fmax: float) -> ConcaveEnvelopeBo
 
 def gamma_bound(gamma) -> float:
     """(1 - 1/d_g)**d_g with d_g = sum(gamma); sharper than c2 when gamma <= alpha."""
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 1.0):
-        raise ValueError("gamma must be >= 1 componentwise")
-    dg = float(g.sum())
+    dg = float(slopes(gamma, name="gamma").sum())
     if dg <= 1.0:
         raise ValueError(f"sum of gamma must exceed 1, got {dg}")
     return (1.0 - 1.0 / dg) ** dg
@@ -158,13 +155,8 @@ def sigma_beta(m: Monomial, dom: Domain, beta) -> SigmaInterval:
     Domains outside the unit box are rejected (the enclosure fails there:
     the intercept can go negative).
     """
-    b = np.asarray(beta, dtype=float)
-    if b.shape != (m.n,):
-        raise DimensionMismatch(f"beta must have dimension {m.n}")
-    if not np.all(b >= 1.0):
-        raise ValueError("beta must be >= 1 componentwise")
-    if dom.n != m.n:
-        raise DimensionMismatch("domain dimension mismatch")
+    b = slopes(beta, m.n)
+    dom.require_monomial(m)
     if not dom.inside_unit_box():
         raise UnsupportedDomain("intercept bounds need a domain inside the unit box")
     lo, hi = dom.intercept_range(m, b)
@@ -185,14 +177,9 @@ def c_beta_kappa(m: Monomial, beta, kappa, sigma: float) -> float:
     0 <= sigma < d_b; the value lies in (0, 1] and is the unique fixed point
     of :func:`phi_beta_kappa`.
     """
-    b = np.asarray(beta, dtype=float)
-    k = np.asarray(kappa, dtype=float)
-    a = np.asarray(m.alpha, dtype=float)
-    if b.shape != (m.n,) or k.shape != (m.n,):
-        raise DimensionMismatch("beta/kappa must match the monomial dimension")
-    if np.any(b < 1.0):
-        raise ValueError("beta must be >= 1 componentwise")
-    if np.any(k < 1.0) or np.any(k > a + 1e-12):
+    b = slopes(beta, m.n)
+    k = slopes(kappa, m.n, "kappa")
+    if np.any(k > np.asarray(m.alpha, dtype=float) + 1e-12):
         raise ValueError("need 1 <= kappa <= alpha componentwise")
     if np.all(k > b):
         raise ValueError("kappa must not dominate beta in every coordinate")
@@ -205,9 +192,9 @@ def c_beta_kappa(m: Monomial, beta, kappa, sigma: float) -> float:
 def phi_beta_kappa(beta, kappa, sigma: float, t) -> float | np.ndarray:
     """The transfer map d_b - sigma + t - d_b * t**(r/d_b) whose unique fixed
     point is :func:`c_beta_kappa`."""
-    b = np.asarray(beta, dtype=float)
+    b = slopes(beta)
     db = float(b.sum())
-    r = ratio_r(b, kappa)
+    r = ratio_r(b, slopes(kappa, len(b), "kappa"))
     t = np.asarray(t, dtype=float)
     out = db - sigma + t - db * np.power(t, r / db)
     return float(out) if out.ndim == 0 else out
@@ -224,11 +211,8 @@ def errenv_bound(m: Monomial, B: Sequence[tuple[Sequence[float], float]]) -> flo
     if len(B) == 0:
         raise ValueError("B must be nonempty")
     a = np.asarray(m.alpha, dtype=float)
-    betas = [np.asarray(b, dtype=float) for b, _ in B]
+    betas = [slopes(b, m.n) for b, _ in B]
     sigmas = [float(s) for _, s in B]
-    for b in betas:
-        if b.shape != (m.n,) or np.any(b < 1.0):
-            raise ValueError("every beta must be >= 1 with the monomial's dimension")
     bmin = np.min(np.vstack(betas), axis=0)
 
     candidates: list[np.ndarray] = []
@@ -269,10 +253,14 @@ def _log_D(n: int, r: float) -> float:
     return best
 
 
+def _log_G_Q(n: int, r: float) -> tuple[float, float]:
+    # logs of G = (r^n - 1)/(r - 1) and of Q = (G/n)^(1/(n-1)) = t_E
+    logG = _log_diff_exp(n * math.log(r), 0.0) - math.log(r - 1.0)
+    return logG, (logG - math.log(n)) / (n - 1)
+
+
 def _log_E(n: int, r: float) -> float:
-    logr = math.log(r)
-    logG = _log_diff_exp(n * logr, 0.0) - math.log(r - 1.0)
-    logQ = (logG - math.log(n)) / (n - 1)
+    logG, logQ = _log_G_Q(n, r)
     m = math.expm1(math.log((n - 1) / n) + logQ)
     if m > 0.0:
         return float(np.logaddexp(0.0, logG + math.log(m)))
@@ -324,6 +312,12 @@ def ratio_box_constants(n: int, r: float) -> tuple[float, float]:
     Q = ((r ** n - 1.0) / (n * (r - 1.0))) ** (1.0 / (n - 1))
     E = 1.0 + G * (((n - 1) / n) * Q - 1.0)
     return D, E
+
+
+def ratio_box_e_point(n: int, r: float) -> float:
+    """t_E = ((r^n - 1)/(n(r - 1)))^(1/(n-1)), in logs: E is attained at t_E (1,...,1)."""
+    _require_ratio_box(n, r)
+    return math.exp(_log_G_Q(n, r)[1])
 
 
 def ratio_box_relaxed_error(n: int, r: float) -> float:

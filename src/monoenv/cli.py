@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import math
 import sys
 from typing import Optional, Sequence
 
@@ -92,10 +91,7 @@ def _subbox_rows(mono: Monomial, dom) -> list[tuple[str, float, str]]:
 def _ratio_rows(mono: Monomial, dom) -> list[tuple[str, float, str]]:
     n, r = mono.n, dom.r
     D, E = bounds.ratio_box_constants(n, r)
-    # tE = ((r^n - 1) / (n (r - 1)))^(1/(n-1)), in logs so large n cannot overflow
-    logr = math.log(r)
-    tE = math.exp((n * logr + math.log1p(-math.exp(-n * logr))
-                   - math.log(n * (r - 1.0))) / (n - 1))
+    tE = bounds.ratio_box_e_point(n, r)
     return [("D (convex envelope error)", D, "on the diagonal"),
             ("E (concave envelope error)", E, _fmt_point(np.full(n, tE)))]
 

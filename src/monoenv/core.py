@@ -57,6 +57,26 @@ def as_points(x, n: int) -> tuple[np.ndarray, bool]:
     raise DimensionMismatch(f"expected a vector or a matrix of points, got ndim={X.ndim}")
 
 
+def one_point(x, n: int) -> np.ndarray:
+    """``x`` as one n-vector; a stack of other than one point is a ``DimensionMismatch``."""
+    X, _ = as_points(x, n)
+    if len(X) != 1:
+        raise DimensionMismatch(f"expected one point of dimension {n}, got a stack of {len(X)}")
+    return X[0]
+
+
+def slopes(v, n: Optional[int] = None, name: str = "beta") -> np.ndarray:
+    """``v`` as a nonempty float vector (of length n, if given) of finite
+    entries >= 1: a slope vector beta, kappa or gamma of the bounds."""
+    b = np.asarray(v, dtype=float)
+    if b.ndim != 1 or len(b) == 0 or n not in (None, len(b)):
+        want = "nonempty" if n is None else f"of dimension {n}"
+        raise DimensionMismatch(f"{name} must be a vector {want}, got shape {b.shape}")
+    if not np.all((b >= 1.0) & (b < np.inf)):
+        raise ValueError(f"{name} must be >= 1 componentwise and finite, got {b.tolist()}")
+    return b
+
+
 # ---------------------------------------------------------------------------
 # Monomials
 # ---------------------------------------------------------------------------
@@ -126,6 +146,8 @@ def monomial_values(m: Monomial, X: np.ndarray) -> np.ndarray:
     row, takes numpy's ``x*x`` path, which is not ``pow()``.
     """
     X = np.asarray(X, dtype=float)
+    if X.shape[-1:] != (m.n,):
+        raise DimensionMismatch(f"expected points of dimension {m.n}, got shape {X.shape}")
     out = None
     for j, a in enumerate(m.alpha):
         col = X[..., j]
@@ -149,28 +171,26 @@ def eval_monomial(m: Monomial, x) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
-def scale_error(err: float, c, m: Monomial) -> float:
-    """Transport an error value to the coordinate-scaled box: |c**alpha| * err.
-
-    ``c`` must have no zero entries; the companion point map is
-    :func:`scale_point`.
-    """
+def _scaling(c, m: Monomial) -> tuple[np.ndarray, float]:
+    """(c, c**alpha) for a scaling vector c of finite, nonzero entries."""
     C = np.asarray(c, dtype=float)
     if C.shape != (m.n,):
-        raise DimensionMismatch(f"scaling vector must have dimension {m.n}")
-    if np.any(C == 0.0):
-        raise ValueError("scaling vector must have no zero entries")
-    return abs(float(monomial_values(m, C[None, :])[0])) * err
+        raise DimensionMismatch(f"scaling vector must have dimension {m.n}, got shape {C.shape}")
+    if not np.all(np.isfinite(C) & (C != 0.0)):
+        raise ValueError(f"scaling vector must have finite, nonzero entries, got {C.tolist()}")
+    return C, float(monomial_values(m, C[None, :])[0])
+
+
+def scale_error(err: float, c, m: Monomial) -> float:
+    """Transport an error value to the coordinate-scaled box: |c**alpha| * err;
+    :func:`scale_point` maps the points."""
+    return abs(_scaling(c, m)[1]) * err
 
 
 def scale_point(x, w: float, c, m: Monomial) -> tuple[np.ndarray, float]:
-    """Companion map of :func:`scale_error`: x_j -> c_j x_j, w -> c**alpha * w."""
-    X, _ = as_points(x, m.n)
-    C = np.asarray(c, dtype=float)
-    if np.any(C == 0.0):
-        raise ValueError("scaling vector must have no zero entries")
-    calpha = float(monomial_values(m, C[None, :])[0])
-    return X[0] * C, calpha * w
+    """Companion map of :func:`scale_error` for one point: x_j -> c_j x_j, w -> c**alpha * w."""
+    C, calpha = _scaling(c, m)
+    return one_point(x, m.n) * C, calpha * w
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +214,11 @@ class Domain:
         # for the families given n; SubBox and CornerSimplexOne check their vectors
         if self.n < 1:
             raise ValueError("n must be >= 1")
+
+    def require_monomial(self, m: Monomial) -> None:
+        """A ``DimensionMismatch`` unless the monomial has the domain's dimension."""
+        if m.n != self.n:
+            raise DimensionMismatch(f"monomial of dimension {m.n}, domain of dimension {self.n}")
 
     def halfspaces(self) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) with the domain = {x : A x <= b}; read-only arrays shared by

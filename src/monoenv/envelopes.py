@@ -13,7 +13,6 @@ import numpy as np
 
 from .core import (
     TOL_EXACT,
-    DimensionMismatch,
     Domain,
     Monomial,
     RatioBox,
@@ -22,6 +21,7 @@ from .core import (
     UnsupportedDomain,
     as_points,
     fold_columns,
+    slopes,
 )
 
 
@@ -33,12 +33,7 @@ class LinearUnderestimator:
     intercept: float
 
     def __post_init__(self):
-        beta = tuple(float(b) for b in self.beta)
-        if len(beta) == 0:
-            raise ValueError("beta must be nonempty")
-        if any(b < 1.0 for b in beta):
-            raise ValueError("beta must be >= 1 componentwise")
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", tuple(slopes(self.beta).tolist()))
         object.__setattr__(self, "intercept", float(self.intercept))
 
     @property
@@ -84,8 +79,7 @@ def gamma_vector(m: Monomial, dom: Domain) -> np.ndarray:
     gamma_i = (1 - (1-s_i)**alpha_i)/s_i when s_i > 0 and alpha_i otherwise.
     Satisfies 1 <= gamma <= alpha with gamma_i < alpha_i exactly when s_i > 0.
     """
-    if dom.n != m.n:
-        raise DimensionMismatch(f"domain dimension {dom.n} != monomial dimension {m.n}")
+    dom.require_monomial(m)
     if not dom.inside_unit_box():
         raise UnsupportedDomain("gamma requires a domain inside the unit box")
     # the upper end of each coordinate projection is the bounding box's upper corner
@@ -106,11 +100,7 @@ def underestimator_necessary(m: Monomial, dom: Domain, beta) -> bool:
     the domain; there the slope beta_i must lie in a computable window. The
     test is necessary, not sufficient.
     """
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (m.n,):
-        raise DimensionMismatch(f"beta must have dimension {m.n}")
-    if np.any(beta < 1.0):
-        raise ValueError("beta must be >= 1 componentwise")
+    beta = slopes(beta, m.n)
     if not (dom.is_box and dom.inside_unit_box()):
         raise UnsupportedDomain("edge test needs a box inside the unit box")
     lower, upper = dom.bounding_box()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .core import DimensionMismatch, ScaleExceeded, as_points
+from .core import ScaleExceeded, as_points, one_point
 from .envelopes import symbox_lo_hi
 
 MEMBERSHIP_TOL = 1e-9
@@ -129,10 +129,7 @@ def hull_membership(fs: FacetSystem, x, w: float,
     Raises ``DimensionMismatch`` for more than one point and ``ValueError``
     for a non-finite coordinate.
     """
-    X, _ = as_points(x, fs.n)
-    if len(X) != 1:
-        raise DimensionMismatch(f"hull_membership checks one point, got {len(X)}")
-    z = np.append(X[0], float(w))
+    z = np.append(one_point(x, fs.n), float(w))
     if not np.all(np.isfinite(z)):
         raise ValueError(f"hull_membership needs finite (x, w), got {z.tolist()}")
     box_bad = tuple(i + 1 for i, v in enumerate(z) if abs(v) > 1.0 + tol)

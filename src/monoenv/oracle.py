@@ -27,16 +27,23 @@ from .core import (
     ScaleExceeded,
     UnitBox,
     UnsupportedDomain,
-    as_points,
     error_report,
     fold_columns,
     monomial_values,
+    one_point,
+    slopes,
 )
+from . import bounds as _bounds
 from .golden import golden_max
 from .lp import solve_equality_lp
 
 OVER = "OVER"
 UNDER = "UNDER"
+
+
+def _require_side(side: str) -> None:
+    if side not in (OVER, UNDER):
+        raise ValueError(f"side must be OVER or UNDER, got {side!r}")
 
 _DEFAULT_RESOLUTION = {1: 512, 2: 64, 3: 64, 4: 24, 5: 12, 6: 8}
 
@@ -212,10 +219,8 @@ def max_gap(m: Monomial, dom: Domain, estimator: Callable[[np.ndarray], np.ndarr
     ``side="UNDER"`` scans f(x) - estimator(x). The report compares the
     measured maximum against ``bound`` when one is supplied.
     """
-    if side not in (OVER, UNDER):
-        raise ValueError(f"side must be OVER or UNDER, got {side!r}")
-    if dom.n != m.n:
-        raise ValueError("domain and monomial dimensions differ")
+    _require_side(side)
+    dom.require_monomial(m)
 
     if side == OVER:
         def gap(X):
@@ -237,6 +242,7 @@ def extremize_f(m: Monomial, dom: Domain, sense: str,
     refinement."""
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
+    dom.require_monomial(m)
     closed = dom.monomial_extreme(m, sense)
     if closed is not None:
         return closed
@@ -255,17 +261,17 @@ def sampled_hull_envelope(m: Monomial, box: Domain, x, side: str) -> float:
         raise ValueError("sampled hull envelopes require a multilinear monomial")
     if not box.is_box:
         raise ValueError("sampled hull envelopes require a box domain")
+    box.require_monomial(m)
     if m.n > 4:
         raise ScaleExceeded("sampled hull envelope supports n <= 4")
-    if side not in (OVER, UNDER):
-        raise ValueError("side must be OVER or UNDER")
-    X, _ = as_points(x, m.n)
-    box.require_inside(X)
+    _require_side(side)
+    x = one_point(x, m.n)
+    box.require_inside(x)
     verts = box.vertices()
     fvals = monomial_values(m, verts)
     nv = len(verts)
     A = np.vstack([verts.T, np.ones((1, nv))])
-    b = np.concatenate([X[0], [1.0]])
+    b = np.concatenate([x, [1.0]])
     c = fvals if side == UNDER else -fvals
     _, val = solve_equality_lp(c, A, b)
     return float(val) if side == UNDER else float(-val)
@@ -274,13 +280,12 @@ def sampled_hull_envelope(m: Monomial, box: Domain, x, side: str) -> float:
 def sigma_numeric(m: Monomial, dom: Domain, beta,
                   grid: Optional[GridSpec] = None) -> float:
     """Numeric best valid intercept: sum(beta) + min over the domain of
-    x**alpha - beta.x, via grid refinement plus exact vertex enumeration
-    whenever the domain carries a vertex list."""
+    x**alpha - beta.x for finite beta >= 1, via grid refinement plus exact
+    vertex enumeration whenever the domain carries a vertex list."""
     if m.n > 6:
         raise ScaleExceeded("sigma_numeric supports n <= 6")
-    b = np.asarray(beta, dtype=float)
-    if b.shape != (m.n,):
-        raise ValueError(f"beta must have dimension {m.n}")
+    b = slopes(beta, m.n)
+    dom.require_monomial(m)
 
     def objective(X):
         return monomial_values(m, X) - np.einsum("ij,j->i", X, b)
@@ -306,17 +311,16 @@ def relaxation_error_PB(m: Monomial, B: Sequence, dom: Domain,
     the pointwise-max underestimator and the min-coordinate overestimator.
     The measured error is compared against the degree constant c1.
     """
-    from . import bounds as _bounds
-
+    dom.require_monomial(m)
     a = np.asarray(m.alpha, dtype=float)
-    slopes = [np.asarray(bb, dtype=float) for bb in B]
-    if not any(np.array_equal(s, a) for s in slopes):
+    betas = [np.asarray(bb, dtype=float) for bb in B]
+    if not any(np.array_equal(s, a) for s in betas):
         raise ValueError("B must contain alpha itself")
     if not dom.contains(np.ones(m.n)):
         raise ValueError("the all-ones point must belong to the domain")
 
     pairs = []
-    for s in slopes:
+    for s in betas:
         iv = _bounds.sigma_beta(m, dom, s)
         sig = iv.lo if iv.exact else sigma_numeric(m, dom, s, grid)
         pairs.append((s, sig))
@@ -365,10 +369,7 @@ def ratio_box_diagonal_max(n: int, r: float) -> tuple[Decimal, Decimal]:
     (1 + (r-1)t)^(n-1) = (r^n - 1)/(n(r - 1)), which lies in [0, 1] for every
     n >= 2 and r > 1.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if not r > 1.0:
-        raise ValueError("need r > 1")
+    _bounds._require_ratio_box(n, r)
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
         rd = Decimal(r)

@@ -102,8 +102,6 @@ def gap_bound(p: Polynomial) -> GapBound:
     the binomial count for the actual number of terms (reported as a
     non-default extra, not part of the guaranteed pair).
     """
-    if len(p.terms) == 0:
-        raise ValueError("empty polynomial")
     m = p.total_degree
     count = math.comb(p.n + m, p.n)
     lp = lprime(p)
@@ -119,8 +117,6 @@ def gap_bound(p: Polynomial) -> GapBound:
 def log_gap_bound(p: Polynomial) -> tuple[float, float]:
     """(log tight, log cheap) via lgamma, for degree/dimension combinations
     whose binomial count overflows floats."""
-    if len(p.terms) == 0:
-        raise ValueError("empty polynomial")
     m = p.total_degree
     if m < 2:
         raise ValueError("log-domain bounds need total degree >= 2")

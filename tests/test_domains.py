@@ -253,3 +253,46 @@ def test_no_family_test_outside_core():
     assert len(paths) >= 9
     found = [hit for p in paths for hit in family_tests(p.read_text(encoding="utf-8"), p.name)]
     assert found == []
+
+
+# ---------------------------------------------------------------------------
+# slope vectors are checked by core.slopes alone
+# ---------------------------------------------------------------------------
+
+def _is_one(node):
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 1
+
+
+def nan_unsafe_slope_tests(source: str, filename: str = "<source>") -> list[str]:
+    """Each ``any(... < 1 ...)`` or ``np.any(... < 1 ...)`` in ``source``, as
+    'file:line'. A nan entry compares False, so such a test passes it."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        func = getattr(node, "func", None)
+        if not (isinstance(node, ast.Call) and node.args
+                and (getattr(func, "id", None) == "any" or getattr(func, "attr", None) == "any")):
+            continue
+        for cmp in ast.walk(node.args[0]):
+            if isinstance(cmp, ast.Compare) and any(
+                    (isinstance(op, ast.Lt) and _is_one(right))
+                    or (isinstance(op, ast.Gt) and _is_one(left))
+                    for op, left, right in zip(cmp.ops, [cmp.left, *cmp.comparators], cmp.comparators)):
+                found.append(f"{filename}:{node.lineno}")
+                break
+    return found
+
+
+def test_the_guard_sees_a_nan_unsafe_slope_test():
+    source = ("def f(beta, g, k, a):\n"
+              "    if any(b < 1.0 for b in beta):\n"
+              "        return 0\n"
+              "    if np.any(g < 1) or numpy.any(1 > k):\n"
+              "        return 1\n"
+              "    return np.all(g >= 1.0) or np.any(k > a) or any(b < 2.0 for b in beta)\n")
+    assert nan_unsafe_slope_tests(source) == ["<source>:2", "<source>:4", "<source>:4"]
+
+
+def test_no_nan_unsafe_slope_test_outside_core():
+    paths = sorted(p for p in SRC.glob("*.py") if p.name != "core.py")
+    found = [hit for p in paths for hit in nan_unsafe_slope_tests(p.read_text(encoding="utf-8"), p.name)]
+    assert found == []
