@@ -19,10 +19,10 @@ from .core import (
     UnsupportedDomain,
     slopes,
 )
-from .golden import golden_max
 
 BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _require_degree(d: int) -> int:
@@ -170,6 +170,14 @@ def ratio_r(beta, kappa) -> float:
     return float(np.max(b / k))
 
 
+def _require_sigma(sigma: float, b: np.ndarray) -> float:
+    """sum(beta) for checked slopes b, once 0 <= sigma < sum(beta) holds."""
+    db = float(b.sum())
+    if not (0.0 <= sigma < db):
+        raise ValueError(f"need 0 <= sigma < sum(beta)={db}, got {sigma}")
+    return db
+
+
 def c_beta_kappa(m: Monomial, beta, kappa, sigma: float) -> float:
     """Per-underestimator convex error constant (1 - sigma/d_b)**(d_b/r).
 
@@ -183,9 +191,7 @@ def c_beta_kappa(m: Monomial, beta, kappa, sigma: float) -> float:
         raise ValueError("need 1 <= kappa <= alpha componentwise")
     if np.all(k > b):
         raise ValueError("kappa must not dominate beta in every coordinate")
-    db = float(b.sum())
-    if not (0.0 <= sigma < db):
-        raise ValueError(f"need 0 <= sigma < sum(beta)={db}, got {sigma}")
+    db = _require_sigma(sigma, b)
     return (1.0 - sigma / db) ** (db / ratio_r(b, k))
 
 
@@ -193,7 +199,7 @@ def phi_beta_kappa(beta, kappa, sigma: float, t) -> float | np.ndarray:
     """The transfer map d_b - sigma + t - d_b * t**(r/d_b) whose unique fixed
     point is :func:`c_beta_kappa`."""
     b = slopes(beta)
-    db = float(b.sum())
+    db = _require_sigma(sigma, b)
     r = ratio_r(b, slopes(kappa, len(b), "kappa"))
     t = np.asarray(t, dtype=float)
     out = db - sigma + t - db * np.power(t, r / db)
@@ -406,7 +412,23 @@ def d_bound_cases(n: int, r: float) -> DBoundResult:
     k = int(np.argmax(vals))
     a = ts[max(k - 1, 0)]
     b = ts[min(k + 1, len(ts) - 1)]
-    t_ss = golden_max(lambda t, _: psi_value(n, r, t).tolist(), [a], [b], 80, 1e-14)[0]
+    # golden section: psi is flat to float precision for about 1e-8 around
+    # t**, and t** picks the regime at (n-1)/n +- 1e-12, so the search is
+    # pinned to this recurrence
+    c, e = b - INVPHI * (b - a), a + INVPHI * (b - a)
+    fc, fe = psi_value(n, r, c), psi_value(n, r, e)
+    for _ in range(80):
+        if fc >= fe:
+            b, e, fe = e, c, fc
+            c = b - INVPHI * (b - a)
+            fc = psi_value(n, r, c)
+        else:
+            a, c, fc = c, e, fe
+            e = a + INVPHI * (b - a)
+            fe = psi_value(n, r, e)
+        if b - a <= 1e-14:
+            break
+    t_ss = 0.5 * (a + b)
 
     thresh = (n - 1) / n
     logr = math.log(r)

@@ -4,9 +4,9 @@ a high-precision decimal reference for the constant-ratio box concave error.
 
 Grids use cell-center sampling (no boundary ties); the incumbent, and from
 n = 5 on the seeded restarts too, are then polished by per-coordinate
-golden-section plus line searches along each start's orthant diagonal, which
-is where the attainment loci live. All starts are refined in lockstep: each
-golden-section step evaluates the function once, on one row per start still
+section searches plus line searches along each start's orthant diagonal,
+which is where the attainment loci live. All starts are refined in lockstep:
+each section step evaluates the function once, on 16 points per start still
 searching. All randomness is seeded, so results are reproducible bit for bit.
 """
 
@@ -34,7 +34,6 @@ from .core import (
     slopes,
 )
 from . import bounds as _bounds
-from .golden import golden_max
 from .lp import solve_equality_lp
 
 OVER = "OVER"
@@ -75,16 +74,20 @@ class GridSpec:
 
 @functools.lru_cache(maxsize=16)
 def _grid_points(dom: Domain, res: int, max_points: int) -> np.ndarray:
-    """Cell-center grid over the domain's bounding box, filtered to members."""
+    """Cell-center grid over the domain's bounding box in C order, filtered to
+    members."""
     lo, hi = dom.bounding_box()
     n = dom.n
     if res ** n > max_points:
         raise ScaleExceeded(f"grid of {res}^{n} points exceeds the cap {max_points}")
-    axes = [lo[j] + (np.arange(res) + 0.5) * (hi[j] - lo[j]) / res for j in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
+    pts = np.empty((res,) * n + (n,))
+    for j in range(n):
+        axis = lo[j] + (np.arange(res) + 0.5) * (hi[j] - lo[j]) / res
+        pts[..., j] = axis.reshape((res,) + (1,) * (n - 1 - j))  # varies along axis j
+    pts = pts.reshape(-1, n)
     keep = dom.contains_many(pts)
-    pts = pts[keep]
+    if not keep.all():
+        pts = pts[keep]
     pts.setflags(write=False)
     return pts
 
@@ -93,21 +96,53 @@ def _values(func: Callable[[np.ndarray], np.ndarray], P: np.ndarray) -> list:
     return np.asarray(func(P), dtype=float).tolist()
 
 
+SECTION_POINTS = 16  # interior points per bracket and step
+
+
+def section_max(func: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                lo: Sequence[float], hi: Sequence[float],
+                steps: int, width: float) -> np.ndarray:
+    """Uniform-section maximizers of K unimodal functions, one per bracket
+    [lo[k], hi[k]].
+
+    Each step evaluates every open bracket [a, b] at its SECTION_POINTS = 16
+    interior points a + i h, h = (b - a)/17, i = 1..16, and keeps
+    [a + (i* - 1) h, a + (i* + 1) h] around the first largest value i*. ``func(T, rows)`` returns the (L, 16)
+    values at the parameters ``T[l, i]`` of the functions ``rows[l]`` (row
+    indices into the brackets), one call per step for all open brackets. A
+    bracket closes after ``steps`` steps or once it is no wider than
+    ``width``; each bracket's arithmetic is elementwise, so it ends exactly
+    where it would end alone. Returns the bracket midpoints.
+    """
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    i = np.arange(1, SECTION_POINTS + 1)
+    live = np.arange(len(a))
+    for _ in range(steps):
+        live = live[b[live] - a[live] > width]
+        if len(live) == 0:
+            break
+        al = a[live]
+        h = (b[live] - al) / (SECTION_POINTS + 1)
+        best = np.argmax(func(al[:, None] + i * h[:, None], live), axis=1)  # i* - 1
+        a[live] = al + best * h
+        b[live] = al + (best + 2) * h
+    return 0.5 * (a + b)
+
+
 def _search(func, X: np.ndarray, V: list, D: np.ndarray, rows: list,
             tlo: list, thi: list) -> None:
-    """Golden-section search from each listed row of X along the same row of D
-    over [tlo, thi]; a row moves to its line maximum when that beats V."""
+    """Section search from each listed row of X along the same row of D over
+    [tlo, thi]; a row moves to its line maximum when that beats V."""
     if not rows:
         return
     Xr, Dr = X[rows], D[rows]
 
-    def along(ts, idx):
-        T = np.array(ts)[:, None]
-        if len(idx) == len(rows):  # every row still searching: no gather
-            return _values(func, Xr + T * Dr)
-        return _values(func, Xr[idx] + T * Dr[idx])
+    def along(T, idx):
+        P = Xr[idx][:, None] + T[..., None] * Dr[idx][:, None]
+        return np.asarray(func(P.reshape(-1, P.shape[-1])), dtype=float).reshape(T.shape)
 
-    P = Xr + np.array(golden_max(along, tlo, thi, 60, 1e-13))[:, None] * Dr
+    P = Xr + section_max(along, tlo, thi, 14, 1e-13)[:, None] * Dr
     for k, p, v in zip(rows, P, _values(func, P)):
         if v > V[k]:
             X[k] = p
@@ -125,12 +160,12 @@ def _line(func, dom: Domain, X: np.ndarray, V: list, D: np.ndarray, rows) -> Non
 def _refine(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
             X: np.ndarray, V: list, cell: np.ndarray, passes: int,
             center_weights: Optional[np.ndarray] = None) -> tuple[np.ndarray, list]:
-    """Coordinate golden-section around each start's cell, then line searches
-    along its orthant diagonal and centering directions.
+    """Coordinate section searches around each start's cell, then line
+    searches along its orthant diagonal and centering directions.
 
     The starts (rows of X, values V) move through this schedule in lockstep,
-    one estimator call per golden-section step for all of them; each row does
-    the arithmetic it would do alone.
+    one estimator call per section step for all of them; each row does the
+    arithmetic it would do alone.
 
     A centering direction moves toward equal |coordinates| while preserving a
     weighted signed sum, which tracks hinge ridges {sum w_j x_j = const}; the
@@ -172,7 +207,7 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
                   center_weights: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:
     """Maximize a vectorized function over a structured domain.
 
-    Grid scan (lexicographic tie-break), golden-section refinement from the
+    Grid scan (lexicographic tie-break), section-search refinement from the
     incumbent, plus seeded random restarts when the grid is coarse (n >= 5),
     all refined in lockstep; the first best start wins. The refined value
     never falls below the grid incumbent.

@@ -21,6 +21,7 @@ from monoenv import (
     DimensionMismatch,
     Monomial,
     RatioBox,
+    ScaleExceeded,
     StdSimplex,
     SubBox,
     SymBox,
@@ -106,6 +107,18 @@ def _scaling_cases():
         for label, bad in (("nan", NAN), ("inf", INF), ("zero", 0.0)):
             yield f"{name}-{label}", lambda c=call, v=bad: c((2.0, v)), ValueError
         yield f"{name}-wrong-length", lambda c=call: c((2.0,)), DimensionMismatch
+    for label, bad in (("nan", NAN), ("inf", INF)):
+        yield f"scale_error-err-{label}", lambda v=bad: scale_error(v, (2.0, 3.0), m), ValueError
+        yield f"scale_point-w-{label}", lambda v=bad: scale_point((0.5, 0.5), v, (2.0, 3.0), m), \
+            ValueError
+
+
+def _sigma_cases():
+    for label, bad in (("nan", NAN), ("negative", -1.0), ("sum-beta", 3.0)):
+        yield f"phi_beta_kappa-{label}", lambda v=bad: bounds.phi_beta_kappa(
+            (1.5, 1.5), (1.0, 2.0), v, 0.5)
+        yield f"c_beta_kappa-{label}", lambda v=bad: bounds.c_beta_kappa(
+            M2, (1.5, 1.5), (1.0, 2.0), v)
 
 
 def _monomial_values_cases():
@@ -120,6 +133,7 @@ REJECTIONS = [
     *(("pairing", name, call, DimensionMismatch) for name, call in _pairing_cases()),
     *(("point", name, call, DimensionMismatch) for name, call in _point_cases()),
     *(("scaling", *case) for case in _scaling_cases()),
+    *(("sigma", name, call, ValueError) for name, call in _sigma_cases()),
     *(("values", *case) for case in _monomial_values_cases()),
 ]
 
@@ -143,6 +157,21 @@ def test_one_point_accepts_a_stack_of_one():
     assert hulls.hull_membership(fs, [[0.5, 0.25]], 0.0) == one
     x, w = scale_point([[0.5, 0.25]], 0.5, (2.0, -4.0), Monomial((1, 1)))
     assert x.tolist() == [1.0, -1.0] and w == -4.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [(1e200, 1e200), (1e-200, 1e-200)], ids=["overflow", "underflow"])
+def test_unrepresentable_scaling_raises_scale_exceeded(c):
+    m = Monomial((2, 2))
+    with pytest.raises(ScaleExceeded):
+        scale_error(1.0, c, m)
+    with pytest.raises(ScaleExceeded):
+        scale_point((0.5, 0.5), 0.25, c, m)
+
+
+def test_scaled_value_overflow_raises_scale_exceeded():
+    with pytest.raises(ScaleExceeded):
+        scale_error(1e300, (1e10, 1.0), Monomial((1, 1)))
 
 
 # ---------------------------------------------------------------------------
