@@ -17,6 +17,7 @@ from .core import (
     Monomial,
     ScaleExceeded,
     UnsupportedDomain,
+    box_ratio,
     slopes,
 )
 
@@ -294,8 +295,7 @@ _EXP_OVERFLOW = 709.0  # log of the largest representable double
 def _require_ratio_box(n: int, r: float) -> None:
     if n < 2:
         raise ValueError("need n >= 2")
-    if not r > 1.0:
-        raise ValueError("need r > 1")
+    box_ratio(r)
 
 
 def _exp_or_inf(logv: float) -> float:
@@ -379,6 +379,7 @@ def _psi_log_sign(n: int, r: float, t: float) -> float:
 
 def psi_value(n: int, r: float, t) -> float | np.ndarray:
     """psi(t) = (1 + (r-1) t)**n - r**(n t), the diagonal gap profile."""
+    _require_ratio_box(n, r)
     t = np.asarray(t, dtype=float)
     out = np.exp(n * np.log1p((r - 1.0) * t)) - np.exp(n * t * math.log(r))
     return float(out) if out.ndim == 0 else out
@@ -489,8 +490,8 @@ def find_root_power_linear(lam1: int, lam2: float) -> RootResult:
     if int(lam1) != lam1 or lam1 < 1:
         raise ValueError("lam1 must be an integer >= 1")
     lam1 = int(lam1)
-    if not lam2 >= 1.0:
-        raise ValueError("lam2 must be >= 1")
+    if not 1.0 <= lam2 < math.inf:
+        raise ValueError(f"lam2 must be finite and >= 1, got {lam2}")
     if lam1 == 1 and lam2 == 1.0:
         raise ValueError("lam1 = lam2 = 1 gives the zero polynomial: every s is a root")
     if lam2 >= lam1:

@@ -261,6 +261,8 @@ def _svg_chart(rows: list[tuple[int, float, float, float, float, float]],
 
 
 def cmd_figure1(args) -> int:
+    if args.n_min > args.n_max:
+        raise ValueError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     r_values = args.r_list or (1.01, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0)
     rows = []
     for n in range(args.n_min, args.n_max + 1):

@@ -77,6 +77,14 @@ def slopes(v, n: Optional[int] = None, name: str = "beta") -> np.ndarray:
     return b
 
 
+def box_ratio(r) -> float:
+    """``r`` as the float ratio of a box [1, r]^n: finite and > 1."""
+    r = float(r)
+    if not 1.0 < r < math.inf:
+        raise ValueError(f"need a finite ratio r > 1, got {r}")
+    return r
+
+
 # ---------------------------------------------------------------------------
 # Monomials
 # ---------------------------------------------------------------------------
@@ -264,15 +272,6 @@ class Domain:
             bad = np.asarray(X, float).reshape(-1, self.n)[~ok][0]
             raise OutsideDomain(f"point {bad.tolist()} is outside {self}")
 
-    def coordinate_range(self, x, j: int):
-        """Feasible interval for coordinate j with the other coordinates fixed;
-        per row when x is a stack of points."""
-        d = np.zeros(self.n)
-        d[j] = 1.0
-        tlo, thi = self.line_range(x, d)
-        xj = np.asarray(x, float)[..., j]
-        return xj + tlo, xj + thi
-
     def line_range(self, x, d):
         """Feasible parameter interval {t : x + t d in domain} (x feasible);
         per row when x or d is a stack of rows."""
@@ -414,16 +413,14 @@ class SubBox(_BoxDomain):
 
 @dataclass(frozen=True)
 class RatioBox(_BoxDomain):
-    """[1, r]^n with r > 1 (constant upper/lower ratio in every coordinate)."""
+    """[1, r]^n with finite r > 1 (constant upper/lower ratio in every coordinate)."""
 
     n: int
     r: float
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.r > 1.0:
-            raise ValueError("ratio r must be > 1")
-        object.__setattr__(self, "r", float(self.r))
+        object.__setattr__(self, "r", box_ratio(self.r))
 
     def bounding_box(self):
         return np.ones(self.n), np.full(self.n, self.r)

@@ -45,24 +45,28 @@ def _require_side(side: str) -> None:
         raise ValueError(f"side must be OVER or UNDER, got {side!r}")
 
 _DEFAULT_RESOLUTION = {1: 512, 2: 64, 3: 64, 4: 24, 5: 12, 6: 8}
+REFINE_PASSES = 3  # refinement passes over every start
+RESTARTS = 16  # seeded random starts for n >= 5, where the grid is coarse
+MAX_GRID_POINTS = 10 ** 8  # cap on res ** n
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Scan parameters: per-coordinate resolution (n-dependent default),
-    number of refinement passes, a total-size cap, and seeded restarts used
-    for n >= 5 where the grid is coarse."""
+    """Scan parameters: the per-coordinate resolution (None for the
+    n-dependent default) and the seed of the restarts."""
 
     resolution: Optional[int] = None
-    refine_passes: int = 3
-    max_points: int = 100_000_000
-    restarts: int = 16
     seed: int = 42
+
+    def __post_init__(self):
+        res, seed = self.resolution, self.seed
+        if res is not None and not (isinstance(res, (int, np.integer)) and res >= 2):
+            raise ValueError(f"resolution must be None or an integer >= 2, got {res!r}")
+        if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
     def resolution_for(self, n: int) -> int:
         if self.resolution is not None:
-            if self.resolution < 2:
-                raise ValueError("resolution must be >= 2")
             return self.resolution
         try:
             return _DEFAULT_RESOLUTION[n]
@@ -73,13 +77,11 @@ class GridSpec:
 
 
 @functools.lru_cache(maxsize=16)
-def _grid_points(dom: Domain, res: int, max_points: int) -> np.ndarray:
+def _grid_points(dom: Domain, res: int) -> np.ndarray:
     """Cell-center grid over the domain's bounding box in C order, filtered to
     members."""
     lo, hi = dom.bounding_box()
     n = dom.n
-    if res ** n > max_points:
-        raise ScaleExceeded(f"grid of {res}^{n} points exceeds the cap {max_points}")
     pts = np.empty((res,) * n + (n,))
     for j in range(n):
         axis = lo[j] + (np.arange(res) + 0.5) * (hi[j] - lo[j]) / res
@@ -97,11 +99,12 @@ def _values(func: Callable[[np.ndarray], np.ndarray], P: np.ndarray) -> list:
 
 
 SECTION_POINTS = 16  # interior points per bracket and step
+SECTION_STEPS = 14  # steps per bracket at most
+SECTION_WIDTH = 1e-13  # a bracket no wider than this is closed
 
 
 def section_max(func: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                lo: Sequence[float], hi: Sequence[float],
-                steps: int, width: float) -> np.ndarray:
+                lo: Sequence[float], hi: Sequence[float]) -> np.ndarray:
     """Uniform-section maximizers of K unimodal functions, one per bracket
     [lo[k], hi[k]].
 
@@ -110,16 +113,16 @@ def section_max(func: Callable[[np.ndarray, np.ndarray], np.ndarray],
     [a + (i* - 1) h, a + (i* + 1) h] around the first largest value i*. ``func(T, rows)`` returns the (L, 16)
     values at the parameters ``T[l, i]`` of the functions ``rows[l]`` (row
     indices into the brackets), one call per step for all open brackets. A
-    bracket closes after ``steps`` steps or once it is no wider than
-    ``width``; each bracket's arithmetic is elementwise, so it ends exactly
-    where it would end alone. Returns the bracket midpoints.
+    bracket closes after SECTION_STEPS steps or once it is no wider than
+    SECTION_WIDTH; each bracket's arithmetic is elementwise, so it ends
+    exactly where it would end alone. Returns the bracket midpoints.
     """
     a = np.array(lo, dtype=float)
     b = np.array(hi, dtype=float)
     i = np.arange(1, SECTION_POINTS + 1)
     live = np.arange(len(a))
-    for _ in range(steps):
-        live = live[b[live] - a[live] > width]
+    for _ in range(SECTION_STEPS):
+        live = live[b[live] - a[live] > SECTION_WIDTH]
         if len(live) == 0:
             break
         al = a[live]
@@ -130,11 +133,16 @@ def section_max(func: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return 0.5 * (a + b)
 
 
-def _search(func, X: np.ndarray, V: list, D: np.ndarray, rows: list,
-            tlo: list, thi: list) -> None:
-    """Section search from each listed row of X along the same row of D over
-    [tlo, thi]; a row moves to its line maximum when that beats V."""
-    if not rows:
+def _line(func, dom: Domain, X: np.ndarray, V: list, D: np.ndarray,
+          reach: float = np.inf) -> None:
+    """Section search from each row of X along the same row of D over its
+    feasible segment, clipped to |t| <= reach; a row moves to its line
+    maximum when that beats V. Only a finite segment longer than 1e-14 is
+    searched, so a zero row of D leaves its start alone."""
+    tlo, thi = dom.line_range(X, D)
+    tlo, thi = np.maximum(tlo, -reach), np.minimum(thi, reach)
+    rows = np.flatnonzero(np.isfinite(tlo) & np.isfinite(thi) & (thi - tlo > 1e-14))
+    if len(rows) == 0:
         return
     Xr, Dr = X[rows], D[rows]
 
@@ -142,26 +150,19 @@ def _search(func, X: np.ndarray, V: list, D: np.ndarray, rows: list,
         P = Xr[idx][:, None] + T[..., None] * Dr[idx][:, None]
         return np.asarray(func(P.reshape(-1, P.shape[-1])), dtype=float).reshape(T.shape)
 
-    P = Xr + section_max(along, tlo, thi, 14, 1e-13)[:, None] * Dr
-    for k, p, v in zip(rows, P, _values(func, P)):
+    P = Xr + section_max(along, tlo[rows], thi[rows])[:, None] * Dr
+    for k, p, v in zip(rows.tolist(), P, _values(func, P)):
         if v > V[k]:
             X[k] = p
             V[k] = v
 
 
-def _line(func, dom: Domain, X: np.ndarray, V: list, D: np.ndarray, rows) -> None:
-    """:func:`_search` over each listed row's whole feasible segment."""
-    tlo, thi = dom.line_range(X, D)
-    ok = [k for k in rows
-          if thi[k] > tlo[k] and np.isfinite(tlo[k]) and np.isfinite(thi[k])]
-    _search(func, X, V, D, ok, tlo[ok].tolist(), thi[ok].tolist())
-
-
 def _refine(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
-            X: np.ndarray, V: list, cell: np.ndarray, passes: int,
+            X: np.ndarray, V: list, cell: np.ndarray,
             center_weights: Optional[np.ndarray] = None) -> tuple[np.ndarray, list]:
-    """Coordinate section searches around each start's cell, then line
-    searches along its orthant diagonal and centering directions.
+    """REFINE_PASSES passes of line searches: along each coordinate within
+    one grid cell of each start, then along its orthant diagonal and its
+    centering directions.
 
     The starts (rows of X, values V) move through this schedule in lockstep,
     one estimator call per section step for all of them; each row does the
@@ -174,31 +175,21 @@ def _refine(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     """
     K, n = X.shape
     X, V = X.copy(), list(V)
-    everyone = range(K)
     weightings = [np.ones(n)]
     if center_weights is not None and not np.all(np.asarray(center_weights) == 1.0):
         weightings.append(np.asarray(center_weights, dtype=float))
-    for _ in range(passes):
+    for _ in range(REFINE_PASSES):
         for j in range(n):
-            lo_j, hi_j = dom.coordinate_range(X, j)
-            cj = float(cell[j])
-            rows, tlo, thi = [], [], []
-            for k, l, h, xj in zip(everyone, lo_j.tolist(), hi_j.tolist(), X[:, j].tolist()):
-                a = max(l, xj - cj)
-                b = min(h, xj + cj)
-                if b - a > 1e-14:
-                    rows.append(k)
-                    tlo.append(a - xj)
-                    thi.append(b - xj)
             D = np.zeros((K, n))
             D[:, j] = 1.0
-            _search(func, X, V, D, rows, tlo, thi)
+            _line(func, dom, X, V, D, float(cell[j]))
         diag = np.where(X < 0, -1.0, 1.0)
-        _line(func, dom, X, V, diag, everyone)
+        _line(func, dom, X, V, diag)
         for w in weightings:
             target = np.sum(w * diag * X, axis=1) / np.sum(w)
             cen = diag * target[:, None] - X
-            _line(func, dom, X, V, cen, np.flatnonzero(np.max(np.abs(cen), axis=1) > 1e-12))
+            cen[np.max(np.abs(cen), axis=1) <= 1e-12] = 0.0  # already centered
+            _line(func, dom, X, V, cen)
     return X, V
 
 
@@ -215,7 +206,9 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     spec = grid or GridSpec()
     n = dom.n
     res = spec.resolution_for(n)
-    pts = _grid_points(dom, res, spec.max_points)
+    if res ** n > MAX_GRID_POINTS:
+        raise ScaleExceeded(f"grid of {res}^{n} points exceeds the cap {MAX_GRID_POINTS}")
+    pts = _grid_points(dom, res)
     if len(pts) == 0:
         raise ScaleExceeded("grid resolution too coarse: no interior cell centers")
     vals = func(pts)
@@ -224,17 +217,17 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     cell = (hi - lo) / res
     X, V = pts[k:k + 1], [float(vals[k])]
 
-    if n >= 5 and spec.restarts > 0:
+    if n >= 5:
         rng = np.random.default_rng(spec.seed)
         span = hi - lo
         starts = []
-        while len(starts) < spec.restarts:
-            cand = lo + rng.random((max(4 * spec.restarts, 64), n)) * span
+        while len(starts) < RESTARTS:
+            cand = lo + rng.random((4 * RESTARTS, n)) * span
             cand = cand[dom.contains_many(cand)]
-            starts.extend(cand[: spec.restarts - len(starts)])
+            starts.extend(cand[: RESTARTS - len(starts)])
         S = np.array(starts)
         X, V = np.vstack([X, S]), V + _values(func, S)
-    X, V = _refine(func, dom, X, V, cell, spec.refine_passes, center_weights)
+    X, V = _refine(func, dom, X, V, cell, center_weights)
     best = max(range(len(V)), key=V.__getitem__)  # first of the largest, as in a scan
     return V[best], X[best]
 

@@ -121,6 +121,34 @@ def _sigma_cases():
             M2, (1.5, 1.5), (1.0, 2.0), v)
 
 
+def _ratio_cases():
+    # r = inf once built a box and gave nan, and r = nan or 1 a late error
+    entries = {
+        "RatioBox": lambda r: RatioBox(3, r),
+        "concave_env_ratiobox": lambda r: envelopes.concave_env_ratiobox(3, r, [1.0, 1.0, 1.0]),
+        "convex_env_ratiobox": lambda r: envelopes.convex_env_ratiobox(3, r, [1.0, 1.0, 1.0]),
+        "ratio_box_constants": lambda r: bounds.ratio_box_constants(3, r),
+        "ratio_box_e_point": lambda r: bounds.ratio_box_e_point(3, r),
+        "ratio_box_relaxed_error": lambda r: bounds.ratio_box_relaxed_error(3, r),
+        "ratio_box_e_ratio": lambda r: bounds.ratio_box_e_ratio(3, r),
+        "psi_value": lambda r: bounds.psi_value(3, r, 0.5),
+        "ratio_box_diagonal_max": lambda r: oracle.ratio_box_diagonal_max(3, r),
+    }
+    for name, call in entries.items():
+        for label, bad in (("inf", INF), ("nan", NAN), ("one", 1.0)):
+            yield f"{name}-{label}", lambda c=call, v=bad: c(v)
+
+
+def _other_cases():
+    yield "find_root_power_linear-inf", lambda: bounds.find_root_power_linear(3, INF)
+    yield "find_root_power_linear-nan", lambda: bounds.find_root_power_linear(3, NAN)
+    # each of these once passed construction and failed later, or not at all
+    yield "GridSpec-resolution-2.5", lambda: oracle.GridSpec(resolution=2.5)
+    yield "GridSpec-resolution-1", lambda: oracle.GridSpec(resolution=1)
+    yield "GridSpec-seed--1", lambda: oracle.GridSpec(seed=-1)
+    yield "GridSpec-seed-1.5", lambda: oracle.GridSpec(seed=1.5)
+
+
 def _monomial_values_cases():
     m = Monomial((1, 1))
     yield "monomial_values-wide", lambda: monomial_values(m, np.ones((2, 3))), DimensionMismatch
@@ -135,6 +163,8 @@ REJECTIONS = [
     *(("scaling", *case) for case in _scaling_cases()),
     *(("sigma", name, call, ValueError) for name, call in _sigma_cases()),
     *(("values", *case) for case in _monomial_values_cases()),
+    *(("ratio", name, call, ValueError) for name, call in _ratio_cases()),
+    *(("other", name, call, ValueError) for name, call in _other_cases()),
 ]
 
 

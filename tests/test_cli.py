@@ -102,6 +102,8 @@ class TestVerify:
         ["--case", "all", "--trials", "0"],
         ["--case", "unitbox", "--tol", "nan"],
         ["--case", "unitbox", "--tol", "-1"],
+        ["--case", "unitbox", "--seed", "-1"],
+        ["--case", "ratiobox", "--r", "inf"],
     ], ids=" ".join)
     def test_given_value_is_used_not_replaced(self, capsys, argv):
         # each of these once ran a default instead, or reported a vacuous verdict
@@ -222,6 +224,16 @@ class TestFigure1:
         assert "polyline" in text
 
 
+    @pytest.mark.parametrize("svg", [False, True], ids=["csv", "svg"])
+    def test_empty_range_is_usage_error(self, capsys, tmp_path, svg):
+        # it once printed only the header, or failed inside the SVG writer
+        extra = ["--svg", str(tmp_path / "f.svg")] if svg else []
+        code, out, err = run_cli(capsys, "figure1", "--n-min", "5", "--n-max", "3", *extra)
+        assert code == EXIT_USAGE
+        assert out == "" and "--n-min 5 exceeds --n-max 3" in err
+        assert not (tmp_path / "f.svg").exists()
+
+
 class TestFacets:
     def test_text_count(self, capsys):
         code, out, _ = run_cli(capsys, "facets", "--n", "2")
@@ -316,6 +328,12 @@ class TestSigmaRoot:
         code, out, err = run_cli(capsys, "root", "--lambda1", "1", "--lambda2", "1")
         assert code == EXIT_USAGE
         assert "no root" not in out and "zero polynomial" in err
+
+    def test_infinite_lambda2_is_usage_error(self, capsys):
+        # it once printed "no root" with an infinite certificate and exited 0
+        code, out, err = run_cli(capsys, "root", "--lambda1", "3", "--lambda2", "inf")
+        assert code == EXIT_USAGE
+        assert out == "" and "lam2 must be finite" in err
 
 @pytest.mark.parametrize("argv, flag", [
     (["bounds", "--n", "2", "--domain", "sym", "--grid", "8"], "grid"),

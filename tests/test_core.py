@@ -177,14 +177,11 @@ class TestDomains:
         for _ in range(20):
             w = rng.random(len(V))
             x = (w / w.sum()) @ V
-            for j in range(dom.n):
-                lo_j, hi_j = dom.coordinate_range(x, j)
-                assert lo_j <= x[j] + 1e-9 and x[j] - 1e-9 <= hi_j
-                y = x.copy()
-                y[j] = lo_j
-                assert dom.contains(y, tol=1e-7)
-                y[j] = hi_j
-                assert dom.contains(y, tol=1e-7)
+            for e_j in np.eye(dom.n):
+                tlo, thi = dom.line_range(x, e_j)
+                assert tlo <= 1e-9 and -1e-9 <= thi
+                assert dom.contains(x + tlo * e_j, tol=1e-7)
+                assert dom.contains(x + thi * e_j, tol=1e-7)
 
     @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: type(d).__name__)
     def test_halfspaces_read_only_and_shared(self, dom):
@@ -208,10 +205,10 @@ class TestDomains:
         tlo, thi = dom.line_range(X, D)
         for k in range(6):
             assert (tlo[k], thi[k]) == dom.line_range(X[k], D[k])
-        for j in range(dom.n):
-            lo_j, hi_j = dom.coordinate_range(X, j)
+        for e_j in np.eye(dom.n):
+            tlo, thi = dom.line_range(X, np.tile(e_j, (6, 1)))
             for k in range(6):
-                assert (lo_j[k], hi_j[k]) == dom.coordinate_range(X[k], j)
+                assert (tlo[k], thi[k]) == dom.line_range(X[k], e_j)
 
     def test_vertex_count(self):
         assert len(UnitBox(4).vertices()) == 16

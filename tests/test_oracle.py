@@ -222,7 +222,7 @@ def _batch_cases(monkeypatch):
                             lambda: sigma_numeric(m, UnitBox(n), beta, GridSpec(resolution=2)))
             yield "sigma_numeric", n, obj, unit
         err = _captured(monkeypatch, "grid_maximize", lambda: oracle.relaxation_error_PB(
-            m, [np.ones(n)], UnitBox(n), GridSpec(resolution=2, restarts=0)))
+            m, [np.ones(n)], UnitBox(n), GridSpec(resolution=2)))
         # rows where the cut x -> 1 + sum(x - 1), not min(x), sets the error
         cand = rng.random((20_000, n)) ** 0.2
         f, cut = monomial_values(m, cand), 1.0 + np.sum(cand - 1.0, axis=1)
@@ -275,7 +275,7 @@ class TestGridEngine:
     def test_refinement_never_below_grid_incumbent(self):
         m = Monomial.multilinear(2)
         spec = GridSpec(resolution=8)
-        pts = oracle._grid_points(UnitBox(2), 8, spec.max_points)
+        pts = oracle._grid_points(UnitBox(2), 8)
         gap = lambda X: envelopes.concave_env_unitbox(m, X) - monomial_values(m, X)
         incumbent = float(np.max(gap(pts)))
         refined, _ = grid_maximize(gap, UnitBox(2), spec)
@@ -302,11 +302,15 @@ class TestGridEngine:
         assert r1.measured_value == r2.measured_value
         assert np.array_equal(r1.attainment_points[0], r2.attainment_points[0])
 
-    def test_scale_guard_on_resolution(self):
+    def test_scale_guard_on_resolution(self, monkeypatch):
         m = Monomial.multilinear(3)
         with pytest.raises(ScaleExceeded):
             max_gap(m, UnitBox(3), lambda X: np.zeros(len(X)), oracle.UNDER,
-                    grid=GridSpec(resolution=600, max_points=10_000))
+                    grid=GridSpec(resolution=600))
+        monkeypatch.setattr(oracle, "MAX_GRID_POINTS", 10_000)
+        with pytest.raises(ScaleExceeded, match="cap 10000"):
+            max_gap(m, UnitBox(3), lambda X: np.zeros(len(X)), oracle.UNDER,
+                    grid=GridSpec(resolution=22))
 
     def test_no_default_grid_beyond_six(self):
         with pytest.raises(ScaleExceeded):
@@ -454,27 +458,26 @@ class TestScaledBoxTransport:
 # Lockstep refinement against the one-start-at-a-time schedule
 # ---------------------------------------------------------------------------
 
-def _seq_section_line(func1, x, d, tlo, thi, steps=14):
+def _seq_section_line(func, x, d, tlo, thi):
+    # one call per step on the stacked x + (a + i h) d, i = 1..16
     a, b = tlo, thi
-    for _ in range(steps):
-        if b - a <= 1e-13:
+    i = np.arange(1, oracle.SECTION_POINTS + 1)[:, None]
+    for _ in range(oracle.SECTION_STEPS):
+        if b - a <= oracle.SECTION_WIDTH:
             break
-        h = (b - a) / 17
-        vals = [func1(x + (a + i * h) * d) for i in range(1, 17)]
-        i_star = int(np.argmax(vals)) + 1
+        h = (b - a) / (oracle.SECTION_POINTS + 1)
+        i_star = int(np.argmax(func(x + (a + i * h) * d))) + 1
         a, b = a + (i_star - 1) * h, a + (i_star + 1) * h
     t = 0.5 * (a + b)
-    return t, func1(x + t * d)
+    return t, float(func((x + t * d)[None, :])[0])
 
 
-def _seq_refine(func, dom, x0, v0, cell, passes, center_weights=None):
-    def func1(p):
-        return float(func(p[None, :])[0])
-
-    def line(x, v, d):
+def _seq_refine(func, dom, x0, v0, cell, center_weights=None):
+    def line(x, v, d, reach=np.inf):
         tlo, thi = dom.line_range(x, d)
-        if thi > tlo and np.isfinite(tlo) and np.isfinite(thi):
-            t, vt = _seq_section_line(func1, x, d, tlo, thi)
+        tlo, thi = max(tlo, -reach), min(thi, reach)
+        if np.isfinite(tlo) and np.isfinite(thi) and thi - tlo > 1e-14:
+            t, vt = _seq_section_line(func, x, d, tlo, thi)
             if vt > v:
                 return x + t * d, vt
         return x, v
@@ -484,19 +487,9 @@ def _seq_refine(func, dom, x0, v0, cell, passes, center_weights=None):
     weightings = [np.ones(n)]
     if center_weights is not None and not np.all(np.asarray(center_weights) == 1.0):
         weightings.append(np.asarray(center_weights, dtype=float))
-    for _ in range(passes):
-        for j in range(n):
-            lo_j, hi_j = dom.coordinate_range(x, j)
-            a = max(lo_j, x[j] - cell[j])
-            b = min(hi_j, x[j] + cell[j])
-            if b - a <= 1e-14:
-                continue
-            d = np.zeros(n)
-            d[j] = 1.0
-            t, vt = _seq_section_line(func1, x, d, a - x[j], b - x[j])
-            if vt > v:
-                x = x + t * d
-                v = vt
+    for _ in range(oracle.REFINE_PASSES):
+        for j, e_j in enumerate(np.eye(n)):
+            x, v = line(x, v, e_j, float(cell[j]))
         diag = np.where(x < 0, -1.0, 1.0)
         x, v = line(x, v, diag)
         for w in weightings:
@@ -511,24 +504,23 @@ def _seq_grid_maximize(func, dom, spec, center_weights=None):
     """The incumbent, then each restart, refined one after another."""
     n = dom.n
     res = spec.resolution_for(n)
-    pts = oracle._grid_points(dom, res, spec.max_points)
+    pts = oracle._grid_points(dom, res)
     vals = func(pts)
     k = int(np.argmax(vals))
     lo, hi = dom.bounding_box()
     cell = (hi - lo) / res
-    x, v = _seq_refine(func, dom, pts[k].copy(), float(vals[k]), cell, spec.refine_passes,
-                       center_weights)
-    if n >= 5 and spec.restarts > 0:
+    x, v = _seq_refine(func, dom, pts[k].copy(), float(vals[k]), cell, center_weights)
+    if n >= 5:
         rng = np.random.default_rng(spec.seed)
         span = hi - lo
         starts = []
-        while len(starts) < spec.restarts:
-            cand = lo + rng.random((max(4 * spec.restarts, 64), n)) * span
+        while len(starts) < oracle.RESTARTS:
+            cand = lo + rng.random((4 * oracle.RESTARTS, n)) * span
             cand = cand[dom.contains_many(cand)]
-            starts.extend(cand[: spec.restarts - len(starts)])
+            starts.extend(cand[: oracle.RESTARTS - len(starts)])
         for s in starts:
             xs, vs = _seq_refine(func, dom, np.asarray(s), float(func(s[None, :])[0]),
-                                 cell, spec.refine_passes, center_weights)
+                                 cell, center_weights)
             if vs > v:
                 x, v = xs, vs
     return v, x
@@ -562,10 +554,12 @@ class TestLockstepRefinement:
     @pytest.mark.parametrize("name", ["UnitBox", "SymBox", "RatioBox", "RatioBoxConcave",
                                       "StdSimplex"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
-    def test_matches_one_start_at_a_time(self, name, weighted):
+    def test_matches_one_start_at_a_time(self, name, weighted, monkeypatch):
+        monkeypatch.setattr(oracle, "REFINE_PASSES", 2)
+        monkeypatch.setattr(oracle, "RESTARTS", 5)
         dom, func, alpha = _lockstep_case(name)
         weights = np.asarray(alpha, float) if weighted else None
-        spec = GridSpec(resolution=6, refine_passes=2, restarts=5, seed=5)
+        spec = GridSpec(resolution=6, seed=5)
         v_ref, x_ref = _seq_grid_maximize(func, dom, spec, weights)
         v, x = grid_maximize(func, dom, spec, center_weights=weights)
         assert _bits(v) == _bits(v_ref)
@@ -594,10 +588,10 @@ class TestLockstepRefinement:
         assert rep.verdict is Verdict.TIGHT
         assert len(calls) <= 250
 
-    def test_first_of_equal_values_wins(self):
+    def test_first_of_equal_values_wins(self, monkeypatch):
         # a constant function: every start ties, so the grid incumbent stays
-        spec = GridSpec(resolution=4, restarts=3, seed=2)
-        v, x = grid_maximize(lambda X: np.zeros(len(X)), UnitBox(5), spec)
-        pts = oracle._grid_points(UnitBox(5), 4, spec.max_points)
+        monkeypatch.setattr(oracle, "RESTARTS", 3)
+        v, x = grid_maximize(lambda X: np.zeros(len(X)), UnitBox(5), GridSpec(resolution=4, seed=2))
+        pts = oracle._grid_points(UnitBox(5), 4)
         assert v == 0.0
         assert np.array_equal(x, pts[0])
