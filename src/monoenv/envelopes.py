@@ -47,7 +47,7 @@ class LinearUnderestimator:
 def underestimator_value(u: LinearUnderestimator, x) -> float | np.ndarray:
     """intercept + sum_j beta_j (x_j - 1)."""
     X, single = as_points(x, u.n)
-    vals = u.intercept + np.einsum("ij,j->i", X - 1.0, np.asarray(u.beta))
+    vals = u.intercept + np.einsum("ij,j->i", np.ascontiguousarray(X - 1.0), np.asarray(u.beta))
     return float(vals[0]) if single else vals
 
 
@@ -129,7 +129,8 @@ def concave_env_ratiobox(n: int, r: float, x) -> float | np.ndarray:
     coeffs = np.array([float(r) ** (n - 1 - k) for k in range(n)])
     shift = sum(float(r) ** j for j in range(1, n))
     return _checked(RatioBox(n, r), x,
-                    lambda X: np.einsum("ij,j->i", np.sort(X, axis=-1), coeffs) - shift)
+                    lambda X: np.einsum("ij,j->i", np.ascontiguousarray(np.sort(X, axis=-1)),
+                                        coeffs) - shift)
 
 
 def convex_env_ratiobox(n: int, r: float, x) -> float | np.ndarray:

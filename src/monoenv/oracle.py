@@ -2,12 +2,15 @@
 extremes, sampled-hull envelope values via tiny LPs, numeric intercepts, and
 a high-precision decimal reference for the constant-ratio box concave error.
 
-Grids use cell-center sampling (no boundary ties); the incumbent, and from
-n = 5 on the seeded restarts too, are then polished by per-coordinate
-section searches plus line searches along each start's orthant diagonal,
-which is where the attainment loci live. All starts are refined in lockstep:
-each section step evaluates the function once, on 16 points per start still
-searching. All randomness is seeded, so results are reproducible bit for bit.
+Grids use cell-center sampling (no boundary ties) and are stored column by
+column, one contiguous array per coordinate, which is how the grid kernels
+read them. The incumbent, and from n = 5 on the seeded restarts too, are then
+polished by per-coordinate section searches plus line searches along each
+start's orthant diagonal, which is where the attainment loci live. All starts
+are refined in lockstep: each section step evaluates the function once, on 16
+points per start still searching, and a start that a whole pass left
+unmoved gets no more passes. All randomness is seeded, so results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 
 from .core import (
     TOL_ORACLE,
+    DimensionMismatch,
     Domain,
     ErrorReport,
     Monomial,
@@ -45,7 +49,7 @@ def _require_side(side: str) -> None:
         raise ValueError(f"side must be OVER or UNDER, got {side!r}")
 
 _DEFAULT_RESOLUTION = {1: 512, 2: 64, 3: 64, 4: 24, 5: 12, 6: 8}
-REFINE_PASSES = 3  # refinement passes over every start
+REFINE_PASSES = 3  # refinement passes per start at most
 RESTARTS = 16  # seeded random starts for n >= 5, where the grid is coarse
 MAX_GRID_POINTS = 10 ** 8  # cap on res ** n
 
@@ -78,24 +82,42 @@ class GridSpec:
 
 @functools.lru_cache(maxsize=16)
 def _grid_points(dom: Domain, res: int) -> np.ndarray:
-    """Cell-center grid over the domain's bounding box in C order, filtered to
-    members."""
+    """Cell-center grid over the domain's bounding box, filtered to members:
+    a read-only (N, n) array whose rows run over the cells in C order (the
+    last coordinate fastest).
+
+    It is stored column by column (``f_contiguous``): filled as an (n, res^n)
+    array, filtered by columns and returned transposed. Every grid kernel
+    reads one coordinate at a time (``fold_columns``, ``monomial_values``,
+    the box membership test), and so reads each coordinate contiguously.
+    The package's kernels give these rows the bits of a row-major copy;
+    only a row sum over 8 or more columns (``np.sum`` along a row, which
+    numpy adds pairwise by layout) can differ in its last bit.
+    """
     lo, hi = dom.bounding_box()
     n = dom.n
-    pts = np.empty((res,) * n + (n,))
+    cols = np.empty((n,) + (res,) * n)
     for j in range(n):
         axis = lo[j] + (np.arange(res) + 0.5) * (hi[j] - lo[j]) / res
-        pts[..., j] = axis.reshape((res,) + (1,) * (n - 1 - j))  # varies along axis j
-    pts = pts.reshape(-1, n)
-    keep = dom.contains_many(pts)
+        cols[j] = axis.reshape((res,) + (1,) * (n - 1 - j))  # varies along axis j
+    cols = cols.reshape(n, -1)
+    keep = dom.contains_many(cols.T)
     if not keep.all():
-        pts = pts[keep]
-    pts.setflags(write=False)
-    return pts
+        cols = cols.compress(keep, axis=1)  # stays row-major; cols[:, keep] would not
+    cols.setflags(write=False)
+    return cols.T
 
 
-def _values(func: Callable[[np.ndarray], np.ndarray], P: np.ndarray) -> list:
-    return np.asarray(func(P), dtype=float).tolist()
+def _values(func: Callable[[np.ndarray], np.ndarray], P: np.ndarray,
+            what: str = "objective") -> np.ndarray:
+    """func(P) as a float array of one value per row of P; any other shape
+    is a ``DimensionMismatch``, which would otherwise broadcast against the
+    monomial or pick the wrong incumbent."""
+    v = np.asarray(func(P), dtype=float)
+    if v.shape != (len(P),):
+        raise DimensionMismatch(f"the {what} must return one value per point: "
+                                f"{len(P)} points gave shape {v.shape}")
+    return v
 
 
 SECTION_POINTS = 16  # interior points per bracket and step
@@ -148,48 +170,66 @@ def _line(func, dom: Domain, X: np.ndarray, V: list, D: np.ndarray,
 
     def along(T, idx):
         P = Xr[idx][:, None] + T[..., None] * Dr[idx][:, None]
-        return np.asarray(func(P.reshape(-1, P.shape[-1])), dtype=float).reshape(T.shape)
+        return _values(func, P.reshape(-1, P.shape[-1])).reshape(T.shape)
 
     P = Xr + section_max(along, tlo[rows], thi[rows])[:, None] * Dr
-    for k, p, v in zip(rows.tolist(), P, _values(func, P)):
+    for k, p, v in zip(rows.tolist(), P, _values(func, P).tolist()):
         if v > V[k]:
             X[k] = p
             V[k] = v
 
 
+def _moved(X0: np.ndarray, V0: list, X: np.ndarray, V: list) -> np.ndarray:
+    """Row mask of the starts whose row of X or value changed in any bit, so
+    that a move from 0.0 to -0.0 counts."""
+    return (np.any(X0.view(np.int64) != X.view(np.int64), axis=1)
+            | (np.array(V0).view(np.int64) != np.array(V).view(np.int64)))
+
+
 def _refine(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
             X: np.ndarray, V: list, cell: np.ndarray,
             center_weights: Optional[np.ndarray] = None) -> tuple[np.ndarray, list]:
-    """REFINE_PASSES passes of line searches: along each coordinate within
-    one grid cell of each start, then along its orthant diagonal and its
-    centering directions.
+    """Up to REFINE_PASSES passes of line searches: along each coordinate
+    within one grid cell of each start, then along its orthant diagonal and
+    its centering directions.
 
     The starts (rows of X, values V) move through this schedule in lockstep,
     one estimator call per section step for all of them; each row does the
-    arithmetic it would do alone.
+    arithmetic it would do alone. So a start that a whole pass left where it
+    was (``_moved``) would only repeat that pass: it is settled, and the
+    remaining passes run on the other starts alone.
 
     A centering direction moves toward equal |coordinates| while preserving a
     weighted signed sum, which tracks hinge ridges {sum w_j x_j = const}; the
     unweighted move covers multilinear cuts and ``center_weights`` (usually
     the monomial's exponents) covers slope-weighted ones.
     """
-    K, n = X.shape
+    n = X.shape[1]
     X, V = X.copy(), list(V)
     weightings = [np.ones(n)]
     if center_weights is not None and not np.all(np.asarray(center_weights) == 1.0):
         weightings.append(np.asarray(center_weights, dtype=float))
+    active = np.arange(len(X))
     for _ in range(REFINE_PASSES):
+        if len(active) == 0:
+            break
+        X0, V0 = X[active], [V[k] for k in active.tolist()]
+        Xa, Va = X0.copy(), list(V0)
         for j in range(n):
-            D = np.zeros((K, n))
+            D = np.zeros_like(Xa)
             D[:, j] = 1.0
-            _line(func, dom, X, V, D, float(cell[j]))
-        diag = np.where(X < 0, -1.0, 1.0)
-        _line(func, dom, X, V, diag)
+            _line(func, dom, Xa, Va, D, float(cell[j]))
+        diag = np.where(Xa < 0, -1.0, 1.0)
+        _line(func, dom, Xa, Va, diag)
         for w in weightings:
-            target = np.sum(w * diag * X, axis=1) / np.sum(w)
-            cen = diag * target[:, None] - X
+            target = np.sum(w * diag * Xa, axis=1) / np.sum(w)
+            cen = diag * target[:, None] - Xa
             cen[np.max(np.abs(cen), axis=1) <= 1e-12] = 0.0  # already centered
-            _line(func, dom, X, V, cen)
+            _line(func, dom, Xa, Va, cen)
+        X[active] = Xa
+        for k, v in zip(active.tolist(), Va):
+            V[k] = v
+        active = active[_moved(X0, V0, Xa, Va)]
     return X, V
 
 
@@ -211,7 +251,7 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     pts = _grid_points(dom, res)
     if len(pts) == 0:
         raise ScaleExceeded("grid resolution too coarse: no interior cell centers")
-    vals = func(pts)
+    vals = _values(func, pts)
     k = int(np.argmax(vals))  # first max in C order = lexicographic argmax
     lo, hi = dom.bounding_box()
     cell = (hi - lo) / res
@@ -226,7 +266,7 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
             cand = cand[dom.contains_many(cand)]
             starts.extend(cand[: RESTARTS - len(starts)])
         S = np.array(starts)
-        X, V = np.vstack([X, S]), V + _values(func, S)
+        X, V = np.vstack([X, S]), V + _values(func, S).tolist()
     X, V = _refine(func, dom, X, V, cell, center_weights)
     best = max(range(len(V)), key=V.__getitem__)  # first of the largest, as in a scan
     return V[best], X[best]
@@ -252,10 +292,10 @@ def max_gap(m: Monomial, dom: Domain, estimator: Callable[[np.ndarray], np.ndarr
 
     if side == OVER:
         def gap(X):
-            return np.asarray(estimator(X), dtype=float) - monomial_values(m, X)
+            return _values(estimator, X, "estimator") - monomial_values(m, X)
     else:
         def gap(X):
-            return monomial_values(m, X) - np.asarray(estimator(X), dtype=float)
+            return monomial_values(m, X) - _values(estimator, X, "estimator")
 
     spec = grid or GridSpec()
     measured, point = grid_maximize(gap, dom, spec, center_weights=np.asarray(m.alpha, float))
@@ -316,7 +356,7 @@ def sigma_numeric(m: Monomial, dom: Domain, beta,
     dom.require_monomial(m)
 
     def objective(X):
-        return monomial_values(m, X) - np.einsum("ij,j->i", X, b)
+        return monomial_values(m, X) - np.einsum("ij,j->i", np.ascontiguousarray(X), b)
 
     best, _ = grid_minimize(objective, dom, grid, center_weights=b)
     try:
@@ -358,8 +398,9 @@ def relaxation_error_PB(m: Monomial, B: Sequence, dom: Domain,
     def err(X):
         f = monomial_values(m, X)
         under = np.zeros(X.shape[0])
+        shifted = np.ascontiguousarray(X - 1.0)
         for s, sig in pairs:
-            under = np.maximum(under, sig + np.einsum("ij,j->i", X - 1.0, s))
+            under = np.maximum(under, sig + np.einsum("ij,j->i", shifted, s))
         over = fold_columns(np.minimum, X)
         return np.maximum(f - under, over - f)
 

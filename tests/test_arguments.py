@@ -149,6 +149,19 @@ def _other_cases():
     yield "GridSpec-seed-1.5", lambda: oracle.GridSpec(seed=1.5)
 
 
+def _objective_cases():
+    # an estimator or objective without one value per point once broadcast
+    # against the monomial (an IndexError deep in the scan) or silently took
+    # a wrong incumbent
+    m, box = Monomial((1, 1)), UnitBox(2)
+    wrong = {"column": lambda X: X.min(axis=1, keepdims=True),
+             "short": lambda X: X[1:, 0],
+             "scalar": lambda X: 0.25}
+    for label, func in wrong.items():
+        yield f"max_gap-{label}", lambda f=func: oracle.max_gap(m, box, f, oracle.OVER, grid=GRID)
+        yield f"grid_maximize-{label}", lambda f=func: oracle.grid_maximize(f, box, GRID)
+
+
 def _monomial_values_cases():
     m = Monomial((1, 1))
     yield "monomial_values-wide", lambda: monomial_values(m, np.ones((2, 3))), DimensionMismatch
@@ -163,6 +176,7 @@ REJECTIONS = [
     *(("scaling", *case) for case in _scaling_cases()),
     *(("sigma", name, call, ValueError) for name, call in _sigma_cases()),
     *(("values", *case) for case in _monomial_values_cases()),
+    *(("objective", name, call, DimensionMismatch) for name, call in _objective_cases()),
     *(("ratio", name, call, ValueError) for name, call in _ratio_cases()),
     *(("other", name, call, ValueError) for name, call in _other_cases()),
 ]

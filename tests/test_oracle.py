@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from monoenv import (
+    ComplementSimplex,
+    CornerSimplexOne,
     Monomial,
     RatioBox,
     ScaleExceeded,
@@ -247,11 +249,87 @@ def _batch_cases(monkeypatch):
         yield "envelopes_symbox", n, lambda X, n=n: np.stack(envelopes.envelopes_symbox(n, X), 1), sym
 
 
+# Kernels that add up each row with np.sum or np.add.reduce. numpy sums a row
+# of 8 or more columns pairwise, grouping its terms by the memory layout, so
+# on a column-major stack their bits are pinned only below 8 columns: every
+# default grid (n <= 6) is covered, an explicit grid at n >= 8 is not.
+ROW_SUMS = {"convex_env_unitbox_multilinear", "convex_env_ratiobox", "envelopes_symbox"}
+
+
 def test_row_values_do_not_depend_on_the_batch(monkeypatch):
+    # nor on the layout: the oracle's grid is column-major
     for name, n, func, X in _batch_cases(monkeypatch):
         alone = np.array([func(X[i:i + 1])[0] for i in range(len(X))])
         for k in range(1, len(X) + 1):
             assert np.array_equal(_bits(func(X[:k])), _bits(alone[:k])), (name, n, k)
+            if n < 8 or name not in ROW_SUMS:
+                assert np.array_equal(_bits(func(np.asfortranarray(X[:k]))),
+                                      _bits(alone[:k])), (name, n, k, "column-major")
+
+
+def _grid_estimators(monkeypatch, n):
+    """(domain, name, function) for every estimator that oracle-verify and
+    ``checks`` hand the oracle at dimension n, the monomial and the grid
+    objectives of ``sigma_numeric`` and ``relaxation_error_PB``."""
+    m, alpha = Monomial.multilinear(n), tuple(range(1, n + 1))
+    fs = hulls.build_symbox_hull(n)
+    yield UnitBox(n), "monomial_values", lambda X: monomial_values(Monomial(alpha), X)
+    yield UnitBox(n), "concave_env_unitbox", lambda X: envelopes.concave_env_unitbox(
+        Monomial(alpha), X)
+    yield UnitBox(n), "convex_env_unitbox_multilinear", lambda X: (
+        envelopes.convex_env_unitbox_multilinear(n, X))
+    yield RatioBox(n, 2.7), "concave_env_ratiobox", lambda X: envelopes.concave_env_ratiobox(
+        n, 2.7, X)
+    yield RatioBox(n, 2.7), "convex_env_ratiobox", lambda X: envelopes.convex_env_ratiobox(
+        n, 2.7, X)
+    yield SymBox(n), "envelope_lower", fs.envelope_lower
+    yield SymBox(n), "envelope_upper", fs.envelope_upper
+    yield StdSimplex(n), "concave_env_unitbox", lambda X: envelopes.concave_env_unitbox(m, X)
+    beta = 1.0 + np.arange(n) / 3.0
+    yield UnitBox(n), "sigma_numeric", _captured(
+        monkeypatch, "grid_minimize",
+        lambda: sigma_numeric(m, UnitBox(n), beta, GridSpec(resolution=2)))
+    yield UnitBox(n), "relaxation_error_PB", _captured(
+        monkeypatch, "grid_maximize", lambda: oracle.relaxation_error_PB(
+            m, [np.ones(n), beta], UnitBox(n), GridSpec(resolution=2)))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_grid_values_match_a_row_major_copy(n, monkeypatch):
+    res = GridSpec().resolution_for(n)
+    for dom, name, func in _grid_estimators(monkeypatch, n):
+        pts = oracle._grid_points(dom, res)
+        assert np.array_equal(_bits(func(pts)), _bits(func(np.ascontiguousarray(pts)))), (
+            name, dom)
+
+
+def _row_major_grid(dom, res):
+    """The grid as one (res^n, n) row-major array filtered by its rows."""
+    lo, hi = dom.bounding_box()
+    n = dom.n
+    pts = np.empty((res,) * n + (n,))
+    for j in range(n):
+        axis = lo[j] + (np.arange(res) + 0.5) * (hi[j] - lo[j]) / res
+        pts[..., j] = axis.reshape((res,) + (1,) * (n - 1 - j))
+    pts = pts.reshape(-1, n)
+    return pts[dom.contains_many(pts)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_grid_is_the_row_major_grid_stored_by_columns(n):
+    # every family, the simplices' membership through a matrix product too
+    doms = [UnitBox(n), SubBox((0.1,) * n, tuple(0.9 - 0.05 * j for j in range(n))),
+            RatioBox(n, 2.5), SymBox(n), StdSimplex(n),
+            CornerSimplexOne(tuple(0.3 + 0.1 * j for j in range(n)))]
+    if n >= 2:
+        doms.append(ComplementSimplex(n))
+    res = GridSpec().resolution_for(n)
+    for dom in doms:
+        pts = oracle._grid_points(dom, res)
+        assert np.array_equal(_bits(pts), _bits(_row_major_grid(dom, res))), dom
+        assert pts.flags.f_contiguous and not pts.flags.writeable, dom
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.5
 
 
 class TestGridEngine:
@@ -488,6 +566,7 @@ def _seq_refine(func, dom, x0, v0, cell, center_weights=None):
     if center_weights is not None and not np.all(np.asarray(center_weights) == 1.0):
         weightings.append(np.asarray(center_weights, dtype=float))
     for _ in range(oracle.REFINE_PASSES):
+        x0, v0 = x, v
         for j, e_j in enumerate(np.eye(n)):
             x, v = line(x, v, e_j, float(cell[j]))
         diag = np.where(x < 0, -1.0, 1.0)
@@ -497,6 +576,8 @@ def _seq_refine(func, dom, x0, v0, cell, center_weights=None):
             cen = diag * target - x
             if np.max(np.abs(cen)) > 1e-12:
                 x, v = line(x, v, cen)
+        if np.array_equal(_bits(x), _bits(x0)) and _bits(v) == _bits(v0):
+            break  # settled: another pass would repeat this one
     return x, v
 
 
@@ -595,3 +676,60 @@ class TestLockstepRefinement:
         pts = oracle._grid_points(UnitBox(5), 4)
         assert v == 0.0
         assert np.array_equal(x, pts[0])
+
+    def test_a_move_is_any_changed_bit(self):
+        # 0.0 -> -0.0 in a point, or a value alone, is a move; equal bits are not
+        X0 = np.array([[0.0, 0.5], [0.25, 0.5], [0.25, 0.5]])
+        X = np.array([[-0.0, 0.5], [0.25, 0.5], [0.25, 0.5]])
+        moved = oracle._moved(X0, [1.0, 1.0, 1.0], X, [1.0, 1.0, 0.5])
+        assert moved.tolist() == [True, False, True]
+
+    def test_settled_start_skips_its_remaining_passes(self, monkeypatch):
+        # the bilinear start settles before the last pass; running every pass
+        # (no start ever settled) costs calls and changes no bit
+        m = Monomial.multilinear(2)
+
+        def verdict():
+            calls = []
+
+            def est(X):
+                calls.append(len(X))
+                return envelopes.concave_env_unitbox(m, X)
+
+            return max_gap(m, UnitBox(2), est, oracle.OVER, bound=0.25), len(calls)
+
+        rep, settled = verdict()
+        monkeypatch.setattr(oracle, "_moved", lambda X0, V0, X, V: np.ones(len(X), bool))
+        full, every_pass = verdict()
+        assert settled < every_pass
+        assert _bits(rep.measured_value) == _bits(full.measured_value)
+        assert np.array_equal(_bits(rep.attainment_points[0]), _bits(full.attainment_points[0]))
+
+    @pytest.mark.parametrize("name", ["UnitBox", "SymBox", "RatioBox", "RatioBoxConcave",
+                                      "StdSimplex"])
+    def test_settled_starts_change_no_bit(self, name, monkeypatch):
+        # every start's point and value, against the schedule that runs all
+        # passes on every start; with 8 passes some starts settle in each case
+        monkeypatch.setattr(oracle, "REFINE_PASSES", 8)
+        dom, func, alpha = _lockstep_case(name)
+        lo, hi = dom.bounding_box()
+        cand = lo + np.random.default_rng(3).random((4096, 5)) * (hi - lo)
+        X0 = cand[dom.contains_many(cand)][:8]
+        V0 = func(X0).tolist()
+
+        def refine():
+            rows = []
+
+            def counted(X):
+                rows.append(len(X))
+                return func(X)
+
+            X, V = oracle._refine(counted, dom, X0, V0, (hi - lo) / 6, np.asarray(alpha, float))
+            return X, V, sum(rows)
+
+        X, V, settled = refine()
+        monkeypatch.setattr(oracle, "_moved", lambda X0, V0, X, V: np.ones(len(X), bool))
+        X_full, V_full, every_pass = refine()
+        assert np.array_equal(_bits(X), _bits(X_full))
+        assert np.array_equal(_bits(V), _bits(V_full))
+        assert settled < every_pass
