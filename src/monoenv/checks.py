@@ -63,15 +63,14 @@ def unitbox(alpha=(1, 1), grid: Optional[oracle.GridSpec] = None, tol: float = T
     """Criterion 1: the min-coordinate overestimator's error over [0,1]^n is c1(d)."""
     m = Monomial(alpha)
     return [_max_gap(f"unitbox hull error alpha={list(alpha)}", m, UnitBox(m.n),
-                     lambda X: envelopes.concave_env_unitbox(m, X), oracle.OVER,
-                     bounds.c1(m.degree), grid, tol)]
+                     envelopes.concave_unitbox(m), oracle.OVER, bounds.c1(m.degree), grid, tol)]
 
 
 def cvxmulti(n: int = 3, grid: Optional[oracle.GridSpec] = None, tol: float = TOL) -> list[Check]:
     """Criterion 2: the hinge convex envelope's error over [0,1]^n is (1 - 1/n)^n."""
     return [_max_gap(f"multilinear convex envelope n={n}", Monomial.multilinear(n), UnitBox(n),
-                     lambda X: envelopes.convex_env_unitbox_multilinear(n, X), oracle.UNDER,
-                     bounds.c2(n), grid, tol)]
+                     envelopes.convex_unitbox_multilinear(n), oracle.UNDER, bounds.c2(n),
+                     grid, tol)]
 
 
 def ratiobox(n: int = 3, r: float = 2.0, grid: Optional[oracle.GridSpec] = None,
@@ -81,9 +80,9 @@ def ratiobox(n: int = 3, r: float = 2.0, grid: Optional[oracle.GridSpec] = None,
     D, E = bounds.ratio_box_constants(n, r)
     return [
         _max_gap(f"ratio box concave error n={n} r={r:.9g}", m, dom,
-                 lambda X: envelopes.concave_env_ratiobox(n, r, X), oracle.OVER, E, grid, tol),
+                 envelopes.concave_ratiobox(n, r), oracle.OVER, E, grid, tol),
         _max_gap(f"ratio box convex error n={n} r={r:.9g}", m, dom,
-                 lambda X: envelopes.convex_env_ratiobox(n, r, X), oracle.UNDER, D, grid, tol),
+                 envelopes.convex_ratiobox(n, r), oracle.UNDER, D, grid, tol),
     ]
 
 
@@ -125,7 +124,7 @@ def simplex(alpha=(1, 1), grid: Optional[oracle.GridSpec] = None, tol: float = T
     dom = StdSimplex(m.n)
     return [
         _max_gap(f"simplex concave bound alpha={list(alpha)}", m, dom,
-                 lambda X: envelopes.concave_env_unitbox(m, X), oracle.OVER, sb.conc, grid, tol),
+                 envelopes.concave_unitbox(m), oracle.OVER, sb.conc, grid, tol),
         _max_gap(f"simplex convex error alpha={list(alpha)}", m, dom,
                  lambda X: np.zeros(X.shape[0]), oracle.UNDER, sb.cvx, grid, tol),
     ]

@@ -1,13 +1,14 @@
 """Closed-form envelopes and linear underestimators over the structured domains.
 
-All evaluators accept a single point or a stack of points (rows) and validate
-domain membership up front, through one checked-evaluation helper. Pure
-functions over immutable inputs.
+Each closed-form envelope is an :class:`Envelope`, its domain and an unchecked
+``value``; calling it, as the ``*_env_*`` functions do, checks a point or a
+stack of points (rows) first. Pure functions over immutable inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +36,8 @@ class LinearUnderestimator:
     def __post_init__(self):
         object.__setattr__(self, "beta", tuple(slopes(self.beta).tolist()))
         object.__setattr__(self, "intercept", float(self.intercept))
+        if not np.isfinite(self.intercept):
+            raise ValueError(f"intercept must be finite, got {self.intercept}")
 
     @property
     def n(self) -> int:
@@ -51,25 +54,40 @@ def underestimator_value(u: LinearUnderestimator, x) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
-def _checked(dom: Domain, x, value):
-    """``value`` on the rows of x once they are checked to lie in dom; for a
-    single point, each array it returns becomes a float."""
-    X, single = as_points(x, dom.n)
-    dom.require_inside(X)
-    out = value(X)
-    if not single:
-        return out
-    return tuple(float(v[0]) for v in out) if type(out) is tuple else float(out[0])
+@dataclass(frozen=True)
+class Envelope:
+    """A closed-form envelope: ``value(X)`` on an (m, n) array whose rows the
+    caller knows lie in ``dom``, and a call that checks them first. Called on
+    a single point it gives a float, or a tuple of floats for a pair."""
+
+    dom: Domain
+    value: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, ...]]
+
+    def __call__(self, x):
+        X, single = as_points(x, self.dom.n)
+        self.dom.require_inside(X)
+        out = self.value(X)
+        if not single:
+            return out
+        return tuple(float(v[0]) for v in out) if type(out) is tuple else float(out[0])
+
+
+def concave_unitbox(m: Monomial) -> Envelope:
+    """Concave envelope of x**alpha over [0,1]^n: min_j x_j (any alpha >= 1)."""
+    return Envelope(UnitBox(m.n), lambda X: fold_columns(np.minimum, X))
 
 
 def concave_env_unitbox(m: Monomial, x) -> float | np.ndarray:
-    """Concave envelope of x**alpha over [0,1]^n: min_j x_j (any alpha >= 1)."""
-    return _checked(UnitBox(m.n), x, lambda X: fold_columns(np.minimum, X))
+    return concave_unitbox(m)(x)
+
+
+def convex_unitbox_multilinear(n: int) -> Envelope:
+    """Convex envelope of x_1...x_n over [0,1]^n: max{0, 1 + sum_j (x_j - 1)}."""
+    return Envelope(UnitBox(n), lambda X: np.maximum(0.0, 1.0 + np.sum(X - 1.0, axis=-1)))
 
 
 def convex_env_unitbox_multilinear(n: int, x) -> float | np.ndarray:
-    """Convex envelope of x_1...x_n over [0,1]^n: max{0, 1 + sum_j (x_j - 1)}."""
-    return _checked(UnitBox(n), x, lambda X: np.maximum(0.0, 1.0 + np.sum(X - 1.0, axis=-1)))
+    return convex_unitbox_multilinear(n)(x)
 
 
 def gamma_vector(m: Monomial, dom: Domain) -> np.ndarray:
@@ -119,56 +137,62 @@ def underestimator_necessary(m: Monomial, dom: Domain, beta) -> bool:
     return True
 
 
-def concave_env_ratiobox(n: int, r: float, x) -> float | np.ndarray:
+def concave_ratiobox(n: int, r: float) -> Envelope:
     """Concave envelope of x_1...x_n over [1,r]^n.
 
     Sorting descending, the envelope is sum_j r**(j-1) x_(j) minus
     sum_{j=1}^{n-1} r**j: the largest weight goes to the smallest coordinate,
     which is the minimizing assignment among all permutations.
     """
-    coeffs = np.array([float(r) ** (n - 1 - k) for k in range(n)])
-    shift = sum(float(r) ** j for j in range(1, n))
-    return _checked(RatioBox(n, r), x,
-                    lambda X: np.einsum("ij,j->i", np.ascontiguousarray(np.sort(X, axis=-1)),
-                                        coeffs) - shift)
+    dom = RatioBox(n, r)
+    coeffs = np.array([dom.r ** (n - 1 - k) for k in range(n)])
+    shift = sum(dom.r ** j for j in range(1, n))
+    return Envelope(dom, lambda X: np.einsum("ij,j->i", np.ascontiguousarray(np.sort(X, axis=-1)),
+                                             coeffs) - shift)
 
 
-def convex_env_ratiobox(n: int, r: float, x) -> float | np.ndarray:
+def concave_env_ratiobox(n: int, r: float, x) -> float | np.ndarray:
+    return concave_ratiobox(n, r)(x)
+
+
+def convex_ratiobox(n: int, r: float) -> Envelope:
     """Convex envelope of x_1...x_n over [1,r]^n: an n-piece max of affine cuts."""
+    dom = RatioBox(n, r)
+
     def value(X):
         s = np.sum(X, axis=-1)
-        cuts = (float(r) ** (i - 1) * (s - (n - i) - float(r) * (i - 1)) for i in range(1, n + 1))
+        cuts = (dom.r ** (i - 1) * (s - (n - i) - dom.r * (i - 1)) for i in range(1, n + 1))
         vals = next(cuts)
         for cut in cuts:
             np.maximum(vals, cut, out=vals)
         return vals
 
-    return _checked(RatioBox(n, r), x, value)
+    return Envelope(dom, value)
 
 
-def symbox_lo_hi(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Convex and concave envelope values of x_1...x_n over [-1,1]^n, per row.
+def convex_env_ratiobox(n: int, r: float, x) -> float | np.ndarray:
+    return convex_ratiobox(n, r)(x)
+
+
+def symbox_bounds(n: int) -> Envelope:
+    """Convex and concave envelopes of x_1...x_n over [-1,1]^n as one pair:
+    its value is (lo, hi) per row, with lo <= f(x) <= hi.
 
     The binding signed subset flips signs on the negative coordinates and,
     when their count has the wrong parity, sacrifices the smallest magnitude:
     lo = tot - k - (n-1) and hi = 2 min|x_j| - k - tot + (n-1), clipped to
     [-1, 1], where tot = sum |x_j| and k = 2 min|x_j| when oddly many x_j < 0
-    (else 0). No domain check; the rows must lie in the box.
+    (else 0).
     """
-    n = X.shape[-1]
-    absX = np.abs(X)
-    tot = np.add.reduce(absX, axis=-1)
-    sm2 = 2.0 * fold_columns(np.minimum, absX)
-    k = fold_columns(np.not_equal, X < 0) * sm2
-    lo = np.maximum(tot - k - (n - 1), -1.0)
-    hi = np.minimum(sm2 - k - tot + (n - 1), 1.0)
-    return lo, hi
+    def value(X):
+        absX = np.abs(X)
+        tot = np.add.reduce(absX, axis=-1)
+        sm2 = 2.0 * fold_columns(np.minimum, absX)
+        k = fold_columns(np.not_equal, X < 0) * sm2
+        return np.maximum(tot - k - (n - 1), -1.0), np.minimum(sm2 - k - tot + (n - 1), 1.0)
+
+    return Envelope(SymBox(n), value)
 
 
 def envelopes_symbox(n: int, x) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Convex and concave envelope values of x_1...x_n over [-1,1]^n.
-
-    Returns (lo, hi) with lo <= f(x) <= hi; both are exact envelope values of
-    the multilinear monomial.
-    """
-    return _checked(SymBox(n), x, symbox_lo_hi)
+    return symbox_bounds(n)(x)

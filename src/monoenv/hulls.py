@@ -3,9 +3,10 @@
 The hull of {(x, w) in [-1,1]^(n+1) : w = x_1...x_n} is cut out by one
 parity inequality per odd subset of the n+1 coordinates (w counted as
 coordinate n+1), together with the box bounds. Facets are stored as subset
-bitmasks. A ``FacetSystem`` is always the full hull: its envelope bounds come
-from the closed form in :mod:`monoenv.envelopes`, membership is one product
-with the facet sign matrix, and the parsers accept only the full facet set.
+bitmasks. A ``FacetSystem`` is always the full hull: its envelope bounds are
+the closed-form envelopes of :mod:`monoenv.envelopes`, membership is one
+product with the facet sign matrix, and the parsers accept only the full facet
+set.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import re
 from dataclasses import dataclass
 import numpy as np
 
-from . import lp
-from .core import ScaleExceeded, as_points, one_point
-from .envelopes import symbox_lo_hi
+from . import envelopes, lp
+from .core import ScaleExceeded, SymBox, one_point
 
 MEMBERSHIP_TOL = 1e-9
 FACET_ENUM_LIMIT = 20
@@ -79,23 +79,20 @@ class FacetSystem:
         b = np.full(len(self.facets), self.n - 1.0)
         return A, b
 
-    def envelope_bounds(self, x) -> tuple[np.ndarray, np.ndarray] | tuple[float, float]:
-        """Implied range [lo(x), hi(x)] for the lifted coordinate at each x.
+    @functools.cached_property
+    def envelope_bounds(self) -> envelopes.Envelope:
+        """Implied range [lo(x), hi(x)] of the lifted coordinate at each x in
+        [-1,1]^n: facets containing coordinate n+1 bound w from below, the
+        others from above, and on the full hull both reduce to the closed form."""
+        return envelopes.symbox_bounds(self.n)
 
-        Facets containing coordinate n+1 bound w from below, the others from
-        above; on the full hull both sides reduce to the closed form.
-        """
-        X, single = as_points(x, self.n)
-        lo, hi = symbox_lo_hi(X)
-        if single:
-            return float(lo[0]), float(hi[0])
-        return lo, hi
+    @functools.cached_property
+    def envelope_lower(self) -> envelopes.Envelope:
+        return envelopes.Envelope(SymBox(self.n), lambda X: self.envelope_bounds.value(X)[0])
 
-    def envelope_lower(self, x):
-        return self.envelope_bounds(x)[0]
-
-    def envelope_upper(self, x):
-        return self.envelope_bounds(x)[1]
+    @functools.cached_property
+    def envelope_upper(self) -> envelopes.Envelope:
+        return envelopes.Envelope(SymBox(self.n), lambda X: self.envelope_bounds.value(X)[1])
 
 
 def build_symbox_hull(n: int) -> FacetSystem:
@@ -127,8 +124,10 @@ def hull_membership(fs: FacetSystem, x, w: float,
     """Check one point (x, w) against the box bounds and every parity facet.
 
     Raises ``DimensionMismatch`` for more than one point and ``ValueError``
-    for a non-finite coordinate.
+    for a non-finite coordinate or a ``nan`` or negative ``tol``.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tol}")
     z = np.append(one_point(x, fs.n), float(w))
     if not np.all(np.isfinite(z)):
         raise ValueError(f"hull_membership needs finite (x, w), got {z.tolist()}")

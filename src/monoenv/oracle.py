@@ -29,15 +29,14 @@ from .core import (
     ErrorReport,
     Monomial,
     ScaleExceeded,
-    UnitBox,
     UnsupportedDomain,
     error_report,
-    fold_columns,
     monomial_values,
     one_point,
     slopes,
 )
 from . import bounds as _bounds
+from .envelopes import Envelope, concave_unitbox
 from .lp import solve_equality_lp
 
 OVER = "OVER"
@@ -285,10 +284,14 @@ def max_gap(m: Monomial, dom: Domain, estimator: Callable[[np.ndarray], np.ndarr
 
     ``side="OVER"`` scans estimator(x) - f(x) (concave overestimators),
     ``side="UNDER"`` scans f(x) - estimator(x). The report compares the
-    measured maximum against ``bound`` when one is supplied.
+    measured maximum against ``bound`` when one is supplied. An
+    :class:`~monoenv.envelopes.Envelope` over ``dom`` itself is evaluated by
+    its unchecked ``value``, since the scan generates every point in ``dom``.
     """
     _require_side(side)
     dom.require_monomial(m)
+    if isinstance(estimator, Envelope) and estimator.dom == dom:
+        estimator = estimator.value
 
     if side == OVER:
         def gap(X):
@@ -393,7 +396,7 @@ def relaxation_error_PB(m: Monomial, B: Sequence, dom: Domain,
         sig = iv.lo if iv.exact else sigma_numeric(m, dom, s, grid)
         pairs.append((s, sig))
 
-    box = UnitBox(m.n)
+    over = concave_unitbox(m)
 
     def err(X):
         f = monomial_values(m, X)
@@ -401,11 +404,10 @@ def relaxation_error_PB(m: Monomial, B: Sequence, dom: Domain,
         shifted = np.ascontiguousarray(X - 1.0)
         for s, sig in pairs:
             under = np.maximum(under, sig + np.einsum("ij,j->i", shifted, s))
-        over = fold_columns(np.minimum, X)
-        return np.maximum(f - under, over - f)
+        return np.maximum(f - under, over.value(X) - f)
 
     spec = grid or GridSpec()
-    measured, point = grid_maximize(err, box, spec, center_weights=np.asarray(m.alpha, float))
+    measured, point = grid_maximize(err, over.dom, spec, center_weights=np.asarray(m.alpha, float))
     return error_report(_bounds.c1(m.degree), measured, points=[point], tol=tol, grid=spec)
 
 

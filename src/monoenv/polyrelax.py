@@ -169,31 +169,6 @@ class CertifyReport:
         return self.gap <= self.tight_bound + 1e-9 and self.gap >= -1e-6
 
 
-def _relaxed_objective(p: Polynomial):
-    """Pointwise envelope substitution: positive terms get the convex envelope
-    of their monomial (restricted to the variables that appear), negative
-    terms the concave envelope."""
-    pos, neg, const = [], [], 0.0
-    for coeff, alpha in p.terms:
-        support = tuple(j for j, e in enumerate(alpha) if e > 0)
-        if not support:
-            const += coeff
-        elif coeff > 0:
-            pos.append((coeff, support))
-        else:
-            neg.append((coeff, support))
-
-    def value(X: np.ndarray) -> np.ndarray:
-        out = np.full(X.shape[0], const)
-        for coeff, support in pos:
-            out += coeff * np.maximum(0.0, 1.0 + np.sum(X[:, support] - 1.0, axis=-1))
-        for coeff, support in neg:
-            out += coeff * np.min(X[:, support], axis=-1)
-        return out
-
-    return value
-
-
 def _relaxed_minimum_lp(p: Polynomial) -> tuple[float, np.ndarray]:
     """Exact minimum of the envelope-substituted objective over the unit box.
 

@@ -147,6 +147,14 @@ def _other_cases():
     yield "GridSpec-resolution-1", lambda: oracle.GridSpec(resolution=1)
     yield "GridSpec-seed--1", lambda: oracle.GridSpec(seed=-1)
     yield "GridSpec-seed-1.5", lambda: oracle.GridSpec(seed=1.5)
+    # tol=nan once reported the origin as a non-member violating all four facets
+    for label, bad in (("nan", NAN), ("negative", -1e-9)):
+        yield f"hull_membership-tol-{label}", lambda v=bad: hulls.hull_membership(
+            hulls.build_symbox_hull(2), [0.0, 0.0], 0.0, tol=v)
+    # intercept=nan once evaluated to a silent nan, and inf was stored as is
+    for label, bad in (("nan", NAN), ("inf", INF)):
+        yield f"LinearUnderestimator-intercept-{label}", lambda v=bad: (
+            envelopes.LinearUnderestimator((1.5, 1.5), v))
 
 
 def _objective_cases():

@@ -375,7 +375,7 @@ def _symbox_rows(draw):
 @given(_symbox_rows())
 def test_symbox_lo_hi_matches_the_row_reductions(X):
     for rows in (X, X[0]):  # a stack of rows, and one point as a vector
-        lo, hi = envelopes.symbox_lo_hi(rows)
+        lo, hi = envelopes.symbox_bounds(X.shape[1]).value(rows)
         want_lo, want_hi = _rows_symbox(rows)
         _same_bits(lo, want_lo)
         _same_bits(hi, want_hi)

@@ -5,7 +5,8 @@ not, closed-form monomial extremes, exact intercepts) is a member of
 ``monoenv.core.Domain``. These tests pin each member against test-local
 copies of the ``isinstance`` chains it replaced, check that the callers
 reject the same families with the same error types, and guard the rule
-itself: no module but ``core.py`` tests which family it holds.
+itself: no module but ``core.py`` tests which family it holds. The last
+guard keeps the closed-form envelopes' membership check in one place.
 """
 
 import ast
@@ -296,3 +297,52 @@ def test_no_nan_unsafe_slope_test_outside_core():
     paths = sorted(p for p in SRC.glob("*.py") if p.name != "core.py")
     found = [hit for p in paths for hit in nan_unsafe_slope_tests(p.read_text(encoding="utf-8"), p.name)]
     assert found == []
+
+
+# ---------------------------------------------------------------------------
+# closed-form envelopes check their points in one place
+# ---------------------------------------------------------------------------
+
+def require_inside_scopes(source: str, filename: str = "<source>") -> list[str]:
+    """The enclosing class/function path of each ``.require_inside(...)`` call
+    in ``source``, in source order."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "require_inside":
+                yield ".".join(scope) or "<module>"
+            yield from walk(child, scope)
+
+    return list(walk(ast.parse(source, filename), []))
+
+
+def wrapped_envelopes(source: str, filename: str = "<source>") -> list[str]:
+    """Each lambda in ``source`` that calls an ``envelopes.*`` function, as
+    'file:line'; an envelope is passed as its object, not wrapped."""
+    lines = sorted(node.lineno for node in ast.walk(ast.parse(source, filename))
+                   if isinstance(node, ast.Lambda) and any(
+                       isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                       and getattr(call.func.value, "id", None) == "envelopes"
+                       for call in ast.walk(node.body)))
+    return [f"{filename}:{line}" for line in lines]
+
+
+def test_the_guard_sees_a_second_check_and_a_wrapped_envelope():
+    source = ("class Envelope:\n"
+              "    def __call__(self, x):\n"
+              "        return self.value(self.dom.require_inside(x))\n"
+              "def concave(m, x):\n"
+              "    UnitBox(m.n).require_inside(x)\n"
+              "    return lambda X: envelopes.concave_env_unitbox(m, X)\n"
+              "zero = lambda X: np.zeros(len(X))\n"
+              "conc = lambda X: envelopes.concave_unitbox(m)(X)\n")
+    assert require_inside_scopes(source) == ["Envelope.__call__", "concave"]
+    assert wrapped_envelopes(source) == ["<source>:6", "<source>:8"]
+
+
+def test_envelopes_check_points_in_one_place():
+    assert require_inside_scopes((SRC / "envelopes.py").read_text(encoding="utf-8")) == [
+        "Envelope.__call__"]
+    assert wrapped_envelopes((SRC / "checks.py").read_text(encoding="utf-8"), "checks.py") == []

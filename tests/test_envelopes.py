@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from monoenv import (
     Monomial,
@@ -14,7 +16,8 @@ from monoenv import (
     UnsupportedDomain,
     eval_monomial,
 )
-from monoenv import bounds, envelopes, oracle
+from monoenv import bounds, envelopes, hulls, oracle
+from monoenv.core import monomial_values
 from monoenv.envelopes import (
     LinearUnderestimator,
     concave_env_ratiobox,
@@ -392,3 +395,48 @@ def test_vertex_exactness_all_box_vertices():
             fr = eval_monomial(m, Vr)
             assert np.allclose(concave_env_ratiobox(n, r, Vr), fr, atol=1e-12)
             assert np.allclose(convex_env_ratiobox(n, r, Vr), fr, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# every box closed form as an Envelope object
+# ---------------------------------------------------------------------------
+
+_rows01 = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n), min_size=1, max_size=8))
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a, float).view(np.int64), np.asarray(b, float).view(np.int64))
+
+
+@given(_rows01, st.lists(st.integers(1, 4), min_size=6, max_size=6), st.floats(1.0625, 4.0))
+def test_envelope_objects_sandwich_the_monomial(T, alpha, r):
+    """conv <= f <= conc at random rows of the unit, ratio and symmetric boxes;
+    a call gives the bits of ``value``, a float (or a pair of floats) per point."""
+    T = np.array(T)
+    n = T.shape[1]
+    m, ml = Monomial(tuple(alpha[:n])), Monomial.multilinear(n)
+    fs = hulls.build_symbox_hull(n)
+    R, S = 1.0 + (r - 1.0) * T, 2.0 * T - 1.0
+    # (monomial, envelope, the side it bounds, rows of its domain)
+    cases = [(m, envelopes.concave_unitbox(m), "conc", T),
+             (ml, envelopes.convex_unitbox_multilinear(n), "conv", T),
+             (ml, envelopes.concave_ratiobox(n, r), "conc", R),
+             (ml, envelopes.convex_ratiobox(n, r), "conv", R),
+             (ml, envelopes.symbox_bounds(n), "pair", S),
+             (ml, fs.envelope_lower, "conv", S),
+             (ml, fs.envelope_upper, "conc", S)]
+    for mono, env, side, X in cases:
+        f = monomial_values(mono, X)
+        slack = 1e-12 * np.maximum(1.0, np.abs(f))
+        got = env(X)
+        lo, hi = got if side == "pair" else (got, f) if side == "conv" else (f, got)
+        assert np.all(lo <= f + slack) and np.all(f <= hi + slack), (side, X)
+        want, one, first = env.value(X), env(X[0]), env.value(X[:1])
+        if side == "pair":
+            assert all(_same_bits(g, w) for g, w in zip(got, want))
+            assert type(one) is tuple and all(type(v) is float for v in one)
+            assert all(_same_bits(v, w[0]) for v, w in zip(one, first))
+        else:
+            assert _same_bits(got, want)
+            assert type(one) is float and _same_bits(one, first[0])

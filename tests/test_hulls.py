@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from monoenv import DimensionMismatch, Monomial, ScaleExceeded, eval_monomial
+from monoenv import DimensionMismatch, Monomial, OutsideDomain, ScaleExceeded, eval_monomial
 from monoenv import bounds, envelopes
 from monoenv.hulls import (
     FacetSystem,
@@ -145,6 +145,24 @@ class TestMembership:
         f = eval_monomial(m, X)
         worst = float(np.max(np.maximum(f - lo, hi - f)))
         assert worst <= bounds.symbox_error(n) + 1e-12
+
+    @pytest.mark.parametrize("name", ["envelope_bounds", "envelope_lower", "envelope_upper"])
+    @pytest.mark.parametrize("x", [[5.0, 5.0], [float("nan"), 0.5]], ids=["outside", "nan"])
+    def test_envelope_bounds_check_their_points(self, name, x):
+        # [5, 5] once gave (9.0, 1.0) and [nan, 0.5] gave (nan, nan)
+        env = getattr(build_symbox_hull(2), name)
+        with pytest.raises(OutsideDomain):
+            env(x)
+        with pytest.raises(OutsideDomain):
+            env([[0.0, 0.0], x])
+
+    def test_envelope_sides_are_the_pair(self):
+        fs = build_symbox_hull(3)
+        X = np.random.default_rng(4).uniform(-1.0, 1.0, (50, 3))
+        lo, hi = fs.envelope_bounds(X)
+        assert np.array_equal(fs.envelope_lower(X), lo)
+        assert np.array_equal(fs.envelope_upper(X), hi)
+        assert (fs.envelope_lower(X[0]), fs.envelope_upper(X[0])) == fs.envelope_bounds(X[0])
 
 
 class TestConstructive:

@@ -4,6 +4,7 @@ import pytest
 from monoenv import (
     ComplementSimplex,
     CornerSimplexOne,
+    Domain,
     Monomial,
     RatioBox,
     ScaleExceeded,
@@ -15,7 +16,7 @@ from monoenv import (
     Verdict,
     eval_monomial,
 )
-from monoenv import bounds, envelopes, hulls, oracle
+from monoenv import bounds, checks, envelopes, hulls, oracle
 from monoenv.core import monomial_values
 from monoenv.oracle import GridSpec, extremize_f, grid_maximize, max_gap, sampled_hull_envelope, sigma_numeric
 
@@ -196,6 +197,76 @@ def test_all_nan_estimator_is_an_error_not_valid_upper():
     m = Monomial.multilinear(2)
     with pytest.raises(ValueError, match="nan"):
         max_gap(m, UnitBox(2), lambda X: np.full(len(X), np.nan), oracle.OVER, bound=0.25)
+
+
+def _report_bits(rep):
+    return (rep.verdict, float(rep.measured_value).hex(), float(rep.bound_value).hex(),
+            [np.asarray(p, dtype=float).tobytes() for p in rep.attainment_points])
+
+
+class TestEnvelopeObjects:
+    """``max_gap`` evaluates an ``Envelope`` over the scanned domain by its
+    unchecked value; every other estimator is called, and checks, as given."""
+
+    GRID = GridSpec(resolution=8)
+
+    @staticmethod
+    def _count_checks(monkeypatch):
+        rows = []
+        check = Domain.require_inside
+
+        def counted(dom, X, *args):
+            rows.append(len(np.atleast_2d(X)))
+            return check(dom, X, *args)
+
+        monkeypatch.setattr(Domain, "require_inside", counted)
+        return rows
+
+    def test_scan_of_its_own_domain_checks_no_row(self, monkeypatch):
+        fs, ml, m = hulls.build_symbox_hull(3), Monomial.multilinear(3), Monomial((2, 1, 1))
+        rows = self._count_checks(monkeypatch)
+        for mono, dom, env, side in ((ml, SymBox(3), fs.envelope_lower, oracle.UNDER),
+                                     (ml, SymBox(3), fs.envelope_upper, oracle.OVER),
+                                     (m, UnitBox(3), envelopes.concave_unitbox(m), oracle.OVER)):
+            max_gap(mono, dom, env, side, grid=self.GRID)
+        assert rows == []
+
+    def test_other_estimators_check_every_call(self, monkeypatch):
+        m = Monomial((2, 1, 1))
+        conc = envelopes.concave_unitbox(m)
+        rows = self._count_checks(monkeypatch)
+        for dom, est in ((StdSimplex(3), conc), (UnitBox(3), lambda X: conc(X))):
+            calls = []
+
+            def counted(X, est=est):
+                calls.append(len(X))
+                return est(X)
+
+            rows.clear()
+            max_gap(m, dom, counted, oracle.OVER, grid=self.GRID)
+            assert rows == calls and len(calls) > 1
+        # an Envelope handed over directly takes the same checked path on another domain
+        rows.clear()
+        max_gap(m, StdSimplex(3), conc, oracle.OVER, grid=self.GRID)
+        assert len(rows) > 1
+
+    def test_reports_match_the_checked_calls_on_every_check(self, monkeypatch):
+        # each oracle case of `checks` against the same estimator through a
+        # checked call, the path a lambda over the public function takes
+        scan = oracle.max_gap
+        kinds = []
+
+        def both(m, dom, estimator, side, **kwargs):
+            rep = scan(m, dom, estimator, side, **kwargs)
+            ref = scan(m, dom, lambda X: estimator(X), side, **kwargs)
+            assert _report_bits(rep) == _report_bits(ref)
+            kinds.append(type(estimator).__name__)
+            return rep
+
+        monkeypatch.setattr(oracle, "max_gap", both)
+        for case in ("unitbox", "cvxmulti", "ratiobox", "symbox", "simplex"):
+            assert all(ch.ok for ch in checks.CASES[case]())
+        assert kinds.count("Envelope") == 7 and len(kinds) == 8
 
 
 def _captured(monkeypatch, name, call):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from monoenv import DimensionMismatch, Monomial, SubBox, UnitBox, ScaleExceeded
-from monoenv import bounds
+from monoenv import bounds, envelopes
 from monoenv.core import monomial_values
 from monoenv.polyrelax import (
     CertifyReport,
@@ -219,13 +219,18 @@ class TestCertify:
         supports = [s for k in (1, 2, 3) for s in itertools.combinations(range(3), k)]
         xs = np.linspace(0.0, 1.0, 41)
         G = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), -1).reshape(-1, 3)
-        from monoenv.polyrelax import _relaxed_objective
         for _ in range(10):
-            terms = tuple((float(rng.uniform(-2, 2)),
-                           tuple(1 if j in s else 0 for j in range(3))) for s in supports)
-            p = Polynomial(3, terms)
+            coeffs = rng.uniform(-2, 2, len(supports))
+            p = Polynomial(3, tuple((float(c), tuple(1 if j in s else 0 for j in range(3)))
+                                    for c, s in zip(coeffs, supports)))
             rep = certify_gap_small_instance(p, UnitBox(3))
-            grid_min = float(np.min(_relaxed_objective(p)(G)))
+            # each term replaced by its convex envelope (c > 0) or its
+            # concave envelope (c < 0) over the unit box of its support
+            relaxed = sum(c * (envelopes.convex_env_unitbox_multilinear(len(s), G[:, s]) if c > 0
+                               else envelopes.concave_env_unitbox(Monomial.multilinear(len(s)),
+                                                                  G[:, s]))
+                          for c, s in zip(coeffs.tolist(), supports))
+            grid_min = float(np.min(relaxed))
             assert rep.z_mon <= grid_min + 1e-9
             assert rep.z_mon == pytest.approx(grid_min, abs=5e-3)
 
