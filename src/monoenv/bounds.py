@@ -21,13 +21,12 @@ from .core import (
     slopes,
 )
 
-BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _require_degree(d: int) -> int:
-    if int(d) != d or d < 2:
+    if not float(d).is_integer() or d < 2:
         raise ValueError(f"degree must be an integer >= 2, got {d!r}")
     return int(d)
 
@@ -447,16 +446,14 @@ def d_bound_cases(n: int, r: float) -> DBoundResult:
 
 def symbox_error(n: int) -> float:
     """Hull error of x_1...x_n over [-1,1]^n: 1 + ((n-2)/n)**n."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = _require_degree(n)
     return 1.0 + ((n - 2) / n) ** n
 
 
 def symbox_attainment(n: int) -> tuple[np.ndarray, float]:
     """Anchor attainment point ((n-2)/n * (1,..,1), -1); the full attainment
     set is its 2**n sign reflections."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = _require_degree(n)
     return np.full(n, (n - 2) / n), -1.0
 
 

@@ -77,6 +77,12 @@ def slopes(v, n: Optional[int] = None, name: str = "beta") -> np.ndarray:
     return b
 
 
+def require_count(v, name: str, low: int) -> None:
+    """A ``ValueError`` unless ``v`` is an integer (numpy integers included) >= low."""
+    if not (isinstance(v, (int, np.integer)) and v >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+
+
 def box_ratio(r) -> float:
     """``r`` as the float ratio of a box [1, r]^n: finite and > 1."""
     r = float(r)
@@ -232,11 +238,11 @@ class Domain:
 
     n: int
     is_box = False  # True on the four axis-aligned box families
+    min_n = 1  # the least dimension of the family
 
     def __post_init__(self):
         # for the families given n; SubBox and CornerSimplexOne check their vectors
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        require_count(self.n, "n", self.min_n)
 
     def require_monomial(self, m: Monomial) -> None:
         """A ``DimensionMismatch`` unless the monomial has the domain's dimension."""
@@ -254,20 +260,20 @@ class Domain:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def contains_many(self, X, tol: float = TOL_EXACT) -> np.ndarray:
+    def contains_many(self, X) -> np.ndarray:
+        """Row mask of A x <= b + TOL_EXACT over a point or a stack of points."""
         P, _ = as_points(X, self.n)
-        return self._contains_rows(P, tol)
+        return self._contains_rows(P)
 
-    def _contains_rows(self, P: np.ndarray, tol: float) -> np.ndarray:
-        """Row mask of A p <= b + tol for a (m, n) float array."""
+    def _contains_rows(self, P: np.ndarray) -> np.ndarray:
         A, b = self.halfspaces()
-        return np.all(P @ A.T <= b + tol, axis=1)
+        return np.all(P @ A.T <= b + TOL_EXACT, axis=1)
 
-    def contains(self, x, tol: float = TOL_EXACT) -> bool:
-        return bool(self.contains_many(np.asarray(x, float)[None, :], tol)[0])
+    def contains(self, x) -> bool:
+        return bool(self.contains_many(np.asarray(x, float)[None, :])[0])
 
-    def require_inside(self, X, tol: float = TOL_EXACT) -> None:
-        ok = self.contains_many(X, tol)
+    def require_inside(self, X) -> None:
+        ok = self.contains_many(X)
         if not np.all(ok):
             bad = np.asarray(X, float).reshape(-1, self.n)[~ok][0]
             raise OutsideDomain(f"point {bad.tolist()} is outside {self}")
@@ -329,13 +335,13 @@ def _box_vertices(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _box_limits(dom: Domain, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    # A box's halfspace rows are +-e_j, so A p <= b + tol says
-    # -(-l_j + tol) <= p_j <= u_j + tol, coordinate by coordinate. A nan or
-    # inf coordinate fails one side, as it made its whole row nan in A p.
+def _box_limits(dom: Domain) -> tuple[np.ndarray, np.ndarray]:
+    # A box's halfspace rows are +-e_j, so A p <= b + TOL_EXACT says
+    # -(-l_j + TOL_EXACT) <= p_j <= u_j + TOL_EXACT, coordinate by coordinate.
+    # A nan or inf coordinate fails one side, as it made its whole row nan in A p.
     _, b = dom.halfspaces()
     n = dom.n
-    lo, hi = -(b[n:] + tol), b[:n] + tol
+    lo, hi = -(b[n:] + TOL_EXACT), b[:n] + TOL_EXACT
     lo.setflags(write=False)
     hi.setflags(write=False)
     return lo, hi
@@ -351,8 +357,8 @@ class _BoxDomain(Domain):
         eye = np.eye(self.n)
         return np.vstack([eye, -eye]), np.concatenate([hi, -lo])
 
-    def _contains_rows(self, P, tol):
-        lo, hi = _box_limits(self, tol)
+    def _contains_rows(self, P):
+        lo, hi = _box_limits(self)
         ok = P <= hi
         ok &= P >= lo
         return fold_columns(np.logical_and, ok)
@@ -529,10 +535,7 @@ class ComplementSimplex(Domain):
     """conv({0,1}^n minus the all-ones point) = {x in [0,1]^n : sum x_j <= n-1}."""
 
     n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
+    min_n = 2
 
     def _halfspaces(self):
         n = self.n

@@ -3,10 +3,10 @@
 The hull of {(x, w) in [-1,1]^(n+1) : w = x_1...x_n} is cut out by one
 parity inequality per odd subset of the n+1 coordinates (w counted as
 coordinate n+1), together with the box bounds. Facets are stored as subset
-bitmasks. A ``FacetSystem`` is always the full hull: its envelope bounds are
-the closed-form envelopes of :mod:`monoenv.envelopes`, membership is one
-product with the facet sign matrix, and the parsers accept only the full facet
-set.
+bitmasks. A ``FacetSystem`` is always the full hull, as its facets follow from
+n: its envelope bounds are the closed-form envelopes of :mod:`monoenv.envelopes`,
+membership is one product with the facet sign matrix, and the parsers accept
+only the full facet set.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from typing import ClassVar
+
 import numpy as np
 
 from . import envelopes, lp
-from .core import ScaleExceeded, SymBox, one_point
+from .core import TOL_EXACT, ScaleExceeded, SymBox, one_point, require_count
 
-MEMBERSHIP_TOL = 1e-9
 FACET_ENUM_LIMIT = 20
 
 
@@ -36,30 +37,38 @@ class SignedSubsetInequality:
 
     mask: int
     n: int
-    sense: str = "GE"
+    sense: ClassVar[str] = "GE"
 
     @property
     def rhs(self) -> float:
         return -(self.n - 1.0)
 
-    @property
-    def nvars(self) -> int:
-        return self.n + 1
-
     def subset(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.nvars) if (self.mask >> i) & 1)
+        return tuple(i + 1 for i in range(self.n + 1) if (self.mask >> i) & 1)
 
 
 @dataclass(frozen=True)
 class FacetSystem:
-    """All parity facets for one dimension, plus the implied [-1,1] box."""
+    """All 2^n parity facets for one dimension n, plus the implied [-1,1] box;
+    equal by n, with the facets built from n on first use."""
 
     n: int
-    facets: tuple[SignedSubsetInequality, ...]
+
+    def __post_init__(self):
+        require_count(self.n, "n", 1)
+        if self.n > FACET_ENUM_LIMIT:
+            raise ScaleExceeded(f"facet enumeration refused for n={self.n}: 2^{self.n} facets; "
+                                "use the closed-form envelope evaluation instead")
 
     @property
     def nvars(self) -> int:
         return self.n + 1
+
+    @functools.cached_property
+    def facets(self) -> tuple[SignedSubsetInequality, ...]:
+        return tuple(SignedSubsetInequality(mask=mask, n=self.n)
+                     for mask in range(1, 2 ** self.nvars)
+                     if bin(mask).count("1") % 2 == 1)
 
     @functools.cached_property
     def _signs(self) -> np.ndarray:
@@ -76,14 +85,14 @@ class FacetSystem:
     def to_ub(self) -> tuple[np.ndarray, np.ndarray]:
         """Inequalities as A z <= b (facet rows only, box handled separately)."""
         A = -self.sign_matrix()
-        b = np.full(len(self.facets), self.n - 1.0)
+        b = np.full(len(A), self.n - 1.0)
         return A, b
 
     @functools.cached_property
     def envelope_bounds(self) -> envelopes.Envelope:
         """Implied range [lo(x), hi(x)] of the lifted coordinate at each x in
         [-1,1]^n: facets containing coordinate n+1 bound w from below, the
-        others from above, and on the full hull both reduce to the closed form."""
+        others from above, and both reduce to the closed form."""
         return envelopes.symbox_bounds(self.n)
 
     @functools.cached_property
@@ -96,20 +105,8 @@ class FacetSystem:
 
 
 def build_symbox_hull(n: int) -> FacetSystem:
-    """All odd-subset parity inequalities over n+1 coordinates (2**n of them)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > FACET_ENUM_LIMIT:
-        raise ScaleExceeded(
-            f"facet enumeration refused for n={n}: 2^{n} facets; "
-            "use the closed-form envelope evaluation instead"
-        )
-    facets = tuple(
-        SignedSubsetInequality(mask=mask, n=n)
-        for mask in range(1, 2 ** (n + 1))
-        if bin(mask).count("1") % 2 == 1
-    )
-    return FacetSystem(n=n, facets=facets)
+    """``FacetSystem(n)``: the 2**n odd-subset parity inequalities over n+1 coordinates."""
+    return FacetSystem(n)
 
 
 @dataclass(frozen=True)
@@ -119,20 +116,17 @@ class MembershipResult:
     box_violations: tuple[int, ...]
 
 
-def hull_membership(fs: FacetSystem, x, w: float,
-                    tol: float = MEMBERSHIP_TOL) -> MembershipResult:
-    """Check one point (x, w) against the box bounds and every parity facet.
+def hull_membership(fs: FacetSystem, x, w: float) -> MembershipResult:
+    """Check one point (x, w) against the box and every parity facet within ``TOL_EXACT``.
 
     Raises ``DimensionMismatch`` for more than one point and ``ValueError``
-    for a non-finite coordinate or a ``nan`` or negative ``tol``.
+    for a non-finite coordinate.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tol}")
     z = np.append(one_point(x, fs.n), float(w))
     if not np.all(np.isfinite(z)):
         raise ValueError(f"hull_membership needs finite (x, w), got {z.tolist()}")
-    box_bad = tuple(i + 1 for i, v in enumerate(z) if abs(v) > 1.0 + tol)
-    ok = fs.sign_matrix() @ z >= -(fs.n - 1.0) - tol
+    box_bad = tuple(i + 1 for i, v in enumerate(z) if abs(v) > 1.0 + TOL_EXACT)
+    ok = fs.sign_matrix() @ z >= -(fs.n - 1.0) - TOL_EXACT
     violated = tuple(fs.facets[i] for i in np.flatnonzero(~ok))
     return MembershipResult(member=not box_bad and not violated,
                             violated=violated, box_violations=box_bad)
@@ -164,6 +158,8 @@ def constructive_maximizer(c) -> tuple[np.ndarray, float]:
     of least |c|. The result is a +/-1 vector with an even number of -1s.
     """
     c = np.asarray(c, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"constructive_maximizer needs a finite c, got {c.tolist()}")
     z = np.ones(len(c))
     neg = np.flatnonzero(c < 0.0)
     zero = np.flatnonzero(c == 0.0)
@@ -241,7 +237,7 @@ _TEXT_LINE = re.compile(r"I=\{([\d,]*)\}\s+sense=(\w+)\s+rhs=(\S+)")
 def _full_hull(n: int, rows: list[tuple[int, str, float]]) -> FacetSystem:
     """The hull for parsed (mask, sense, rhs) rows, which must be exactly its
     2^n odd-subset facets, each ``GE`` with rhs -(n-1), in any order."""
-    fs = build_symbox_hull(n)
+    fs = FacetSystem(n)
     for mask, sense, rhs in rows:
         if sense != "GE":
             raise ValueError(f"unknown facet sense {sense!r}; facets are GE")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 _TOL = 1e-10
+MAX_PIVOTS = 50_000  # per phase; beyond it a solve raises "simplex iteration limit reached"
 
 
 class LPInfeasible(RuntimeError):
@@ -44,7 +45,7 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_simplex(T: np.ndarray, basis: list[int], ncols: int, max_iter: int = 50_000) -> None:
+def _run_simplex(T: np.ndarray, basis: list[int], ncols: int) -> None:
     """Minimize the objective encoded in the last tableau row over columns < ncols.
 
     The last row holds reduced costs (negated objective in the rhs cell);
@@ -52,7 +53,7 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int, max_iter: int = 50
     copies of the cost row, the pivot column and the rhs.
     """
     m = T.shape[0] - 1
-    for _ in range(max_iter):
+    for _ in range(MAX_PIVOTS):
         col = -1
         for j, v in enumerate(T[m, :ncols].tolist()):  # Bland: smallest improving index
             if v < -_TOL:

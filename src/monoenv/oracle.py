@@ -33,6 +33,7 @@ from .core import (
     error_report,
     monomial_values,
     one_point,
+    require_count,
     slopes,
 )
 from . import bounds as _bounds
@@ -62,11 +63,9 @@ class GridSpec:
     seed: int = 42
 
     def __post_init__(self):
-        res, seed = self.resolution, self.seed
-        if res is not None and not (isinstance(res, (int, np.integer)) and res >= 2):
-            raise ValueError(f"resolution must be None or an integer >= 2, got {res!r}")
-        if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        if self.resolution is not None:
+            require_count(self.resolution, "resolution", 2)
+        require_count(self.seed, "seed", 0)
 
     def resolution_for(self, n: int) -> int:
         if self.resolution is not None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -253,10 +252,10 @@ def certify_gap_small_instance(p: Polynomial, dom: Domain) -> CertifyReport:
 # Input formats
 # ---------------------------------------------------------------------------
 
-def parse_polynomial_text(text: str, n: Optional[int] = None) -> Polynomial:
+def parse_polynomial_text(text: str) -> Polynomial:
     """Parse the line format ``coeff exp1 exp2 ... expn`` (# starts a comment)."""
     terms = []
-    width = n
+    width = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:

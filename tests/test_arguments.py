@@ -147,14 +147,32 @@ def _other_cases():
     yield "GridSpec-resolution-1", lambda: oracle.GridSpec(resolution=1)
     yield "GridSpec-seed--1", lambda: oracle.GridSpec(seed=-1)
     yield "GridSpec-seed-1.5", lambda: oracle.GridSpec(seed=1.5)
-    # tol=nan once reported the origin as a non-member violating all four facets
-    for label, bad in (("nan", NAN), ("negative", -1e-9)):
-        yield f"hull_membership-tol-{label}", lambda v=bad: hulls.hull_membership(
-            hulls.build_symbox_hull(2), [0.0, 0.0], 0.0, tol=v)
+    # c = [nan, 1] once gave the value nan, and [inf, -1, 2] gave inf
+    for label, bad in (("nan", [NAN, 1.0]), ("inf", [INF, -1.0, 2.0])):
+        yield f"constructive_maximizer-{label}", lambda v=bad: hulls.constructive_maximizer(v)
     # intercept=nan once evaluated to a silent nan, and inf was stored as is
     for label, bad in (("nan", NAN), ("inf", INF)):
         yield f"LinearUnderestimator-intercept-{label}", lambda v=bad: (
             envelopes.LinearUnderestimator((1.5, 1.5), v))
+
+
+def _dimension_cases():
+    # a float n once built a domain that failed later with a numpy TypeError
+    # and a hull that failed in range(); n must be an int, or a numpy integer
+    entries = {
+        "StdSimplex": StdSimplex, "SymBox": SymBox, "UnitBox": UnitBox,
+        "RatioBox": lambda n: RatioBox(n, 2.0), "ComplementSimplex": ComplementSimplex,
+        "build_symbox_hull": hulls.build_symbox_hull,
+    }
+    for name, call in entries.items():
+        for label, bad in (("2.0", 2.0), ("2.5", 2.5), ("nan", NAN)):
+            yield f"{name}-n-{label}", lambda c=call, v=bad: c(v)
+    yield "ComplementSimplex-n-1", lambda: ComplementSimplex(1)
+    # symbox_error(2.5) once returned 1.0179; n is the degree, checked as one
+    for name, call in (("symbox_error", bounds.symbox_error),
+                       ("symbox_attainment", bounds.symbox_attainment)):
+        for label, bad in (("2.5", 2.5), ("nan", NAN), ("inf", INF), ("1", 1)):
+            yield f"{name}-n-{label}", lambda c=call, v=bad: c(v)
 
 
 def _objective_cases():
@@ -186,6 +204,7 @@ REJECTIONS = [
     *(("values", *case) for case in _monomial_values_cases()),
     *(("objective", name, call, DimensionMismatch) for name, call in _objective_cases()),
     *(("ratio", name, call, ValueError) for name, call in _ratio_cases()),
+    *(("dimension", name, call, ValueError) for name, call in _dimension_cases()),
     *(("other", name, call, ValueError) for name, call in _other_cases()),
 ]
 
@@ -201,6 +220,14 @@ def test_bad_argument_raises_its_typed_error(kind, name, call, error):
 def test_every_slope_entry_accepts_valid_slopes():
     for name, call in SLOPE_ENTRIES.items():
         call((1.5, 1.5))
+
+
+@pytest.mark.parametrize("n", [2, np.int64(2), np.int32(2)], ids=["int", "int64", "int32"])
+def test_numpy_integer_dimensions_are_accepted(n):
+    for dom in (StdSimplex(n), SymBox(n), UnitBox(n), RatioBox(n, 2.0), ComplementSimplex(n)):
+        assert dom.contains([0.5, 0.5]) == (type(dom) is not RatioBox)
+    assert hulls.build_symbox_hull(n) == hulls.build_symbox_hull(2)
+    assert bounds.symbox_error(n) == bounds.symbox_error(2)
 
 
 def test_one_point_accepts_a_stack_of_one():

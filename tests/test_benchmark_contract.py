@@ -1,0 +1,58 @@
+"""The library as ``perfbench/`` reads it.
+
+The benchmark drives the public API and checks each result outside the timed
+span. These tests read the hull the way its workloads do, and install its
+traced wrappers, so a library change that would break a benchmark run fails
+here first.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from monoenv import SymBox, envelopes, hulls
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _odd_masks(n):
+    return [m for m in range(1, 2 ** (n + 1)) if bin(m).count("1") % 2 == 1]
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_hull_reads_as_the_workloads_read_it(n):
+    fs = hulls.build_symbox_hull(n)
+    want = sorted((m, "GE") for m in _odd_masks(n))
+    assert sorted((f.mask, f.sense) for f in fs.facets) == want
+    back = hulls.parse_facets_text(hulls.export_facets_text(fs))
+    assert back.n == n and sorted((f.mask, f.sense) for f in back.facets) == want
+
+    A, b = fs.to_ub()
+    assert A.shape == (2 ** n, n + 1) and b.shape == (2 ** n,)
+    assert np.all(A @ np.ones(n + 1) <= b)  # the all-ones vertex is feasible
+
+    X = np.random.default_rng(n).uniform(-1.0, 1.0, (16, n))
+    lo, hi = fs.envelope_bounds(X)
+    assert lo.shape == hi.shape == (16,) and np.all(lo <= hi)
+    for env, side in ((fs.envelope_lower, lo), (fs.envelope_upper, hi)):
+        assert isinstance(env, envelopes.Envelope) and env.dom == SymBox(n)
+        assert np.array_equal(env(X), side)
+    assert hulls.hull_membership(fs, X[0], 0.5 * (lo[0] + hi[0])).member
+    assert not hulls.hull_membership(fs, X[0], hi[0] + 1e-3).member
+
+
+def test_traced_wrappers_install():
+    # install_spans raises when a name it rebinds is gone from the package
+    code = ("import sys; sys.path.insert(0, 'perfbench')\n"
+            "from spans import Tracer\n"
+            "from worker import install_spans\n"
+            "install_spans(Tracer())\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -180,8 +180,8 @@ class TestDomains:
             for e_j in np.eye(dom.n):
                 tlo, thi = dom.line_range(x, e_j)
                 assert tlo <= 1e-9 and -1e-9 <= thi
-                assert dom.contains(x + tlo * e_j, tol=1e-7)
-                assert dom.contains(x + thi * e_j, tol=1e-7)
+                assert dom.contains(x + tlo * e_j)
+                assert dom.contains(x + thi * e_j)
 
     @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: type(d).__name__)
     def test_halfspaces_read_only_and_shared(self, dom):
@@ -279,9 +279,9 @@ def _rows_monomial(alpha, X):
     return np.prod(mags * np.where(neg, -1.0, 1.0), axis=-1)
 
 
-def _rows_contains(dom, X, tol):
+def _rows_contains(dom, X):
     A, b = dom.halfspaces()
-    return np.all(X @ A.T <= b + tol, axis=1)
+    return np.all(X @ A.T <= b + TOL_EXACT, axis=1)
 
 
 def _rows_ratio_cvx(n, r, X):
@@ -352,18 +352,17 @@ def _box_rows(draw):
     dom = draw(st.sampled_from([UnitBox(n), SymBox(n), RatioBox(n, 1.7),
                                 SubBox((0.25,) * n, (0.5,) * n)]))
     lo, hi = dom.bounding_box()
-    tol = draw(st.sampled_from([TOL_EXACT, 0.0, 1e-3]))
-    # the exact boundaries u + tol and -(-l + tol), and their neighbours
-    edges = [v for u in (hi + tol, -(-lo + tol)) for v in u.tolist()]
+    # the exact boundaries u + TOL_EXACT and -(-l + TOL_EXACT), and their neighbours
+    edges = [v for u in (hi + TOL_EXACT, -(-lo + TOL_EXACT)) for v in u.tolist()]
     edges += [np.nextafter(v, s) for v in edges for s in (-np.inf, np.inf)]
-    return dom, tol, _rows(draw, n, special=_SPECIAL + tuple(edges))
+    return dom, _rows(draw, n, special=_SPECIAL + tuple(edges))
 
 
 @_quiet
 @given(_box_rows())
 def test_box_contains_many_matches_the_halfspace_rows(case):
-    dom, tol, X = case
-    _same_bits(dom.contains_many(X, tol), _rows_contains(dom, X, tol))
+    dom, X = case
+    _same_bits(dom.contains_many(X), _rows_contains(dom, X))
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from monoenv import DimensionMismatch, Monomial, OutsideDomain, ScaleExceeded, e
 from monoenv import bounds, envelopes
 from monoenv.hulls import (
     FacetSystem,
+    SignedSubsetInequality,
     build_symbox_hull,
     constructive_maximizer,
     export_facets_csv,
@@ -34,6 +37,31 @@ class TestBuild:
     def test_scale_guard(self):
         with pytest.raises(ScaleExceeded):
             build_symbox_hull(21)
+
+    def test_facets_follow_from_n(self):
+        assert [f.name for f in dataclasses.fields(FacetSystem)] == ["n"]
+        assert [f.name for f in dataclasses.fields(SignedSubsetInequality)] == ["mask", "n"]
+        for n in range(1, 7):
+            fs = FacetSystem(n)
+            assert fs == build_symbox_hull(n) and hash(fs) == hash(build_symbox_hull(n))
+            assert [f.mask for f in fs.facets] == [
+                m for m in range(1, 2 ** (n + 1)) if bin(m).count("1") % 2 == 1]
+            assert {f.sense for f in fs.facets} == {"GE"}
+        assert FacetSystem(2) != FacetSystem(3)
+
+    def test_no_partial_system(self):
+        # a one-facet FacetSystem(2, facets[:1]) once called w = 0.9 at
+        # x = (0.5, -0.5) a member, above its own upper envelope 0.0
+        with pytest.raises(TypeError):
+            FacetSystem(2, build_symbox_hull(2).facets[:1])
+        fs = FacetSystem(2)
+        assert fs.envelope_bounds([0.5, -0.5]) == (-1.0, 0.0)
+        assert not hull_membership(fs, [0.5, -0.5], 0.9).member
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_a_positive_dimension(self, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            FacetSystem(n)
 
 
 class TestMembership:
@@ -233,6 +261,17 @@ class TestExport:
             x = rng.uniform(-1.2, 1.2, 3)
             w = rng.uniform(-1.2, 1.2)
             assert hull_membership(fs, x, w).member == hull_membership(back, x, w).member
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_round_trip_up_to_n8(self, fmt, n):
+        export = {"text": export_facets_text, "csv": export_facets_csv}[fmt]
+        fs = FacetSystem(n)
+        out = export(fs)
+        back = _PARSERS[fmt](out)
+        assert back == fs
+        # equality reads only n, so the bytes carry the facet check
+        assert export(back) == out
 
     def test_facet_line_format(self):
         fs = build_symbox_hull(2)
