@@ -18,6 +18,8 @@ from .core import (
     ScaleExceeded,
     UnsupportedDomain,
     box_ratio,
+    require_count,
+    simplex_peak,
     slopes,
 )
 
@@ -25,21 +27,15 @@ BISECT_MAX_ITER = 200
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _require_degree(d: int) -> int:
-    if not float(d).is_integer() or d < 2:
-        raise ValueError(f"degree must be an integer >= 2, got {d!r}")
-    return int(d)
-
-
 def c1(d: int) -> float:
     """Concave-side worst-case constant (1 - 1/d) * d**(1/(1-d))."""
-    d = _require_degree(d)
+    d = require_count(d, "degree", 2)
     return (1.0 - 1.0 / d) * d ** (1.0 / (1.0 - d))
 
 
 def c2(d: int) -> float:
     """Convex-side worst-case constant (1 - 1/d)**d."""
-    d = _require_degree(d)
+    d = require_count(d, "degree", 2)
     return (1.0 - 1.0 / d) ** d
 
 
@@ -53,7 +49,7 @@ class BoundSet:
 
 
 def bound_set(d: int) -> BoundSet:
-    return BoundSet(c1=c1(d), c2=c2(d), degree=_require_degree(d))
+    return BoundSet(c1=c1(d), c2=c2(d), degree=require_count(d, "degree", 2))
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,7 @@ def concave_bound_xi(m: Monomial, fmin: float, fmax: float) -> ConcaveEnvelopeBo
     xi' = min{max{fmin, d**(d/(1-d))}, fmax}; the bound xi'**(1/d) - xi' can be
     attained only at xi'**(1/d) * (1,...,1).
     """
-    d = _require_degree(m.degree)
+    d = require_count(m.degree, "degree", 2)
     if not (0.0 <= fmin <= fmax <= 1.0):
         raise ValueError(f"need 0 <= fmin <= fmax <= 1, got {fmin}, {fmax}")
     xi0 = d ** (d / (1.0 - d))
@@ -100,7 +96,7 @@ def lower_bound_phi(d: int, t1: float, t2: float) -> PhiLowerBound:
     phi(xi) = t1**d + (t2**d - t1**d) xi - (t1 + (t2-t1) xi)**d, maximized at
     the stationary point xi' (clipped to [0,1]).
     """
-    d = _require_degree(d)
+    d = require_count(d, "degree", 2)
     if not (0.0 <= t1 < t2):
         raise ValueError(f"need 0 <= t1 < t2, got {t1}, {t2}")
     span = t2 - t1
@@ -123,11 +119,10 @@ def simplex_bounds(m: Monomial) -> SimplexBounds:
     envelope is identically zero there); conc = (alpha**alpha)**(1/d)/d - cvx
     bounds the concave side and is tight exactly for symmetric exponents.
     """
-    d = _require_degree(m.degree)
+    d = require_count(m.degree, "degree", 2)
     if m.n < 2:
         raise ValueError("simplex bounds need n >= 2")
-    aa = m.alpha_power()
-    cvx = aa / float(d) ** d
+    aa, cvx = simplex_peak(m)
     conc = aa ** (1.0 / d) / d - cvx
     return SimplexBounds(conc=conc, cvx=cvx)
 
@@ -292,8 +287,7 @@ _EXP_OVERFLOW = 709.0  # log of the largest representable double
 
 
 def _require_ratio_box(n: int, r: float) -> None:
-    if n < 2:
-        raise ValueError("need n >= 2")
+    require_count(n, "n", 2)
     box_ratio(r)
 
 
@@ -446,14 +440,14 @@ def d_bound_cases(n: int, r: float) -> DBoundResult:
 
 def symbox_error(n: int) -> float:
     """Hull error of x_1...x_n over [-1,1]^n: 1 + ((n-2)/n)**n."""
-    n = _require_degree(n)
+    n = require_count(n, "degree", 2)
     return 1.0 + ((n - 2) / n) ** n
 
 
 def symbox_attainment(n: int) -> tuple[np.ndarray, float]:
     """Anchor attainment point ((n-2)/n * (1,..,1), -1); the full attainment
     set is its 2**n sign reflections."""
-    n = _require_degree(n)
+    n = require_count(n, "degree", 2)
     return np.full(n, (n - 2) / n), -1.0
 
 
@@ -484,9 +478,7 @@ def find_root_power_linear(lam1: int, lam2: float) -> RootResult:
     lam1 = lam2 = 1 gives the zero polynomial, which every s solves; that is
     a ``ValueError``, not "no root".
     """
-    if int(lam1) != lam1 or lam1 < 1:
-        raise ValueError("lam1 must be an integer >= 1")
-    lam1 = int(lam1)
+    lam1 = require_count(lam1, "lam1", 1)
     if not 1.0 <= lam2 < math.inf:
         raise ValueError(f"lam2 must be finite and >= 1, got {lam2}")
     if lam1 == 1 and lam2 == 1.0:
@@ -518,7 +510,7 @@ def find_root_power_linear(lam1: int, lam2: float) -> RootResult:
 def dineq_margins(d: int) -> tuple[float, float]:
     """Log-domain margins of the degree chain:
     (d-1)**2 * ln d  >  d(d-2) * ln d  >=  (d-1)**2 * ln(d-1)."""
-    d = _require_degree(d)
+    d = require_count(d, "degree", 2)
     m1 = (d - 1) ** 2 * math.log(d) - d * (d - 2) * math.log(d)
     m2 = d * (d - 2) * math.log(d) - (d - 1) ** 2 * math.log(d - 1)
     return m1, m2

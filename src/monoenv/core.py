@@ -77,10 +77,12 @@ def slopes(v, n: Optional[int] = None, name: str = "beta") -> np.ndarray:
     return b
 
 
-def require_count(v, name: str, low: int) -> None:
-    """A ``ValueError`` unless ``v`` is an integer (numpy integers included) >= low."""
-    if not (isinstance(v, (int, np.integer)) and v >= low):
+def require_count(v, name: str, low: int) -> int:
+    """``v`` as a Python int: an integer >= low, numpy integers included. A
+    ``bool``, any float (2.0 too), a string or anything else is a ``ValueError``."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+    return int(v)
 
 
 def box_ratio(r) -> float:
@@ -104,14 +106,8 @@ class Monomial:
     def __post_init__(self):
         if len(self.alpha) == 0:
             raise ValueError("monomial needs at least one variable")
-        cleaned = []
-        for a in self.alpha:
-            if float(a) != int(a):
-                raise ValueError(f"exponents must be integers, got {a!r}")
-            if int(a) < 1:
-                raise ValueError(f"exponents must be >= 1, got {a!r}")
-            cleaned.append(int(a))
-        object.__setattr__(self, "alpha", tuple(cleaned))
+        object.__setattr__(self, "alpha",
+                           tuple(require_count(a, "exponent", 1) for a in self.alpha))
 
     @property
     def n(self) -> int:
@@ -129,11 +125,24 @@ class Monomial:
 
     @staticmethod
     def multilinear(n: int) -> "Monomial":
-        return Monomial((1,) * n)
+        return Monomial((1,) * require_count(n, "n", 1))
 
     def alpha_power(self) -> float:
         """prod_j alpha_j**alpha_j (the self-exponentiated coefficient)."""
         return float(np.prod([float(a) ** a for a in self.alpha]))
+
+
+def simplex_peak(m: Monomial) -> tuple[float, float]:
+    """(alpha**alpha, alpha**alpha / d**d) for x**alpha of degree d: the
+    self-exponentiated coefficient and the maximum of x**alpha over the
+    standard simplex, attained at alpha / d. ``ScaleExceeded`` when
+    alpha**alpha or d**d is beyond the float range."""
+    try:
+        with np.errstate(over="raise"):
+            aa = m.alpha_power()
+        return aa, aa / float(m.degree) ** m.degree
+    except (OverflowError, FloatingPointError):
+        raise ScaleExceeded(f"alpha**alpha or d**d overflows for alpha={list(m.alpha)}") from None
 
 
 def fold_columns(ufunc: np.ufunc, X: np.ndarray) -> np.ndarray:
@@ -476,7 +485,7 @@ class StdSimplex(Domain):
             return 0.0, np.zeros(m.n)
         # stationary point of the product on the unit-sum face
         point = np.asarray(m.alpha, dtype=float) / m.degree
-        return m.alpha_power() / float(m.degree) ** m.degree, point
+        return simplex_peak(m)[1], point
 
 
 @dataclass(frozen=True)

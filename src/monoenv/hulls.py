@@ -177,10 +177,10 @@ def verify_integrality(n: int, trials: int = 1000, seed: int = 42) -> Integralit
     """Check that optimizing any direction over the facet system lands on a
     +/-1 point with even -1 parity, by comparing the closed-form maximizer
     against the dense LP solver on seeded random objectives."""
-    if n > 6:
+    if require_count(n, "n", 1) > 6:
         raise ScaleExceeded(f"integrality verification supports n <= 6, got {n}")
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+    require_count(trials, "trials", 1)
+    require_count(seed, "seed", 0)
     fs = build_symbox_hull(n)
     A_ub, b_ub = fs.to_ub()
     lower = -np.ones(fs.nvars)

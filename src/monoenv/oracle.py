@@ -423,6 +423,7 @@ def ratio_box_diagonal_gap(n: int, r: float, t) -> Decimal:
     logarithm is involved, so it checks the log-domain closed form of E from
     outside.
     """
+    _bounds._require_ratio_box(n, r)
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
         rd, td = Decimal(r), Decimal(t)

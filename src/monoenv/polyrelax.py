@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as _bounds
-from .core import Domain, Monomial, ScaleExceeded, UnitBox, as_points, monomial_values
+from .core import (Domain, Monomial, ScaleExceeded, UnitBox, as_points, monomial_values,
+                   require_count)
 
 
 @dataclass(frozen=True)
@@ -30,19 +31,19 @@ class Polynomial:
     terms: tuple[tuple[float, tuple[int, ...]], ...]
 
     def __post_init__(self):
+        n = require_count(self.n, "n", 0)
         merged: dict[tuple[int, ...], float] = {}
         for coeff, alpha in self.terms:
-            if len(alpha) != self.n:
-                raise ValueError(f"exponent vector {alpha} must have length {self.n}")
-            key = tuple(int(a) for a in alpha)
-            if any(a < 0 or float(b) != int(b) for a, b in zip(key, alpha)):
-                raise ValueError(f"exponents must be nonnegative integers, got {alpha}")
+            if len(alpha) != n:
+                raise ValueError(f"exponent vector {alpha} must have length {n}")
+            key = tuple(require_count(a, "exponent", 0) for a in alpha)
             merged[key] = merged.get(key, 0.0) + float(coeff)
             if not math.isfinite(merged[key]):
                 raise ValueError(f"non-finite coefficient {merged[key]!r} for exponents {key}")
         cleaned = tuple(
             (c, a) for a, c in sorted(merged.items()) if c != 0.0
         )
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", cleaned)
 
     @property
@@ -132,10 +133,7 @@ def hierarchy_threshold(n: int, m: int) -> float:
     Two equivalent closed forms exist; this evaluates the product form
     m^2 (m+1) / (6 m^(1/(1-m)) prod_k (1 + k/n)) in the log domain.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if m < 2:
-        raise ValueError("need m >= 2")
+    n, m = require_count(n, "n", 1), require_count(m, "m", 2)
     log_prod = sum(math.log1p(k / n) for k in range(1, m + 1))
     log_val = (
         2 * math.log(m) + math.log(m + 1) - math.log(6.0)
@@ -146,8 +144,7 @@ def hierarchy_threshold(n: int, m: int) -> float:
 
 def hierarchy_threshold_binomial(n: int, m: int) -> float:
     """The same threshold by its binomial/factorial form (identity check)."""
-    if m < 2:
-        raise ValueError("need m >= 2")
+    n, m = require_count(n, "n", 1), require_count(m, "m", 2)
     return (
         math.comb(m + 1, 3) * float(n) ** m
         / (math.factorial(m) * _bounds.c1(m) * math.comb(n + m, n))
@@ -277,9 +274,8 @@ def parse_polynomial_json(text: str) -> Polynomial:
     """Parse {"n": ..., "terms": [{"coeff": c, "alpha": [..]}, ...]}."""
     data = json.loads(text)
     try:
-        terms = tuple((float(t["coeff"]), tuple(int(a) for a in t["alpha"]))
-                      for t in data["terms"])
-        n = int(data["n"])
+        terms = tuple((float(t["coeff"]), tuple(t["alpha"])) for t in data["terms"])
+        n = data["n"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"polynomial JSON needs 'n' and 'terms' with 'coeff' and "
                          f"'alpha' entries: {exc!r}") from exc

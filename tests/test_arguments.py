@@ -1,13 +1,15 @@
 """Argument rules, each checked once in ``monoenv.core``.
 
 Slope vectors (``core.slopes``), monomial-domain pairs
-(``Domain.require_monomial``), single points (``core.one_point``) and
-coordinate scalings are each checked by one helper that every public entry
-calls. The rejection table pins the exact error type of each bad argument at
+(``Domain.require_monomial``), single points (``core.one_point``),
+coordinate scalings and integers (``core.require_count``: every degree,
+exponent, count, dimension and seed) are each checked by one helper that
+every public entry calls. The rejection table pins the exact error type of each bad argument at
 each entry; the property tests check the scaling transport rule and every
 closed-form box envelope against the vertex-LP envelope.
 """
 
+import json
 import math
 
 import numpy as np
@@ -30,12 +32,16 @@ from monoenv import (
     envelopes,
     hulls,
     oracle,
+    polyrelax,
     scale_error,
     scale_point,
 )
 from monoenv.core import monomial_values
 
 NAN, INF = float("nan"), float("inf")
+# what core.require_count rejects where an integer is read; 2.0, True and "2"
+# were once read as 2 (or as 1) at some entries
+NON_INTEGERS = {"2.0": 2.0, "2.5": 2.5, "nan": NAN, "inf": INF, "True": True, "str": "2"}
 GRID = oracle.GridSpec(resolution=4)
 M2 = Monomial((2, 2))
 
@@ -147,6 +153,7 @@ def _other_cases():
     yield "GridSpec-resolution-1", lambda: oracle.GridSpec(resolution=1)
     yield "GridSpec-seed--1", lambda: oracle.GridSpec(seed=-1)
     yield "GridSpec-seed-1.5", lambda: oracle.GridSpec(seed=1.5)
+    yield "GridSpec-seed-True", lambda: oracle.GridSpec(seed=True)
     # c = [nan, 1] once gave the value nan, and [inf, -1, 2] gave inf
     for label, bad in (("nan", [NAN, 1.0]), ("inf", [INF, -1.0, 2.0])):
         yield f"constructive_maximizer-{label}", lambda v=bad: hulls.constructive_maximizer(v)
@@ -165,14 +172,63 @@ def _dimension_cases():
         "build_symbox_hull": hulls.build_symbox_hull,
     }
     for name, call in entries.items():
-        for label, bad in (("2.0", 2.0), ("2.5", 2.5), ("nan", NAN)):
+        for label, bad in NON_INTEGERS.items():
             yield f"{name}-n-{label}", lambda c=call, v=bad: c(v)
     yield "ComplementSimplex-n-1", lambda: ComplementSimplex(1)
     # symbox_error(2.5) once returned 1.0179; n is the degree, checked as one
     for name, call in (("symbox_error", bounds.symbox_error),
                        ("symbox_attainment", bounds.symbox_attainment)):
-        for label, bad in (("2.5", 2.5), ("nan", NAN), ("inf", INF), ("1", 1)):
+        for label, bad in (*NON_INTEGERS.items(), ("1", 1)):
             yield f"{name}-n-{label}", lambda c=call, v=bad: c(v)
+
+
+def _poly_json(n, alpha):
+    return polyrelax.parse_polynomial_json(json.dumps(
+        {"n": n, "terms": [{"coeff": 1.0, "alpha": alpha}]}))
+
+
+def _integer_cases():
+    # every other degree, exponent, count and seed; each entry had its own
+    # rule, and at least one of these values passed each of them or ended
+    # in a TypeError or OverflowError
+    ratio_box = (bounds.ratio_box_constants, bounds.ratio_box_e_point,
+                 bounds.ratio_box_relaxed_error, bounds.ratio_box_ratios,
+                 bounds.ratio_box_e_ratio, bounds.ratio_box_asymptotics, bounds.d_bound_cases,
+                 oracle.ratio_box_diagonal_max)
+    entries = {
+        "Monomial": lambda a: Monomial((a, 1)),
+        "Monomial.multilinear": Monomial.multilinear,
+        "c1": bounds.c1,
+        "c2": bounds.c2,
+        "bound_set": bounds.bound_set,
+        "lower_bound_phi": lambda d: bounds.lower_bound_phi(d, 0.0, 1.0),
+        "dineq_margins": bounds.dineq_margins,
+        **{f.__name__: lambda n, f=f: f(n, 2.0) for f in ratio_box},
+        "psi_value": lambda n: bounds.psi_value(n, 2.0, 0.5),
+        "ratio_box_diagonal_gap": lambda n: oracle.ratio_box_diagonal_gap(n, 2.0, 0.5),
+        "find_root_power_linear": lambda k: bounds.find_root_power_linear(k, 1.5),
+        "Polynomial.n": lambda n: polyrelax.Polynomial(n, ()),
+        "Polynomial.alpha": lambda a: polyrelax.Polynomial(2, ((1.0, (a, 1)),)),
+        "parse_polynomial_json.n": lambda n: _poly_json(n, [1, 1]),
+        "parse_polynomial_json.alpha": lambda a: _poly_json(2, [a, 1]),
+        "hierarchy_threshold.n": lambda n: polyrelax.hierarchy_threshold(n, 3),
+        "hierarchy_threshold.m": lambda m: polyrelax.hierarchy_threshold(2, m),
+        "hierarchy_threshold_binomial.n": lambda n: polyrelax.hierarchy_threshold_binomial(n, 3),
+        "hierarchy_threshold_binomial.m": lambda m: polyrelax.hierarchy_threshold_binomial(2, m),
+        "verify_integrality.n": lambda n: hulls.verify_integrality(n, trials=1),
+        "verify_integrality.trials": lambda t: hulls.verify_integrality(2, trials=t),
+        "verify_integrality.seed": lambda s: hulls.verify_integrality(2, trials=1, seed=s),
+    }
+    for name, call in entries.items():
+        for label, bad in NON_INTEGERS.items():
+            yield f"{name}-{label}", lambda c=call, v=bad: c(v)
+    # 0.0 where the product form raised, n = 2 read from 2.9, an OverflowError
+    # from the exponent 1e400, and a scale refusal for n = 7.5
+    yield "hierarchy_threshold_binomial.n-0", lambda: polyrelax.hierarchy_threshold_binomial(0, 3)
+    yield "parse_polynomial_json.n-2.9", lambda: _poly_json(2.9, [1, 1])
+    yield "parse_polynomial_json.alpha-1e400", lambda: polyrelax.parse_polynomial_json(
+        '{"n": 1, "terms": [{"coeff": 1.0, "alpha": [1e400]}]}')
+    yield "verify_integrality.n-7.5", lambda: hulls.verify_integrality(7.5, trials=1)
 
 
 def _objective_cases():
@@ -205,6 +261,7 @@ REJECTIONS = [
     *(("objective", name, call, DimensionMismatch) for name, call in _objective_cases()),
     *(("ratio", name, call, ValueError) for name, call in _ratio_cases()),
     *(("dimension", name, call, ValueError) for name, call in _dimension_cases()),
+    *(("integer", name, call, ValueError) for name, call in _integer_cases()),
     *(("other", name, call, ValueError) for name, call in _other_cases()),
 ]
 
@@ -228,6 +285,14 @@ def test_numpy_integer_dimensions_are_accepted(n):
         assert dom.contains([0.5, 0.5]) == (type(dom) is not RatioBox)
     assert hulls.build_symbox_hull(n) == hulls.build_symbox_hull(2)
     assert bounds.symbox_error(n) == bounds.symbox_error(2)
+    # every integer argument reads a numpy integer as the Python int
+    assert Monomial((n, 1)) == Monomial((2, 1)) and type(Monomial((n, 1)).alpha[0]) is int
+    p = polyrelax.Polynomial(n, ((1.0, (n, 0)),))
+    assert p == polyrelax.Polynomial(2, ((1.0, (2, 0)),)) and type(p.n) is int
+    assert bounds.c1(n) == bounds.c1(2) and bounds.ratio_box_constants(n, 2.0) == (0.25, 0.25)
+    assert bounds.find_root_power_linear(n, 1.5) == bounds.find_root_power_linear(2, 1.5)
+    assert polyrelax.hierarchy_threshold(n, n) == polyrelax.hierarchy_threshold(2, 2)
+    assert hulls.verify_integrality(n, trials=n, seed=n) == hulls.verify_integrality(2, 2, 2)
 
 
 def test_one_point_accepts_a_stack_of_one():

@@ -1,11 +1,13 @@
 """The library as ``perfbench/`` reads it.
 
 The benchmark drives the public API and checks each result outside the timed
-span. These tests read the hull the way its workloads do, and install its
-traced wrappers, so a library change that would break a benchmark run fails
-here first.
+span. These tests build every op its workloads build, read the hull the way
+they do, and install its traced wrappers, so a library change that would
+break a benchmark run fails here first.
 """
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +19,28 @@ import pytest
 from monoenv import SymBox, envelopes, hulls
 
 REPO = Path(__file__).resolve().parents[1]
+BENCHMARKED = [w["name"] for w in json.loads((REPO / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  REPO / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("name", BENCHMARKED)
+def test_every_op_builds(workloads, name):
+    # make() builds each op's monomial, polynomial, domain, GridSpec and bound;
+    # an input the library rejects raises here, and no op runs
+    workload = workloads[name](seed=1)
+    workload.setup()
+    ops = workload.warmup() + [workload.op(i) for i in range(workload.cycle_len)]
+    assert len(ops) == len(workload.warmup_slots) + len(workload.slots)
+    assert all(callable(op.call) and callable(op.check) for op in ops)
 
 
 def _odd_masks(n):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from monoenv import Monomial, ComplementSimplex, StdSimplex, SubBox, UnitBox
+from monoenv import Monomial, ComplementSimplex, ScaleExceeded, StdSimplex, SubBox, UnitBox
 from monoenv import bounds, envelopes, oracle
 from monoenv.bounds import (
     BoundSet,
@@ -197,6 +197,25 @@ class TestSimplexBounds:
         with pytest.raises(ValueError):
             simplex_bounds(Monomial((3,)))
 
+    @pytest.mark.parametrize("alpha", [(1, 1), (2, 1), (3, 5, 2), (70, 70), (130, 1)])
+    def test_peak_keeps_its_bits(self, alpha):
+        # StdSimplex and simplex_bounds share the one closed form of alpha^alpha / d^d
+        m = Monomial(alpha)
+        aa = float(np.prod([float(a) ** a for a in alpha]))
+        sb = simplex_bounds(m)
+        assert sb.cvx == aa / float(m.degree) ** m.degree
+        assert sb.conc == aa ** (1.0 / m.degree) / m.degree - sb.cvx
+        assert StdSimplex(m.n).monomial_extreme(m, "max")[0] == sb.cvx
+
+    @pytest.mark.parametrize("alpha", [(200, 200), (75, 75), (100, 100, 100)])
+    def test_peak_overflow_is_a_scale_refusal(self, alpha):
+        # alpha^alpha (200, 200) or d^d (75, 75) overflowed into an OverflowError
+        m = Monomial(alpha)
+        with pytest.raises(ScaleExceeded):
+            simplex_bounds(m)
+        with pytest.raises(ScaleExceeded):
+            StdSimplex(m.n).monomial_extreme(m, "max")
+
 
 class TestSigmaBeta:
     def test_complement_simplex_exact(self):
@@ -336,7 +355,7 @@ class TestRatioBoxConstants:
     @pytest.mark.parametrize("n, r", [(1, 2.0), (3, 1.0), (3, float("nan"))])
     def test_log_domain_forms_reject_bad_parameters(self, func, n, r):
         # n = 1 used to end in a ZeroDivisionError
-        with pytest.raises(ValueError, match="need"):
+        with pytest.raises(ValueError, match="n must be an integer >= 2|need a finite ratio"):
             func(n, r)
 
     def test_rejects_bad_parameters(self):

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from monoenv import checks
 from monoenv.cli import EXIT_OK, EXIT_SCALE, EXIT_USAGE, EXIT_VERIFY, main
@@ -40,6 +42,16 @@ class TestBounds:
         printed = {ln[0]: ln.split("  at ")[0].split()[-1]
                    for ln in out.splitlines() if ln[:2] in ("D ", "E ")}
         assert printed == {"D": f"{D:.9g}", "E": f"{E:.9g}"}
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--alpha", "200,200", "--domain", "simplex"],
+        ["verify", "--case", "simplex", "--alpha", "75,75"],
+    ], ids=["bounds", "verify"])
+    def test_simplex_peak_overflow_is_a_scale_refusal(self, capsys, argv):
+        # alpha**alpha or d**d overflowed into an OverflowError traceback
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_SCALE
+        assert out == "" and "scale refusal" in err
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -297,6 +309,16 @@ class TestGap:
         assert code == EXIT_USAGE
         assert out == "" and "non-finite coefficient" in err
 
+    @pytest.mark.parametrize("name", ["alpha-1.5.json", "n-2.9.json", "alpha-1e400.json"])
+    def test_non_integer_json_is_usage_error(self, capsys, tmp_path, name):
+        # these certified x1*x2 and exited 0, read n = 2, and ended in an
+        # OverflowError traceback
+        poly = tmp_path / name
+        poly.write_text(POLY_FILES[name])
+        code, out, err = run_cli(capsys, "gap", "--poly", str(poly), "--certify")
+        assert code == EXIT_USAGE
+        assert out == "" and "must be an integer >= " in err
+
     def test_json_without_terms_is_usage_error(self, capsys, tmp_path):
         poly = tmp_path / "p.json"
         poly.write_text(json.dumps({"n": 2}))
@@ -467,3 +489,72 @@ class TestAdditionalSurfaces:
                                "--alpha", "1,1", "--grid", "16")
         assert code == EXIT_OK
         assert "TIGHT" in out
+
+
+# ---------------------------------------------------------------------------
+# fuzzed argv: every subcommand ends at an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+POLY_FILES = {
+    "p.txt": "1 1 1 0\n-1 0 1 1\n",
+    "p.json": json.dumps({"n": 2, "terms": [{"coeff": 1.0, "alpha": [1, 1]}]}),
+    "const.json": json.dumps({"n": 0, "terms": [{"coeff": 2.0, "alpha": []}]}),
+    "alpha-1.5.json": '{"n": 2, "terms": [{"coeff": 1.0, "alpha": [1.5, 1]}]}',
+    "n-2.9.json": '{"n": 2.9, "terms": [{"coeff": 1.0, "alpha": [1, 1]}]}',
+    "alpha-1e400.json": '{"n": 1, "terms": [{"coeff": 1.0, "alpha": [1e400]}]}',
+}
+BAD = ("0", "-1", "2.5", "nan", "inf", "x", "")
+
+
+def _values(*valid):
+    return st.sampled_from(valid + BAD)
+
+
+# each subcommand's flags and the values drawn for them ({tmp} is the test's
+# directory); a flag without a value takes None
+_COMMON = {"--seed": _values("3"), "--grid": _values("4", "8"), "--tol": _values("0.001"),
+           "--out": st.sampled_from(("{tmp}/out.txt", "{tmp}/no-dir/out.txt"))}
+_DOMAIN = {"--domain": st.sampled_from((*DOMAIN_READS, "warp")), "--lower": _values("0.1,0.2"),
+           "--upper": _values("0.9,0.8"), "--lam": _values("0.5,0.5")}
+FUZZ_FLAGS = {
+    "bounds": {"--alpha": _values("1,1", "2,3", "200,200"), "--n": _values("3"),
+               "--r": _values("2"), **_DOMAIN},
+    "verify": {"--case": st.sampled_from(list(checks.CASES)),
+               "--alpha": _values("1,1", "2,1", "75,75"), "--n": _values("2", "3"),
+               "--r": _values("2"), "--trials": _values("5")},
+    "figure1": {"--n-min": _values("2"), "--n-max": _values("5"), "--r-list": _values("1.5,2"),
+                "--svg": st.just("{tmp}/f.svg")},
+    "facets": {"--n": st.sampled_from(("1", "2", "12", "21", *BAD)),
+               "--format": st.sampled_from(("text", "csv", "xml"))},
+    "gap": {"--poly": st.sampled_from([f"{{tmp}}/{name}" for name in (*POLY_FILES, "none.json")]),
+            "--certify": st.none()},
+    "sigma": {"--alpha": _values("1,1", "2,3"), "--beta": _values("1.5,1.5"), **_DOMAIN},
+    "root": {"--lambda1": _values("3"), "--lambda2": _values("1.5", "4")},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = {**FUZZ_FLAGS[command], **_COMMON}
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=5)):
+        value = draw(flags[flag])
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argv())
+@example(["bounds", "--alpha", "200,200", "--domain", "simplex"])
+@example(["verify", "--case", "simplex", "--alpha", "75,75"])
+@example(["gap", "--poly", "{tmp}/alpha-1e400.json"])
+def test_fuzzed_argv_ends_at_an_exit_code(capsys, tmp_path, argv):
+    for name, text in POLY_FILES.items():
+        (tmp_path / name).write_text(text)
+    try:
+        code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_SCALE)

@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from monoenv import (
+    ComplementSimplex,
+    CornerSimplexOne,
     Monomial,
     OutsideDomain,
     RatioBox,
@@ -411,21 +413,39 @@ def _same_bits(a, b):
 
 @given(_rows01, st.lists(st.integers(1, 4), min_size=6, max_size=6), st.floats(1.0625, 4.0))
 def test_envelope_objects_sandwich_the_monomial(T, alpha, r):
-    """conv <= f <= conc at random rows of the unit, ratio and symmetric boxes;
-    a call gives the bits of ``value``, a float (or a pair of floats) per point."""
+    """conv <= f <= conc at random rows of every domain family: the unit, ratio
+    and symmetric boxes under their own envelopes, the sub-box and the three
+    simplices under the unit box's, and the standard simplex also under its
+    zero convex envelope; a call gives the bits of ``value``, a float (or a
+    pair of floats) per point."""
     T = np.array(T)
     n = T.shape[1]
     m, ml = Monomial(tuple(alpha[:n])), Monomial.multilinear(n)
     fs = hulls.build_symbox_hull(n)
     R, S = 1.0 + (r - 1.0) * T, 2.0 * T - 1.0
+    conc, conv = envelopes.concave_unitbox(m), envelopes.convex_unitbox_multilinear(n)
     # (monomial, envelope, the side it bounds, rows of its domain)
-    cases = [(m, envelopes.concave_unitbox(m), "conc", T),
-             (ml, envelopes.convex_unitbox_multilinear(n), "conv", T),
+    cases = [(m, conc, "conc", T),
+             (ml, conv, "conv", T),
              (ml, envelopes.concave_ratiobox(n, r), "conc", R),
              (ml, envelopes.convex_ratiobox(n, r), "conv", R),
              (ml, envelopes.symbox_bounds(n), "pair", S),
              (ml, fs.envelope_lower, "conv", S),
              (ml, fs.envelope_upper, "conc", S)]
+    # rows of the families inside the unit box, mapped from T
+    lam = 1.0 - 0.125 * np.arange(n)
+    simplex = T / np.maximum(1.0, T.sum(axis=1, keepdims=True))
+    inside = [(SubBox((0.125,) * n, (0.75,) * n), 0.125 + 0.625 * T),
+              (StdSimplex(n), simplex),
+              (CornerSimplexOne(tuple(lam)), 1.0 - lam * simplex)]
+    if n >= 2:
+        sums = np.maximum(n - 1.0, T.sum(axis=1, keepdims=True))
+        inside.append((ComplementSimplex(n), T * ((n - 1.0) / sums)))
+    for dom, X in inside:
+        assert np.all(dom.contains_many(X)), dom
+        cases += [(m, conc, "conc", X), (ml, conv, "conv", X)]
+    cases.append((m, envelopes.Envelope(StdSimplex(n), lambda X: np.zeros(len(X))), "conv",
+                  simplex))
     for mono, env, side, X in cases:
         f = monomial_values(mono, X)
         slack = 1e-12 * np.maximum(1.0, np.abs(f))
