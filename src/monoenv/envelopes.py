@@ -7,6 +7,7 @@ stack of points (rows) first. Pure functions over immutable inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,6 +18,7 @@ from .core import (
     Domain,
     Monomial,
     RatioBox,
+    ScaleExceeded,
     SymBox,
     UnitBox,
     UnsupportedDomain,
@@ -137,18 +139,42 @@ def underestimator_necessary(m: Monomial, dom: Domain, beta) -> bool:
     return True
 
 
+def _ratio_powers(dom: RatioBox) -> list[float]:
+    """r**0, ..., r**(n-1) for the box [1, r]^n; ``ScaleExceeded`` when
+    r**(n-1) leaves the float range, where the monomial overflows too."""
+    try:
+        return [dom.r ** k for k in range(dom.n)]
+    except OverflowError:
+        raise ScaleExceeded(f"r**(n-1) overflows for n={dom.n}, r={dom.r}") from None
+
+
+def _sorted_rows(X: np.ndarray) -> np.ndarray:
+    """Each row of X sorted ascending, as a new row-major array: an odd-even
+    transposition network of np.minimum/np.maximum over whole columns, so the
+    work is n(n-1)/2 two-column passes instead of one short sort per row."""
+    cols = [X[:, j] for j in range(X.shape[1])]
+    for p in range(len(cols)):
+        for i in range(p % 2, len(cols) - 1, 2):
+            a, b = cols[i], cols[i + 1]
+            cols[i], cols[i + 1] = np.minimum(a, b), np.maximum(a, b)
+    return np.stack(cols, axis=1)
+
+
 def concave_ratiobox(n: int, r: float) -> Envelope:
     """Concave envelope of x_1...x_n over [1,r]^n.
 
     Sorting descending, the envelope is sum_j r**(j-1) x_(j) minus
     sum_{j=1}^{n-1} r**j: the largest weight goes to the smallest coordinate,
     which is the minimizing assignment among all permutations.
+    ``ScaleExceeded`` when r**(n-1) or that sum leaves the float range.
     """
     dom = RatioBox(n, r)
-    coeffs = np.array([dom.r ** (n - 1 - k) for k in range(n)])
-    shift = sum(dom.r ** j for j in range(1, n))
-    return Envelope(dom, lambda X: np.einsum("ij,j->i", np.ascontiguousarray(np.sort(X, axis=-1)),
-                                             coeffs) - shift)
+    powers = _ratio_powers(dom)
+    coeffs = np.array(powers[::-1])
+    shift = sum(powers[1:])
+    if not math.isfinite(shift):
+        raise ScaleExceeded(f"sum of r**j for j < n overflows for n={n}, r={dom.r}")
+    return Envelope(dom, lambda X: np.einsum("ij,j->i", _sorted_rows(X), coeffs) - shift)
 
 
 def concave_env_ratiobox(n: int, r: float, x) -> float | np.ndarray:
@@ -156,12 +182,14 @@ def concave_env_ratiobox(n: int, r: float, x) -> float | np.ndarray:
 
 
 def convex_ratiobox(n: int, r: float) -> Envelope:
-    """Convex envelope of x_1...x_n over [1,r]^n: an n-piece max of affine cuts."""
+    """Convex envelope of x_1...x_n over [1,r]^n: an n-piece max of affine cuts.
+    ``ScaleExceeded`` when r**(n-1) leaves the float range."""
     dom = RatioBox(n, r)
+    powers = _ratio_powers(dom)
 
     def value(X):
         s = np.sum(X, axis=-1)
-        cuts = (dom.r ** (i - 1) * (s - (n - i) - dom.r * (i - 1)) for i in range(1, n + 1))
+        cuts = (powers[i - 1] * (s - (n - i) - dom.r * (i - 1)) for i in range(1, n + 1))
         vals = next(cuts)
         for cut in cuts:
             np.maximum(vals, cut, out=vals)

@@ -242,6 +242,9 @@ def _objective_cases():
     for label, func in wrong.items():
         yield f"max_gap-{label}", lambda f=func: oracle.max_gap(m, box, f, oracle.OVER, grid=GRID)
         yield f"grid_maximize-{label}", lambda f=func: oracle.grid_maximize(f, box, GRID)
+        # a grid of 129^2 rows, scanned in two blocks of at most SCAN_ROWS
+        yield f"grid_maximize-{label}-blocks", lambda f=func: oracle.grid_maximize(
+            f, box, oracle.GridSpec(resolution=129))
 
 
 def _monomial_values_cases():

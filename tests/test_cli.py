@@ -1,5 +1,6 @@
 import inspect
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,13 @@ class TestBounds:
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_SCALE
         assert out == "" and "scale refusal" in err
+
+    def test_ratio_box_power_overflow_is_a_scale_refusal(self, capsys):
+        # r**(n-1) overflowed into an OverflowError traceback
+        code, out, err = run_cli(capsys, "verify", "--case", "ratiobox", "--n", "3",
+                                 "--r", "1e300", "--grid", "4")
+        assert code == EXIT_SCALE
+        assert out == "" and "scale refusal:" in err
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -286,6 +294,16 @@ class TestGap:
         assert code == EXIT_OK
         assert "lprime" in out and "1.15470054" in out
         assert "hierarchy threshold" in out
+
+    def test_huge_exponent_returns_at_once(self, capsys, tmp_path):
+        # the hierarchy threshold summed one log1p per unit of degree: this hung
+        poly = tmp_path / "p.json"
+        poly.write_text(json.dumps({"n": 1, "terms": [{"coeff": 1.0, "alpha": [10 ** 9]}]}))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "gap", "--poly", str(poly))
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK
+        assert "delta-hat(n=1, m=1000000000) 0\n" in out
 
     def test_certify_pass(self, capsys, tmp_path):
         poly = tmp_path / "p.txt"

@@ -11,6 +11,7 @@ from monoenv import (
     Monomial,
     OutsideDomain,
     RatioBox,
+    ScaleExceeded,
     StdSimplex,
     SubBox,
     SymBox,
@@ -198,6 +199,33 @@ class TestRatioBoxEnvelopes:
         # equal coordinates: any sort order gives the same value
         v = concave_env_ratiobox(3, 2.0, [1.5, 1.5, 1.5])
         assert v == pytest.approx(1.5 * 7 - 6)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_sorting_network_keeps_the_bits_of_a_row_sort(self, n):
+        # the reference: each row sorted by np.sort, made row-major, then the
+        # same einsum; rows with ties, box vertices and coordinates at 1 or r
+        rng = np.random.default_rng(n)
+        r = 2.7
+        coeffs = np.array([r ** (n - 1 - k) for k in range(n)])
+        shift = sum(r ** j for j in range(1, n))
+        rows = [1.0 + (r - 1.0) * rng.random((40, n)),
+                rng.choice([1.0, r], (16, n)),
+                rng.choice([1.0, 1.5, 2.0, r], (16, n)),
+                np.ones((1, n)), np.full((1, n), r), np.full((1, n), 1.5)]
+        X = np.vstack(rows)
+        want = np.einsum("ij,j->i", np.ascontiguousarray(np.sort(X, axis=-1)), coeffs) - shift
+        env = envelopes.concave_ratiobox(n, r)
+        for Y in (X, np.asfortranarray(X)):
+            assert np.array_equal(env.value(Y).view(np.int64), want.view(np.int64))
+
+    def test_unrepresentable_powers_are_a_scale_refusal(self):
+        # r**(n-1) overflowed into an OverflowError; so can the concave
+        # envelope's shift sum(r**j, j = 1..n-1) with r**(n-1) finite
+        for build in (envelopes.concave_ratiobox, envelopes.convex_ratiobox):
+            with pytest.raises(ScaleExceeded):
+                build(3, 1e300)
+        with pytest.raises(ScaleExceeded):
+            envelopes.concave_ratiobox(1024, 2.0)
 
     def test_sandwich_on_grid(self):
         rng = np.random.default_rng(6)

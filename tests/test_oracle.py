@@ -374,6 +374,39 @@ def test_grid_values_match_a_row_major_copy(n, monkeypatch):
             name, dom)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_blocked_scan_values_match_one_call_on_the_grid(n, monkeypatch):
+    # the scan calls the function on consecutive blocks of at most SCAN_ROWS
+    # rows; the values it takes its argmax over are those of one call on the
+    # whole grid. Refinement is stubbed out: it sees only the scan's incumbent.
+    monkeypatch.setattr(oracle, "_refine", lambda func, dom, X, V, *a: (X, V))
+    res = GridSpec().resolution_for(n)
+    m = Monomial.multilinear(n)
+    cases = [*_grid_estimators(monkeypatch, n),
+             (ComplementSimplex(n), "monomial_values", lambda X: monomial_values(m, X))]
+    sizes = set()
+    for dom, name, func in cases:
+        pts = oracle._grid_points(dom, res)
+        calls = []
+
+        def record(X, func=func):
+            calls.append((np.array(X), np.array(func(X))))
+            return calls[-1][1]
+
+        grid_maximize(record, dom, GridSpec())
+        blocks = calls[:-(-len(pts) // oracle.SCAN_ROWS)]
+        assert all(len(X) <= oracle.SCAN_ROWS for X, _ in blocks), (name, dom)
+        assert np.array_equal(np.concatenate([X for X, _ in blocks]), pts), (name, dom)
+        scan = np.concatenate([v for _, v in blocks])
+        assert np.array_equal(_bits(scan), _bits(func(pts))), (name, dom)
+        sizes.add(len(pts))
+    # every n has a grid that ends in a partial block (the filtered simplex
+    # grids among them), and every n but 3 (smallest grid 43680 rows) one
+    # that fits in a single block
+    assert any(k > oracle.SCAN_ROWS and k % oracle.SCAN_ROWS for k in sizes) or n == 2
+    assert min(sizes) < oracle.SCAN_ROWS or n == 3
+
+
 def _row_major_grid(dom, res):
     """The grid as one (res^n, n) row-major array filtered by its rows."""
     lo, hi = dom.bounding_box()

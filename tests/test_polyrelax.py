@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -172,6 +173,29 @@ class TestHierarchyThreshold:
                 a = hierarchy_threshold(n, m)
                 b = hierarchy_threshold_binomial(n, m)
                 assert a == pytest.approx(b, rel=1e-9)
+
+    def test_product_in_closed_form_matches_the_sum(self):
+        # the product prod_k (1 + k/n) was a sum of m log1p terms; its lgamma
+        # form loses about eps (n + m) ln(n + m) in the log, below 1e-10
+        # relative for n, m <= 10^4
+        def summed(n, m):
+            log_prod = sum(math.log1p(k / n) for k in range(1, m + 1))
+            return math.exp(2 * math.log(m) + math.log(m + 1) - math.log(6.0)
+                            - math.log(m) / (1.0 - m) - log_prod)
+
+        nonzero = 0
+        for n in (1, 2, 3, 7, 30, 100, 1000, 3000, 10 ** 4):
+            for m in (2, 3, 4, 10, 57, 100, 1000, 5000, 10 ** 4):
+                want = summed(n, m)
+                assert hierarchy_threshold(n, m) == pytest.approx(want, rel=1e-10, abs=0.0)
+                nonzero += want > 0.0
+        assert nonzero >= 50
+
+    def test_huge_degree_is_constant_time(self):
+        start = time.perf_counter()
+        assert hierarchy_threshold(1, 10 ** 9) == 0.0
+        assert hierarchy_threshold(10 ** 9, 10 ** 9) == 0.0
+        assert time.perf_counter() - start < 1.0
 
     def test_fixed_n_eventually_decays(self):
         # with n fixed the product term dominates, so the threshold rises
