@@ -1,14 +1,15 @@
 """Error constants and bound formulas for monomial envelopes, directly evaluable.
 
-Formulas that can overflow (r**n for large n) have log-domain companions, and
-cross-family comparisons are done on logarithms.
+A constant that can leave the float range (r**n for large n) is computed with
+its logarithm, and comparisons across that range are done on logarithms.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -24,19 +25,21 @@ from .core import (
 )
 
 BISECT_MAX_ITER = 200
-INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def c1(d: int) -> float:
-    """Concave-side worst-case constant (1 - 1/d) * d**(1/(1-d))."""
+    """Concave-side worst-case constant (1 - 1/d) * d**(1/(1-d)), taken in logs
+    so that every integer degree, however large, gives a finite value."""
     d = require_count(d, "degree", 2)
-    return (1.0 - 1.0 / d) * d ** (1.0 / (1.0 - d))
+    return math.exp(math.log1p(-1 / d) - math.log(d) * (1 / (d - 1)))
 
 
 def c2(d: int) -> float:
-    """Convex-side worst-case constant (1 - 1/d)**d."""
+    """Convex-side worst-case constant (1 - 1/d)**d = exp(d log1p(-1/d)); it
+    rises toward 1/e, which it equals in floats once 1/d underflows."""
     d = require_count(d, "degree", 2)
-    return (1.0 - 1.0 / d) ** d
+    x = 1 / d
+    return math.exp(math.log1p(-x) / x if x > 0.0 else -1.0)
 
 
 @dataclass(frozen=True)
@@ -236,206 +239,202 @@ def errenv_bound(m: Monomial, B: Sequence[tuple[Sequence[float], float]]) -> flo
 # ---------------------------------------------------------------------------
 # Constant-ratio box constants
 # ---------------------------------------------------------------------------
+#
+# Each constant is written once, in s = r - 1 and L = log1p(s) through _lm and
+# _em, so no term of size O(s) cancels to leave one of size O(s^2). Evaluators
+# return (value, log value); past the float range the value is inf.
 
-def _log_diff_exp(a: float, b: float) -> float:
-    """log(e**a - e**b) for a > b."""
-    if b >= a:
-        raise ValueError(f"need a > b, got a={a}, b={b}")
-    return a + math.log1p(-math.exp(b - a))
-
-
-def _log_D(n: int, r: float) -> float:
-    logr = math.log(r)
-    best = -math.inf
-    for i in range(1, n):
-        la = n * math.log1p((i / n) * (r - 1.0))
-        lb = i * logr
-        best = max(best, _log_diff_exp(la, lb))
-    return best
+_EXP_OVERFLOW = 709.0  # below this the float forms cannot overflow
+_LOG_MAX = math.log(sys.float_info.max)
+_EM_SERIES = tuple(1.0 / math.factorial(k) for k in range(13, 1, -1))
 
 
-def _log_G_Q(n: int, r: float) -> tuple[float, float]:
-    # logs of G = (r^n - 1)/(r - 1) and of Q = (G/n)^(1/(n-1)) = t_E
-    logG = _log_diff_exp(n * math.log(r), 0.0) - math.log(r - 1.0)
-    return logG, (logG - math.log(n)) / (n - 1)
+def _em(y: float) -> float:
+    """expm1(y) - y; below |y| = 1/4 by its Taylor series."""
+    if abs(y) > 0.25:
+        return math.expm1(y) - y
+    acc = 0.0
+    for c in _EM_SERIES:
+        acc = acc * y + c
+    return y * y * acc
 
 
-def _log_E(n: int, r: float) -> float:
-    logG, logQ = _log_G_Q(n, r)
-    m = math.expm1(math.log((n - 1) / n) + logQ)
-    if m > 0.0:
-        return float(np.logaddexp(0.0, logG + math.log(m)))
-    # small-n regime where the bracket is negative: direct evaluation is exact
-    return math.log(1.0 + math.exp(logG) * m)
-
-
-def _relaxed_breakpoint(n: int, r: float) -> float:
-    # crossing of the first and last convex-envelope pieces on the diagonal:
-    # (n-1)/n * (r^n - 1)/(r^(n-1) - 1), written overflow-free
-    logr = math.log(r)
-    num = -math.expm1(-n * logr)
-    den = -math.expm1(-(n - 1) * logr)
-    return ((n - 1) / n) * r * num / den
-
-
-def _log_relaxed_D(n: int, r: float) -> float:
-    t = _relaxed_breakpoint(n, r)
-    return _log_diff_exp(n * math.log(t), math.log(n * t - (n - 1)))
-
-
-_EXP_OVERFLOW = 709.0  # log of the largest representable double
-
-
-def _require_ratio_box(n: int, r: float) -> None:
-    require_count(n, "n", 2)
-    box_ratio(r)
+def _lm(x: float) -> float:
+    """log1p(x) - x for x > -1; up to x = 1 as -em(log1p(x))."""
+    return math.log1p(x) - x if x > 1.0 else -_em(math.log1p(x))
 
 
 def _exp_or_inf(logv: float) -> float:
-    return math.exp(logv) if logv < _EXP_OVERFLOW else math.inf
+    return math.exp(logv) if logv <= _LOG_MAX else math.inf
+
+
+class _Box(NamedTuple):
+    """[1, r]^n as the constants read it: s = r - 1, L = log1p(s), lm(s), log(L/s)."""
+
+    n: int
+    s: float
+    L: float
+    lm_s: float
+    log_l_s: float
+
+
+def _require_ratio_box(n: int, r: float) -> _Box:
+    n = require_count(n, "n", 2)
+    s = box_ratio(r) - 1.0
+    L, lm_s = math.log1p(s), _lm(s)
+    return _Box(n, s, L, lm_s, math.log1p(lm_s / s) if s <= 1.0 else math.log(L / s))
+
+
+def _chord(b: _Box, t: float) -> float:
+    """c(t) = log1p(s t) - t L >= 0 on [0, 1], the gap of log1p over its
+    chord; for s <= 1 the linear terms of lm(s t) - t lm(s) cancel exactly."""
+    if b.s <= 1.0:
+        return _lm(b.s * t) - t * b.lm_s
+    return math.log1p(b.s * t) - t * b.L
+
+
+def _psi(b: _Box, t: float) -> tuple[float, float]:
+    """psi(t) = (1 + s t)^n - r^(n t) = (1 + s t)^n (1 - e^(-n c(t)))."""
+    a = b.n * math.log1p(b.s * t)
+    f = -math.expm1(-b.n * _chord(b, t))
+    log_psi = a + math.log(f) if f > 0.0 else -math.inf
+    return (math.exp(a) * f if a < _EXP_OVERFLOW else _exp_or_inf(log_psi)), log_psi
+
+
+def _psi_slope(b: _Box, t: float) -> float:
+    """g(t) = log(s/L) + (n-1) log1p(s t) - n t L has the sign of psi'(t); it is
+    concave with g(0) > 0 > g(1), so psi has one stationary point."""
+    return (b.n - 1) * _chord(b, t) - t * b.L - b.log_l_s
+
+
+def _D(b: _Box) -> tuple[float, float]:
+    """The largest psi(i/n), i = 1..n-1: one of the two candidates around
+    psi's stationary point, which bisection on the sign of g locates."""
+    lo, hi = 0, b.n  # g(lo/n) > 0 >= g(hi/n)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _psi_slope(b, mid / b.n) > 0.0 else (lo, mid)
+    return max(_psi(b, i / b.n) for i in (lo, hi) if 0 < i < b.n)
+
+
+def _log_t_e(b: _Box) -> float:
+    """w = log t_E, t_E = ((r^n - 1)/(n s))^(1/(n-1))."""
+    x = b.n * b.L
+    log_q = math.log1p(_em(x) / x) if x < _EXP_OVERFLOW else x - math.log(x)  # log(expm1(x)/x)
+    return (log_q + b.log_l_s) / (b.n - 1)
+
+
+def _E(b: _Box) -> tuple[float, float]:
+    """E = (n-1) t_E^n - n t_E^(n-1) + 1 = (n-1) em(n w) - n em((n-1) w)."""
+    n, w = b.n, _log_t_e(b)
+    if n * w + math.log(n) < _EXP_OVERFLOW:
+        E = (n - 1) * _em(n * w) - n * _em((n - 1) * w)
+        return E, math.log(E)
+    log_E = n * w + math.log(-n * math.expm1(-w) - 1.0)
+    return _exp_or_inf(log_E), log_E
+
+
+def _relaxed(b: _Box) -> tuple[float, float]:
+    """The first and last convex pieces cross on the diagonal at 1 + u, where
+    n (1 - r^-m) u = m s + expm1(-m L), m = n - 1; the error there is
+    (1 + u)^n - 1 - n u."""
+    n, m = b.n, b.n - 1
+    u = (_em(-m * b.L) / m - b.lm_s) * (m / (-n * math.expm1(-m * b.L)))
+    x = n * math.log1p(u)
+    if x < _EXP_OVERFLOW:
+        R = _em(x) + n * _lm(u)
+        return R, math.log(R)
+    return _exp_or_inf(x), x  # (1 + n u) e^-x is below rounding there
+
+
+def _span(b: _Box) -> tuple[float, float]:  # r^n - 1
+    x = b.n * b.L
+    log_span = x + math.log(-math.expm1(-x))
+    return (math.expm1(x) if x < _EXP_OVERFLOW else _exp_or_inf(log_span)), log_span
+
+
+def _ratio(num: tuple[float, float], den: tuple[float, float]) -> float:
+    return num[0] / den[0] if max(num[0], den[0]) < math.inf else math.exp(num[1] - den[1])
 
 
 def ratio_box_constants(n: int, r: float) -> tuple[float, float]:
     """Exact convex (D) and concave (E) envelope errors of x_1...x_n over [1,r]^n.
 
-    D is found by exact enumeration over its n-1 candidate pieces; E is the
-    closed form coming from the diagonal secant bound. When r**n exceeds the
-    float range the values are reconstructed from their logarithms (inf once
-    unrepresentable); comparisons should use :func:`ratio_box_ratios`.
+    D is the largest of its n-1 candidates psi(i/n) (:func:`psi_value`), next
+    to psi's one stationary point; E is the closed form from the diagonal
+    secant bound. Past the float range a value is inf; compare with
+    :func:`ratio_box_ratios`.
     """
-    _require_ratio_box(n, r)
-    if n * math.log(r) > _EXP_OVERFLOW - 10.0:
-        return _exp_or_inf(_log_D(n, r)), _exp_or_inf(_log_E(n, r))
-    D = max((1.0 + (i / n) * (r - 1.0)) ** n - r ** i for i in range(1, n))
-    G = (r ** n - 1.0) / (r - 1.0)
-    Q = ((r ** n - 1.0) / (n * (r - 1.0))) ** (1.0 / (n - 1))
-    E = 1.0 + G * (((n - 1) / n) * Q - 1.0)
-    return D, E
+    b = _require_ratio_box(n, r)
+    return _D(b)[0], _E(b)[0]
 
 
 def ratio_box_e_point(n: int, r: float) -> float:
-    """t_E = ((r^n - 1)/(n(r - 1)))^(1/(n-1)), in logs: E is attained at t_E (1,...,1)."""
-    _require_ratio_box(n, r)
-    return math.exp(_log_G_Q(n, r)[1])
+    """t_E = ((r^n - 1)/(n(r - 1)))^(1/(n-1)): E is attained at t_E (1,...,1)."""
+    return math.exp(_log_t_e(_require_ratio_box(n, r)))
 
 
 def ratio_box_relaxed_error(n: int, r: float) -> float:
     """Error of the relaxed convex envelope that keeps only the first and last
     affine pieces; at n = 2 this coincides with D."""
-    _require_ratio_box(n, r)
-    t = _relaxed_breakpoint(n, r)
-    t = min(max(t, 1.0), r)
-    return t ** n - n * t + (n - 1)
+    return _relaxed(_require_ratio_box(n, r))[0]
 
 
 def ratio_box_ratios(n: int, r: float) -> tuple[float, float]:
-    """(D/E, relaxedD/E) computed in the log domain to dodge r**n overflow."""
-    _require_ratio_box(n, r)
-    logE = _log_E(n, r)
-    return (
-        math.exp(_log_D(n, r) - logE),
-        math.exp(_log_relaxed_D(n, r) - logE),
-    )
+    """(D/E, relaxedD/E), finite where D and E overflow."""
+    b = _require_ratio_box(n, r)
+    E = _E(b)
+    return _ratio(_D(b), E), _ratio(_relaxed(b), E)
 
 
 def ratio_box_e_ratio(n: int, r: float) -> float:
-    """E/(r**n - 1) in the log domain, without the O(n) search for D."""
-    _require_ratio_box(n, r)
-    return math.exp(_log_E(n, r) - _log_diff_exp(n * math.log(r), 0.0))
+    """E/(r**n - 1), without the search for D."""
+    b = _require_ratio_box(n, r)
+    return _ratio(_E(b), _span(b))
 
 
 def ratio_box_asymptotics(n: int, r: float) -> tuple[float, float]:
-    """(E/(r**n - 1), D/(r**n - 1)) in the log domain."""
-    return (
-        ratio_box_e_ratio(n, r),
-        math.exp(_log_D(n, r) - _log_diff_exp(n * math.log(r), 0.0)),
-    )
+    """(E/(r**n - 1), D/(r**n - 1))."""
+    b = _require_ratio_box(n, r)
+    return _ratio(_E(b), _span(b)), _ratio(_D(b), _span(b))
+
+
+def psi_value(n: int, r: float, t) -> float | np.ndarray:
+    """psi(t) = (1 + (r-1) t)**n - r**(n t), the diagonal gap profile; D is
+    its largest value at t = i/n, i = 1..n-1."""
+    b = _require_ratio_box(n, r)
+    out = np.array([_psi(b, float(v))[0] for v in np.ravel(t)]).reshape(np.shape(t))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class DBoundResult:
     bound: float
-    case: str  # "exact" | "stationary" | "loose"
+    case: str  # "exact" | "stationary"
     t_star: float
-    t_star_star: float
-
-
-def _psi_log_sign(n: int, r: float, t: float) -> float:
-    """Sign surrogate for psi'(t): log of the first term minus log of the second."""
-    return (
-        math.log(n * (r - 1.0))
-        + (n - 1) * math.log1p((r - 1.0) * t)
-        - math.log(n * math.log(r))
-        - n * t * math.log(r)
-    )
-
-
-def psi_value(n: int, r: float, t) -> float | np.ndarray:
-    """psi(t) = (1 + (r-1) t)**n - r**(n t), the diagonal gap profile."""
-    _require_ratio_box(n, r)
-    t = np.asarray(t, dtype=float)
-    out = np.exp(n * np.log1p((r - 1.0) * t)) - np.exp(n * t * math.log(r))
-    return float(out) if out.ndim == 0 else out
 
 
 def d_bound_cases(n: int, r: float) -> DBoundResult:
-    """Upper bounds on D from the stationary structure of the diagonal profile.
+    """Upper bound on D from the one stationary point t* of the diagonal profile.
 
-    Finds the smallest stationary point t* of psi by bisection and the global
-    maximizer t** by scan plus golden-section, then applies whichever of the
-    three bound regimes matches; in the first regime the bound equals D.
+    t* is the root of the sign of psi', found by bisection. When t* >=
+    (n-1)/n, psi rises up to the last candidate and the bound is D itself
+    ("exact"); otherwise it is r^n (L/s)^(n/(n-1)) - r^(n-1) ("stationary").
     """
-    _require_ratio_box(n, r)
-    if n * math.log(r) > _EXP_OVERFLOW - 10.0:
+    b = _require_ratio_box(n, r)
+    n, r = b.n, float(r)
+    if n * b.L > _EXP_OVERFLOW:
         raise ScaleExceeded(f"r**n overflows for n={n}, r={r}; the bound is unrepresentable")
-    # psi'(0) > 0 and psi'(1) < 0, so a sign change exists; bisection on the
-    # log-domain sign surrogate is overflow-proof.
     lo, hi = 0.0, 1.0
-    for _ in range(BISECT_MAX_ITER):
+    while hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
-        if _psi_log_sign(n, r, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15:
-            break
+        lo, hi = (mid, hi) if _psi_slope(b, mid) > 0.0 else (lo, mid)
     t_star = 0.5 * (lo + hi)
-
-    ts = np.linspace(0.0, 1.0, 10_001)
-    vals = psi_value(n, r, ts)
-    k = int(np.argmax(vals))
-    a = ts[max(k - 1, 0)]
-    b = ts[min(k + 1, len(ts) - 1)]
-    # golden section: psi is flat to float precision for about 1e-8 around
-    # t**, and t** picks the regime at (n-1)/n +- 1e-12, so the search is
-    # pinned to this recurrence
-    c, e = b - INVPHI * (b - a), a + INVPHI * (b - a)
-    fc, fe = psi_value(n, r, c), psi_value(n, r, e)
-    for _ in range(80):
-        if fc >= fe:
-            b, e, fe = e, c, fc
-            c = b - INVPHI * (b - a)
-            fc = psi_value(n, r, c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + INVPHI * (b - a)
-            fe = psi_value(n, r, e)
-        if b - a <= 1e-14:
-            break
-    t_ss = 0.5 * (a + b)
-
     thresh = (n - 1) / n
-    logr = math.log(r)
     if t_star >= thresh - 1e-12:
-        bound = (1.0 + thresh * (r - 1.0)) ** n - r ** (n - 1)
-        case = "exact"
-    elif t_ss <= thresh + 1e-12:
-        bound = r ** n * (logr / (r - 1.0)) ** (n / (n - 1)) - r ** (n - 1)
-        case = "stationary"
-    else:
-        bound = r ** (n * n / (n - 1)) * (logr / (r - 1.0)) ** (n / (n - 1)) - r ** n
-        case = "loose"
-    return DBoundResult(bound=bound, case=case, t_star=t_star, t_star_star=t_ss)
+        return DBoundResult(bound=_psi(b, thresh)[0], case="exact", t_star=t_star)
+    bound = r ** n * (b.L / b.s) ** (n / (n - 1)) - r ** (n - 1)
+    return DBoundResult(bound=bound, case="stationary", t_star=t_star)
 
 
 def symbox_error(n: int) -> float:

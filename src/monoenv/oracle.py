@@ -428,8 +428,7 @@ def ratio_box_diagonal_gap(n: int, r: float, t) -> Decimal:
     This is the gap between the sorted-permutation (Lovasz-extension) concave
     envelope of x_1...x_n over [1, r]^n and the monomial at the diagonal point
     x_i = 1 + (r-1)t, relative to the span r^n - 1. No float step and no
-    logarithm is involved, so it checks the log-domain closed form of E from
-    outside.
+    logarithm is involved, so it checks the closed form of E from outside.
     """
     _bounds._require_ratio_box(n, r)
     with localcontext() as ctx:

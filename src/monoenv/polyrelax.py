@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,8 @@ def gap_bound(p: Polynomial) -> GapBound:
     """
     m = p.total_degree
     count = math.comb(p.n + m, p.n)
+    if count > sys.float_info.max:
+        raise ScaleExceeded(f"the monomial count C(n+m, n) for n={p.n}, m={m} overflows a float")
     lp = lprime(p)
     tight = lp * count
     if m >= 2:
@@ -126,18 +129,30 @@ def log_gap_bound(p: Polynomial) -> tuple[float, float]:
     return math.log(lp) + logcount, math.log(cheap_scale) + logcount
 
 
+def _stirling_tail(z: int) -> float:
+    """log z! - ((z + 1/2) log z - z + log(2 pi)/2): by lgamma below 10, and
+    from there by Stirling's series, 1/(12 z) - 1/(360 z^3) + ..."""
+    if z < 10:
+        return math.lgamma(z + 1) - (z + 0.5) * math.log(z) + z - 0.5 * math.log(2 * math.pi)
+    y, y2 = 1 / z, 1 / z ** 2
+    return y * (1 / 12 - y2 * (1 / 360 - y2 * (1 / 1260 - y2 * (
+        1 / 1680 - y2 * (1 / 1188 - y2 * (691 / 360360 - y2 / 156))))))
+
+
 def hierarchy_threshold(n: int, m: int) -> float:
     """Degree scaling a competing 1/delta-converging bound needs before it
     beats per-monomial convexification on unit-coefficient polynomials.
 
     Two equivalent closed forms exist; this evaluates the product form
-    m^2 (m+1) / (6 m^(1/(1-m)) prod_k (1 + k/n)) in the log domain, where
-    prod_{k=1}^m (1 + k/n) = (n+m)! / (n! n^m) by lgamma, so its cost does
-    not grow with m; the difference of lgamma values costs the log about
-    eps (n + m) ln(n + m) of absolute accuracy.
+    m^2 (m+1) / (6 m^(1/(1-m)) prod_k (1 + k/n)) in the log domain. By
+    Stirling, log prod_{k=1}^m (1 + k/n) = n (x log1p(x) + lm(x)) + log1p(x)/2
+    plus a difference of series tails, x = m/n: nothing cancels, and the cost
+    does not grow with m.
     """
     n, m = require_count(n, "n", 1), require_count(m, "m", 2)
-    log_prod = math.lgamma(n + m + 1) - math.lgamma(n + 1) - m * math.log(n)
+    x = m / n
+    log_prod = (n * (x * math.log1p(x) + _bounds._lm(x)) + 0.5 * math.log1p(x)
+                + _stirling_tail(n + m) - _stirling_tail(n))
     log_val = (
         2 * math.log(m) + math.log(m + 1) - math.log(6.0)
         - math.log(m) / (1.0 - m) - log_prod

@@ -1,7 +1,11 @@
 import math
+import sys
+from decimal import MAX_EMAX, Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from monoenv import Monomial, ComplementSimplex, ScaleExceeded, StdSimplex, SubBox, UnitBox
 from monoenv import bounds, envelopes, oracle
@@ -33,6 +37,18 @@ from monoenv.bounds import (
 
 
 class TestDegreeConstants:
+    @pytest.mark.parametrize("d", [10 ** 6, 10 ** 12, 10 ** 15, 10 ** 17, 10 ** 300, 10 ** 400 - 1])
+    def test_large_degrees_match_a_decimal_reference(self, d):
+        # (1 - 1/d)**d in floats lost the digits of 1/d: c2(10**17) was 1.0,
+        # and a degree beyond the float range raised OverflowError
+        with localcontext() as ctx:
+            ctx.prec = 60 + len(str(d))
+            x = 1 / Decimal(d)
+            ref1 = (1 - x) * (Decimal(d).ln() / (1 - d)).exp()
+            ref2 = (d * (1 - x).ln()).exp()
+        assert c1(d) == pytest.approx(float(ref1), rel=4 * EPS, abs=0.0)
+        assert c2(d) == pytest.approx(float(ref2), rel=4 * EPS, abs=0.0)
+
     def test_degree_two_is_mccormick_quarter(self):
         assert c1(2) == pytest.approx(0.25)
         assert c2(2) == pytest.approx(0.25)
@@ -395,45 +411,89 @@ class TestDBoundCases:
             assert res.bound >= D - 1e-9 * max(1.0, abs(D))
 
     def test_stationary_point_is_global_maximizer(self):
-        # the diagonal profile has a unique stationary point, so both searches agree
+        # the diagonal profile has a unique stationary point: it is the
+        # largest value of psi on a fine grid
+        ts = np.linspace(0.0, 1.0, 10_001)
         for n, r in [(3, 2.0), (10, 1.2), (50, 2.0), (100, 2.0), (100, 10.0), (100, 1.01)]:
             res = d_bound_cases(n, r)
-            assert res.t_star == pytest.approx(res.t_star_star, abs=1e-5)
+            grid_max = ts[int(np.argmax(psi_value(n, r, ts)))]
+            assert res.t_star == pytest.approx(grid_max, abs=1e-4)
+
+    def test_d_is_the_largest_candidate_bit_for_bit(self):
+        # D reads two candidates next to the stationary point; every other
+        # candidate of the same psi is no larger
+        rng = np.random.default_rng(17)
+        for _ in range(120):
+            n = int(rng.integers(2, 401))
+            r = 1.0 + 10.0 ** rng.uniform(-12.0, 2.5)
+            full = max(psi_value(n, r, i / n) for i in range(1, n))
+            assert ratio_box_constants(n, r)[0] == full
 
 
-    def test_t_star_star_unchanged_by_shared_golden_section(self):
-        # the one-bracket scalar recurrence d_bound_cases used before the
-        # golden-section search was shared with the oracle
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+EPS = sys.float_info.epsilon
+FLOAT_MAX = Decimal(sys.float_info.max)
 
-        def scalar_golden_max(f, a, b, iters=80):
-            c = b - invphi * (b - a)
-            d = a + invphi * (b - a)
-            fc, fd = f(c), f(d)
-            for _ in range(iters):
-                if fc >= fd:
-                    b, d, fd = d, c, fc
-                    c = b - invphi * (b - a)
-                    fc = f(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + invphi * (b - a)
-                    fd = f(d)
-                if b - a <= 1e-14:
-                    break
-            return 0.5 * (a + b)
 
-        rng = np.random.default_rng(3)
-        samples = [(int(rng.integers(2, 40)), float(1.01 + 9.0 * rng.random()))
-                   for _ in range(40)]
-        samples += [(100, 2.0), (100, 1.2), (64, 5.0), (3, 2.0), (10, 1.2), (50, 2.0),
-                    (100, 10.0), (100, 1.01), (2, 1.5), (5, 10.0)]
-        ts = np.linspace(0.0, 1.0, 10_001)
-        for n, r in samples:
-            k = int(np.argmax(psi_value(n, r, ts)))
-            a, b = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
-            want = scalar_golden_max(lambda t: psi_value(n, r, t), a, b)
-            assert d_bound_cases(n, r).t_star_star == want
+def _ratio_box_reference(n, r, candidates):
+    """50-digit E, t_E and r^n - 1 from the exact binary value of r; with
+    ``candidates``, also D by every candidate piece and the relaxed D."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = 50, MAX_EMAX
+        R = Decimal(r)
+        s, span = R - 1, R ** n - 1
+        t_e = ((span / (n * s)).ln() / (n - 1)).exp()
+        ref = {"E": 1 + (n - 1) * t_e ** n - n * t_e ** (n - 1), "t_E": t_e, "span": span}
+        if candidates:
+            ref["D"] = max((1 + i * s / n) ** n - R ** i for i in range(1, n))
+            t = (n - 1) * span / (n * (R ** (n - 1) - 1))
+            ref["relaxed"] = t ** n - n * t + n - 1
+        return ref
+
+
+def _within(value, ref, budget):
+    """value is ref within budget, or inf where ref leaves the float range;
+    never nan, 0.0 or negative."""
+    if ref > FLOAT_MAX:
+        assert value == math.inf
+        return
+    assert 0.0 < value < math.inf
+    with localcontext() as ctx:
+        ctx.prec = 50
+        assert abs(Decimal(value) / ref - 1) <= Decimal(budget), (value, ref)
+
+
+# r - 1 log-uniform in [1e-12, 1e3], or r itself log-uniform up to 1e300
+RATIOS = st.one_of(st.floats(-12.0, 3.0).map(lambda e: 1.0 + 10.0 ** e),
+                   st.floats(3.0, 300.0).map(lambda e: 10.0 ** e))
+
+
+@given(st.integers(2, 200), st.integers(2, 10 ** 4), RATIOS)
+@example(3, 3, 1.000001)
+@example(2, 2, 1.0000000000001)
+@example(2, 2, 2.0)
+@example(100, 10 ** 4, 10.0)
+@example(200, 10 ** 4, 1e300)
+def test_ratio_box_constants_match_a_50_digit_reference(n, n_e, r):
+    # relative budget 64 eps n max(1, ln r): the forms in s = r - 1 cancel
+    # nothing of size O(s), so the error grows only with n and the size of
+    # n ln r that exp() amplifies
+    ref = _ratio_box_reference(n, r, candidates=True)
+    budget = 64 * EPS * n * max(1.0, math.log(r))
+    D, E = ratio_box_constants(n, r)
+    _within(D, ref["D"], budget)
+    _within(E, ref["E"], budget)
+    _within(ratio_box_relaxed_error(n, r), ref["relaxed"], budget)
+    ratio, relaxed = ratio_box_ratios(n, r)
+    _within(ratio, ref["D"] / ref["E"], budget)
+    _within(relaxed, ref["relaxed"] / ref["E"], budget)
+    _within(ratio_box_asymptotics(n, r)[1], ref["D"] / ref["span"], budget)
+
+    ref = _ratio_box_reference(n_e, r, candidates=False)
+    budget = 64 * EPS * n_e * max(1.0, math.log(r))
+    _within(ratio_box_constants(n_e, r)[1], ref["E"], budget)
+    _within(bounds.ratio_box_e_point(n_e, r), ref["t_E"], budget)
+    _within(bounds.ratio_box_e_ratio(n_e, r), ref["E"] / ref["span"], budget)
+
 
 class TestSymboxError:
     def test_two(self):
@@ -539,10 +599,11 @@ class TestOverflowBehavior:
             d_bound_cases(500, 10.0)
 
     def test_breakpoint_stable_form_matches_direct(self):
-        from monoenv.bounds import _relaxed_breakpoint
-        for n, r in [(2, 2.0), (3, 2.0), (5, 1.2), (10, 3.0)]:
-            direct = (n - 1) * (r ** n - 1) / (n * (r ** (n - 1) - 1))
-            assert _relaxed_breakpoint(n, r) == pytest.approx(direct, rel=1e-12)
+        # the breakpoint (n-1)/n (r^n - 1)/(r^(n-1) - 1) and the error there,
+        # in 50-digit decimals, against the overflow-free form
+        for n, r in [(2, 2.0), (3, 2.0), (5, 1.2), (10, 3.0), (100, 10.0), (3, 1.000001)]:
+            ref = _ratio_box_reference(n, r, candidates=True)["relaxed"]
+            _within(ratio_box_relaxed_error(n, r), ref, 64 * EPS * n * max(1.0, math.log(r)))
 
 
 class TestDegenerateAndUnsupported:

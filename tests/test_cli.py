@@ -61,6 +61,14 @@ class TestBounds:
         assert code == EXIT_SCALE
         assert out == "" and "scale refusal:" in err
 
+    def test_ratio_constants_near_one(self, capsys):
+        # both were formed by cancelling terms of size r - 1: D printed
+        # 3.33510997e-13 and E 7.50177698e-13
+        code, out, _ = run_cli(capsys, "bounds", "--n", "3", "--r", "1.000001", "--domain", "ratio")
+        assert code == EXIT_OK
+        assert " 3.3333363e-13  at on the diagonal\n" in out
+        assert " 7.50000375e-13  at (1.0000005, 1.0000005, 1.0000005)\n" in out
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "--domain", "warp"])
@@ -244,6 +252,12 @@ class TestFigure1:
         assert "polyline" in text
 
 
+    def test_ratio_next_to_one(self, capsys):
+        # D/E came from log(e^a - e^b) with a and b rounding equal: "math domain error"
+        code, out, _ = run_cli(capsys, "figure1", "--n-max", "3", "--r-list", "1.0000000000001")
+        assert code == EXIT_OK
+        assert out.splitlines()[1].split(",")[4] == "1"
+
     @pytest.mark.parametrize("svg", [False, True], ids=["csv", "svg"])
     def test_empty_range_is_usage_error(self, capsys, tmp_path, svg):
         # it once printed only the header, or failed inside the SVG writer
@@ -304,6 +318,16 @@ class TestGap:
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_OK
         assert "delta-hat(n=1, m=1000000000) 0\n" in out
+
+    @pytest.mark.parametrize("name", ["deg-400-digits.txt", "neg-deg-400-digits.txt"])
+    def test_degree_beyond_float_range_is_a_scale_refusal(self, capsys, tmp_path, name):
+        # c2 (positive coefficient) and c1 (negative) raised OverflowError on
+        # the degree; they are finite now, and the count C(n+m, n) is refused
+        poly = tmp_path / name
+        poly.write_text(POLY_FILES[name])
+        code, out, err = run_cli(capsys, "gap", "--poly", str(poly))
+        assert code == EXIT_SCALE
+        assert out == "" and "scale refusal: the monomial count" in err
 
     def test_certify_pass(self, capsys, tmp_path):
         poly = tmp_path / "p.txt"
@@ -520,6 +544,8 @@ POLY_FILES = {
     "alpha-1.5.json": '{"n": 2, "terms": [{"coeff": 1.0, "alpha": [1.5, 1]}]}',
     "n-2.9.json": '{"n": 2.9, "terms": [{"coeff": 1.0, "alpha": [1, 1]}]}',
     "alpha-1e400.json": '{"n": 1, "terms": [{"coeff": 1.0, "alpha": [1e400]}]}',
+    "deg-400-digits.txt": "1.0 " + "9" * 400 + "\n",
+    "neg-deg-400-digits.txt": "-1.0 " + "9" * 400 + "\n",
 }
 BAD = ("0", "-1", "2.5", "nan", "inf", "x", "")
 
@@ -536,11 +562,12 @@ _DOMAIN = {"--domain": st.sampled_from((*DOMAIN_READS, "warp")), "--lower": _val
            "--upper": _values("0.9,0.8"), "--lam": _values("0.5,0.5")}
 FUZZ_FLAGS = {
     "bounds": {"--alpha": _values("1,1", "2,3", "200,200"), "--n": _values("3"),
-               "--r": _values("2"), **_DOMAIN},
+               "--r": _values("2", "1.0000000000001"), **_DOMAIN},
     "verify": {"--case": st.sampled_from(list(checks.CASES)),
                "--alpha": _values("1,1", "2,1", "75,75"), "--n": _values("2", "3"),
                "--r": _values("2"), "--trials": _values("5")},
-    "figure1": {"--n-min": _values("2"), "--n-max": _values("5"), "--r-list": _values("1.5,2"),
+    "figure1": {"--n-min": _values("2"), "--n-max": _values("5"),
+                "--r-list": _values("1.5,2", "1.0000000000001"),
                 "--svg": st.just("{tmp}/f.svg")},
     "facets": {"--n": st.sampled_from(("1", "2", "12", "21", *BAD)),
                "--format": st.sampled_from(("text", "csv", "xml"))},
@@ -567,6 +594,8 @@ def _argv(draw):
 @example(["bounds", "--alpha", "200,200", "--domain", "simplex"])
 @example(["verify", "--case", "simplex", "--alpha", "75,75"])
 @example(["gap", "--poly", "{tmp}/alpha-1e400.json"])
+@example(["gap", "--poly", "{tmp}/deg-400-digits.txt"])
+@example(["figure1", "--n-max", "3", "--r-list", "1.0000000000001"])
 def test_fuzzed_argv_ends_at_an_exit_code(capsys, tmp_path, argv):
     for name, text in POLY_FILES.items():
         (tmp_path / name).write_text(text)

@@ -1,10 +1,15 @@
 import itertools
 import json
 import math
+import sys
 import time
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from monoenv import DimensionMismatch, Monomial, SubBox, UnitBox, ScaleExceeded
 from monoenv import bounds, envelopes
@@ -175,9 +180,8 @@ class TestHierarchyThreshold:
                 assert a == pytest.approx(b, rel=1e-9)
 
     def test_product_in_closed_form_matches_the_sum(self):
-        # the product prod_k (1 + k/n) was a sum of m log1p terms; its lgamma
-        # form loses about eps (n + m) ln(n + m) in the log, below 1e-10
-        # relative for n, m <= 10^4
+        # the product prod_k (1 + k/n) was a sum of m log1p terms, which the
+        # closed form must reproduce
         def summed(n, m):
             log_prod = sum(math.log1p(k / n) for k in range(1, m + 1))
             return math.exp(2 * math.log(m) + math.log(m + 1) - math.log(6.0)
@@ -197,6 +201,10 @@ class TestHierarchyThreshold:
         assert hierarchy_threshold(10 ** 9, 10 ** 9) == 0.0
         assert time.perf_counter() - start < 1.0
 
+    def test_count_beyond_the_float_range_is_a_scale_refusal(self):
+        with pytest.raises(ScaleExceeded, match="monomial count"):
+            gap_bound(Polynomial(1, ((1.0, (10 ** 400,)),)))
+
     def test_fixed_n_eventually_decays(self):
         # with n fixed the product term dominates, so the threshold rises
         # briefly and then decays toward zero
@@ -214,6 +222,43 @@ class TestHierarchyThreshold:
             assert m ** 3 / 6 <= val <= m ** 3
             expected = m * m * (m + 1) / (6 * m ** (1 / (1 - m)))
             assert val == pytest.approx(expected, rel=0.01)
+
+
+# B_2, B_4, ..., B_20: ten terms of Stirling's series leave less than 1e-60 at z >= 1000
+BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+             Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+             Fraction(43867, 798), Fraction(-174611, 330))
+LOG_2PI = Decimal("1.8378770664093454835606594728112352797227949472755668256343")
+
+
+def _log_factorial(z):
+    """log z! to 80 digits: exactly from z! below 1000, by Stirling's series above."""
+    if z < 1000:
+        return Decimal(math.factorial(z)).ln()
+    Z = Decimal(z)
+    tail = sum(Decimal(b.numerator) / (b.denominator * 2 * k * (2 * k - 1) * Z ** (2 * k - 1))
+               for k, b in enumerate(BERNOULLI, 1))
+    return (Z + Decimal("0.5")) * Z.ln() - Z + LOG_2PI / 2 + tail
+
+
+@given(st.floats(0.0, 12.0), st.floats(math.log10(2.0), 6.0))
+@example(12.0, math.log10(2.0))  # n = 10^12, m = 2: the lgamma difference was off by 3.2e-4
+def test_threshold_matches_a_50_digit_reference(log_n, log_m):
+    n, m = int(10 ** log_n), max(2, int(10 ** log_m))
+    with localcontext() as ctx:
+        ctx.prec = 80
+        log_prod = _log_factorial(n + m) - _log_factorial(n) - m * Decimal(n).ln()
+        M = Decimal(m)
+        ref = (2 * M.ln() + (M + 1).ln() - Decimal(6).ln() + M.ln() / (m - 1) - log_prod).exp()
+    value = hierarchy_threshold(n, m)
+    if ref < Decimal("1e-300"):
+        assert 0.0 <= value < 1e-290
+        return
+    # each log term is good to a few eps of its size, and exp() keeps that
+    budget = 16 * sys.float_info.epsilon * (1 + 3 * math.log(m) + float(log_prod))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        assert abs(Decimal(value) / ref - 1) <= Decimal(budget), (n, m, value, ref)
 
 
 class TestCertify:
