@@ -19,6 +19,7 @@ from .core import (
     ScaleExceeded,
     UnsupportedDomain,
     box_ratio,
+    exponent_float,
     require_count,
     simplex_peak,
     slopes,
@@ -27,32 +28,37 @@ from .core import (
 BISECT_MAX_ITER = 200
 
 
+def _convex_power(sigma, D, rho=1) -> float:
+    """(1 - sigma/D)^(D/rho) = exp((sigma/rho) log(1 - x)/x), x = sigma/D, the
+    one form of the convex-side constants: exp(-sigma/rho) once x underflows
+    (integers give x without converting D), 0 at x = 1, and above x = 1/2
+    log(1 - x) = log((D - sigma)/D), whose difference is exact."""
+    x = sigma / D
+    if x <= 0.5:
+        log_q = math.log1p(-x) / x if x > 0.0 else -1.0
+    elif sigma < D:
+        log_q = math.log((D - sigma) / D) / x
+    else:
+        return 0.0
+    return math.exp(sigma / rho * log_q)
+
+
+def _log_peak(d: int) -> float:
+    """log u* = -ln d/(d - 1): u - u^d peaks on [0, 1] at u* = d^(1/(1-d)),
+    where u*^(d-1) = 1/d, so its maximum is c1(d) = (1 - 1/d) u*."""
+    return -math.log(d) * (1 / (d - 1))
+
+
 def c1(d: int) -> float:
     """Concave-side worst-case constant (1 - 1/d) * d**(1/(1-d)), taken in logs
     so that every integer degree, however large, gives a finite value."""
     d = require_count(d, "degree", 2)
-    return math.exp(math.log1p(-1 / d) - math.log(d) * (1 / (d - 1)))
+    return math.exp(math.log1p(-1 / d) + _log_peak(d))
 
 
 def c2(d: int) -> float:
-    """Convex-side worst-case constant (1 - 1/d)**d = exp(d log1p(-1/d)); it
-    rises toward 1/e, which it equals in floats once 1/d underflows."""
-    d = require_count(d, "degree", 2)
-    x = 1 / d
-    return math.exp(math.log1p(-x) / x if x > 0.0 else -1.0)
-
-
-@dataclass(frozen=True)
-class BoundSet:
-    """The pair of degree-only worst-case constants for one monomial degree."""
-
-    c1: float
-    c2: float
-    degree: int
-
-
-def bound_set(d: int) -> BoundSet:
-    return BoundSet(c1=c1(d), c2=c2(d), degree=require_count(d, "degree", 2))
+    """Convex-side worst-case constant (1 - 1/d)**d, rising to 1/e (once 1/d underflows)."""
+    return _convex_power(1, require_count(d, "degree", 2))
 
 
 @dataclass(frozen=True)
@@ -65,17 +71,23 @@ class ConcaveEnvelopeBound:
 def concave_bound_xi(m: Monomial, fmin: float, fmax: float) -> ConcaveEnvelopeBound:
     """Tightened concave-overestimator error bound given min/max monomial values.
 
-    xi' = min{max{fmin, d**(d/(1-d))}, fmax}; the bound xi'**(1/d) - xi' can be
-    attained only at xi'**(1/d) * (1,...,1).
-    """
+    The gap u - u^d peaks at u* (:func:`c1`), clipped to [fmin^(1/d), fmax^(1/d)]
+    through log u^d = log u* - ln d, which does not underflow as u^d does.
+    Unclipped the bound is c1(d), else xi^(1/d) - xi at xi = fmin or fmax; it
+    can be attained only at u (1,...,1)."""
     d = require_count(m.degree, "degree", 2)
     if not (0.0 <= fmin <= fmax <= 1.0):
         raise ValueError(f"need 0 <= fmin <= fmax <= 1, got {fmin}, {fmax}")
-    xi0 = d ** (d / (1.0 - d))
-    xi = min(max(fmin, xi0), fmax)
-    bound = xi ** (1.0 / d) - xi
-    point = np.full(m.n, xi ** (1.0 / d))
-    return ConcaveEnvelopeBound(bound=bound, xi=xi, point=point)
+    log_u = _log_peak(d)
+    log_xi = log_u - math.log(d)
+    if fmin > 0.0 and log_xi < math.log(fmin):
+        xi = fmin
+    elif fmax == 0.0 or log_xi > math.log(fmax):
+        xi = fmax
+    else:
+        return ConcaveEnvelopeBound(c1(d), math.exp(log_xi), np.full(m.n, math.exp(log_u)))
+    u = xi ** (1 / d) if xi > 0.0 else 0.0
+    return ConcaveEnvelopeBound(u - xi, xi, np.full(m.n, u))
 
 
 def gamma_bound(gamma) -> float:
@@ -83,7 +95,7 @@ def gamma_bound(gamma) -> float:
     dg = float(slopes(gamma, name="gamma").sum())
     if dg <= 1.0:
         raise ValueError(f"sum of gamma must exceed 1, got {dg}")
-    return (1.0 - 1.0 / dg) ** dg
+    return _convex_power(1, dg)
 
 
 @dataclass(frozen=True)
@@ -93,20 +105,25 @@ class PhiLowerBound:
 
 
 def lower_bound_phi(d: int, t1: float, t2: float) -> PhiLowerBound:
-    """Secant-vs-power lower bound on the error along the diagonal segment
-    [t1*(1,..,1), t2*(1,..,1)].
-
-    phi(xi) = t1**d + (t2**d - t1**d) xi - (t1 + (t2-t1) xi)**d, maximized at
-    the stationary point xi' (clipped to [0,1]).
-    """
+    """Largest secant-vs-power gap on the diagonal segment [t1, t2] (1,..,1),
+    phi(xi) = t1**d + (t2**d - t1**d) xi - (t1 + (t2-t1) xi)**d on [0, 1]. By
+    homogeneity it is t2**d c1(d) at xi = u* when t1 = 0, and otherwise t1**d
+    times the ratio-box E at s = (t2 - t1)/t1, at xi = (t_E - 1)/s; inf past
+    the float range."""
     d = require_count(d, "degree", 2)
-    if not (0.0 <= t1 < t2):
-        raise ValueError(f"need 0 <= t1 < t2, got {t1}, {t2}")
-    span = t2 - t1
-    xi = (((t2 ** d - t1 ** d) / d) ** (1.0 / (d - 1))) * span ** (d / (1.0 - d)) - t1 / span
-    xi = min(max(xi, 0.0), 1.0)
-    bound = t1 ** d + (t2 ** d - t1 ** d) * xi - (t1 + span * xi) ** d
-    return PhiLowerBound(bound=bound, xi=xi)
+    if not (0.0 <= t1 < t2 < math.inf):
+        raise ValueError(f"need 0 <= t1 < t2 < inf, got {t1}, {t2}")
+    if t1 == 0.0:
+        c = c1(d)
+        t, value, xi = t2, (c, math.log(c)), math.exp(_log_peak(d))
+    else:
+        b = _box(d, (t2 - t1) / t1)
+        t, value, xi = t1, _E(b), math.expm1(_log_t_e(b)) / b.s
+    d_f = exponent_float(d)
+    log_scale = math.log(t) * d_f if t != 1.0 else 0.0  # log t**d
+    if value[0] < math.inf and abs(log_scale) < _EXP_OVERFLOW:
+        return PhiLowerBound(value[0] * t ** d_f, xi)
+    return PhiLowerBound(_exp_or_inf(value[1] + log_scale), xi)
 
 
 @dataclass(frozen=True)
@@ -189,8 +206,7 @@ def c_beta_kappa(m: Monomial, beta, kappa, sigma: float) -> float:
         raise ValueError("need 1 <= kappa <= alpha componentwise")
     if np.all(k > b):
         raise ValueError("kappa must not dominate beta in every coordinate")
-    db = _require_sigma(sigma, b)
-    return (1.0 - sigma / db) ** (db / ratio_r(b, k))
+    return _convex_power(sigma, _require_sigma(sigma, b), ratio_r(b, k))
 
 
 def phi_beta_kappa(beta, kappa, sigma: float, t) -> float | np.ndarray:
@@ -279,8 +295,12 @@ class _Box(NamedTuple):
 
 
 def _require_ratio_box(n: int, r: float) -> _Box:
-    n = require_count(n, "n", 2)
-    s = box_ratio(r) - 1.0
+    return _box(require_count(n, "n", 2), box_ratio(r) - 1.0)
+
+
+def _box(n: int, s: float) -> _Box:
+    if exponent_float(n) == math.inf or s == math.inf:
+        raise ScaleExceeded("n or r - 1 is too large for a float")
     L, lm_s = math.log1p(s), _lm(s)
     return _Box(n, s, L, lm_s, math.log1p(lm_s / s) if s <= 1.0 else math.log(L / s))
 
@@ -439,8 +459,7 @@ def d_bound_cases(n: int, r: float) -> DBoundResult:
 
 def symbox_error(n: int) -> float:
     """Hull error of x_1...x_n over [-1,1]^n: 1 + ((n-2)/n)**n."""
-    n = require_count(n, "degree", 2)
-    return 1.0 + ((n - 2) / n) ** n
+    return 1.0 + _convex_power(2, require_count(n, "degree", 2))
 
 
 def symbox_attainment(n: int) -> tuple[np.ndarray, float]:
@@ -464,7 +483,7 @@ class RootResult:
 def root_poly_value(lam1: int, lam2: float, s) -> float | np.ndarray:
     """(1 - s)**lam1 + lam2 * s - 1."""
     s = np.asarray(s, dtype=float)
-    out = np.power(1.0 - s, lam1) + lam2 * s - 1.0
+    out = np.power(1.0 - s, exponent_float(lam1)) + lam2 * s - 1.0
     return float(out) if out.ndim == 0 else out
 
 
@@ -473,7 +492,8 @@ def find_root_power_linear(lam1: int, lam2: float) -> RootResult:
 
     For lam2 >= lam1 the polynomial is positive on (0, 1] and no root exists
     (certified on a grid). Otherwise bisection on
-    [1 - (lam2/lam1)**(1/(lam1-1)), 1] drives |value| below 1e-12.
+    [1 - (lam2/lam1)**(1/(lam1-1)), 1] drives |value| below 1e-12; that lower
+    end is taken in logs, so a lam1 beyond the float range works.
     lam1 = lam2 = 1 gives the zero polynomial, which every s solves; that is
     a ``ValueError``, not "no root".
     """
@@ -487,7 +507,7 @@ def find_root_power_linear(lam1: int, lam2: float) -> RootResult:
         cert = float(np.min(root_poly_value(lam1, lam2, grid)))
         return RootResult(has_root=False, root=None, residual=None,
                           lower_bound=None, certificate_min=cert)
-    tilde = 1.0 - (lam2 / lam1) ** (1.0 / (lam1 - 1))
+    tilde = -math.expm1((math.log(lam2) - math.log(lam1)) * (1 / (lam1 - 1)))
     lo, hi = tilde, 1.0
     # run to interval exhaustion; the residual then sits far below the target
     for _ in range(BISECT_MAX_ITER):

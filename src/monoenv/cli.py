@@ -25,6 +25,7 @@ from .core import (
     SubBox,
     SymBox,
     UnitBox,
+    UnsupportedDomain,
 )
 
 EXIT_OK = 0
@@ -88,7 +89,15 @@ def _subbox_rows(mono: Monomial, dom) -> list[tuple[str, float, str]]:
     return rows + [("concave bound at domain range", cb.bound, _fmt_point(cb.point))]
 
 
+def _require_multilinear(mono: Monomial, domain: str) -> None:
+    """The ratio-box and symmetric-box rows are the constants of x_1...x_n only."""
+    if not mono.is_multilinear():
+        raise UnsupportedDomain(f"--domain {domain} has bounds for x_1...x_n only: "
+                                "give --n, or an --alpha of ones")
+
+
 def _ratio_rows(mono: Monomial, dom) -> list[tuple[str, float, str]]:
+    _require_multilinear(mono, "ratio")
     n, r = mono.n, dom.r
     D, E = bounds.ratio_box_constants(n, r)
     tE = bounds.ratio_box_e_point(n, r)
@@ -97,6 +106,7 @@ def _ratio_rows(mono: Monomial, dom) -> list[tuple[str, float, str]]:
 
 
 def _symbox_rows(mono: Monomial, dom) -> list[tuple[str, float, str]]:
+    _require_multilinear(mono, "sym")
     x0, w0 = bounds.symbox_attainment(mono.n)
     return [("hull error over the symmetric box", bounds.symbox_error(mono.n),
              _fmt_point(x0) + f" w={_fmt(w0)} (+ reflections)")]
@@ -149,11 +159,10 @@ def cmd_bounds(args) -> int:
     rows: list[tuple[str, float, str]] = []
 
     if d >= 2:
-        bs = bounds.bound_set(d)
-        rows.append(("c1 (concave/hull, degree-only)", bs.c1,
-                     _fmt_point(np.full(n, d ** (1.0 / (1.0 - d))))))
-        rows.append(("c2 (convex, degree-only)", bs.c2,
-                     _fmt_point(np.full(n, 1.0 - 1.0 / d))))
+        rows.append(("c1 (concave/hull, degree-only)", bounds.c1(d),
+                     _fmt_point(bounds.concave_bound_xi(mono, 0.0, 1.0).point)))
+        rows.append(("c2 (convex, degree-only)", bounds.c2(d),
+                     _fmt_point(np.full(n, 1 - 1 / d))))
     rows += _DOMAINS[args.domain][2](mono, _domain(args, n))
 
     width = max(len(r[0]) for r in rows)

@@ -21,6 +21,7 @@ TOL_EXACT = 1e-9
 TOL_ORACLE = 1e-4
 
 VERTEX_ENUM_LIMIT = 20  # 2^n blowup guard for explicit vertex lists
+_EXPONENT_INF = 2 ** 1023  # see exponent_float
 
 
 class DimensionMismatch(ValueError):
@@ -83,6 +84,12 @@ def require_count(v, name: str, low: int) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
     return int(v)
+
+
+def exponent_float(a: int) -> float:
+    """An integer exponent as the float a power takes: inf from 2**1023 on,
+    where |x|**a is 0, 1 or inf for every float x, as |x|**inf is."""
+    return float(a) if a < _EXPONENT_INF else math.inf
 
 
 def box_ratio(r) -> float:
@@ -177,7 +184,7 @@ def monomial_values(m: Monomial, X: np.ndarray) -> np.ndarray:
         if a == 1:
             f = col + 0.0
         else:
-            f = np.power(np.abs(col), np.full(col.shape, float(a)))
+            f = np.power(np.abs(col), np.full(col.shape, exponent_float(a)))
             if a % 2:
                 np.negative(f, out=f, where=col < 0)
         if out is None:

@@ -23,6 +23,7 @@ from .core import (
     UnitBox,
     UnsupportedDomain,
     as_points,
+    exponent_float,
     fold_columns,
     slopes,
 )
@@ -97,7 +98,8 @@ def gamma_vector(m: Monomial, dom: Domain) -> np.ndarray:
 
     For each i let [.., 1 - s_i] be the projection of the domain onto x_i;
     gamma_i = (1 - (1-s_i)**alpha_i)/s_i when s_i > 0 and alpha_i otherwise.
-    Satisfies 1 <= gamma <= alpha with gamma_i < alpha_i exactly when s_i > 0.
+    Satisfies 1 <= gamma <= alpha with gamma_i < alpha_i exactly when s_i > 0;
+    ``ScaleExceeded`` when a gamma_i = alpha_i is too large for a float.
     """
     dom.require_monomial(m)
     if not dom.inside_unit_box():
@@ -105,11 +107,10 @@ def gamma_vector(m: Monomial, dom: Domain) -> np.ndarray:
     # the upper end of each coordinate projection is the bounding box's upper corner
     sigma2 = 1.0 - dom.bounding_box()[1]
     gamma = np.empty(m.n)
-    for i, (s, a) in enumerate(zip(sigma2, m.alpha)):
-        if s <= 0.0:
-            gamma[i] = float(a)
-        else:
-            gamma[i] = (1.0 - (1.0 - s) ** a) / s
+    for i, (s, a) in enumerate(zip(sigma2, map(exponent_float, m.alpha))):
+        gamma[i] = (1.0 - (1.0 - s) ** a) / s if s > 0.0 else a
+    if not np.all(gamma < np.inf):
+        raise ScaleExceeded("an exponent gamma_i = alpha_i is too large for a float")
     return gamma
 
 

@@ -117,18 +117,6 @@ def gap_bound(p: Polynomial) -> GapBound:
                     sharp=lp * len(p.terms))
 
 
-def log_gap_bound(p: Polynomial) -> tuple[float, float]:
-    """(log tight, log cheap) via lgamma, for degree/dimension combinations
-    whose binomial count overflows floats."""
-    m = p.total_degree
-    if m < 2:
-        raise ValueError("log-domain bounds need total degree >= 2")
-    logcount = (math.lgamma(p.n + m + 1) - math.lgamma(p.n + 1) - math.lgamma(m + 1))
-    lp = lprime(p)
-    cheap_scale = max(abs(c) for c, _ in p.terms) * _bounds.c1(m)
-    return math.log(lp) + logcount, math.log(cheap_scale) + logcount
-
-
 def _stirling_tail(z: int) -> float:
     """log z! - ((z + 1/2) log z - z + log(2 pi)/2): by lgamma below 10, and
     from there by Stirling's series, 1/(12 z) - 1/(360 z^3) + ..."""
@@ -139,24 +127,35 @@ def _stirling_tail(z: int) -> float:
         1 / 1680 - y2 * (1 / 1188 - y2 * (691 / 360360 - y2 / 156))))))
 
 
+def _rate(x: float) -> float:
+    """((1 + x) log1p(x) - x)/x^2 = 1/2 - x/6 + x^2/12 - ..., by that series below 1e-4."""
+    if x < 1e-4:
+        return 0.5 - x * (1 / 6 - x * (1 / 12 - x / 20))
+    return (math.log1p(x) + _bounds._lm(x) / x) / x
+
+
 def hierarchy_threshold(n: int, m: int) -> float:
     """Degree scaling a competing 1/delta-converging bound needs before it
     beats per-monomial convexification on unit-coefficient polynomials.
 
     Two equivalent closed forms exist; this evaluates the product form
     m^2 (m+1) / (6 m^(1/(1-m)) prod_k (1 + k/n)) in the log domain. By
-    Stirling, log prod_{k=1}^m (1 + k/n) = n (x log1p(x) + lm(x)) + log1p(x)/2
-    plus a difference of series tails, x = m/n: nothing cancels, and the cost
-    does not grow with m.
+    Stirling, log prod_{k=1}^m (1 + k/n) = q rate(x) + log1p(x)/2 plus a
+    difference of series tails, x = m/n, q = m^2/n: nothing cancels, the cost
+    does not grow with m, and no integer becomes a float, so any n and m work.
+    The threshold is 0.0 where it underflows, so at once when q >= 2^1023
+    (log prod then exceeds 1e150), and ``ScaleExceeded`` where it overflows.
     """
     n, m = require_count(n, "n", 1), require_count(m, "m", 2)
+    if m * m // n >= 2 ** 1023:
+        return 0.0
     x = m / n
-    log_prod = (n * (x * math.log1p(x) + _bounds._lm(x)) + 0.5 * math.log1p(x)
+    log_prod = (m * m / n * _rate(x) + 0.5 * math.log1p(x)
                 + _stirling_tail(n + m) - _stirling_tail(n))
-    log_val = (
-        2 * math.log(m) + math.log(m + 1) - math.log(6.0)
-        - math.log(m) / (1.0 - m) - log_prod
-    )
+    log_val = (2 * math.log(m) + math.log(m + 1) - math.log(6.0) - _bounds._log_peak(m)
+               - log_prod)
+    if log_val > _bounds._LOG_MAX:
+        raise ScaleExceeded(f"the hierarchy threshold for n={n}, m={m} overflows a float")
     return math.exp(log_val)
 
 

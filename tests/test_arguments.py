@@ -200,7 +200,6 @@ def _integer_cases():
         "Monomial.multilinear": Monomial.multilinear,
         "c1": bounds.c1,
         "c2": bounds.c2,
-        "bound_set": bounds.bound_set,
         "lower_bound_phi": lambda d: bounds.lower_bound_phi(d, 0.0, 1.0),
         "dineq_margins": bounds.dineq_margins,
         **{f.__name__: lambda n, f=f: f(n, 2.0) for f in ratio_box},

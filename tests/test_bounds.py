@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from monoenv import Monomial, ComplementSimplex, ScaleExceeded, StdSimplex, SubBox, UnitBox
 from monoenv import bounds, envelopes, oracle
+from monoenv.core import simplex_peak
 from monoenv.bounds import (
-    BoundSet,
-    bound_set,
     c1,
     c2,
     c_beta_kappa,
@@ -80,11 +79,6 @@ class TestDegreeConstants:
             c1(1)
         with pytest.raises(ValueError):
             c2(0)
-
-    def test_bound_set(self):
-        bs = bound_set(3)
-        assert isinstance(bs, BoundSet)
-        assert 0.0 < bs.c2 <= bs.c1 < 1.0
 
 
 class TestConcaveBoundXi:
@@ -493,6 +487,154 @@ def test_ratio_box_constants_match_a_50_digit_reference(n, n_e, r):
     _within(ratio_box_constants(n_e, r)[1], ref["E"], budget)
     _within(bounds.ratio_box_e_point(n_e, r), ref["t_E"], budget)
     _within(bounds.ratio_box_e_ratio(n_e, r), ref["E"] / ref["span"], budget)
+
+
+FLOAT_TINY = Decimal(sys.float_info.min)
+
+
+def _within_or_underflow(value, ref, budget):
+    """_within, or a value in the subnormal range where ref is below it."""
+    if ref < FLOAT_TINY:
+        assert 0.0 <= value < sys.float_info.min, (value, ref)
+        return
+    _within(value, ref, budget)
+
+
+def _convex_call(name, args):
+    """A convex-side constant and its (sigma, D, rho, offset) as decimals,
+    exact but for rho's quotient: the constant is offset + (1 - sigma/D)^(D/rho)."""
+    if name == "c2":
+        return c2(*args), (1, Decimal(args[0]), 1, 0)
+    if name == "symbox_error":
+        return symbox_error(*args), (2, Decimal(args[0]), 1, 1)
+    with localcontext() as ctx:
+        ctx.prec = 800  # a sum of floats >= 1 below 1e301 is exact
+        if name == "gamma_bound":
+            (gamma,) = args
+            return gamma_bound(gamma), (1, sum(map(Decimal, gamma)), 1, 0)
+        alpha, beta, kappa, sigma = args
+        rho = max(Decimal(b) / Decimal(k) for b, k in zip(beta, kappa))
+        return c_beta_kappa(Monomial(alpha), beta, kappa, sigma), (
+            Decimal(sigma), sum(map(Decimal, beta)), rho, 0)
+
+
+# integer degrees log-uniform up to 1e300, or any up to 400 digits
+DEGREES = st.one_of(st.floats(math.log10(2.0), 300.0).map(lambda e: int(10.0 ** e)),
+                    st.integers(2, 10 ** 400))
+
+
+@st.composite
+def _c_beta_kappa_args(draw):
+    # beta = (D/2, D/2), kappa = (K, K), sigma = f D: the constant is
+    # (1 - f)^(2K), with K capped so that it stays above 1e-300
+    D = 10.0 ** draw(st.floats(math.log10(2.0), 300.0))
+    f = min(10.0 ** draw(st.floats(-300.0, 0.0)), math.nextafter(1.0, 0.0))
+    K = min(D / 2, 345.0 / -math.log1p(-f)) ** draw(st.floats(0.0, 1.0))
+    sigma = min(f * D, math.nextafter(D, 0.0))
+    return (math.ceil(K), math.ceil(K)), (D / 2, D / 2), (K, K), sigma
+
+
+CONVEX_CASES = st.one_of(
+    st.tuples(st.just("c2"), st.tuples(DEGREES)),
+    st.tuples(st.just("symbox_error"), st.tuples(DEGREES)),
+    st.tuples(st.just("gamma_bound"),
+              st.tuples(st.tuples(st.floats(-12.0, 300.0).map(lambda e: 1.0 + 10.0 ** e)))),
+    st.tuples(st.just("c_beta_kappa"), _c_beta_kappa_args()),
+)
+
+
+@given(CONVEX_CASES)
+@example(("gamma_bound", ((1e17, 1.0),)))  # was 1.0
+@example(("c_beta_kappa", ((10 ** 17, 1), (1e17, 1.0), (1e17, 1.0), 1.0)))  # was 1.0
+@example(("symbox_error", (10 ** 17,)))  # was 2.0
+@example(("symbox_error", (10 ** 12,)))  # was 5.3e-6 off
+@example(("symbox_error", (2,)))
+@example(("symbox_error", (3,)))
+@example(("c2", (10 ** 400 - 1,)))
+@example(("c_beta_kappa", ((1, 1), (2.0, 2.0), (1.0, 1.0), math.nextafter(4.0, 0.0))))
+def test_convex_constants_match_a_50_digit_reference(case):
+    # c2, gamma_bound, c_beta_kappa and symbox_error are one form,
+    # exp((sigma/rho) log(1 - x)/x) with x = sigma/D: the log carries a few
+    # eps of its size, which exp() keeps, so the relative budget is
+    # 16 eps (1 + |ln value|)
+    value, (sigma, D, rho, offset) = _convex_call(*case)
+    with localcontext() as ctx:
+        ctx.prec = 60 + max(0, D.adjusted())  # digits enough for 1 - sigma/D
+        x = Decimal(sigma) / D
+        ref = offset + (D / rho * (1 - x).ln()).exp() if x < 1 else Decimal(offset)
+    _within(value, ref, 16 * EPS * (1 + abs(math.log(value))))
+
+
+@st.composite
+def _phi_args(draw):
+    d = draw(st.integers(2, 10 ** 4))
+    if draw(st.booleans()):
+        return d, 0.0, 10.0 ** draw(st.floats(-3.0, 3.0))
+    t1 = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return d, t1, t1 + t1 * 10.0 ** draw(st.floats(-12.0, 3.0))
+
+
+def _phi_reference(d, t1, t2):
+    """The largest gap of the secant of t**d over [t1, t2], and its xi, to 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        T1, T2 = Decimal(t1), Decimal(t2)
+        if t1 == 0.0:
+            u = (-Decimal(d).ln() / (d - 1)).exp()
+            return T2 ** d * (u - u ** d), u
+        rise = T2 ** d - T1 ** d
+        t = ((rise / (d * (T2 - T1))).ln() / (d - 1)).exp()
+        xi = (t - T1) / (T2 - T1)
+        return T1 ** d + rise * xi - t ** d, xi
+
+
+@given(_phi_args())
+@example((2, 1.0, 1 + 1e-8))  # was 0.0
+@example((3, 1.0, 1.000001))  # was 2e-4 off
+@example((400, 1.0, 10.0))  # raised OverflowError
+@example((10 ** 4, 1e-3, 2e-3))  # below the float range
+def test_lower_bound_phi_matches_a_50_digit_reference(args):
+    # t1 = 0 is t2^d c1(d); otherwise t1^d times the ratio-box E at
+    # s = (t2 - t1)/t1, so the ratio-box budget 64 eps d max(1, ln r) holds
+    d, t1, t2 = args
+    ref, ref_xi = _phi_reference(d, t1, t2)
+    budget = 64 * EPS * d * max(1.0, math.log(t2 / t1) if t1 > 0.0 else 0.0)
+    res = lower_bound_phi(d, t1, t2)
+    _within_or_underflow(res.bound, ref, budget)
+    assert 0.0 <= res.xi <= 1.0
+    _within(res.xi, ref_xi, budget)
+
+
+@pytest.mark.parametrize("d", [2, 3, 10 ** 400])
+def test_unclipped_concave_bounds_are_c1(d):
+    assert concave_bound_xi(Monomial((d - 1, 1)), 0.0, 1.0).bound == c1(d)
+    assert lower_bound_phi(d, 0.0, 1.0).bound == c1(d)
+
+
+def test_simplex_peak_matches_a_50_digit_reference():
+    # alpha^alpha / d^d from n + 1 powers, n - 1 products and one quotient,
+    # each within an eps; ScaleExceeded exactly where d^d leaves the float range
+    rng = np.random.default_rng(8)
+    alphas = [(142, 1), (143, 1)]  # d = 143 is the last degree inside the range
+    alphas += [tuple(int(a) for a in rng.integers(1, 31, size=int(rng.integers(2, 13))))
+               for _ in range(300)]
+    refused = 0
+    for alpha in alphas:
+        m = Monomial(alpha)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            aa = math.prod(Decimal(a) ** a for a in alpha)
+            dd = Decimal(m.degree) ** m.degree
+        if dd > FLOAT_MAX:
+            with pytest.raises(ScaleExceeded):
+                simplex_peak(m)
+            refused += 1
+            continue
+        budget = (m.n + 2) * EPS
+        got_aa, got = simplex_peak(m)
+        _within(got_aa, aa, budget)
+        _within(got, aa / dd, budget)
+    assert 0 < refused < len(alphas) - 2
 
 
 class TestSymboxError:

@@ -479,6 +479,42 @@ def test_each_domain_runs_on_the_flags_it_reads(capsys, command, domain):
     assert code == EXIT_OK and f"domain={domain}" in out
 
 
+BIG = "1" + "0" * 400  # an integer beyond the float range
+
+
+@pytest.mark.parametrize("domain", ["unit", "sub", "simplex", "corner", "comp"])
+def test_exponent_beyond_the_float_range_is_a_scale_refusal(capsys, domain):
+    # each ended in an OverflowError traceback; these rows need the exponent
+    # as a float (gamma = alpha where the domain reaches x_i = 1, or alpha**alpha)
+    argv = ["bounds", "--alpha", BIG + ",1", "--domain", domain]
+    for flag in DOMAIN_READS[domain]:
+        argv += [f"--{flag}", FLAG_VALUES[flag]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_SCALE, "") and err.startswith("scale refusal: ")
+
+
+@pytest.mark.parametrize("alpha", ["2,1", "3,1", BIG + ",1"])
+@pytest.mark.parametrize("domain", ["ratio", "sym"])
+def test_multilinear_only_domains_refuse_other_exponents(capsys, domain, alpha):
+    # both printed the constants of x1 x2 whatever --alpha said (the 400-digit
+    # one ended in an OverflowError traceback)
+    argv = ["bounds", "--alpha", alpha, "--domain", domain]
+    for flag in DOMAIN_READS[domain]:
+        argv += [f"--{flag}", FLAG_VALUES[flag]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"error: --domain {domain} has bounds for x_1...x_n only: "
+                   "give --n, or an --alpha of ones\n")
+
+
+def test_root_for_lambda1_beyond_the_float_range(capsys):
+    # (lam2/lam1)**(1/(lam1-1)) ended in an OverflowError traceback; the
+    # root is 1/lam2 once (1-s)**lam1 vanishes
+    code, out, _ = run_cli(capsys, "root", "--lambda1", BIG, "--lambda2", "1.5")
+    assert code == EXIT_OK
+    assert out == f"root={1 / 1.5!r} residual=0 lower_bound=0\n"
+
+
 @pytest.mark.parametrize("domain", [d for d, reads in DOMAIN_READS.items() if reads])
 def test_missing_domain_flag_is_a_usage_error(capsys, domain):
     code, out, err = run_cli(capsys, "bounds", "--alpha", "1,1", "--domain", domain)
@@ -561,7 +597,7 @@ _COMMON = {"--seed": _values("3"), "--grid": _values("4", "8"), "--tol": _values
 _DOMAIN = {"--domain": st.sampled_from((*DOMAIN_READS, "warp")), "--lower": _values("0.1,0.2"),
            "--upper": _values("0.9,0.8"), "--lam": _values("0.5,0.5")}
 FUZZ_FLAGS = {
-    "bounds": {"--alpha": _values("1,1", "2,3", "200,200"), "--n": _values("3"),
+    "bounds": {"--alpha": _values("1,1", "2,3", "200,200", BIG + ",1"), "--n": _values("3"),
                "--r": _values("2", "1.0000000000001"), **_DOMAIN},
     "verify": {"--case": st.sampled_from(list(checks.CASES)),
                "--alpha": _values("1,1", "2,1", "75,75"), "--n": _values("2", "3"),
@@ -574,7 +610,7 @@ FUZZ_FLAGS = {
     "gap": {"--poly": st.sampled_from([f"{{tmp}}/{name}" for name in (*POLY_FILES, "none.json")]),
             "--certify": st.none()},
     "sigma": {"--alpha": _values("1,1", "2,3"), "--beta": _values("1.5,1.5"), **_DOMAIN},
-    "root": {"--lambda1": _values("3"), "--lambda2": _values("1.5", "4")},
+    "root": {"--lambda1": _values("3", BIG), "--lambda2": _values("1.5", "4")},
 }
 
 
@@ -596,6 +632,8 @@ def _argv(draw):
 @example(["gap", "--poly", "{tmp}/alpha-1e400.json"])
 @example(["gap", "--poly", "{tmp}/deg-400-digits.txt"])
 @example(["figure1", "--n-max", "3", "--r-list", "1.0000000000001"])
+@example(["bounds", "--alpha", BIG + ",1", "--domain", "unit"])
+@example(["root", "--lambda1", BIG, "--lambda2", "1.5"])
 def test_fuzzed_argv_ends_at_an_exit_code(capsys, tmp_path, argv):
     for name, text in POLY_FILES.items():
         (tmp_path / name).write_text(text)

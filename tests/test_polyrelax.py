@@ -22,7 +22,6 @@ from monoenv.polyrelax import (
     hierarchy_threshold,
     hierarchy_threshold_binomial,
     load_polynomial,
-    log_gap_bound,
     lprime,
     parse_polynomial_json,
     parse_polynomial_text,
@@ -160,13 +159,6 @@ class TestGapBound:
         assert gb.sharp == pytest.approx(lprime(p) * 2)
         assert gb.sharp <= gb.tight
 
-    def test_log_variant_matches(self):
-        p = Polynomial(3, ((2.0, (1, 1, 0)), (-3.0, (1, 1, 1))))
-        gb = gap_bound(p)
-        lt, lc = log_gap_bound(p)
-        assert lt == pytest.approx(math.log(gb.tight), rel=1e-12)
-        assert lc == pytest.approx(math.log(gb.cheap), rel=1e-12)
-
 
 class TestHierarchyThreshold:
     def test_small_case(self):
@@ -241,15 +233,17 @@ def _log_factorial(z):
     return (Z + Decimal("0.5")) * Z.ln() - Z + LOG_2PI / 2 + tail
 
 
-@given(st.floats(0.0, 12.0), st.floats(math.log10(2.0), 6.0))
-@example(12.0, math.log10(2.0))  # n = 10^12, m = 2: the lgamma difference was off by 3.2e-4
-def test_threshold_matches_a_50_digit_reference(log_n, log_m):
-    n, m = int(10 ** log_n), max(2, int(10 ** log_m))
+def _check_threshold(n, m):
+    # 80 digits left after log (n+m)! - log n! - m log n cancels
     with localcontext() as ctx:
-        ctx.prec = 80
+        ctx.prec = 80 + 2 * len(str(n + m))
         log_prod = _log_factorial(n + m) - _log_factorial(n) - m * Decimal(n).ln()
         M = Decimal(m)
         ref = (2 * M.ln() + (M + 1).ln() - Decimal(6).ln() + M.ln() / (m - 1) - log_prod).exp()
+    if ref > Decimal(sys.float_info.max):
+        with pytest.raises(ScaleExceeded, match="threshold"):
+            hierarchy_threshold(n, m)
+        return
     value = hierarchy_threshold(n, m)
     if ref < Decimal("1e-300"):
         assert 0.0 <= value < 1e-290
@@ -259,6 +253,20 @@ def test_threshold_matches_a_50_digit_reference(log_n, log_m):
     with localcontext() as ctx:
         ctx.prec = 50
         assert abs(Decimal(value) / ref - 1) <= Decimal(budget), (n, m, value, ref)
+
+
+@given(st.floats(0.0, 12.0), st.floats(math.log10(2.0), 6.0))
+@example(12.0, math.log10(2.0))  # n = 10^12, m = 2: the lgamma difference was off by 3.2e-4
+def test_threshold_matches_a_50_digit_reference(log_n, log_m):
+    _check_threshold(int(10 ** log_n), max(2, int(10 ** log_m)))
+
+
+# integers beyond the float range raised OverflowError; the threshold is 0.0,
+# 4 (the m = 2 limit as n grows) and beyond the float range
+@pytest.mark.parametrize("n, m", [(1, 10 ** 400), (10 ** 400, 2), (10 ** 400, 10 ** 150)],
+                         ids=["m-400-digits", "n-400-digits", "overflow"])
+def test_threshold_beyond_the_float_range_matches_the_reference(n, m):
+    _check_threshold(n, m)
 
 
 class TestCertify:
