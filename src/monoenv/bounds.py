@@ -202,7 +202,7 @@ def c_beta_kappa(m: Monomial, beta, kappa, sigma: float) -> float:
     """
     b = slopes(beta, m.n)
     k = slopes(kappa, m.n, "kappa")
-    if np.any(k > np.asarray(m.alpha, dtype=float) + 1e-12):
+    if np.any(k > np.array([exponent_float(a) for a in m.alpha]) + 1e-12):
         raise ValueError("need 1 <= kappa <= alpha componentwise")
     if np.all(k > b):
         raise ValueError("kappa must not dominate beta in every coordinate")
@@ -227,10 +227,14 @@ def errenv_bound(m: Monomial, B: Sequence[tuple[Sequence[float], float]]) -> flo
     by keeping alpha in all coordinates but capping one coordinate at
     min_beta beta_j; the bound is the best inf_beta C over those candidates.
     If some alpha_j is below every beta_j, kappa = alpha itself is maximal.
+    ``ScaleExceeded`` when an alpha_j, a candidate kappa_j, is beyond the float range.
     """
     if len(B) == 0:
         raise ValueError("B must be nonempty")
-    a = np.asarray(m.alpha, dtype=float)
+    try:
+        a = np.asarray(m.alpha, dtype=float)
+    except OverflowError:
+        raise ScaleExceeded(f"an exponent of alpha={list(m.alpha)} is too large for a float") from None
     betas = [slopes(b, m.n) for b, _ in B]
     sigmas = [float(s) for _, s in B]
     bmin = np.min(np.vstack(betas), axis=0)

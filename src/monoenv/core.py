@@ -11,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ TOL_EXACT = 1e-9
 TOL_ORACLE = 1e-4
 
 VERTEX_ENUM_LIMIT = 20  # 2^n blowup guard for explicit vertex lists
+BLOCK_FLOATS = 1 << 16  # input floats per row-kernel call, so its temporaries stay in cache
 _EXPONENT_INF = 2 ** 1023  # see exponent_float
 
 
@@ -165,6 +166,17 @@ def fold_columns(ufunc: np.ufunc, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def by_blocks(kernel: Callable, X: np.ndarray, *args):
+    """kernel(*args, X) on consecutive blocks of at most BLOCK_FLOATS // n rows of
+    an (m, n) stack X, joined (entry by entry for a tuple); one call if X fits."""
+    if X.size <= BLOCK_FLOATS or X.ndim != 2:
+        return kernel(*args, X)
+    rows = BLOCK_FLOATS // X.shape[1] or 1
+    parts = [kernel(*args, X[s:s + rows]) for s in range(0, len(X), rows)]
+    return (tuple(map(np.concatenate, zip(*parts))) if type(parts[0]) is tuple
+            else np.concatenate(parts))
+
+
 def monomial_values(m: Monomial, X: np.ndarray) -> np.ndarray:
     """Vectorized prod_j x_j**alpha_j over rows of X, sign-safe at negative bases.
 
@@ -178,8 +190,12 @@ def monomial_values(m: Monomial, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.shape[-1:] != (m.n,):
         raise DimensionMismatch(f"expected points of dimension {m.n}, got shape {X.shape}")
+    return by_blocks(_monomial_rows, X, m.alpha)
+
+
+def _monomial_rows(alpha: tuple[int, ...], X: np.ndarray) -> np.ndarray:
     out = None
-    for j, a in enumerate(m.alpha):
+    for j, a in enumerate(alpha):
         col = X[..., j]
         if a == 1:
             f = col + 0.0
@@ -279,7 +295,7 @@ class Domain:
     def contains_many(self, X) -> np.ndarray:
         """Row mask of A x <= b + TOL_EXACT over a point or a stack of points."""
         P, _ = as_points(X, self.n)
-        return self._contains_rows(P)
+        return by_blocks(self._contains_rows, P)
 
     def _contains_rows(self, P: np.ndarray) -> np.ndarray:
         A, b = self.halfspaces()

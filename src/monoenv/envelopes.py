@@ -23,6 +23,7 @@ from .core import (
     UnitBox,
     UnsupportedDomain,
     as_points,
+    by_blocks,
     exponent_float,
     fold_columns,
     slopes,
@@ -69,7 +70,7 @@ class Envelope:
     def __call__(self, x):
         X, single = as_points(x, self.dom.n)
         self.dom.require_inside(X)
-        out = self.value(X)
+        out = by_blocks(self.value, X)
         if not single:
             return out
         return tuple(float(v[0]) for v in out) if type(out) is tuple else float(out[0])

@@ -4,17 +4,17 @@ a high-precision decimal reference for the constant-ratio box concave error.
 
 Grids use cell-center sampling (no boundary ties) and are stored column by
 column, one contiguous array per coordinate, which is how the grid kernels
-read them. The scan calls the function on blocks of at most ``SCAN_ROWS``
-consecutive grid rows, so that each block's temporaries stay in cache; every
-package estimator gives a row the same bits whatever rows share its call, so
-the values are those of one call on the whole grid. The incumbent, and from
-n = 5 on the seeded restarts too, are then polished by per-coordinate
-section searches plus line searches along each start's orthant diagonal,
-which is where the attainment loci live. All starts
-are refined in lockstep: each section step evaluates the function once, on 16
-points per start still searching, and a start that a whole pass left
-unmoved gets no more passes. All randomness is seeded, so results are
-reproducible bit for bit.
+read them. The scan calls the function on blocks of consecutive grid rows
+by the one block rule of every row kernel, ``core.by_blocks``, so that each
+block's temporaries stay in cache; every package estimator gives a row the
+same bits whatever rows share its call, so the values are those of one call
+on the whole grid. The incumbent, and from n = 5 on the seeded restarts too,
+are then polished by per-coordinate section searches plus line searches
+along each start's orthant diagonal, which is where the attainment loci
+live. All starts are refined in lockstep: each section step evaluates the
+function once, on 16 points per start still searching, and a start that a
+whole pass left unmoved gets no more passes. All randomness is seeded, so
+results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .core import (
     Monomial,
     ScaleExceeded,
     UnsupportedDomain,
+    by_blocks,
     error_report,
     monomial_values,
     one_point,
@@ -56,7 +57,6 @@ _DEFAULT_RESOLUTION = {1: 512, 2: 64, 3: 64, 4: 24, 5: 12, 6: 8}
 REFINE_PASSES = 3  # refinement passes per start at most
 RESTARTS = 16  # seeded random starts for n >= 5, where the grid is coarse
 MAX_GRID_POINTS = 10 ** 8  # cap on res ** n
-SCAN_ROWS = 1 << 14  # grid rows per function call in the scan, so its temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
                   center_weights: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:
     """Maximize a vectorized function over a structured domain.
 
-    Grid scan in blocks of ``SCAN_ROWS`` rows (lexicographic tie-break:
+    Grid scan in ``core.by_blocks`` blocks of rows (lexicographic tie-break:
     one argmax over all the scan values), section-search refinement from the
     incumbent, plus seeded random restarts when the grid is coarse (n >= 5),
     all refined in lockstep; the first best start wins. The refined value
@@ -255,9 +255,7 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     pts = _grid_points(dom, res)
     if len(pts) == 0:
         raise ScaleExceeded("grid resolution too coarse: no interior cell centers")
-    vals = np.empty(len(pts))
-    for s in range(0, len(pts), SCAN_ROWS):
-        vals[s:s + SCAN_ROWS] = _values(func, pts[s:s + SCAN_ROWS])
+    vals = by_blocks(_values, pts, func)
     k = int(np.argmax(vals))  # first max in C order = lexicographic argmax
     lo, hi = dom.bounding_box()
     cell = (hi - lo) / res

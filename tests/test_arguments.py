@@ -29,6 +29,7 @@ from monoenv import (
     SymBox,
     UnitBox,
     bounds,
+    core,
     envelopes,
     hulls,
     oracle,
@@ -241,9 +242,10 @@ def _objective_cases():
     for label, func in wrong.items():
         yield f"max_gap-{label}", lambda f=func: oracle.max_gap(m, box, f, oracle.OVER, grid=GRID)
         yield f"grid_maximize-{label}", lambda f=func: oracle.grid_maximize(f, box, GRID)
-        # a grid of 129^2 rows, scanned in two blocks of at most SCAN_ROWS
+        # a grid of res^2 rows, scanned in two blocks of at most BLOCK_FLOATS // 2
+        res = math.isqrt(core.BLOCK_FLOATS // 2) + 1
         yield f"grid_maximize-{label}-blocks", lambda f=func: oracle.grid_maximize(
-            f, box, oracle.GridSpec(resolution=129))
+            f, box, oracle.GridSpec(resolution=res))
 
 
 def _monomial_values_cases():

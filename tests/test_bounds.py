@@ -317,6 +317,29 @@ class TestErrEnvBound:
         with pytest.raises(ValueError):
             errenv_bound(Monomial((1, 1)), [])
 
+    def test_largest_float_exponent(self):
+        assert errenv_bound(Monomial((2 ** 1023,)), [((2.0,), 1.0)]) == errenv_bound(
+            Monomial((2,)), [((2.0,), 1.0)])
+
+
+# an exponent beyond the float range raised OverflowError in both; it reads
+# as inf in c_beta_kappa (core.exponent_float), which kappa <= alpha passes as
+# any large alpha does
+@pytest.mark.parametrize("a", [3, 2 ** 1023, 2 ** 1024, 10 ** 400],
+                         ids=["3", "2^1023", "2^1024", "10^400"])
+def test_c_beta_kappa_reads_any_integer_exponent(a):
+    assert c_beta_kappa(Monomial((a, 1)), [2.0, 1.0], [1.0, 1.0], 1.0) == c_beta_kappa(
+        Monomial((2, 1)), [2.0, 1.0], [1.0, 1.0], 1.0)
+
+
+# errenv_bound takes alpha as a candidate kappa, a finite slope: it refuses an
+# exponent beyond the float range (TestErrEnvBound: it answers up to there)
+@pytest.mark.parametrize("alpha", [(10 ** 400,), (10 ** 400, 1), (2 ** 1024, 2 ** 1024)],
+                         ids=["10^400", "10^400-1", "2^1024-2^1024"])
+def test_errenv_bound_refuses_an_exponent_beyond_the_float_range(alpha):
+    with pytest.raises(ScaleExceeded, match="too large for a float"):
+        errenv_bound(Monomial(alpha), [((2.0,) * len(alpha), 1.0)])
+
 
 class TestRatioBoxConstants:
     def test_two_by_two(self):

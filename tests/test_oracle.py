@@ -6,6 +6,7 @@ from monoenv import (
     CornerSimplexOne,
     Domain,
     Monomial,
+    OutsideDomain,
     RatioBox,
     ScaleExceeded,
     StdSimplex,
@@ -16,7 +17,7 @@ from monoenv import (
     Verdict,
     eval_monomial,
 )
-from monoenv import bounds, checks, envelopes, hulls, oracle
+from monoenv import bounds, checks, core, envelopes, hulls, oracle
 from monoenv.core import monomial_values
 from monoenv.oracle import GridSpec, extremize_f, grid_maximize, max_gap, sampled_hull_envelope, sigma_numeric
 
@@ -320,11 +321,40 @@ def _batch_cases(monkeypatch):
         yield "envelopes_symbox", n, lambda X, n=n: np.stack(envelopes.envelopes_symbox(n, X), 1), sym
 
 
+def _block_cases():
+    """(name, n, function of a row stack, points) for every public envelope,
+    the membership test and ``monomial_values`` on stacks of two blocks and
+    part of a third, which ``core.by_blocks`` hands to the kernel in three
+    calls."""
+    rng = np.random.default_rng(12)
+    for n in (3, 12, 24):
+        rows = 2 * (core.BLOCK_FLOATS // n) + 7
+        alpha = tuple(int(a) for a in rng.integers(1, 5, n))
+        signed = rng.uniform(-1.0, 1.0, (rows, n))
+        signed[:8] = rng.choice([0.0, -0.0, 1.0, -1.0], (8, n))
+        unit, box = rng.random((rows, n)), 1.0 + 0.7 * rng.random((rows, n))
+        yield "monomial_values", n, lambda X, a=alpha: monomial_values(Monomial(a), X), signed
+        yield "concave_env_unitbox", n, lambda X, a=alpha: envelopes.concave_env_unitbox(
+            Monomial(a), X), unit
+        yield "convex_env_unitbox_multilinear", n, lambda X, n=n: (
+            envelopes.convex_env_unitbox_multilinear(n, X)), unit
+        yield "concave_env_ratiobox", n, lambda X, n=n: envelopes.concave_env_ratiobox(n, 1.7, X), box
+        yield "convex_env_ratiobox", n, lambda X, n=n: envelopes.convex_env_ratiobox(n, 1.7, X), box
+        yield "envelopes_symbox", n, lambda X, n=n: np.stack(envelopes.envelopes_symbox(n, X), 1), signed
+        if n <= hulls.FACET_ENUM_LIMIT:
+            fs = hulls.build_symbox_hull(n)
+            yield "envelope_lower", n, fs.envelope_lower, signed
+            yield "envelope_upper", n, fs.envelope_upper, signed
+        near = rng.uniform(-1.0 - 2e-9, 1.0 + 2e-9, (rows, n))
+        yield "contains_many", n, lambda X, n=n: SymBox(n).contains_many(X).astype(float), near
+
+
 # Kernels that add up each row with np.sum or np.add.reduce. numpy sums a row
 # of 8 or more columns pairwise, grouping its terms by the memory layout, so
 # on a column-major stack their bits are pinned only below 8 columns: every
 # default grid (n <= 6) is covered, an explicit grid at n >= 8 is not.
-ROW_SUMS = {"convex_env_unitbox_multilinear", "convex_env_ratiobox", "envelopes_symbox"}
+ROW_SUMS = {"convex_env_unitbox_multilinear", "convex_env_ratiobox", "envelopes_symbox",
+            "envelope_lower", "envelope_upper"}
 
 
 def test_row_values_do_not_depend_on_the_batch(monkeypatch):
@@ -336,6 +366,34 @@ def test_row_values_do_not_depend_on_the_batch(monkeypatch):
             if n < 8 or name not in ROW_SUMS:
                 assert np.array_equal(_bits(func(np.asfortranarray(X[:k]))),
                                       _bits(alone[:k])), (name, n, k, "column-major")
+    # a stack longer than one block gives the bits of one call on it, and
+    # those of each row alone at every block edge and at random rows
+    for name, n, func, X in _block_cases():
+        rows = core.BLOCK_FLOATS // n
+        edges = np.arange(1, -(-len(X) // rows)) * rows
+        sample = np.unique(np.r_[0, len(X) - 1, edges - 1, edges,
+                                 np.random.default_rng(n).integers(0, len(X), 8)])
+        alone = np.array([func(X[i:i + 1])[0] for i in sample])
+        for P in (X, np.asfortranarray(X)):
+            blocked = func(P)
+            with monkeypatch.context() as mp:
+                mp.setattr(core, "BLOCK_FLOATS", len(X) * n)
+                whole = func(P)
+            assert np.array_equal(_bits(blocked), _bits(whole)), (name, n, P.flags.f_contiguous)
+            if P is X or n < 8 or name not in ROW_SUMS:
+                assert np.array_equal(_bits(blocked[sample]), _bits(alone)), (name, n)
+
+
+def test_the_point_outside_names_the_first_in_any_block():
+    # the one point outside the box sits in the third block of the stack
+    n = 24
+    X = np.random.default_rng(5).uniform(-1.0, 1.0, (3 * (core.BLOCK_FLOATS // n), n))
+    k = 2 * (core.BLOCK_FLOATS // n) + 3
+    X[k, 7] = 1.5
+    assert np.flatnonzero(~SymBox(n).contains_many(X)).tolist() == [k]
+    with pytest.raises(OutsideDomain) as info:
+        envelopes.envelopes_symbox(n, X)
+    assert str(info.value) == f"point {X[k].tolist()} is outside SymBox(n=24)"
 
 
 def _grid_estimators(monkeypatch, n):
@@ -376,10 +434,12 @@ def test_grid_values_match_a_row_major_copy(n, monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_blocked_scan_values_match_one_call_on_the_grid(n, monkeypatch):
-    # the scan calls the function on consecutive blocks of at most SCAN_ROWS
-    # rows; the values it takes its argmax over are those of one call on the
-    # whole grid. Refinement is stubbed out: it sees only the scan's incumbent.
+    # the scan calls the function on consecutive blocks of at most
+    # core.BLOCK_FLOATS // n rows; the values it takes its argmax over are those
+    # of one call on the whole grid. Refinement is stubbed out: it sees only
+    # the scan's incumbent.
     monkeypatch.setattr(oracle, "_refine", lambda func, dom, X, V, *a: (X, V))
+    rows = core.BLOCK_FLOATS // n
     res = GridSpec().resolution_for(n)
     m = Monomial.multilinear(n)
     cases = [*_grid_estimators(monkeypatch, n),
@@ -394,17 +454,17 @@ def test_blocked_scan_values_match_one_call_on_the_grid(n, monkeypatch):
             return calls[-1][1]
 
         grid_maximize(record, dom, GridSpec())
-        blocks = calls[:-(-len(pts) // oracle.SCAN_ROWS)]
-        assert all(len(X) <= oracle.SCAN_ROWS for X, _ in blocks), (name, dom)
+        blocks = calls[:-(-len(pts) // rows)]
+        assert all(len(X) <= rows for X, _ in blocks), (name, dom)
         assert np.array_equal(np.concatenate([X for X, _ in blocks]), pts), (name, dom)
         scan = np.concatenate([v for _, v in blocks])
         assert np.array_equal(_bits(scan), _bits(func(pts))), (name, dom)
         sizes.add(len(pts))
-    # every n has a grid that ends in a partial block (the filtered simplex
-    # grids among them), and every n but 3 (smallest grid 43680 rows) one
-    # that fits in a single block
-    assert any(k > oracle.SCAN_ROWS and k % oracle.SCAN_ROWS for k in sizes) or n == 2
-    assert min(sizes) < oracle.SCAN_ROWS or n == 3
+    # every n but 2 (largest grid 4096 rows) has a grid that ends in a
+    # partial block, and every n but 3 (smallest grid 43680 rows) one that
+    # fits in a single block
+    assert any(k > rows and k % rows for k in sizes) or n == 2
+    assert min(sizes) < rows or n == 3
 
 
 def _row_major_grid(dom, res):
