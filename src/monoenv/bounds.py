@@ -443,7 +443,8 @@ def d_bound_cases(n: int, r: float) -> DBoundResult:
 
     t* is the root of the sign of psi', found by bisection. When t* >=
     (n-1)/n, psi rises up to the last candidate and the bound is D itself
-    ("exact"); otherwise it is r^n (L/s)^(n/(n-1)) - r^(n-1) ("stationary").
+    ("exact"); otherwise it is r^n (L/s)^(n/(n-1)) - r^(n-1) ("stationary"),
+    formed as r^(n-1) expm1(L + n/(n-1) log(L/s)), which cancels nothing as r -> 1.
     """
     b = _require_ratio_box(n, r)
     n, r = b.n, float(r)
@@ -457,7 +458,7 @@ def d_bound_cases(n: int, r: float) -> DBoundResult:
     thresh = (n - 1) / n
     if t_star >= thresh - 1e-12:
         return DBoundResult(bound=_psi(b, thresh)[0], case="exact", t_star=t_star)
-    bound = r ** n * (b.L / b.s) ** (n / (n - 1)) - r ** (n - 1)
+    bound = r ** (n - 1) * math.expm1(b.L + n / (n - 1) * b.log_l_s)
     return DBoundResult(bound=bound, case="stationary", t_star=t_star)
 
 

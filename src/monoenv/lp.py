@@ -4,20 +4,22 @@ Bland's rule throughout, so the method terminates deterministically; no
 external solver is involved. Instances here are small (a handful of variables,
 at most a few dozen rows), so a dense tableau is the simplest correct choice.
 
-`solve_box_lp` shifts the box to the origin and starts phase 2 directly from
-the slack basis when that basis is feasible: at `lower` (`y = z - lower`) when
-every shifted right-hand side, facet rows and box rows together, is >= 0, or
-else at `upper` (`y = upper - z`) under the same test. The parity polytope is
-feasible at its all-ones vertex and the epigraph LPs of `polyrelax` at 0, so
-their solves skip phase 1. Any other box LP falls back to `solve_equality_lp`,
-whose phase 1 starts from one artificial per row. Both raise `ValueError` for
-a non-finite entry of their data. `solve_equality_lp` reads a coefficient with
-|a| <= 1e-10 as zero, as the ratio test does.
+Both entries call one routine, `_solve`, which starts each row on its slack
+where it has one and its right-hand side is >= 0, else on an artificial. Phase
+1 runs only if some row starts on an artificial, and reads |a| <= 1e-10 as
+zero, as the ratio test does. `solve_equality_lp` has no slacks. `solve_box_lp`
+shifts the box to `lower` (`y = z - lower`) when every shifted right-hand side,
+facet and box rows together, is >= 0, else to `upper` (`y = upper - z`) if that
+holds there, else to `lower`. The parity polytope is feasible at its all-ones
+vertex and the epigraph LPs of `polyrelax` at 0, so their solves skip phase 1.
+Mismatched shapes raise `DimensionMismatch`, non-finite data `ValueError`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .core import DimensionMismatch
 
 _TOL = 1e-10
 MAX_PIVOTS = 50_000  # per phase; beyond it a solve raises "simplex iteration limit reached"
@@ -31,10 +33,19 @@ class LPUnbounded(RuntimeError):
     pass
 
 
-def _finite(**arrays: np.ndarray) -> None:
-    for name, arr in arrays.items():
-        if not np.isfinite(arr).all():
-            raise ValueError(f"LP data {name} has a non-finite entry")
+def _checked(c, A, b, *box) -> list[np.ndarray]:
+    """The data as float arrays, with A of shape (len(b), len(c)), each box
+    bound of len(c) entries and every entry finite."""
+    arrays = [np.asarray(v, dtype=float) for v in (c, A, b, *box)]
+    c, A, b = arrays[:3]
+    if (c.ndim != 1 or b.ndim != 1 or A.shape != (b.size, c.size)
+            or any(v.shape != c.shape for v in arrays[3:])):
+        raise DimensionMismatch(f"LP data of shapes {[v.shape for v in arrays]} do not match")
+    if not np.isfinite(np.concatenate([v.ravel() for v in arrays])).all():
+        name = next(name for name, v in zip(("c", "A", "b", "lower", "upper"), arrays)
+                    if not np.isfinite(v).all())
+        raise ValueError(f"LP data {name} has a non-finite entry")
+    return arrays
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -78,106 +89,79 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int) -> None:
     raise RuntimeError("simplex iteration limit reached")
 
 
-def solve_equality_lp(c, A, b) -> tuple[np.ndarray, float]:
-    """min c@x subject to A@x = b, x >= 0. Returns (x, optimal value)."""
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    c = np.array(c, dtype=float)
-    _finite(c=c, A=A, b=b)
-    # the ratio test reads |a| <= _TOL as zero; so must the phase-1 costs, or a
-    # column of such entries would look improving with no row to leave
-    A[np.abs(A) <= _TOL] = 0.0
+def _solve(A: np.ndarray, b: np.ndarray, cost: np.ndarray, slacks: bool) -> np.ndarray:
+    """x >= 0 minimizing cost@x subject to A@x = b, or A@x + s = b with
+    slacks s >= 0 (columns n..n+m-1, cost 0); artificials follow in row order."""
     m, n = A.shape
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-
-    # Phase 1: artificial basis, minimize the sum of artificials.
-    T = np.zeros((m + 1, n + m + 1))
+    real = n + m if slacks else n
+    art = (b < 0.0).nonzero()[0] if slacks else np.arange(m)
+    T = np.zeros((m + 1, real + len(art) + 1))
     T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
     T[:m, -1] = b
     basis = list(range(n, n + m))
-    T[m, :n] = -A.sum(axis=0)
-    T[m, -1] = -b.sum()
-    _run_simplex(T, basis, ncols=n)
-    if T[m, -1] < -1e-7:
-        raise LPInfeasible(f"phase-1 residual {-T[m, -1]:.3e}")
-
-    # Drive any artificial still in the basis out of it (degenerate rows).
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            piv = -1
-            for j in range(n):
-                if abs(T[i, j]) > 1e-9:
-                    piv = j
-                    break
-            if piv >= 0:
-                _pivot(T, basis, i, piv)
-                keep.append(i)
-            # else: redundant row, drop it below
-        else:
+    if slacks:
+        np.fill_diagonal(T[:m, n:], 1.0)
+    if len(art):
+        # Phase 1 minimizes the sum of the artificials. Its costs read |a| <=
+        # _TOL as zero, as the ratio test does, or such a column could enter.
+        rows = T[:m, :real]
+        rows[np.abs(rows) <= _TOL] = 0.0
+        for k, i in enumerate(art.tolist()):
+            if b[i] < 0.0:
+                T[i] *= -1.0
+            T[i, real + k] = 1.0
+            basis[i] = real + k
+        T[m, :real] = -T[art, :real].sum(axis=0)
+        T[m, -1] = -T[art, -1].sum()
+        _run_simplex(T, basis, ncols=real)
+        if T[m, -1] < -1e-7:
+            raise LPInfeasible(f"phase-1 residual {-T[m, -1]:.3e}")
+        # Drive every artificial still in the basis out of it; a row with no
+        # real entry left to pivot on is redundant and is dropped.
+        keep = []
+        for i in range(m):
+            if basis[i] >= real:
+                nonzero = np.flatnonzero(np.abs(T[i, :real]) > 1e-9)
+                if not nonzero.size:
+                    continue
+                _pivot(T, basis, i, int(nonzero[0]))
             keep.append(i)
-    if len(keep) < m:
-        T = np.vstack([T[keep], T[-1:]])
-        basis = [basis[i] for i in keep]
-        m = len(keep)
+        if len(keep) < m:
+            T = T[keep + [m]]
+            basis = [basis[i] for i in keep]
+            m = len(keep)
+        # Phase 2 prices out that basis; the artificial columns never enter.
+        T[m, :n] = cost
+        T[m, n:] = 0.0
+        for i, j in enumerate(basis):
+            if j < n and cost[j]:
+                T[m] -= cost[j] * T[i]
+    else:
+        T[m, :n] = cost  # a slack basis prices at 0
+    _run_simplex(T, basis, ncols=real)
+    x = np.zeros(real)
+    x[basis] = T[:m, -1]
+    return x[:n]
 
-    # Phase 2: rebuild reduced costs for the real objective.
-    T2 = np.zeros((m + 1, n + 1))
-    T2[:m, :n] = T[:m, :n]
-    T2[:m, -1] = T[:m, -1]
-    T2[m, :n] = c
-    for i, bi in enumerate(basis):
-        T2[m] -= c[bi] * T2[i]
-    _run_simplex(T2, basis, ncols=n)
 
-    x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        x[bi] = T2[i, -1]
+def solve_equality_lp(c, A, b) -> tuple[np.ndarray, float]:
+    """min c@x subject to A@x = b, x >= 0. Returns (x, optimal value)."""
+    c, A, b = _checked(c, A, b)
+    x = _solve(A, b, c, slacks=False)
     return x, float(c @ x)
 
 
 def solve_box_lp(c, A_ub, b_ub, lower, upper, maximize: bool = False) -> tuple[np.ndarray, float]:
-    """Optimize c@z subject to A_ub@z <= b_ub and lower <= z <= upper.
-
-    Shifts to y = z - lower >= 0 (or y = upper - z), appends slack columns and
-    starts from the slack basis when it is feasible; otherwise delegates to the
-    equality-form solver's phase 1. Returns (z, optimal value).
-    """
-    A_ub = np.asarray(A_ub, dtype=float)
-    b_ub = np.asarray(b_ub, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    c = np.asarray(c, dtype=float)
-    _finite(c=c, A_ub=A_ub, b_ub=b_ub, lower=lower, upper=upper)
-    n = len(c)
-    obj = -c if maximize else c
+    """Optimize c@z subject to A_ub@z <= b_ub and lower <= z <= upper, as
+    y = z - lower >= 0 (or y = upper - z) with the rows y <= upper - lower
+    appended. Returns (z, optimal value)."""
+    c, A_ub, b_ub, lower, upper = _checked(c, A_ub, b_ub, lower, upper)
     box = upper - lower
-    for sign, anchor in ((1.0, lower), (-1.0, upper)):
-        # z = anchor + sign * y; the slack basis sits at y = 0, z = anchor
+    for sign, anchor in ((1.0, lower), (-1.0, upper), (1.0, lower)):  # last: phase 1
         rhs = np.concatenate([b_ub - A_ub @ anchor, box])
         if (rhs >= 0.0).all():
-            m = len(rhs)
-            T = np.zeros((m + 1, n + m + 1))
-            T[:m - n, :n] = sign * A_ub
-            T[m - n:m, :n] = np.eye(n)
-            T[:m, n:n + m] = np.eye(m)
-            T[:m, -1] = rhs
-            T[m, :n] = sign * obj
-            basis = list(range(n, n + m))
-            _run_simplex(T, basis, ncols=n + m)
-            y = np.zeros(n + m)
-            for i, bi in enumerate(basis):
-                y[bi] = T[i, -1]
-            z = anchor + sign * y[:n]
-            return z, float(c @ z)
-
-    rows = np.vstack([A_ub, np.eye(n)])
-    rhs = np.concatenate([b_ub - A_ub @ lower, box])
-    m = rows.shape[0]
-    A_eq = np.hstack([rows, np.eye(m)])
-    sol, _ = solve_equality_lp(np.concatenate([obj, np.zeros(m)]), A_eq, rhs)
-    z = sol[:n] + lower
+            break
+    rows = np.concatenate([sign * A_ub, np.eye(len(c))])
+    y = _solve(rows, rhs, sign * (-c if maximize else c), slacks=True)
+    z = anchor + sign * y
     return z, float(c @ z)

@@ -32,6 +32,7 @@ from monoenv import (
     core,
     envelopes,
     hulls,
+    lp,
     oracle,
     polyrelax,
     scale_error,
@@ -255,6 +256,22 @@ def _monomial_values_cases():
     yield "monomial_values-scalar", lambda: monomial_values(m, 1.0), DimensionMismatch
 
 
+def _lp_cases():
+    # numpy broadcasting once solved a different LP without an error: a b_ub
+    # of one entry for two rows returned ([0.5, 0.], 0.5), and a 1-d A_ub a
+    # value; a short b ended in an IndexError
+    c, A, b, lo, hi = [1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [0.5, 0.5], [0.0, 0.0], [1.0, 1.0]
+    yield "solve_box_lp-b_ub", lambda: lp.solve_box_lp(c, A, [0.5], lo, hi, maximize=True)
+    yield "solve_box_lp-A_ub-1d", lambda: lp.solve_box_lp(c, [1.0, 1.0], [0.5], lo, hi)
+    yield "solve_box_lp-A_ub-columns", lambda: lp.solve_box_lp(c, [[1.0, 1.0, 1.0]], [0.5], lo, hi)
+    yield "solve_box_lp-c", lambda: lp.solve_box_lp([1.0, 1.0, 1.0], A, b, lo, hi)
+    yield "solve_box_lp-lower", lambda: lp.solve_box_lp(c, A, b, [0.0], hi)
+    yield "solve_box_lp-upper", lambda: lp.solve_box_lp(c, A, b, lo, [1.0, 1.0, 1.0])
+    yield "solve_equality_lp-b", lambda: lp.solve_equality_lp(c, A, [1.0])
+    yield "solve_equality_lp-c", lambda: lp.solve_equality_lp([1.0], A, b)
+    yield "solve_equality_lp-A-1d", lambda: lp.solve_equality_lp(c, [1.0, 1.0], [1.0])
+
+
 REJECTIONS = [
     *(("slope", *case) for case in _slope_cases()),
     *(("pairing", name, call, DimensionMismatch) for name, call in _pairing_cases()),
@@ -262,6 +279,7 @@ REJECTIONS = [
     *(("scaling", *case) for case in _scaling_cases()),
     *(("sigma", name, call, ValueError) for name, call in _sigma_cases()),
     *(("values", *case) for case in _monomial_values_cases()),
+    *(("lp", name, call, DimensionMismatch) for name, call in _lp_cases()),
     *(("objective", name, call, DimensionMismatch) for name, call in _objective_cases()),
     *(("ratio", name, call, ValueError) for name, call in _ratio_cases()),
     *(("dimension", name, call, ValueError) for name, call in _dimension_cases()),

@@ -70,13 +70,22 @@ def test_hull_reads_as_the_workloads_read_it(n):
 
 
 def test_traced_wrappers_install():
-    # install_spans raises when a name it rebinds is gone from the package
+    # install_spans raises when a name it rebinds is gone from the package;
+    # the two LP spans stay empty if a caller binds an LP entry past the
+    # module attribute that install_spans rebinds
     code = ("import sys; sys.path.insert(0, 'perfbench')\n"
             "from spans import Tracer\n"
             "from worker import install_spans\n"
-            "install_spans(Tracer())\n")
+            "from monoenv import Monomial, UnitBox, hulls, oracle\n"
+            "tracer = Tracer()\n"
+            "install_spans(tracer)\n"
+            "hulls.verify_integrality(3, trials=1)\n"
+            "oracle.sampled_hull_envelope(Monomial((1, 1)), UnitBox(2), (0.5, 0.25), oracle.UNDER)\n"
+            "print(' '.join(sorted({tracer.names[i] for i in tracer.name})))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    traced = set(proc.stdout.split())
+    assert {"lp.solve_box_lp", "lp.solve_equality_lp"} <= traced, traced

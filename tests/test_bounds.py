@@ -453,7 +453,8 @@ FLOAT_MAX = Decimal(sys.float_info.max)
 
 def _ratio_box_reference(n, r, candidates):
     """50-digit E, t_E and r^n - 1 from the exact binary value of r; with
-    ``candidates``, also D by every candidate piece and the relaxed D."""
+    ``candidates``, also D by every candidate piece, the relaxed D and both
+    cases of the stationary-point bound on D."""
     with localcontext() as ctx:
         ctx.prec, ctx.Emax = 50, MAX_EMAX
         R = Decimal(r)
@@ -464,6 +465,8 @@ def _ratio_box_reference(n, r, candidates):
             ref["D"] = max((1 + i * s / n) ** n - R ** i for i in range(1, n))
             t = (n - 1) * span / (n * (R ** (n - 1) - 1))
             ref["relaxed"] = t ** n - n * t + n - 1
+            ref["exact"] = (1 + (n - 1) * s / n) ** n - R ** (n - 1)
+            ref["stationary"] = R ** n * ((R.ln() / s).ln() * n / (n - 1)).exp() - R ** (n - 1)
         return ref
 
 
@@ -486,6 +489,7 @@ RATIOS = st.one_of(st.floats(-12.0, 3.0).map(lambda e: 1.0 + 10.0 ** e),
 
 @given(st.integers(2, 200), st.integers(2, 10 ** 4), RATIOS)
 @example(3, 3, 1.000001)
+@example(3, 3, 1.000000000001)
 @example(2, 2, 1.0000000000001)
 @example(2, 2, 2.0)
 @example(100, 10 ** 4, 10.0)
@@ -504,6 +508,12 @@ def test_ratio_box_constants_match_a_50_digit_reference(n, n_e, r):
     _within(ratio, ref["D"] / ref["E"], budget)
     _within(relaxed, ref["relaxed"] / ref["E"], budget)
     _within(ratio_box_asymptotics(n, r)[1], ref["D"] / ref["span"], budget)
+    try:
+        res = d_bound_cases(n, r)
+    except ScaleExceeded:
+        assert ref["span"] > Decimal("1e307")  # r**n at the edge of the float range
+    else:
+        _within(res.bound, ref[res.case], budget)
 
     ref = _ratio_box_reference(n_e, r, candidates=False)
     budget = 64 * EPS * n_e * max(1.0, math.log(r))

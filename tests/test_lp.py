@@ -144,21 +144,34 @@ def test_lower_above_upper_is_infeasible():
 # Slack-basis start
 # ---------------------------------------------------------------------------
 
-def _no_phase_one(*args, **kwargs):
-    raise AssertionError("phase 1 ran")
+def _artificials(mp):
+    """The artificials in each basis that lp._run_simplex starts from: only a
+    phase-1 run starts on columns that may not enter."""
+    seen = []
+    inner = lp._run_simplex
+
+    def spy(T, basis, ncols):
+        start = sum(j >= ncols for j in basis)
+        if start:
+            seen.append(start)
+        inner(T, basis, ncols)
+
+    mp.setattr(lp, "_run_simplex", spy)
+    return seen
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_parity_polytope_skips_phase_one(monkeypatch, n):
     A, b = build_symbox_hull(n).to_ub()
     box = np.ones(n + 1)
-    monkeypatch.setattr(lp, "solve_equality_lp", _no_phase_one)
+    phase_one = _artificials(monkeypatch)
     rng = np.random.default_rng(n)
     for _ in range(20):
         c = rng.standard_normal(n + 1)
         z, val = solve_box_lp(c, A, b, -box, box, maximize=True)
         assert val == pytest.approx(constructive_maximizer(c)[1], abs=1e-9)
         assert np.all(A @ z <= b + 1e-9) and np.all(np.abs(z) <= 1.0 + 1e-12)
+    assert phase_one == []
 
 
 def test_epigraph_lp_skips_phase_one(monkeypatch):
@@ -166,7 +179,7 @@ def test_epigraph_lp_skips_phase_one(monkeypatch):
     terms = tuple((float(rng.normal()), tuple(int(v) for v in rng.integers(0, 2, size=4)))
                   for _ in range(6))
     p = Polynomial(4, terms + ((-1.0, (1, 1, 1, 0)), (1.0, (0, 1, 1, 1))))
-    monkeypatch.setattr(lp, "solve_equality_lp", _no_phase_one)
+    phase_one = _artificials(monkeypatch)
     got, x = _relaxed_minimum_lp(p)
     assert np.all((x >= 0.0) & (x <= 1.0))
     # the envelope-substituted objective at x, from the envelopes' closed forms
@@ -181,6 +194,7 @@ def test_epigraph_lp_skips_phase_one(monkeypatch):
             value += coeff * min(x[j] for j in s)
     assert got == pytest.approx(value, abs=1e-12)
     assert got <= p.evaluate(UnitBox(4).vertices()).min() + 1e-12
+    assert phase_one == []
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +329,12 @@ def _assert_matches_highs(lp_data, phase_one):
     ref = linprog(-c if maximize else c, A_ub=A, b_ub=b,
                   bounds=list(zip(lower, upper)), method="highs")
     assert ref.success
-    calls = []
-    inner = lp.solve_equality_lp
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "solve_equality_lp", lambda *a: calls.append(1) or inner(*a))
+        artificials = _artificials(mp)
         z, val = solve_box_lp(c, A, b, lower, upper, maximize=maximize)
-    assert bool(calls) == phase_one
+    # phase 1 starts from lower, with one artificial per row that the slack
+    # basis there violates, and runs once
+    assert artificials == ([int((b - A @ lower < 0.0).sum())] if phase_one else [])
     assert val == pytest.approx(-ref.fun if maximize else ref.fun, abs=1e-7)
     assert val == float(c @ z)
     assert np.all(A @ z <= b + 1e-8)
