@@ -71,23 +71,57 @@ class ConcaveEnvelopeBound:
 def concave_bound_xi(m: Monomial, fmin: float, fmax: float) -> ConcaveEnvelopeBound:
     """Tightened concave-overestimator error bound given min/max monomial values.
 
-    The gap u - u^d peaks at u* (:func:`c1`), clipped to [fmin^(1/d), fmax^(1/d)]
-    through log u^d = log u* - ln d, which does not underflow as u^d does.
-    Unclipped the bound is c1(d), else xi^(1/d) - xi at xi = fmin or fmax; it
+    The gap u - u^d peaks at u* (:func:`c1`), clipped to [fmin^(1/d), fmax^(1/d)].
+    Unclipped the bound is c1(d), else u - xi at the clipped u = xi^(1/d); it
     can be attained only at u (1,...,1)."""
-    d = require_count(m.degree, "degree", 2)
     if not (0.0 <= fmin <= fmax <= 1.0):
         raise ValueError(f"need 0 <= fmin <= fmax <= 1, got {fmin}, {fmax}")
+    d = require_count(m.degree, "degree", 2)
+    ends = [(math.log(f) * (1 / d), math.log(f)) if f > 0.0 else _LOG_ZERO for f in (fmin, fmax)]
+    return _concave_bound(m, *ends)
+
+
+def concave_bound_box(m: Monomial, dom: Domain) -> ConcaveEnvelopeBound:
+    """:func:`concave_bound_xi` over a box inside the unit box, where x**alpha
+    ranges between its values at the lower and upper corner. Those are read in
+    logs, so a corner whose value underflows (0.9**8000) still gives its root."""
+    dom.require_monomial(m)
+    if not (dom.is_box and dom.inside_unit_box()):
+        raise UnsupportedDomain("the concave bound at the domain range needs a box "
+                                "inside the unit box")
+    return _concave_bound(m, *(_log_value(m, corner) for corner in dom.bounding_box()))
+
+
+_LOG_ZERO = (-math.inf, -math.inf)
+
+
+def _log_value(m: Monomial, x: np.ndarray) -> tuple[float, float]:
+    """(log xi^(1/d), log xi) of xi = x**alpha for x in [0, 1]^n, as the sums
+    of (alpha_j/d) log x_j and alpha_j log x_j: the first stays finite for
+    every exponent, the second keeps the digits the root rounds away."""
+    if not np.all(x > 0.0):
+        return _LOG_ZERO
+    d = m.degree
+    logs = [(a, math.log(v)) for a, v in zip(m.alpha, x.tolist()) if v < 1.0]
+    return sum(a / d * g for a, g in logs), sum(exponent_float(a) * g for a, g in logs)
+
+
+def _concave_bound(m: Monomial, lo: tuple[float, float],
+                   hi: tuple[float, float]) -> ConcaveEnvelopeBound:
+    """The bound with u clipped between the ends ``lo`` and ``hi``, each
+    (log u, log xi) at xi = fmin or fmax. Clipped, it is
+    u - xi = -u expm1(log xi - log u), which neither cancels as u -> 1 nor
+    underflows with xi."""
+    d = require_count(m.degree, "degree", 2)
     log_u = _log_peak(d)
-    log_xi = log_u - math.log(d)
-    if fmin > 0.0 and log_xi < math.log(fmin):
-        xi = fmin
-    elif fmax == 0.0 or log_xi > math.log(fmax):
-        xi = fmax
-    else:
-        return ConcaveEnvelopeBound(c1(d), math.exp(log_xi), np.full(m.n, math.exp(log_u)))
-    u = xi ** (1 / d) if xi > 0.0 else 0.0
-    return ConcaveEnvelopeBound(u - xi, xi, np.full(m.n, u))
+    if lo[0] < log_u <= hi[0]:  # strict: u* < 1 = fmin^(1/d) where log u* rounds to -0.0
+        return ConcaveEnvelopeBound(c1(d), math.exp(log_u - math.log(d)),
+                                    np.full(m.n, math.exp(log_u)))
+    log_u, log_xi = lo if log_u <= lo[0] else hi
+    u = math.exp(log_u)
+    # + 0.0: a box with no gap, the point 1, gives 0.0, not -0.0
+    bound = -u * math.expm1(log_xi - log_u) + 0.0 if u > 0.0 else 0.0
+    return ConcaveEnvelopeBound(bound, math.exp(log_xi), np.full(m.n, u))
 
 
 def gamma_bound(gamma) -> float:

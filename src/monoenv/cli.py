@@ -83,9 +83,7 @@ def _gamma_rows(mono: Monomial, dom) -> list[tuple[str, float, str]]:
 
 def _subbox_rows(mono: Monomial, dom) -> list[tuple[str, float, str]]:
     rows = _gamma_rows(mono, dom)
-    fmin, _ = oracle.extremize_f(mono, dom, "min")
-    fmax, _ = oracle.extremize_f(mono, dom, "max")
-    cb = bounds.concave_bound_xi(mono, fmin, fmax)
+    cb = bounds.concave_bound_box(mono, dom)
     return rows + [("concave bound at domain range", cb.bound, _fmt_point(cb.point))]
 
 

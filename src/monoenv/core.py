@@ -305,10 +305,21 @@ class Domain:
         return bool(self.contains_many(np.asarray(x, float)[None, :])[0])
 
     def require_inside(self, X) -> None:
-        ok = self.contains_many(X)
+        """An ``OutsideDomain`` naming the first row of X outside the domain.
+
+        A one-sided test answers first; only where it cannot vouch for every
+        row does the row mask of :meth:`contains_many` decide."""
+        P, _ = as_points(X, self.n)
+        if self._surely_inside(P):
+            return
+        ok = self.contains_many(P)
         if not np.all(ok):
-            bad = np.asarray(X, float).reshape(-1, self.n)[~ok][0]
-            raise OutsideDomain(f"point {bad.tolist()} is outside {self}")
+            raise OutsideDomain(f"point {P[~ok][0].tolist()} is outside {self}")
+
+    def _surely_inside(self, P: np.ndarray) -> bool:
+        """True only if every row of the (m, n) stack P lies in the domain;
+        False says nothing."""
+        return False
 
     def line_range(self, x, d):
         """Feasible parameter interval {t : x + t d in domain} (x feasible);
@@ -379,6 +390,14 @@ def _box_limits(dom: Domain) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+@functools.lru_cache(maxsize=256)
+def _box_range(dom: Domain) -> tuple[float, float]:
+    # a stack whose every entry lies in [max(lo), min(hi)] passes every
+    # coordinate's test in _box_limits
+    lo, hi = _box_limits(dom)
+    return float(lo.max()), float(hi.min())
+
+
 class _BoxDomain(Domain):
     """Shared behavior for the four box families."""
 
@@ -394,6 +413,12 @@ class _BoxDomain(Domain):
         ok = P <= hi
         ok &= P >= lo
         return fold_columns(np.logical_and, ok)
+
+    def _surely_inside(self, P):
+        # the stack's range, one min and one max over the whole array: exact
+        # where the limits are equal in every coordinate; a nan fails both
+        lo, hi = _box_range(self)
+        return P.size == 0 or (P.min() >= lo and P.max() <= hi)
 
     def vertices(self) -> np.ndarray:
         return _box_vertices(*self.bounding_box())

@@ -7,6 +7,7 @@ stack of points (rows) first. Pure functions over immutable inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -76,6 +77,14 @@ class Envelope:
         return tuple(float(v[0]) for v in out) if type(out) is tuple else float(out[0])
 
 
+# The builders are pure, so each public ``*_env_*`` call reuses its built
+# envelope. Typed, because 2 == 2.0 == True: an untyped cache would hand
+# concave_ratiobox(2.0, r) the envelope built for (2, r) instead of raising,
+# as the builder does.
+_built_once = functools.lru_cache(maxsize=64, typed=True)
+
+
+@_built_once
 def concave_unitbox(m: Monomial) -> Envelope:
     """Concave envelope of x**alpha over [0,1]^n: min_j x_j (any alpha >= 1)."""
     return Envelope(UnitBox(m.n), lambda X: fold_columns(np.minimum, X))
@@ -85,6 +94,7 @@ def concave_env_unitbox(m: Monomial, x) -> float | np.ndarray:
     return concave_unitbox(m)(x)
 
 
+@_built_once
 def convex_unitbox_multilinear(n: int) -> Envelope:
     """Convex envelope of x_1...x_n over [0,1]^n: max{0, 1 + sum_j (x_j - 1)}."""
     return Envelope(UnitBox(n), lambda X: np.maximum(0.0, 1.0 + np.sum(X - 1.0, axis=-1)))
@@ -162,6 +172,7 @@ def _sorted_rows(X: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+@_built_once
 def concave_ratiobox(n: int, r: float) -> Envelope:
     """Concave envelope of x_1...x_n over [1,r]^n.
 
@@ -183,6 +194,7 @@ def concave_env_ratiobox(n: int, r: float, x) -> float | np.ndarray:
     return concave_ratiobox(n, r)(x)
 
 
+@_built_once
 def convex_ratiobox(n: int, r: float) -> Envelope:
     """Convex envelope of x_1...x_n over [1,r]^n: an n-piece max of affine cuts.
     ``ScaleExceeded`` when r**(n-1) leaves the float range."""
@@ -204,6 +216,7 @@ def convex_env_ratiobox(n: int, r: float, x) -> float | np.ndarray:
     return convex_ratiobox(n, r)(x)
 
 
+@_built_once
 def symbox_bounds(n: int) -> Envelope:
     """Convex and concave envelopes of x_1...x_n over [-1,1]^n as one pair:
     its value is (lo, hi) per row, with lo <= f(x) <= hi.

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from monoenv import SymBox, envelopes, hulls
+from monoenv.core import Domain
 
 REPO = Path(__file__).resolve().parents[1]
 BENCHMARKED = [w["name"] for w in json.loads((REPO / "BENCHMARK.json").read_text())["workloads"]]
@@ -72,20 +73,41 @@ def test_hull_reads_as_the_workloads_read_it(n):
 def test_traced_wrappers_install():
     # install_spans raises when a name it rebinds is gone from the package;
     # the two LP spans stay empty if a caller binds an LP entry past the
-    # module attribute that install_spans rebinds
+    # module attribute that install_spans rebinds, and a box's point check
+    # records no span if it leaves Domain.require_inside
     code = ("import sys; sys.path.insert(0, 'perfbench')\n"
             "from spans import Tracer\n"
             "from worker import install_spans\n"
-            "from monoenv import Monomial, UnitBox, hulls, oracle\n"
+            "from monoenv import Monomial, UnitBox, envelopes, hulls, oracle\n"
             "tracer = Tracer()\n"
             "install_spans(tracer)\n"
             "hulls.verify_integrality(3, trials=1)\n"
             "oracle.sampled_hull_envelope(Monomial((1, 1)), UnitBox(2), (0.5, 0.25), oracle.UNDER)\n"
-            "print(' '.join(sorted({tracer.names[i] for i in tracer.name})))\n")
+            "print(' '.join(sorted({tracer.names[i] for i in tracer.name})))\n"
+            "nid = tracer.name_id('core.require_inside')\n"
+            "for check in (lambda: envelopes.concave_env_unitbox(Monomial((1, 1)), [0.5, 0.5]),\n"
+            "              lambda: envelopes.convex_env_ratiobox(2, 2.0, [1.5, 1.5]),\n"
+            "              lambda: envelopes.envelopes_symbox(2, [0.5, -0.5])):\n"
+            "    before = list(tracer.name).count(nid)\n"
+            "    check()\n"
+            "    print('require_inside', list(tracer.name).count(nid) - before)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    traced = set(proc.stdout.split())
+    names, *checks = proc.stdout.splitlines()
+    traced = set(names.split())
     assert {"lp.solve_box_lp", "lp.solve_equality_lp"} <= traced, traced
+    # one span per checked call on a UnitBox, a RatioBox and a SymBox
+    assert checks == ["require_inside 1"] * 3, checks
+    # install_spans rebinds require_inside and contains_many on Domain itself;
+    # a family that defined its own would bypass the traced wrapper
+    families, seen = [Domain], []
+    while families:
+        cls = families.pop()
+        seen.append(cls)
+        families += cls.__subclasses__()
+    assert len(seen) > 4
+    for cls in seen[1:]:
+        assert not {"require_inside", "contains_many"} & vars(cls).keys(), cls

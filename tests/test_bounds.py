@@ -644,6 +644,62 @@ def test_unclipped_concave_bounds_are_c1(d):
     assert lower_bound_phi(d, 0.0, 1.0).bound == c1(d)
 
 
+def _concave_box_reference(alpha, lower, upper):
+    """50-digit (bound, u) of the concave bound over prod_j [lower_j, upper_j]
+    from the exact binary corners: u* = d^(1/(1-d)) clipped to the roots of
+    the corner values, and u - u^d there."""
+    d = sum(alpha)
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def log_root(x):
+            return sum(Decimal(a) / d * Decimal(v).ln() for a, v in zip(alpha, x))
+
+        log_u = min(max(-Decimal(d).ln() / (d - 1), log_root(lower)), log_root(upper))
+        u = log_u.exp()
+        return u - (d * log_u).exp(), u
+
+
+def _check_concave_box(alpha, lower, upper):
+    # budget 4 eps (1 + |log u|): the exponent alpha_j/d is rounded, and
+    # exp() amplifies that by log u
+    cb = bounds.concave_bound_box(Monomial(alpha), SubBox(lower, upper))
+    ref, u = _concave_box_reference(alpha, lower, upper)
+    budget = 4 * EPS * (1.0 - math.log(max(float(u), 1e-300)))
+    _within_or_underflow(cb.bound, ref, budget)
+    for v in cb.point:
+        _within_or_underflow(v, u, budget)
+
+
+@pytest.mark.parametrize("a", [7060, 7090, 7100, 8000, 10 ** 5, 10 ** 18, 10 ** 400])
+def test_concave_bound_reads_a_corner_value_below_the_float_range(a):
+    # 0.9**a * 0.8 is subnormal at a = 7060, where the bound read from it was
+    # 0.900025961, and 0 from about a = 7090 on, where it was 0 at (0, 0)
+    _check_concave_box((a, 1), (0.5, 0.5), (0.9, 0.8))
+
+
+CORNER = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.9]),
+                   st.floats(-300.0, 0.0).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def _sub_boxes(draw):
+    alpha = draw(st.lists(st.sampled_from([1, 2, 3, 7, 50, 700, 7060, 10 ** 5, 10 ** 18,
+                                           10 ** 400]), min_size=2, max_size=4))
+    lower = draw(st.lists(CORNER, min_size=len(alpha), max_size=len(alpha)))
+    return tuple(alpha), lower, [max(lo, draw(CORNER)) for lo in lower]
+
+
+@given(_sub_boxes())
+@example(((1, 1), [1.0, 1.0], [1.0, 1.0]))  # no gap at the point 1
+@example(((1, 10 ** 400), [1.0, 1.0], [1.0, 1.0]))  # and there log u* rounds to -0.0
+@example(((10 ** 400, 1), [1.0, 0.5], [1.0, 0.5]))  # u rounds to 1, xi = 0.5
+@example(((3, 2), [0.0, 0.0], [0.0, 1.0]))  # a zero upper corner
+@example(((9, 1), [0.999, 0.999], [0.9999, 0.9999]))  # u - u^d cancelled
+def test_concave_bound_over_a_sub_box_matches_a_50_digit_reference(box):
+    _check_concave_box(*box)
+
+
 def test_simplex_peak_matches_a_50_digit_reference():
     # alpha^alpha / d^d from n + 1 powers, n - 1 products and one quotient,
     # each within an eps; ScaleExceeded exactly where d^d leaves the float range

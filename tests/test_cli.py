@@ -537,6 +537,18 @@ class TestAdditionalSurfaces:
         assert "1.5" in out  # gamma_1 = (1 - 0.25)/0.5
         assert "concave bound at domain range" in out
 
+    @pytest.mark.parametrize("a, row", [("7060", "0.899984987 at (0.899984987, 0.899984987)"),
+                                        ("100000", "0.89999894 at (0.89999894, 0.89999894)"),
+                                        (str(10 ** 18), "0.9 at (0.9, 0.9)")])
+    def test_bounds_subbox_concave_row_past_an_underflowing_corner(self, capsys, a, row):
+        # 0.9**a * 0.8 is subnormal at a = 7060 and 0 from about 7090 on; the
+        # row read from it printed 0.900025961, then 0 at (0, 0)
+        code, out, _ = run_cli(capsys, "bounds", "--alpha", f"{a},1", "--domain", "sub",
+                               "--lower", "0.5,0.5", "--upper", "0.9,0.8")
+        assert code == EXIT_OK
+        rows = [" ".join(line.split()) for line in out.splitlines()]
+        assert f"concave bound at domain range {row}" in rows
+
     def test_bounds_corner_simplex(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--alpha", "2,1", "--domain", "corner",
                                "--lam", "0.5,1")

@@ -11,6 +11,7 @@ from monoenv import (
     CornerSimplexOne,
     DimensionMismatch,
     Monomial,
+    OutsideDomain,
     RatioBox,
     ScaleExceeded,
     StdSimplex,
@@ -350,7 +351,9 @@ def test_monomial_values_matches_the_row_product(case):
 def _box_rows(draw):
     n = draw(st.integers(1, 6))
     dom = draw(st.sampled_from([UnitBox(n), SymBox(n), RatioBox(n, 1.7),
-                                SubBox((0.25,) * n, (0.5,) * n)]))
+                                SubBox((0.25,) * n, (0.5,) * n),
+                                SubBox(tuple(np.linspace(0.25, 0.1, n)),
+                                       tuple(np.linspace(0.5, 0.9, n)))]))
     lo, hi = dom.bounding_box()
     # the exact boundaries u + TOL_EXACT and -(-l + TOL_EXACT), and their neighbours
     edges = [v for u in (hi + TOL_EXACT, -(-lo + TOL_EXACT)) for v in u.tolist()]
@@ -358,11 +361,37 @@ def _box_rows(draw):
     return dom, _rows(draw, n, special=_SPECIAL + tuple(edges))
 
 
+_GRID = np.asfortranarray(np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, 5)] * 3), -1)
+                           .reshape(-1, 3))
+_UNIT_EDGES = np.array([[1.0 + TOL_EXACT, -TOL_EXACT], [-TOL_EXACT, 1.0 + TOL_EXACT]])
+
+
 @_quiet
 @given(_box_rows())
+@example((UnitBox(3), np.empty((0, 3))))
+@example((SymBox(2), np.array([[0.5, 0.5], [np.nan, 0.0], [np.inf, 0.0]])))
+@example((UnitBox(2), _UNIT_EDGES))
+@example((UnitBox(2), np.nextafter(_UNIT_EDGES, np.inf)))
+@example((SymBox(3), _GRID[1::3]))  # an F-ordered grid slice
+@example((SymBox(3), np.hstack([_GRID, _GRID])[::2, ::2]))  # a strided column view
+@example((SubBox((0.25, 0.1), (0.5, 0.9)), np.array([[0.25, 0.9], [0.5, 0.1], [0.3, 0.5]])))
 def test_box_contains_many_matches_the_halfspace_rows(case):
     dom, X = case
-    _same_bits(dom.contains_many(X), _rows_contains(dom, X))
+    want = _rows_contains(dom, X)
+    _same_bits(dom.contains_many(X), want)
+    # require_inside raises exactly where a row is outside, and names the first such row
+    if want.all():
+        dom.require_inside(X)
+    else:
+        with pytest.raises(OutsideDomain) as exc:
+            dom.require_inside(X)
+        assert str(exc.value) == f"point {X[np.argmin(want)].tolist()} is outside {dom}"
+    # the range test vouches for a stack; it is exact where the limits are equal
+    # in every coordinate, as on UnitBox, SymBox and RatioBox
+    lo, hi = dom.bounding_box()
+    assert dom._surely_inside(X) <= want.all()
+    if np.all(lo == lo[0]) and np.all(hi == hi[0]):
+        assert dom._surely_inside(X) == want.all()
 
 
 @st.composite

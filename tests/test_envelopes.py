@@ -53,6 +53,20 @@ class TestConcaveEnvUnitBox:
             concave_env_unitbox(Monomial((1, 1)), [1.2, 0.5])
 
 
+@pytest.mark.parametrize("build, good, bad", [
+    (envelopes.convex_unitbox_multilinear, (2,), (2.0,)),
+    (envelopes.symbox_bounds, (1,), (True,)),
+    (envelopes.concave_ratiobox, (2, 1.5), (2.0, 1.5)),
+    (envelopes.convex_ratiobox, (1, 1.5), (True, 1.5)),
+])
+def test_built_envelope_is_reused_only_for_arguments_of_the_same_type(build, good, bad):
+    # 2 == 2.0 == True hash equal: a cache keyed on values alone would hand
+    # (2.0, r) the envelope built for (2, r) instead of raising
+    assert build(*good) is build(*good)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        build(*bad)
+
+
 class TestConvexEnvUnitBoxMultilinear:
     def test_hinge_at_zero(self):
         assert convex_env_unitbox_multilinear(2, [0.5, 0.5]) == 0.0
