@@ -362,7 +362,7 @@ class Domain:
 
 @functools.lru_cache(maxsize=256)
 def _cached_halfspaces(dom: Domain) -> tuple[np.ndarray, np.ndarray]:
-    # keyed on the domain value: estimators build a fresh equal domain per call
+    # keyed on the domain value, so an equal domain built afresh shares the entry
     A, b = dom._halfspaces()
     A.setflags(write=False)
     b.setflags(write=False)

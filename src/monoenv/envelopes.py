@@ -152,12 +152,14 @@ def underestimator_necessary(m: Monomial, dom: Domain, beta) -> bool:
 
 
 def _ratio_powers(dom: RatioBox) -> list[float]:
-    """r**0, ..., r**(n-1) for the box [1, r]^n; ``ScaleExceeded`` when
-    r**(n-1) leaves the float range, where the monomial overflows too."""
+    """r**0, ..., r**(n-1) for the box [1, r]^n; ``ScaleExceeded`` when the
+    top value r**n leaves the float range, since the monomial and both
+    envelopes reach it at the top corner."""
     try:
-        return [dom.r ** k for k in range(dom.n)]
+        dom.r ** dom.n
     except OverflowError:
-        raise ScaleExceeded(f"r**(n-1) overflows for n={dom.n}, r={dom.r}") from None
+        raise ScaleExceeded(f"r**n overflows for n={dom.n}, r={dom.r}") from None
+    return [dom.r ** k for k in range(dom.n)]
 
 
 def _sorted_rows(X: np.ndarray) -> np.ndarray:
@@ -179,7 +181,7 @@ def concave_ratiobox(n: int, r: float) -> Envelope:
     Sorting descending, the envelope is sum_j r**(j-1) x_(j) minus
     sum_{j=1}^{n-1} r**j: the largest weight goes to the smallest coordinate,
     which is the minimizing assignment among all permutations.
-    ``ScaleExceeded`` when r**(n-1) or that sum leaves the float range.
+    ``ScaleExceeded`` when r**n or that sum leaves the float range.
     """
     dom = RatioBox(n, r)
     powers = _ratio_powers(dom)
@@ -197,7 +199,7 @@ def concave_env_ratiobox(n: int, r: float, x) -> float | np.ndarray:
 @_built_once
 def convex_ratiobox(n: int, r: float) -> Envelope:
     """Convex envelope of x_1...x_n over [1,r]^n: an n-piece max of affine cuts.
-    ``ScaleExceeded`` when r**(n-1) leaves the float range."""
+    ``ScaleExceeded`` when r**n leaves the float range."""
     dom = RatioBox(n, r)
     powers = _ratio_powers(dom)
 

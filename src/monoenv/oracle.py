@@ -12,9 +12,9 @@ on the whole grid. The incumbent, and from n = 5 on the seeded restarts too,
 are then polished by per-coordinate section searches plus line searches
 along each start's orthant diagonal, which is where the attainment loci
 live. All starts are refined in lockstep: each section step evaluates the
-function once, on 16 points per start still searching, and a start that a
-whole pass left unmoved gets no more passes. All randomness is seeded, so
-results are reproducible bit for bit.
+function once, on 16 points per start still searching, and a start whose
+value a whole pass did not raise gets no more passes. All randomness is
+seeded, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def section_max(func: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return 0.5 * (a + b)
 
 
-def _line(func, dom: Domain, X: np.ndarray, V: list, D: np.ndarray,
+def _line(func, dom: Domain, X: np.ndarray, V: np.ndarray, D: np.ndarray,
           reach: float = np.inf) -> None:
     """Section search from each row of X along the same row of D over its
     feasible segment, clipped to |t| <= reach; a row moves to its line
@@ -176,30 +176,24 @@ def _line(func, dom: Domain, X: np.ndarray, V: list, D: np.ndarray,
         return _values(func, P.reshape(-1, P.shape[-1])).reshape(T.shape)
 
     P = Xr + section_max(along, tlo[rows], thi[rows])[:, None] * Dr
-    for k, p, v in zip(rows.tolist(), P, _values(func, P).tolist()):
-        if v > V[k]:
-            X[k] = p
-            V[k] = v
-
-
-def _moved(X0: np.ndarray, V0: list, X: np.ndarray, V: list) -> np.ndarray:
-    """Row mask of the starts whose row of X or value changed in any bit, so
-    that a move from 0.0 to -0.0 counts."""
-    return (np.any(X0.view(np.int64) != X.view(np.int64), axis=1)
-            | (np.array(V0).view(np.int64) != np.array(V).view(np.int64)))
+    v = _values(func, P)
+    up = v > V[rows]
+    X[rows[up]] = P[up]
+    V[rows[up]] = v[up]
 
 
 def _refine(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
-            X: np.ndarray, V: list, cell: np.ndarray,
-            center_weights: Optional[np.ndarray] = None) -> tuple[np.ndarray, list]:
+            X: np.ndarray, V: np.ndarray, cell: np.ndarray,
+            center_weights: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """Up to REFINE_PASSES passes of line searches: along each coordinate
     within one grid cell of each start, then along its orthant diagonal and
     its centering directions.
 
     The starts (rows of X, values V) move through this schedule in lockstep,
     one estimator call per section step for all of them; each row does the
-    arithmetic it would do alone. So a start that a whole pass left where it
-    was (``_moved``) would only repeat that pass: it is settled, and the
+    arithmetic it would do alone. A line moves a start only where its value
+    strictly rises, so a start whose value a whole pass did not raise is
+    where it was and would only repeat that pass: it is settled, and the
     remaining passes run on the other starts alone.
 
     A centering direction moves toward equal |coordinates| while preserving a
@@ -208,7 +202,7 @@ def _refine(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     the monomial's exponents) covers slope-weighted ones.
     """
     n = X.shape[1]
-    X, V = X.copy(), list(V)
+    X, V = X.copy(), np.array(V, dtype=float)
     weightings = [np.ones(n)]
     if center_weights is not None and not np.all(np.asarray(center_weights) == 1.0):
         weightings.append(np.asarray(center_weights, dtype=float))
@@ -216,8 +210,8 @@ def _refine(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     for _ in range(REFINE_PASSES):
         if len(active) == 0:
             break
-        X0, V0 = X[active], [V[k] for k in active.tolist()]
-        Xa, Va = X0.copy(), list(V0)
+        Xa, Va = X[active], V[active]
+        V0 = Va.copy()
         for j in range(n):
             D = np.zeros_like(Xa)
             D[:, j] = 1.0
@@ -229,10 +223,8 @@ def _refine(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
             cen = diag * target[:, None] - Xa
             cen[np.max(np.abs(cen), axis=1) <= 1e-12] = 0.0  # already centered
             _line(func, dom, Xa, Va, cen)
-        X[active] = Xa
-        for k, v in zip(active.tolist(), Va):
-            V[k] = v
-        active = active[_moved(X0, V0, Xa, Va)]
+        X[active], V[active] = Xa, Va
+        active = active[Va > V0]
     return X, V
 
 
@@ -259,21 +251,19 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     k = int(np.argmax(vals))  # first max in C order = lexicographic argmax
     lo, hi = dom.bounding_box()
     cell = (hi - lo) / res
-    X, V = pts[k:k + 1], [float(vals[k])]
+    X, V = pts[k:k + 1], vals[k:k + 1]
 
     if n >= 5:
         rng = np.random.default_rng(spec.seed)
         span = hi - lo
-        starts = []
-        while len(starts) < RESTARTS:
+        S = np.empty((0, n))
+        while len(S) < RESTARTS:
             cand = lo + rng.random((4 * RESTARTS, n)) * span
-            cand = cand[dom.contains_many(cand)]
-            starts.extend(cand[: RESTARTS - len(starts)])
-        S = np.array(starts)
-        X, V = np.vstack([X, S]), V + _values(func, S).tolist()
+            S = np.vstack([S, cand[dom.contains_many(cand)][: RESTARTS - len(S)]])
+        X, V = np.vstack([X, S]), np.concatenate([V, _values(func, S)])
     X, V = _refine(func, dom, X, V, cell, center_weights)
     best = max(range(len(V)), key=V.__getitem__)  # first of the largest, as in a scan
-    return V[best], X[best]
+    return float(V[best]), X[best]
 
 
 def grid_minimize(func, dom: Domain, grid: Optional[GridSpec] = None,

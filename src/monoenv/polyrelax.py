@@ -159,21 +159,6 @@ def hierarchy_threshold(n: int, m: int) -> float:
     return math.exp(log_val)
 
 
-def hierarchy_threshold_binomial(n: int, m: int) -> float:
-    """The same threshold by its binomial/factorial form (identity check),
-    C(m+1, 3) n^m / (m! C(n+m, n) c1(m)): one quotient of exact integers,
-    rounded once. ``ScaleExceeded`` where it overflows a float, and where
-    (n+m)^m, which bounds each integer, passes 2^18 bits."""
-    n, m = require_count(n, "n", 1), require_count(m, "m", 2)
-    if m * (n + m).bit_length() > 1 << 18:
-        raise ScaleExceeded(f"the exact binomial form for n={n}, m={m} passes 2^18 bits")
-    p, q = _bounds.c1(m).as_integer_ratio()
-    try:
-        return math.comb(m + 1, 3) * n ** m * q / (math.factorial(m) * math.comb(n + m, n) * p)
-    except OverflowError:
-        raise ScaleExceeded(f"the hierarchy threshold for n={n}, m={m} overflows a float") from None
-
-
 @dataclass(frozen=True)
 class CertifyReport:
     z_star: float

@@ -214,8 +214,6 @@ def _integer_cases():
         "parse_polynomial_json.alpha": lambda a: _poly_json(2, [a, 1]),
         "hierarchy_threshold.n": lambda n: polyrelax.hierarchy_threshold(n, 3),
         "hierarchy_threshold.m": lambda m: polyrelax.hierarchy_threshold(2, m),
-        "hierarchy_threshold_binomial.n": lambda n: polyrelax.hierarchy_threshold_binomial(n, 3),
-        "hierarchy_threshold_binomial.m": lambda m: polyrelax.hierarchy_threshold_binomial(2, m),
         "verify_integrality.n": lambda n: hulls.verify_integrality(n, trials=1),
         "verify_integrality.trials": lambda t: hulls.verify_integrality(2, trials=t),
         "verify_integrality.seed": lambda s: hulls.verify_integrality(2, trials=1, seed=s),
@@ -223,9 +221,8 @@ def _integer_cases():
     for name, call in entries.items():
         for label, bad in NON_INTEGERS.items():
             yield f"{name}-{label}", lambda c=call, v=bad: c(v)
-    # 0.0 where the product form raised, n = 2 read from 2.9, an OverflowError
-    # from the exponent 1e400, and a scale refusal for n = 7.5
-    yield "hierarchy_threshold_binomial.n-0", lambda: polyrelax.hierarchy_threshold_binomial(0, 3)
+    # n = 2 read from 2.9, an OverflowError from the exponent 1e400, and a
+    # scale refusal for n = 7.5
     yield "parse_polynomial_json.n-2.9", lambda: _poly_json(2.9, [1, 1])
     yield "parse_polynomial_json.alpha-1e400", lambda: polyrelax.parse_polynomial_json(
         '{"n": 1, "terms": [{"coeff": 1.0, "alpha": [1e400]}]}')

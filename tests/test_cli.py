@@ -1,6 +1,7 @@
 import inspect
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,16 @@ class TestBounds:
                                  "--r", "1e300", "--grid", "4")
         assert code == EXIT_SCALE
         assert out == "" and "scale refusal:" in err
+
+    @pytest.mark.parametrize("n, r", [("3", "1e103"), ("2", "1e155")])
+    def test_ratio_box_top_value_overflow_is_a_scale_refusal(self, capsys, n, r):
+        # r**(n-1) is finite but r**n is not: three RuntimeWarnings, then a
+        # nan measurement error (exit 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "verify", "--case", "ratiobox", "--n", n, "--r", r)
+        assert code == EXIT_SCALE
+        assert out == "" and err.startswith("scale refusal: r**n overflows")
 
     def test_ratio_constants_near_one(self, capsys):
         # both were formed by cancelling terms of size r - 1: D printed
@@ -613,7 +624,7 @@ FUZZ_FLAGS = {
                "--r": _values("2", "1.0000000000001"), **_DOMAIN},
     "verify": {"--case": st.sampled_from(list(checks.CASES)),
                "--alpha": _values("1,1", "2,1", "75,75"), "--n": _values("2", "3"),
-               "--r": _values("2"), "--trials": _values("5")},
+               "--r": _values("2", "1e103"), "--trials": _values("5")},
     "figure1": {"--n-min": _values("2"), "--n-max": _values("5"),
                 "--r-list": _values("1.5,2", "1.0000000000001"),
                 "--svg": st.just("{tmp}/f.svg")},

@@ -233,13 +233,15 @@ class TestRatioBoxEnvelopes:
             assert np.array_equal(env.value(Y).view(np.int64), want.view(np.int64))
 
     def test_unrepresentable_powers_are_a_scale_refusal(self):
-        # r**(n-1) overflowed into an OverflowError; so can the concave
-        # envelope's shift sum(r**j, j = 1..n-1) with r**(n-1) finite
-        for build in (envelopes.concave_ratiobox, envelopes.convex_ratiobox):
-            with pytest.raises(ScaleExceeded):
-                build(3, 1e300)
-        with pytest.raises(ScaleExceeded):
-            envelopes.concave_ratiobox(1024, 2.0)
+        # r**(n-1) overflowed into an OverflowError; with r**(n-1) finite the
+        # top value r**n still overflowed, and verdicts ended in nan. So can
+        # the concave envelope's shift sum(r**j, j = 1..n-1) with r**n finite
+        for n, r in [(3, 1e300), (3, 1e103), (2, 1e155)]:
+            for build in (envelopes.concave_ratiobox, envelopes.convex_ratiobox):
+                with pytest.raises(ScaleExceeded, match="r\\*\\*n overflows"):
+                    build(n, r)
+        with pytest.raises(ScaleExceeded, match="sum of r"):
+            envelopes.concave_ratiobox(1750, 1.5)  # 1.5**1750 is 1.44e308
 
     def test_sandwich_on_grid(self):
         rng = np.random.default_rng(6)

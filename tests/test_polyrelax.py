@@ -20,7 +20,6 @@ from monoenv.polyrelax import (
     certify_gap_small_instance,
     gap_bound,
     hierarchy_threshold,
-    hierarchy_threshold_binomial,
     load_polynomial,
     lprime,
     parse_polynomial_json,
@@ -165,11 +164,13 @@ class TestHierarchyThreshold:
         assert hierarchy_threshold(2, 2) == pytest.approx(4 / 3, rel=1e-12)
 
     def test_two_forms_agree(self):
+        # the binomial/factorial form C(m+1, 3) n^m / (m! C(n+m, n) c1(m)),
+        # one exact quotient of integers and c1(m)'s float, rounded once
         for n in range(1, 21):
             for m in range(2, 21):
-                a = hierarchy_threshold(n, m)
-                b = hierarchy_threshold_binomial(n, m)
-                assert a == pytest.approx(b, rel=1e-9)
+                exact = Fraction(math.comb(m + 1, 3) * n ** m,
+                                 math.factorial(m) * math.comb(n + m, n)) / Fraction(bounds.c1(m))
+                assert hierarchy_threshold(n, m) == pytest.approx(float(exact), rel=1e-9)
 
     def test_product_in_closed_form_matches_the_sum(self):
         # the product prod_k (1 + k/n) was a sum of m log1p terms, which the
@@ -234,8 +235,6 @@ def _log_factorial(z):
 
 
 def _check_threshold(n, m):
-    # both forms against one reference, so they agree wherever both are
-    # finite; the binomial form refuses integers beyond its size cap.
     # 80 digits left after log (n+m)! - log n! - m log n cancels
     with localcontext() as ctx:
         ctx.prec = 80 + 2 * len(str(n + m))
@@ -245,26 +244,16 @@ def _check_threshold(n, m):
     if ref > Decimal(sys.float_info.max):
         with pytest.raises(ScaleExceeded, match="threshold"):
             hierarchy_threshold(n, m)
-        with pytest.raises(ScaleExceeded, match="overflows|bits"):
-            hierarchy_threshold_binomial(n, m)
         return
     value = hierarchy_threshold(n, m)
-    try:
-        exact = [hierarchy_threshold_binomial(n, m)]
-    except ScaleExceeded as err:
-        assert "bits" in str(err)
-        exact = []
     if ref < Decimal("1e-300"):
-        assert all(0.0 <= v < 1e-290 for v in [value, *exact])
+        assert 0.0 <= value < 1e-290
         return
-    # each log term is good to a few eps of its size, and exp() keeps that;
-    # the binomial form rounds an exact quotient divided by c1(m), a few eps
+    # each log term is good to a few eps of its size, and exp() keeps that
     budget = 16 * sys.float_info.epsilon * (1 + 3 * math.log(m) + float(log_prod))
     with localcontext() as ctx:
         ctx.prec = 50
         assert abs(Decimal(value) / ref - 1) <= Decimal(budget), (n, m, value, ref)
-        for v in exact:
-            assert abs(Decimal(v) / ref - 1) <= Decimal(8 * sys.float_info.epsilon), (n, m, v, ref)
 
 
 @given(st.floats(0.0, 12.0), st.floats(math.log10(2.0), 6.0))
@@ -274,8 +263,8 @@ def test_threshold_matches_a_50_digit_reference(log_n, log_m):
 
 
 # integers beyond the float range raised OverflowError; the threshold is 0.0,
-# 4 (the m = 2 limit as n grows) and beyond the float range. The binomial
-# form raised it at (2, 10^4) in n^m and at (10^400, 2) in float(n)
+# 4 (the m = 2 limit as n grows) and beyond the float range, and at
+# (2, 10^4) n^m passes the float range
 @pytest.mark.parametrize("n, m", [(1, 10 ** 400), (10 ** 400, 2), (10 ** 400, 10 ** 150),
                                   (2, 10 ** 4)],
                          ids=["m-400-digits", "n-400-digits", "overflow", "binomial-n-power"])
