@@ -299,10 +299,12 @@ class Domain:
 
     def _contains_rows(self, P: np.ndarray) -> np.ndarray:
         A, b = self.halfspaces()
-        return np.all(P @ A.T <= b + TOL_EXACT, axis=1)
+        # inf * 0 is nan and a sum of huge entries overflows; such rows fail, quietly
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.all(P @ A.T <= b + TOL_EXACT, axis=1)
 
     def contains(self, x) -> bool:
-        return bool(self.contains_many(np.asarray(x, float)[None, :])[0])
+        return bool(self.contains_many(one_point(x, self.n))[0])
 
     def require_inside(self, X) -> None:
         """An ``OutsideDomain`` naming the first row of X outside the domain.
@@ -378,24 +380,12 @@ def _box_vertices(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _box_limits(dom: Domain) -> tuple[np.ndarray, np.ndarray]:
-    # A box's halfspace rows are +-e_j, so A p <= b + TOL_EXACT says
-    # -(-l_j + TOL_EXACT) <= p_j <= u_j + TOL_EXACT, coordinate by coordinate.
-    # A nan or inf coordinate fails one side, as it made its whole row nan in A p.
+def _box_range(dom: Domain) -> tuple[float, float]:
+    # A box's rows A p <= b + TOL_EXACT say -(-l_j + TOL_EXACT) <= p_j <= u_j + TOL_EXACT,
+    # so a stack whose every entry lies in [max of the left, min of the right] passes
     _, b = dom.halfspaces()
     n = dom.n
-    lo, hi = -(b[n:] + TOL_EXACT), b[:n] + TOL_EXACT
-    lo.setflags(write=False)
-    hi.setflags(write=False)
-    return lo, hi
-
-
-@functools.lru_cache(maxsize=256)
-def _box_range(dom: Domain) -> tuple[float, float]:
-    # a stack whose every entry lies in [max(lo), min(hi)] passes every
-    # coordinate's test in _box_limits
-    lo, hi = _box_limits(dom)
-    return float(lo.max()), float(hi.min())
+    return float((-(b[n:] + TOL_EXACT)).max()), float((b[:n] + TOL_EXACT).min())
 
 
 class _BoxDomain(Domain):
@@ -407,12 +397,6 @@ class _BoxDomain(Domain):
         lo, hi = self.bounding_box()
         eye = np.eye(self.n)
         return np.vstack([eye, -eye]), np.concatenate([hi, -lo])
-
-    def _contains_rows(self, P):
-        lo, hi = _box_limits(self)
-        ok = P <= hi
-        ok &= P >= lo
-        return fold_columns(np.logical_and, ok)
 
     def _surely_inside(self, P):
         # the stack's range, one min and one max over the whole array: exact

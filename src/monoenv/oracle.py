@@ -85,14 +85,15 @@ class GridSpec:
 
 @functools.lru_cache(maxsize=16)
 def _grid_points(dom: Domain, res: int) -> np.ndarray:
-    """Cell-center grid over the domain's bounding box, filtered to members:
-    a read-only (N, n) array whose rows run over the cells in C order (the
-    last coordinate fastest).
+    """Cell-center grid over the domain's bounding box, filtered to members
+    unless the domain is a box, which holds every cell center of itself: a
+    read-only (N, n) array whose rows run over the cells in C order (the
+    last coordinate fastest). A center that is not finite is a ``ScaleExceeded``.
 
     It is stored column by column (``f_contiguous``): filled as an (n, res^n)
     array, filtered by columns and returned transposed. Every grid kernel
-    reads one coordinate at a time (``fold_columns``, ``monomial_values``,
-    the box membership test), and so reads each coordinate contiguously.
+    reads one coordinate at a time (``fold_columns``, ``monomial_values``),
+    and so reads each coordinate contiguously.
     The package's kernels give these rows the bits of a row-major copy;
     only a row sum over 8 or more columns (``np.sum`` along a row, which
     numpy adds pairwise by layout) can differ in its last bit.
@@ -101,12 +102,16 @@ def _grid_points(dom: Domain, res: int) -> np.ndarray:
     n = dom.n
     cols = np.empty((n,) + (res,) * n)
     for j in range(n):
-        axis = lo[j] + (np.arange(res) + 0.5) * (hi[j] - lo[j]) / res
+        with np.errstate(over="ignore"):
+            axis = lo[j] + (np.arange(res) + 0.5) * (hi[j] - lo[j]) / res
+        if not np.isfinite(axis).all():
+            raise ScaleExceeded(f"{dom} at resolution {res} has a cell center beyond floats")
         cols[j] = axis.reshape((res,) + (1,) * (n - 1 - j))  # varies along axis j
     cols = cols.reshape(n, -1)
-    keep = dom.contains_many(cols.T)
-    if not keep.all():
-        cols = cols.compress(keep, axis=1)  # stays row-major; cols[:, keep] would not
+    if not dom.is_box:
+        keep = dom.contains_many(cols.T)
+        if not keep.all():
+            cols = cols.compress(keep, axis=1)  # stays row-major; cols[:, keep] would not
     cols.setflags(write=False)
     return cols.T
 

@@ -105,6 +105,7 @@ def _point_cases():
     yield "sampled_hull_envelope", lambda: oracle.sampled_hull_envelope(
         m, UnitBox(2), two, oracle.UNDER)
     yield "scale_point", lambda: scale_point(two, 0.5, (2.0, 3.0), m)
+    yield "contains", lambda: UnitBox(2).contains(two)
 
 
 def _scaling_cases():
@@ -321,6 +322,9 @@ def test_one_point_accepts_a_stack_of_one():
     assert hulls.hull_membership(fs, [[0.5, 0.25]], 0.0) == one
     x, w = scale_point([[0.5, 0.25]], 0.5, (2.0, -4.0), Monomial((1, 1)))
     assert x.tolist() == [1.0, -1.0] and w == -4.0
+    assert UnitBox(2).contains([[0.5, 0.25]]) and not UnitBox(2).contains([[0.5, 1.25]])
+    with pytest.raises(DimensionMismatch, match="got a stack of 2"):
+        UnitBox(2).contains([[0.5, 0.25], [0.75, 0.5]])
 
 
 @pytest.mark.filterwarnings("error")

@@ -170,6 +170,23 @@ class TestDomains:
         expected = np.all(X @ A.T <= b + 1e-9, axis=1)
         assert np.array_equal(dom.contains_many(X), expected)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: type(d).__name__)
+    def test_an_infinite_or_huge_row_is_outside_without_a_warning(self, dom):
+        # inf times a zero of A is nan in A x, and a sum of +-1e308 overflows;
+        # the row fails, and numpy says nothing
+        x = dom.vertices().mean(axis=0)
+        rows = [np.full(dom.n, v) for v in (1e308, -1e308)]
+        for v in (np.inf, -np.inf):
+            for j in range(dom.n):
+                rows.append(x.copy())
+                rows[-1][j] = v
+        for row in rows:
+            assert not dom.contains(row)
+            with pytest.raises(OutsideDomain) as exc:
+                dom.require_inside([x, row])
+            assert str(exc.value) == f"point {row.tolist()} is outside {dom}"
+
     @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: type(d).__name__)
     def test_coordinate_range_stays_feasible(self, dom):
         rng = np.random.default_rng(8)
@@ -361,6 +378,44 @@ def _box_rows(draw):
     return dom, _rows(draw, n, special=_SPECIAL + tuple(edges))
 
 
+def _box_edge_rows(dom):
+    """(accepted, rejected): the box's center with one coordinate on an edge
+    u + TOL_EXACT or -(-l + TOL_EXACT), or at -0.0 where l = 0; or one float
+    beyond an edge, nan or +-inf."""
+    lo, hi = dom.bounding_box()
+    top, bottom = hi + TOL_EXACT, -(-lo + TOL_EXACT)
+
+    def put(j, v):
+        x = (lo + hi) / 2
+        x[j] = v
+        return x
+
+    n = dom.n
+    accepted = [put(j, v) for j in range(n)
+                for v in (top[j], bottom[j]) + ((-0.0,) if lo[j] == 0.0 else ())]
+    rejected = [put(j, v) for j in range(n)
+                for v in (np.nextafter(top[j], np.inf), np.nextafter(bottom[j], -np.inf),
+                          np.nan, np.inf, -np.inf)]
+    return np.array(accepted), np.array(rejected)
+
+
+_EDGE_BOXES = [UnitBox(3), SymBox(2), RatioBox(2, 1.7), RatioBox(2, 1e300),
+               SubBox((0.0, 0.25, 0.5), (0.0, 0.75, 0.9))]
+# accepted rows first, so the first rejected row is the one an error names; C and F order
+_EDGE_STACKS = [(dom, np.vstack(_box_edge_rows(dom))) for dom in _EDGE_BOXES]
+_EDGE_CASES = [(dom, Y) for dom, X in _EDGE_STACKS for Y in (X, np.asfortranarray(X))]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dom", _EDGE_BOXES, ids=repr)
+def test_box_edges_are_members_and_the_next_floats_are_not(dom):
+    accepted, rejected = _box_edge_rows(dom)
+    for order in ("C", "F"):
+        assert dom.contains_many(np.asarray(accepted, order=order)).all()
+        assert not dom.contains_many(np.asarray(rejected, order=order)).any()
+        dom.require_inside(np.asarray(accepted, order=order))
+
+
 _GRID = np.asfortranarray(np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, 5)] * 3), -1)
                            .reshape(-1, 3))
 _UNIT_EDGES = np.array([[1.0 + TOL_EXACT, -TOL_EXACT], [-TOL_EXACT, 1.0 + TOL_EXACT]])
@@ -375,6 +430,16 @@ _UNIT_EDGES = np.array([[1.0 + TOL_EXACT, -TOL_EXACT], [-TOL_EXACT, 1.0 + TOL_EX
 @example((SymBox(3), _GRID[1::3]))  # an F-ordered grid slice
 @example((SymBox(3), np.hstack([_GRID, _GRID])[::2, ::2]))  # a strided column view
 @example((SubBox((0.25, 0.1), (0.5, 0.9)), np.array([[0.25, 0.9], [0.5, 0.1], [0.3, 0.5]])))
+@example(_EDGE_CASES[0])
+@example(_EDGE_CASES[1])
+@example(_EDGE_CASES[2])
+@example(_EDGE_CASES[3])
+@example(_EDGE_CASES[4])
+@example(_EDGE_CASES[5])
+@example(_EDGE_CASES[6])
+@example(_EDGE_CASES[7])
+@example(_EDGE_CASES[8])
+@example(_EDGE_CASES[9])
 def test_box_contains_many_matches_the_halfspace_rows(case):
     dom, X = case
     want = _rows_contains(dom, X)

@@ -496,6 +496,35 @@ def test_grid_is_the_row_major_grid_stored_by_columns(n):
             pts[0, 0] = 0.5
 
 
+_WHOLE_BOXES = [UnitBox(2), UnitBox(3), SymBox(3), RatioBox(2, 1 + 1e-12), RatioBox(3, 2.0),
+                RatioBox(2, 1e300), SubBox((0.1, 0.3, 0.2), (0.9, 0.4, 0.7)),
+                SubBox((0.25, 0.5), (0.25, 0.75))]
+
+
+@pytest.mark.parametrize("dom", _WHOLE_BOXES, ids=repr)
+def test_a_box_grid_is_whole_and_built_without_a_mask(dom, monkeypatch):
+    # a box holds every cell center of itself, so its grid keeps res^n rows
+    # and never reads the membership mask
+    def refuse(self, X):
+        raise AssertionError("a box grid ran the membership mask")
+
+    for res in (2, 3, GridSpec().resolution_for(dom.n)):
+        with monkeypatch.context() as patched:
+            patched.setattr(Domain, "contains_many", refuse)
+            pts = oracle._grid_points.__wrapped__(dom, res)  # uncached
+        assert len(pts) == res ** dom.n, res
+        assert dom.contains_many(pts).all(), res
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_grid_beyond_the_float_range_is_scale_exceeded():
+    # (k + 0.5) * (r - 1) overflows at r = 1e307: no verdict from a grid short of cells
+    m = Monomial.multilinear(2)
+    with pytest.raises(ScaleExceeded, match=r"RatioBox\(n=2, r=1e\+307\) at resolution 64"):
+        max_gap(m, RatioBox(2, 1e307), lambda X: np.zeros(len(X)), oracle.OVER)
+    assert oracle._grid_points(RatioBox(2, 1e300), 64).shape == (4096, 2)
+
+
 class TestGridEngine:
     def test_monotone_under_inclusion(self):
         m = Monomial.multilinear(2)
