@@ -443,7 +443,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -12,7 +12,7 @@ on the whole grid. The incumbent, and from n = 5 on the seeded restarts too,
 are then polished by per-coordinate section searches plus line searches
 along each start's orthant diagonal, which is where the attainment loci
 live. All starts are refined in lockstep: each section step evaluates the
-function once, on 16 points per start still searching, and a start whose
+function once, on 32 points per start still searching, and a start whose
 value a whole pass did not raise gets no more passes. All randomness is
 seeded, so results are reproducible bit for bit.
 """
@@ -128,8 +128,8 @@ def _values(func: Callable[[np.ndarray], np.ndarray], P: np.ndarray,
     return v
 
 
-SECTION_POINTS = 16  # interior points per bracket and step
-SECTION_STEPS = 14  # steps per bracket at most
+SECTION_POINTS = 32  # interior points per bracket and step
+SECTION_STEPS = 11  # steps per bracket at most: the least k with (2/33)**k <= SECTION_WIDTH
 SECTION_WIDTH = 1e-13  # a bracket no wider than this is closed
 
 
@@ -138,28 +138,47 @@ def section_max(func: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """Uniform-section maximizers of K unimodal functions, one per bracket
     [lo[k], hi[k]].
 
-    Each step evaluates every open bracket [a, b] at its SECTION_POINTS = 16
-    interior points a + i h, h = (b - a)/17, i = 1..16, and keeps
-    [a + (i* - 1) h, a + (i* + 1) h] around the first largest value i*. ``func(T, rows)`` returns the (L, 16)
-    values at the parameters ``T[l, i]`` of the functions ``rows[l]`` (row
-    indices into the brackets), one call per step for all open brackets. A
-    bracket closes after SECTION_STEPS steps or once it is no wider than
-    SECTION_WIDTH; each bracket's arithmetic is elementwise, so it ends
-    exactly where it would end alone. Returns the bracket midpoints.
+    Each step evaluates every open bracket [a, b] at its SECTION_POINTS = 32
+    interior points a + i h, h = (b - a)/33, i = 1..32, and keeps
+    [a + (i* - 1) h, a + (i* + 1) h] around the first largest value i*.
+    ``func(T, rows)`` returns the (L, 32) values at the parameters ``T[l, i]``
+    of the functions ``rows[l]`` (row indices into the brackets), one call
+    per step for all open brackets; ``rows`` only loses entries from one
+    step to the next. A bracket closes after SECTION_STEPS steps or once it
+    is no wider than SECTION_WIDTH; each bracket's arithmetic is
+    elementwise, so it ends exactly where it would end alone. Returns the
+    bracket midpoints.
+
+    ``lo`` and ``hi`` of different shapes, or a result of ``func`` whose shape
+    is not that of ``T``, is a ``DimensionMismatch``; an end that is not
+    finite is a ``ValueError``.
     """
     a = np.array(lo, dtype=float)
     b = np.array(hi, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise DimensionMismatch(f"lo and hi must be two lists of the same length: "
+                                f"got shapes {a.shape} and {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("every bracket end must be finite")
     i = np.arange(1, SECTION_POINTS + 1)
     live = np.arange(len(a))
+    al, bl = a, b  # the ends of the brackets in live
     for _ in range(SECTION_STEPS):
-        live = live[b[live] - a[live] > SECTION_WIDTH]
+        wide = bl - al > SECTION_WIDTH
+        if not wide.all():  # some bracket closes: write it back, drop it
+            a[live], b[live] = al, bl
+            live, al, bl = live[wide], al[wide], bl[wide]
         if len(live) == 0:
             break
-        al = a[live]
-        h = (b[live] - al) / (SECTION_POINTS + 1)
-        best = np.argmax(func(al[:, None] + i * h[:, None], live), axis=1)  # i* - 1
-        a[live] = al + best * h
-        b[live] = al + (best + 2) * h
+        h = (bl - al) / (SECTION_POINTS + 1)
+        T = al[:, None] + i * h[:, None]
+        v = func(T, live)
+        if np.shape(v) != T.shape:
+            raise DimensionMismatch(f"func must return one value per parameter: "
+                                    f"{T.shape} parameters gave shape {np.shape(v)}")
+        best = np.argmax(v, axis=1)  # i* - 1
+        al, bl = al + best * h, al + (best + 2) * h
+    a[live], b[live] = al, bl
     return 0.5 * (a + b)
 
 
@@ -175,9 +194,13 @@ def _line(func, dom: Domain, X: np.ndarray, V: np.ndarray, D: np.ndarray,
     if len(rows) == 0:
         return
     Xr, Dr = X[rows], D[rows]
+    Xl, Dl = Xr, Dr  # the rows section_max still searches
 
     def along(T, idx):
-        P = Xr[idx][:, None] + T[..., None] * Dr[idx][:, None]
+        nonlocal Xl, Dl
+        if len(idx) != len(Xl):  # the open brackets only ever shrink
+            Xl, Dl = Xr[idx], Dr[idx]
+        P = Xl[:, None] + T[..., None] * Dl[:, None]
         return _values(func, P.reshape(-1, P.shape[-1])).reshape(T.shape)
 
     P = Xr + section_max(along, tlo[rows], thi[rows])[:, None] * Dr

@@ -1,5 +1,8 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import monoenv
 from monoenv import checks
 from monoenv.cli import EXIT_OK, EXIT_SCALE, EXIT_USAGE, EXIT_VERIFY, main
 
@@ -87,6 +91,16 @@ class TestBounds:
 
 
 class TestVerify:
+    def test_module_entry_runs_from_a_source_tree(self):
+        # python -m monoenv needs no installed script, only the package on the path
+        src = str(Path(monoenv.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "monoenv", "verify", "--case", "all"],
+                              capture_output=True, text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1].endswith("checks passed")
+
     def test_symbox_tight(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--case", "symbox", "--n", "3")
         assert code == EXIT_OK
