@@ -26,6 +26,7 @@ from .core import (
     SymBox,
     UnitBox,
     UnsupportedDomain,
+    require_count,
 )
 
 EXIT_OK = 0
@@ -153,14 +154,11 @@ def cmd_bounds(args) -> int:
         mono = Monomial.multilinear(args.n)
     else:
         raise ValueError("bounds needs --alpha or --n")
-    n, d = mono.n, mono.degree
-    rows: list[tuple[str, float, str]] = []
-
-    if d >= 2:
-        rows.append(("c1 (concave/hull, degree-only)", bounds.c1(d),
-                     _fmt_point(bounds.concave_bound_xi(mono, 0.0, 1.0).point)))
-        rows.append(("c2 (convex, degree-only)", bounds.c2(d),
-                     _fmt_point(np.full(n, 1 - 1 / d))))
+    n, d = mono.n, require_count(mono.degree, "degree", 2)
+    rows = [("c1 (concave/hull, degree-only)", bounds.c1(d),
+             _fmt_point(bounds.concave_bound_xi(mono, 0.0, 1.0).point)),
+            ("c2 (convex, degree-only)", bounds.c2(d),
+             _fmt_point(np.full(n, 1 - 1 / d)))]
     rows += _DOMAINS[args.domain][2](mono, _domain(args, n))
 
     width = max(len(r[0]) for r in rows)

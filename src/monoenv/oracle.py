@@ -20,6 +20,7 @@ seeded, so results are reproducible bit for bit.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Callable, Optional, Sequence
@@ -129,81 +130,52 @@ def _values(func: Callable[[np.ndarray], np.ndarray], P: np.ndarray,
 
 
 SECTION_POINTS = 32  # interior points per bracket and step
-SECTION_STEPS = 11  # steps per bracket at most: the least k with (2/33)**k <= SECTION_WIDTH
 SECTION_WIDTH = 1e-13  # a bracket no wider than this is closed
-
-
-def section_max(func: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                lo: Sequence[float], hi: Sequence[float]) -> np.ndarray:
-    """Uniform-section maximizers of K unimodal functions, one per bracket
-    [lo[k], hi[k]].
-
-    Each step evaluates every open bracket [a, b] at its SECTION_POINTS = 32
-    interior points a + i h, h = (b - a)/33, i = 1..32, and keeps
-    [a + (i* - 1) h, a + (i* + 1) h] around the first largest value i*.
-    ``func(T, rows)`` returns the (L, 32) values at the parameters ``T[l, i]``
-    of the functions ``rows[l]`` (row indices into the brackets), one call
-    per step for all open brackets; ``rows`` only loses entries from one
-    step to the next. A bracket closes after SECTION_STEPS steps or once it
-    is no wider than SECTION_WIDTH; each bracket's arithmetic is
-    elementwise, so it ends exactly where it would end alone. Returns the
-    bracket midpoints.
-
-    ``lo`` and ``hi`` of different shapes, or a result of ``func`` whose shape
-    is not that of ``T``, is a ``DimensionMismatch``; an end that is not
-    finite is a ``ValueError``.
-    """
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise DimensionMismatch(f"lo and hi must be two lists of the same length: "
-                                f"got shapes {a.shape} and {b.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("every bracket end must be finite")
-    i = np.arange(1, SECTION_POINTS + 1)
-    live = np.arange(len(a))
-    al, bl = a, b  # the ends of the brackets in live
-    for _ in range(SECTION_STEPS):
-        wide = bl - al > SECTION_WIDTH
-        if not wide.all():  # some bracket closes: write it back, drop it
-            a[live], b[live] = al, bl
-            live, al, bl = live[wide], al[wide], bl[wide]
-        if len(live) == 0:
-            break
-        h = (bl - al) / (SECTION_POINTS + 1)
-        T = al[:, None] + i * h[:, None]
-        v = func(T, live)
-        if np.shape(v) != T.shape:
-            raise DimensionMismatch(f"func must return one value per parameter: "
-                                    f"{T.shape} parameters gave shape {np.shape(v)}")
-        best = np.argmax(v, axis=1)  # i* - 1
-        al, bl = al + best * h, al + (best + 2) * h
-    a[live], b[live] = al, bl
-    return 0.5 * (a + b)
+# steps per bracket at most: the least k with (2/33)**k <= SECTION_WIDTH, so
+# that a unit bracket closes by width at the cap
+SECTION_STEPS = math.ceil(math.log(SECTION_WIDTH) / math.log(2 / (SECTION_POINTS + 1)))
 
 
 def _line(func, dom: Domain, X: np.ndarray, V: np.ndarray, D: np.ndarray,
           reach: float = np.inf) -> None:
-    """Section search from each row of X along the same row of D over its
-    feasible segment, clipped to |t| <= reach; a row moves to its line
-    maximum when that beats V. Only a finite segment longer than 1e-14 is
-    searched, so a zero row of D leaves its start alone."""
+    """Uniform section search (Avriel & Wilde 1966) from each row of X along
+    the same row of D over its feasible segment, clipped to |t| <= reach; a
+    row moves to its line maximum when that beats V. Only a finite segment
+    longer than 1e-14 is searched, so a zero row of D leaves its start alone.
+
+    Each step evaluates every open bracket [a, b] at its SECTION_POINTS = 32
+    interior parameters a + i h, h = (b - a)/33, i = 1..32, one call of
+    ``func`` on the points X + t D of all open lines, and keeps
+    [a + (i* - 1) h, a + (i* + 1) h] around the first largest value i*. A
+    bracket closes after SECTION_STEPS steps or once it is no wider than
+    SECTION_WIDTH; each line's arithmetic is elementwise, so it ends exactly
+    where it would end alone. The line maximum is the point at the midpoint
+    of the last bracket.
+    """
     tlo, thi = dom.line_range(X, D)
     tlo, thi = np.maximum(tlo, -reach), np.minimum(thi, reach)
     rows = np.flatnonzero(np.isfinite(tlo) & np.isfinite(thi) & (thi - tlo > 1e-14))
     if len(rows) == 0:
         return
-    Xr, Dr = X[rows], D[rows]
-    Xl, Dl = Xr, Dr  # the rows section_max still searches
-
-    def along(T, idx):
-        nonlocal Xl, Dl
-        if len(idx) != len(Xl):  # the open brackets only ever shrink
-            Xl, Dl = Xr[idx], Dr[idx]
+    a, b, Xr, Dr = tlo[rows], thi[rows], X[rows], D[rows]
+    i = np.arange(1, SECTION_POINTS + 1)
+    live = np.arange(len(rows))
+    al, bl, Xl, Dl = a, b, Xr, Dr  # the open brackets and their lines
+    for _ in range(SECTION_STEPS):
+        wide = bl - al > SECTION_WIDTH
+        if not wide.all():  # some bracket closes: write it back, drop it
+            a[live], b[live] = al, bl
+            live, al, bl, Xl, Dl = live[wide], al[wide], bl[wide], Xl[wide], Dl[wide]
+        if len(live) == 0:
+            break
+        h = (bl - al) / (SECTION_POINTS + 1)
+        T = al[:, None] + i * h[:, None]
         P = Xl[:, None] + T[..., None] * Dl[:, None]
-        return _values(func, P.reshape(-1, P.shape[-1])).reshape(T.shape)
-
-    P = Xr + section_max(along, tlo[rows], thi[rows])[:, None] * Dr
+        v = _values(func, P.reshape(-1, P.shape[-1])).reshape(T.shape)
+        best = np.argmax(v, axis=1)  # i* - 1
+        al, bl = al + best * h, al + (best + 2) * h
+    a[live], b[live] = al, bl
+    P = Xr + (0.5 * (a + b))[:, None] * Dr
     v = _values(func, P)
     up = v > V[rows]
     X[rows[up]] = P[up]
@@ -265,7 +237,8 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     one argmax over all the scan values), section-search refinement from the
     incumbent, plus seeded random restarts when the grid is coarse (n >= 5),
     all refined in lockstep; the first best start wins. The refined value
-    never falls below the grid incumbent.
+    never falls below the grid incumbent. A best value of +-inf is a
+    ``ScaleExceeded``: the function left the float range.
     """
     spec = grid or GridSpec()
     n = dom.n
@@ -291,6 +264,8 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
         X, V = np.vstack([X, S]), np.concatenate([V, _values(func, S)])
     X, V = _refine(func, dom, X, V, cell, center_weights)
     best = max(range(len(V)), key=V.__getitem__)  # first of the largest, as in a scan
+    if np.isinf(V[best]):
+        raise ScaleExceeded(f"the best value over {dom} is infinite, beyond the float range")
     return float(V[best]), X[best]
 
 

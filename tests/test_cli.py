@@ -76,6 +76,16 @@ class TestBounds:
         assert code == EXIT_SCALE
         assert out == "" and err.startswith("scale refusal: r**n overflows")
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--n", "1"],
+        ["bounds", "--alpha", "1", "--domain", "corner", "--lam", "0.5"],
+    ], ids=["unit", "corner"])
+    def test_degree_one_is_refused_by_degree(self, capsys, argv):
+        # both ended in "sum of gamma must exceed 1", an internal quantity
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and "degree must be an integer >= 2, got 1" in err
+
     def test_ratio_constants_near_one(self, capsys):
         # both were formed by cancelling terms of size r - 1: D printed
         # 3.33510997e-13 and E 7.50177698e-13

@@ -525,6 +525,17 @@ def test_a_grid_beyond_the_float_range_is_scale_exceeded():
     assert oracle._grid_points(RatioBox(2, 1e300), 64).shape == (4096, 2)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("bound", [None, 1.0, np.inf])
+def test_an_infinite_best_value_is_scale_exceeded(bound):
+    # x1 x2 overflows on RatioBox(2, 1e300): the verdict read VALID_UPPER or
+    # VIOLATED with an inf measurement, and abs_gap nan where the bound is None or inf
+    m = Monomial.multilinear(2)
+    with pytest.raises(ScaleExceeded, match="infinite"):
+        max_gap(m, RatioBox(2, 1e300), lambda X: np.zeros(len(X)), oracle.UNDER,
+                bound=bound, grid=GridSpec(resolution=4))
+
+
 class TestGridEngine:
     def test_monotone_under_inclusion(self):
         m = Monomial.multilinear(2)
@@ -730,7 +741,7 @@ class TestScaledBoxTransport:
 # ---------------------------------------------------------------------------
 
 def _seq_section_line(func, x, d, tlo, thi):
-    # one call per step on the stacked x + (a + i h) d, i = 1..16
+    # one call per step on the stacked x + (a + i h) d, i = 1..SECTION_POINTS
     a, b = tlo, thi
     i = np.arange(1, oracle.SECTION_POINTS + 1)[:, None]
     for _ in range(oracle.SECTION_STEPS):

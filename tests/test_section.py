@@ -1,18 +1,40 @@
-import warnings
+"""The oracle's line search, ``oracle._line``, on stacks of lines.
+
+The lines lie in SymBox(2) and run along the first coordinate. The second
+coordinate of a line's start is its tag, which a line never changes (its
+direction there is 0), so a test function can give each line its own peak.
+A line of direction d has a feasible segment 2/d wide in its parameter, so
+directions from 2e-3 to 2e15 give segments from 1e3 down past SECTION_WIDTH.
+"""
 
 import numpy as np
 import pytest
 
 from monoenv import oracle
-from monoenv.core import DimensionMismatch
-from monoenv.oracle import SECTION_POINTS, SECTION_STEPS, SECTION_WIDTH, section_max
+from monoenv.core import SymBox
+from monoenv.oracle import SECTION_POINTS, SECTION_STEPS, SECTION_WIDTH
 
 SHRINK = 2.0 / (SECTION_POINTS + 1)  # a step keeps two of the SECTION_POINTS + 1 cells
+DOM = SymBox(2)
 
 
-def _peaks(centers):
+def _stack(starts, dirs):
+    """Starts X (tags in column 1), values V = -inf and directions D."""
+    k = len(starts)
+    X = np.column_stack([starts, np.linspace(-0.5, 0.5, k)])
+    D = np.column_stack([dirs, np.zeros(k)])
+    return X, np.full(k, -np.inf), D
+
+
+def _tagged(X, per_line):
+    """func(P) = per_line(P[:, 0], k) where k is the line of each point."""
+    tags = X[:, 1].copy()
+    return lambda P: per_line(P[:, 0], np.searchsorted(tags, P[:, 1]))
+
+
+def _peaks(X, centers):
     c = np.asarray(centers, dtype=float)
-    return lambda T, rows: -(T - c[rows][:, None]) ** 2
+    return _tagged(X, lambda x, k: -(x - c[k]) ** 2)
 
 
 def _steps(width):
@@ -24,23 +46,32 @@ def _steps(width):
     return k
 
 
-def _every_step_section_max(func, lo, hi):
+def _every_step_line(func, dom, X, V, D, reach, steps):
     # reference bookkeeping: live refiltered, and a[live], b[live] written,
-    # on every step
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
+    # on every step; steps[k] counts the steps of line k
+    tlo, thi = dom.line_range(X, D)
+    tlo, thi = np.maximum(tlo, -reach), np.minimum(thi, reach)
+    rows = np.flatnonzero(np.isfinite(tlo) & np.isfinite(thi) & (thi - tlo > 1e-14))
+    a, b, Xr, Dr = tlo[rows], thi[rows], X[rows], D[rows]
     i = np.arange(1, SECTION_POINTS + 1)
-    live = np.arange(len(a))
+    live = np.arange(len(rows))
     for _ in range(SECTION_STEPS):
         live = live[b[live] - a[live] > SECTION_WIDTH]
         if len(live) == 0:
             break
+        steps[rows[live]] += 1
         al = a[live]
         h = (b[live] - al) / (SECTION_POINTS + 1)
-        best = np.argmax(func(al[:, None] + i * h[:, None], live), axis=1)
+        T = al[:, None] + i * h[:, None]
+        P = Xr[live][:, None] + T[..., None] * Dr[live][:, None]
+        best = np.argmax(func(P.reshape(-1, P.shape[-1])).reshape(T.shape), axis=1)
         a[live] = al + best * h
         b[live] = al + (best + 2) * h
-    return 0.5 * (a + b)
+    P = Xr + (0.5 * (a + b))[:, None] * Dr
+    v = func(P)
+    up = v > V[rows]
+    X[rows[up]] = P[up]
+    V[rows[up]] = v[up]
 
 
 def _bits(x):
@@ -53,94 +84,90 @@ def test_steps_follow_from_points():
 
 
 class TestSectionMax:
+    """``oracle._line``: the section search's maxima along a stack of lines."""
+
     def test_finds_each_peak(self):
-        centers = [0.3, -1.25, 2.0]
-        ts = section_max(_peaks(centers), [0.0, -3.0, 1.0], [1.0, 0.0, 2.0])
-        assert ts.tolist() == pytest.approx(centers, abs=1e-12)
+        centers = [0.3, -0.25, 0.9]
+        X, V, D = _stack([0.0, 0.5, -0.7], [1.0, -2.0, 1e-3])
+        func = _peaks(X, centers)
+        oracle._line(func, DOM, X, V, D)
+        assert X[:, 0].tolist() == pytest.approx(centers, abs=1e-12)
+        assert np.array_equal(_bits(V), _bits(func(X)))
 
     def test_bracket_together_equals_bracket_alone(self):
-        # narrower brackets close first; the rest keep the one-bracket arithmetic
+        # narrower brackets close first; the rest keep the one-line arithmetic
         rng = np.random.default_rng(4)
-        lo = (-rng.random(7)).tolist()
-        hi = (rng.random(7) * 10.0 ** -rng.integers(0, 8, 7)).tolist()
-        centers = (rng.random(7) - 0.5).tolist()
-        together = section_max(_peaks(centers), lo, hi)
+        starts = rng.uniform(-1.0, 1.0, 7)
+        dirs = 10.0 ** rng.uniform(-2.0, 13.0, 7) * rng.choice([-1.0, 1.0], 7)
+        centers = rng.uniform(-1.0, 1.0, 7)
+        X, V, D = _stack(starts, dirs)
+        func = _peaks(X, centers)
+        together_X, together_V = X.copy(), V.copy()
+        oracle._line(func, DOM, together_X, together_V, D)
         for k in range(7):
-            alone = section_max(_peaks(centers[k:k + 1]), lo[k:k + 1], hi[k:k + 1])
-            assert together[k] == alone[0]
+            alone_X, alone_V = X[k:k + 1].copy(), V[k:k + 1].copy()
+            oracle._line(func, DOM, alone_X, alone_V, D[k:k + 1])
+            assert np.array_equal(_bits(together_X[k]), _bits(alone_X[0]))
+            assert _bits(together_V[k]) == _bits(alone_V[0])
 
     def test_one_call_per_step_on_open_brackets(self):
+        # segments 2 and 2e-12 wide
+        X, V, D = _stack([0.0, 0.0], [1.0, 1e12])
         calls = []
 
-        def f(T, rows):
-            assert T.shape == (len(rows), SECTION_POINTS)
-            calls.append(rows.tolist())
-            return -T * T
+        def f(P):
+            calls.append(len(P))
+            return -P[:, 0] ** 2
 
-        section_max(f, [-1.0, -1e-12], [1.0, 1e-12])
-        both = sum(rows == [0, 1] for rows in calls)
-        assert calls[:both] == [[0, 1]] * both  # the narrow bracket closes first,
+        oracle._line(f, DOM, X, V, D)
+        steps, last = calls[:-1], calls[-1]
+        both = steps.count(2 * SECTION_POINTS)
+        assert steps[:both] == [2 * SECTION_POINTS] * both  # the narrow bracket closes first,
         assert both == _steps(2e-12) < SECTION_STEPS  # once it is SECTION_WIDTH wide,
-        assert calls[both:] == [[0]] * (len(calls) - both)  # and is never asked again
-        assert len(calls) == _steps(2.0) == SECTION_STEPS
+        assert steps[both:] == [SECTION_POINTS] * (len(steps) - both)  # and is never asked again
+        assert len(steps) == _steps(2.0) == SECTION_STEPS
+        assert last == 2  # the line maxima, one point per line
 
     def test_step_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "SECTION_WIDTH", 0.0)
+        X, V, D = _stack([0.0], [1.0])
         calls = []
 
-        def f(T, rows):
-            calls.append(rows)
-            return -np.abs(T - 0.1)
+        def f(P):
+            calls.append(len(P))
+            return -np.abs(P[:, 0] - 0.1)
 
-        (t,) = section_max(f, [0.0], [1.0])
-        assert abs(t - 0.1) <= SHRINK ** SECTION_STEPS / 2
-        assert len(calls) == SECTION_STEPS
+        oracle._line(f, DOM, X, V, D)
+        assert abs(X[0, 0] - 0.1) <= 2.0 * SHRINK ** SECTION_STEPS / 2
+        assert len(calls) == SECTION_STEPS + 1
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bits_of_the_every_step_loop(self, seed):
-        # brackets from 1e3 wide down to below SECTION_WIDTH, so they close
-        # by width at different steps, some before the cap and one at once
+        # segments from 1e3 wide down to below SECTION_WIDTH, so they close
+        # by width at different steps, some before the cap, one at once and
+        # some (under 1e-14) are never searched; a reach of 50 clips the
+        # widest segments, so some peaks lie outside the bracket
         rng = np.random.default_rng(seed)
         k = 40
         width = 10.0 ** rng.uniform(-15.0, 3.0, k)
         width[0] = 0.5 * SECTION_WIDTH
-        lo = rng.normal(size=k) * 10.0 ** rng.integers(-3, 4, k)
-        hi = lo + width
-        c = lo + rng.uniform(-0.2, 1.2, k) * width  # some peaks outside the bracket
+        X, V, D = _stack(rng.uniform(-1.0, 1.0, k), 2.0 / width * rng.choice([-1.0, 1.0], k))
+        c = rng.uniform(-1.2, 1.2, k)  # some peaks outside the segment
         p = rng.choice([1.0, 2.0, 0.5], k)
         flat = rng.random(k) < 0.25  # plateaus: the first of equal values wins
 
-        def f(T, rows, steps=None):
-            if steps is not None:
-                steps[rows] += 1
-            v = -np.abs(T - c[rows][:, None]) ** p[rows][:, None]
-            return np.where(flat[rows][:, None], np.minimum(v, -1e-3 * width[rows][:, None]), v)
+        def per_line(x, j):
+            v = -np.abs(x - c[j]) ** p[j]
+            return np.where(flat[j], np.minimum(v, -1e-3), v)
 
+        func = _tagged(X, per_line)
+        V[:] = func(X)
+        X0, ref_X, ref_V = X.copy(), X.copy(), V.copy()
         steps = np.zeros(k, dtype=int)
-        ref = _every_step_section_max(lambda T, rows: f(T, rows, steps), lo, hi)
-        got = section_max(f, lo, hi)
-        assert np.array_equal(_bits(got), _bits(ref))
+        _every_step_line(func, DOM, ref_X, ref_V, D, 50.0, steps)
+        oracle._line(func, DOM, X, V, D, 50.0)
+        assert np.array_equal(_bits(X), _bits(ref_X))
+        assert np.array_equal(_bits(V), _bits(ref_V))
         assert steps[0] == 0 and len(set(steps.tolist())) >= 4
         assert (steps < SECTION_STEPS).sum() >= 5
-
-    def test_lo_and_hi_of_different_lengths(self):
-        with pytest.raises(DimensionMismatch, match="same length"):
-            section_max(_peaks([0.0, 0.0]), [0.0, 0.0], [1.0])
-
-    @pytest.mark.parametrize("lo, hi", [
-        ([0.0], [np.inf]), ([np.nan], [1.0]), ([-np.inf, 0.0], [0.0, 1.0]),
-    ], ids=["hi-inf", "lo-nan", "lo-minus-inf"])
-    def test_an_end_that_is_not_finite(self, lo, hi):
-        calls = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="finite") as err:
-                section_max(lambda T, rows: calls.append(rows) or -T * T, lo, hi)
-        assert not isinstance(err.value, DimensionMismatch) and calls == []
-
-    @pytest.mark.parametrize("func", [
-        lambda T, rows: -T[:, :3], lambda T, rows: -T.ravel(), lambda T, rows: -T[:, :, None],
-    ], ids=["columns", "flat", "extra-axis"])
-    def test_a_result_of_another_shape(self, func):
-        with pytest.raises(DimensionMismatch, match="one value per parameter"):
-            section_max(func, [0.0, -1.0], [1.0, 1.0])
+        assert (X != X0).any(axis=1).sum() >= 20  # most lines moved
