@@ -69,13 +69,18 @@ def one_point(x, n: int) -> np.ndarray:
 
 def slopes(v, n: Optional[int] = None, name: str = "beta") -> np.ndarray:
     """``v`` as a nonempty float vector (of length n, if given) of finite
-    entries >= 1: a slope vector beta, kappa or gamma of the bounds."""
+    entries >= 1 with a finite sum: a slope vector beta, kappa or gamma of
+    the bounds. A sum beyond floats is a ``ScaleExceeded``."""
     b = np.asarray(v, dtype=float)
     if b.ndim != 1 or len(b) == 0 or n not in (None, len(b)):
         want = "nonempty" if n is None else f"of dimension {n}"
         raise DimensionMismatch(f"{name} must be a vector {want}, got shape {b.shape}")
     if not np.all((b >= 1.0) & (b < np.inf)):
         raise ValueError(f"{name} must be >= 1 componentwise and finite, got {b.tolist()}")
+    with np.errstate(over="ignore"):
+        total = b.sum()
+    if total == np.inf:
+        raise ScaleExceeded(f"the sum of {name}={b.tolist()} is beyond the float range")
     return b
 
 

@@ -11,16 +11,15 @@ same bits whatever rows share its call, so the values are those of one call
 on the whole grid. The incumbent, and from n = 5 on the seeded restarts too,
 are then polished by per-coordinate section searches plus line searches
 along each start's orthant diagonal, which is where the attainment loci
-live. All starts are refined in lockstep: each section step evaluates the
-function once, on 32 points per start still searching, and a start whose
-value a whole pass did not raise gets no more passes. All randomness is
-seeded, so results are reproducible bit for bit.
+live. All starts are refined in lockstep: each line takes 11 section steps,
+each step evaluates the function once, on 32 points per start still
+searching, and a start whose value a whole pass did not raise gets no more
+passes. All randomness is seeded, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Callable, Optional, Sequence
@@ -130,10 +129,7 @@ def _values(func: Callable[[np.ndarray], np.ndarray], P: np.ndarray,
 
 
 SECTION_POINTS = 32  # interior points per bracket and step
-SECTION_WIDTH = 1e-13  # a bracket no wider than this is closed
-# steps per bracket at most: the least k with (2/33)**k <= SECTION_WIDTH, so
-# that a unit bracket closes by width at the cap
-SECTION_STEPS = math.ceil(math.log(SECTION_WIDTH) / math.log(2 / (SECTION_POINTS + 1)))
+SECTION_STEPS = 11  # steps per bracket: (2/33)**11, about 4e-14 of the segment, is left
 
 
 def _line(func, dom: Domain, X: np.ndarray, V: np.ndarray, D: np.ndarray,
@@ -143,14 +139,12 @@ def _line(func, dom: Domain, X: np.ndarray, V: np.ndarray, D: np.ndarray,
     row moves to its line maximum when that beats V. Only a finite segment
     longer than 1e-14 is searched, so a zero row of D leaves its start alone.
 
-    Each step evaluates every open bracket [a, b] at its SECTION_POINTS = 32
-    interior parameters a + i h, h = (b - a)/33, i = 1..32, one call of
-    ``func`` on the points X + t D of all open lines, and keeps
-    [a + (i* - 1) h, a + (i* + 1) h] around the first largest value i*. A
-    bracket closes after SECTION_STEPS steps or once it is no wider than
-    SECTION_WIDTH; each line's arithmetic is elementwise, so it ends exactly
-    where it would end alone. The line maximum is the point at the midpoint
-    of the last bracket.
+    Each of the SECTION_STEPS steps calls ``func`` once, on the points X + t D
+    of every searched line at the SECTION_POINTS = 32 interior parameters
+    t = a + i h, h = (b - a)/33, of its bracket [a, b], and keeps
+    [a + (i* - 1) h, a + (i* + 1) h] around the first largest value i*. The
+    arithmetic is elementwise, so a line ends where it would end alone, at
+    the point at the midpoint of its last bracket: its line maximum.
     """
     tlo, thi = dom.line_range(X, D)
     tlo, thi = np.maximum(tlo, -reach), np.minimum(thi, reach)
@@ -159,22 +153,13 @@ def _line(func, dom: Domain, X: np.ndarray, V: np.ndarray, D: np.ndarray,
         return
     a, b, Xr, Dr = tlo[rows], thi[rows], X[rows], D[rows]
     i = np.arange(1, SECTION_POINTS + 1)
-    live = np.arange(len(rows))
-    al, bl, Xl, Dl = a, b, Xr, Dr  # the open brackets and their lines
     for _ in range(SECTION_STEPS):
-        wide = bl - al > SECTION_WIDTH
-        if not wide.all():  # some bracket closes: write it back, drop it
-            a[live], b[live] = al, bl
-            live, al, bl, Xl, Dl = live[wide], al[wide], bl[wide], Xl[wide], Dl[wide]
-        if len(live) == 0:
-            break
-        h = (bl - al) / (SECTION_POINTS + 1)
-        T = al[:, None] + i * h[:, None]
-        P = Xl[:, None] + T[..., None] * Dl[:, None]
+        h = (b - a) / (SECTION_POINTS + 1)
+        T = a[:, None] + i * h[:, None]
+        P = Xr[:, None] + T[..., None] * Dr[:, None]
         v = _values(func, P.reshape(-1, P.shape[-1])).reshape(T.shape)
         best = np.argmax(v, axis=1)  # i* - 1
-        al, bl = al + best * h, al + (best + 2) * h
-    a[live], b[live] = al, bl
+        a, b = a + best * h, a + (best + 2) * h
     P = Xr + (0.5 * (a + b))[:, None] * Dr
     v = _values(func, P)
     up = v > V[rows]
@@ -420,8 +405,11 @@ def ratio_box_diagonal_gap(n: int, r: float, t) -> Decimal:
     envelope of x_1...x_n over [1, r]^n and the monomial at the diagonal point
     x_i = 1 + (r-1)t, relative to the span r^n - 1. No float step and no
     logarithm is involved, so it checks the closed form of E from outside.
+    ``t`` is a float or a ``Decimal`` in [0, 1], else a ``ValueError``.
     """
     _bounds._require_ratio_box(n, r)
+    if not (isinstance(t, (float, Decimal)) and Decimal(t).is_finite() and 0 <= t <= 1):
+        raise ValueError(f"t must be a float or Decimal in [0, 1], got {t!r}")
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
         rd, td = Decimal(r), Decimal(t)

@@ -11,6 +11,7 @@ closed-form box envelope against the vertex-LP envelope.
 
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -164,6 +165,13 @@ def _other_cases():
     for label, bad in (("nan", NAN), ("inf", INF)):
         yield f"LinearUnderestimator-intercept-{label}", lambda v=bad: (
             envelopes.LinearUnderestimator((1.5, 1.5), v))
+    # t = nan gave Decimal('NaN'), inf or "x" a decimal.InvalidOperation, and
+    # 2.0 the gap at a point outside [1, r]^n
+    for label, bad in (("nan", NAN), ("inf", INF), ("str", "x"), ("2.0", 2.0), ("-0.5", -0.5),
+                       ("Decimal-NaN", Decimal("NaN")), ("Decimal-sNaN", Decimal("sNaN")),
+                       ("Decimal-1.5", Decimal("1.5"))):
+        yield f"ratio_box_diagonal_gap-t-{label}", lambda v=bad: (
+            oracle.ratio_box_diagonal_gap(3, 2.0, v))
 
 
 def _dimension_cases():
@@ -297,6 +305,15 @@ def test_bad_argument_raises_its_typed_error(kind, name, call, error):
 def test_every_slope_entry_accepts_valid_slopes():
     for name, call in SLOPE_ENTRIES.items():
         call((1.5, 1.5))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(SLOPE_ENTRIES))
+def test_a_slope_sum_beyond_floats_raises_scale_exceeded(name):
+    # finite entries whose sum is inf: phi_beta_kappa returned nan, and the
+    # other entries warned, after numpy's overflow warning
+    with pytest.raises(ScaleExceeded, match="beyond the float range"):
+        SLOPE_ENTRIES[name]((1e308, 1e308))
 
 
 @pytest.mark.parametrize("n", [2, np.int64(2), np.int32(2)], ids=["int", "int64", "int32"])

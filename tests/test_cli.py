@@ -412,6 +412,14 @@ class TestSigmaRoot:
         assert "sigma exact" in out
         assert "sigma numeric" in out
 
+    @pytest.mark.filterwarnings("error")
+    def test_slope_sum_beyond_floats_is_a_scale_refusal(self, capsys):
+        # it printed two numpy RuntimeWarnings from the refinement's
+        # weighted centering before its exit 3
+        code, out, err = run_cli(capsys, "sigma", "--alpha", "1,1", "--beta", "1e308,1e308")
+        assert code == EXIT_SCALE
+        assert out == "" and "the sum of beta" in err
+
     def test_root_output(self, capsys):
         code, out, _ = run_cli(capsys, "root", "--lambda1", "6", "--lambda2", "3")
         assert code == EXIT_OK

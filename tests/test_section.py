@@ -4,7 +4,8 @@ The lines lie in SymBox(2) and run along the first coordinate. The second
 coordinate of a line's start is its tag, which a line never changes (its
 direction there is 0), so a test function can give each line its own peak.
 A line of direction d has a feasible segment 2/d wide in its parameter, so
-directions from 2e-3 to 2e15 give segments from 1e3 down past SECTION_WIDTH.
+directions from 2e-3 to 2e15 give segments from 1e3 down past the 1e-14
+search floor.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from monoenv import oracle
 from monoenv.core import SymBox
-from monoenv.oracle import SECTION_POINTS, SECTION_STEPS, SECTION_WIDTH
+from monoenv.oracle import SECTION_POINTS, SECTION_STEPS
 
 SHRINK = 2.0 / (SECTION_POINTS + 1)  # a step keeps two of the SECTION_POINTS + 1 cells
 DOM = SymBox(2)
@@ -37,41 +38,25 @@ def _peaks(X, centers):
     return _tagged(X, lambda x, k: -(x - c[k]) ** 2)
 
 
-def _steps(width):
-    """Steps a bracket of this width takes until it is closed."""
-    k = 0
-    while width > SECTION_WIDTH and k < SECTION_STEPS:
-        width *= SHRINK
-        k += 1
-    return k
-
-
 def _every_step_line(func, dom, X, V, D, reach, steps):
-    # reference bookkeeping: live refiltered, and a[live], b[live] written,
-    # on every step; steps[k] counts the steps of line k
+    # reference: one line at a time, in scalars, for every step of the
+    # search; steps[k] counts the steps of line k
     tlo, thi = dom.line_range(X, D)
-    tlo, thi = np.maximum(tlo, -reach), np.minimum(thi, reach)
-    rows = np.flatnonzero(np.isfinite(tlo) & np.isfinite(thi) & (thi - tlo > 1e-14))
-    a, b, Xr, Dr = tlo[rows], thi[rows], X[rows], D[rows]
-    i = np.arange(1, SECTION_POINTS + 1)
-    live = np.arange(len(rows))
-    for _ in range(SECTION_STEPS):
-        live = live[b[live] - a[live] > SECTION_WIDTH]
-        if len(live) == 0:
-            break
-        steps[rows[live]] += 1
-        al = a[live]
-        h = (b[live] - al) / (SECTION_POINTS + 1)
-        T = al[:, None] + i * h[:, None]
-        P = Xr[live][:, None] + T[..., None] * Dr[live][:, None]
-        best = np.argmax(func(P.reshape(-1, P.shape[-1])).reshape(T.shape), axis=1)
-        a[live] = al + best * h
-        b[live] = al + (best + 2) * h
-    P = Xr + (0.5 * (a + b))[:, None] * Dr
-    v = func(P)
-    up = v > V[rows]
-    X[rows[up]] = P[up]
-    V[rows[up]] = v[up]
+    i = np.arange(1, SECTION_POINTS + 1)[:, None]
+    for k in range(len(X)):
+        a, b = max(tlo[k], -reach), min(thi[k], reach)
+        if not (np.isfinite(a) and np.isfinite(b) and b - a > 1e-14):
+            continue
+        x, d = X[k].copy(), D[k]
+        for _ in range(SECTION_STEPS):
+            steps[k] += 1
+            h = (b - a) / (SECTION_POINTS + 1)
+            best = int(np.argmax(func(x + (a + i * h) * d)))
+            a, b = a + best * h, a + (best + 2) * h
+        p = x + 0.5 * (a + b) * d
+        v = func(p[None, :])[0]
+        if v > V[k]:
+            X[k], V[k] = p, v
 
 
 def _bits(x):
@@ -79,8 +64,8 @@ def _bits(x):
 
 
 def test_steps_follow_from_points():
-    # the least step count that takes a unit bracket down to SECTION_WIDTH
-    assert SHRINK ** SECTION_STEPS <= SECTION_WIDTH < SHRINK ** (SECTION_STEPS - 1)
+    # SECTION_STEPS steps of SECTION_POINTS points leave under 1e-13 of a segment
+    assert SHRINK ** SECTION_STEPS <= 1e-13
 
 
 class TestSectionMax:
@@ -95,7 +80,7 @@ class TestSectionMax:
         assert np.array_equal(_bits(V), _bits(func(X)))
 
     def test_bracket_together_equals_bracket_alone(self):
-        # narrower brackets close first; the rest keep the one-line arithmetic
+        # segments from 1e-2 to 1e13 wide, each with its own peak
         rng = np.random.default_rng(4)
         starts = rng.uniform(-1.0, 1.0, 7)
         dirs = 10.0 ** rng.uniform(-2.0, 13.0, 7) * rng.choice([-1.0, 1.0], 7)
@@ -111,8 +96,9 @@ class TestSectionMax:
             assert _bits(together_V[k]) == _bits(alone_V[0])
 
     def test_one_call_per_step_on_open_brackets(self):
-        # segments 2 and 2e-12 wide
-        X, V, D = _stack([0.0, 0.0], [1.0, 1e12])
+        # segments 2, 2e-12 and 5e-15 wide: the last is under the search
+        # floor and never asked; the others take every step, however narrow
+        X, V, D = _stack([0.0, 0.0, 0.0], [1.0, 1e12, 4e14])
         calls = []
 
         def f(P):
@@ -120,16 +106,10 @@ class TestSectionMax:
             return -P[:, 0] ** 2
 
         oracle._line(f, DOM, X, V, D)
-        steps, last = calls[:-1], calls[-1]
-        both = steps.count(2 * SECTION_POINTS)
-        assert steps[:both] == [2 * SECTION_POINTS] * both  # the narrow bracket closes first,
-        assert both == _steps(2e-12) < SECTION_STEPS  # once it is SECTION_WIDTH wide,
-        assert steps[both:] == [SECTION_POINTS] * (len(steps) - both)  # and is never asked again
-        assert len(steps) == _steps(2.0) == SECTION_STEPS
-        assert last == 2  # the line maxima, one point per line
+        assert calls == [2 * SECTION_POINTS] * SECTION_STEPS + [2]  # then the line maxima
+        assert X[2, 0] == 0.0 and V[2] == -np.inf
 
-    def test_step_cap(self, monkeypatch):
-        monkeypatch.setattr(oracle, "SECTION_WIDTH", 0.0)
+    def test_step_cap(self):
         X, V, D = _stack([0.0], [1.0])
         calls = []
 
@@ -141,16 +121,34 @@ class TestSectionMax:
         assert abs(X[0, 0] - 0.1) <= 2.0 * SHRINK ** SECTION_STEPS / 2
         assert len(calls) == SECTION_STEPS + 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_brackets_below_float_resolution_stay_finite(self):
+        # segments from 1e3 wide down to just above the floor: after 11
+        # steps a narrow bracket is far below the spacing of floats at its
+        # ends, and its points must stay finite and on the segment
+        k = 24
+        width = np.geomspace(1e3, 1.01e-14, k)
+        X, V, D = _stack(np.linspace(-0.9, 0.9, k), 2.0 / width)
+        calls = []
+
+        def f(P):
+            calls.append((len(P), bool(np.isfinite(P).all())))
+            return -np.abs(P[:, 0] - 0.3)
+
+        oracle._line(f, DOM, X, V, D)
+        assert calls == [(SECTION_POINTS * k, True)] * SECTION_STEPS + [(k, True)]
+        assert np.isfinite(X).all() and np.isfinite(V).all()
+        assert DOM.contains_many(X).all()
+
     @pytest.mark.parametrize("seed", range(6))
     def test_bits_of_the_every_step_loop(self, seed):
-        # segments from 1e3 wide down to below SECTION_WIDTH, so they close
-        # by width at different steps, some before the cap, one at once and
-        # some (under 1e-14) are never searched; a reach of 50 clips the
-        # widest segments, so some peaks lie outside the bracket
+        # segments from 1e3 wide down to below the 1e-14 floor, so some are
+        # never searched; a reach of 50 clips the widest segments, so some
+        # peaks lie outside the bracket
         rng = np.random.default_rng(seed)
         k = 40
         width = 10.0 ** rng.uniform(-15.0, 3.0, k)
-        width[0] = 0.5 * SECTION_WIDTH
+        width[:2] = 0.5e-14, 1.5e-14  # just under and just over the floor
         X, V, D = _stack(rng.uniform(-1.0, 1.0, k), 2.0 / width * rng.choice([-1.0, 1.0], k))
         c = rng.uniform(-1.2, 1.2, k)  # some peaks outside the segment
         p = rng.choice([1.0, 2.0, 0.5], k)
@@ -168,6 +166,6 @@ class TestSectionMax:
         oracle._line(func, DOM, X, V, D, 50.0)
         assert np.array_equal(_bits(X), _bits(ref_X))
         assert np.array_equal(_bits(V), _bits(ref_V))
-        assert steps[0] == 0 and len(set(steps.tolist())) >= 4
-        assert (steps < SECTION_STEPS).sum() >= 5
+        assert steps[0] == 0 and steps[1] == SECTION_STEPS
+        assert set(steps.tolist()) == {0, SECTION_STEPS}
         assert (X != X0).any(axis=1).sum() >= 20  # most lines moved
