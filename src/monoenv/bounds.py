@@ -23,6 +23,7 @@ from .core import (
     require_count,
     simplex_peak,
     slopes,
+    unit_interval,
 )
 
 BISECT_MAX_ITER = 200
@@ -244,12 +245,12 @@ def c_beta_kappa(m: Monomial, beta, kappa, sigma: float) -> float:
 
 
 def phi_beta_kappa(beta, kappa, sigma: float, t) -> float | np.ndarray:
-    """The transfer map d_b - sigma + t - d_b * t**(r/d_b) whose unique fixed
-    point is :func:`c_beta_kappa`."""
+    """The transfer map d_b - sigma + t - d_b * t**(r/d_b), t in [0, 1], whose
+    unique fixed point is :func:`c_beta_kappa`."""
     b = slopes(beta)
     db = _require_sigma(sigma, b)
     r = ratio_r(b, slopes(kappa, len(b), "kappa"))
-    t = np.asarray(t, dtype=float)
+    t = unit_interval(t, "t")
     out = db - sigma + t - db * np.power(t, r / db)
     return float(out) if out.ndim == 0 else out
 
@@ -458,10 +459,11 @@ def ratio_box_asymptotics(n: int, r: float) -> tuple[float, float]:
 
 
 def psi_value(n: int, r: float, t) -> float | np.ndarray:
-    """psi(t) = (1 + (r-1) t)**n - r**(n t), the diagonal gap profile; D is
-    its largest value at t = i/n, i = 1..n-1."""
+    """psi(t) = (1 + (r-1) t)**n - r**(n t), t in [0, 1], the diagonal gap
+    profile; D is its largest value at t = i/n, i = 1..n-1."""
     b = _require_ratio_box(n, r)
-    out = np.array([_psi(b, float(v))[0] for v in np.ravel(t)]).reshape(np.shape(t))
+    t = unit_interval(t, "t")
+    out = np.array([_psi(b, float(v))[0] for v in t.ravel()]).reshape(t.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -520,10 +522,14 @@ class RootResult:
 
 
 def root_poly_value(lam1: int, lam2: float, s) -> float | np.ndarray:
-    """(1 - s)**lam1 + lam2 * s - 1."""
-    s = np.asarray(s, dtype=float)
-    out = np.power(1.0 - s, exponent_float(lam1)) + lam2 * s - 1.0
+    """(1 - s)**lam1 + lam2 * s - 1 for s in [0, 1]."""
+    out = _root_poly(lam1, lam2, unit_interval(s, "s"))
     return float(out) if out.ndim == 0 else out
+
+
+def _root_poly(lam1: int, lam2: float, s):
+    # root_poly_value without the check on s, for the bisection's own points
+    return np.power(1.0 - s, exponent_float(lam1)) + lam2 * s - 1.0
 
 
 def find_root_power_linear(lam1: int, lam2: float) -> RootResult:
@@ -543,7 +549,7 @@ def find_root_power_linear(lam1: int, lam2: float) -> RootResult:
         raise ValueError("lam1 = lam2 = 1 gives the zero polynomial: every s is a root")
     if lam2 >= lam1:
         grid = np.linspace(1e-3, 1.0, 1000)
-        cert = float(np.min(root_poly_value(lam1, lam2, grid)))
+        cert = float(np.min(_root_poly(lam1, lam2, grid)))
         return RootResult(has_root=False, root=None, residual=None,
                           lower_bound=None, certificate_min=cert)
     tilde = -math.expm1((math.log(lam2) - math.log(lam1)) * (1 / (lam1 - 1)))
@@ -553,14 +559,14 @@ def find_root_power_linear(lam1: int, lam2: float) -> RootResult:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if root_poly_value(lam1, lam2, mid) < 0.0:
+        if _root_poly(lam1, lam2, mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    root = hi if abs(root_poly_value(lam1, lam2, hi)) <= abs(root_poly_value(lam1, lam2, lo)) else lo
+    root = hi if abs(_root_poly(lam1, lam2, hi)) <= abs(_root_poly(lam1, lam2, lo)) else lo
     if root <= tilde:
         root = np.nextafter(tilde, 1.0)
-    val = root_poly_value(lam1, lam2, root)
+    val = _root_poly(lam1, lam2, root)
     return RootResult(has_root=True, root=float(root), residual=float(val),
                       lower_bound=float(tilde), certificate_min=None)
 

@@ -84,6 +84,17 @@ def slopes(v, n: Optional[int] = None, name: str = "beta") -> np.ndarray:
     return b
 
 
+def unit_interval(v, name: str) -> np.ndarray:
+    """``v`` as a float array, of any shape, of finite entries in [0, 1]: a
+    profile parameter t or s of the bounds. Any other entry, ``nan``
+    included, is a ``ValueError`` naming the argument."""
+    x = np.asarray(v, dtype=float)
+    inside = (x >= 0.0) & (x <= 1.0)
+    if not inside.all():
+        raise ValueError(f"{name} must be in [0, 1] entrywise, got {x[~inside].flat[0]}")
+    return x
+
+
 def require_count(v, name: str, low: int) -> int:
     """``v`` as a Python int: an integer >= low, numpy integers included. A
     ``bool``, any float (2.0 too), a string or anything else is a ``ValueError``."""

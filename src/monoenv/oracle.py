@@ -12,9 +12,9 @@ on the whole grid. The incumbent, and from n = 5 on the seeded restarts too,
 are then polished by per-coordinate section searches plus line searches
 along each start's orthant diagonal, which is where the attainment loci
 live. All starts are refined in lockstep: each line takes 11 section steps,
-each step evaluates the function once, on 32 points per start still
-searching, and a start whose value a whole pass did not raise gets no more
-passes. All randomness is seeded, so results are reproducible bit for bit.
+each one call on 32 points per start still searching, and ends on its last
+step's best point; a start whose value a whole pass did not raise gets no
+more passes. All randomness is seeded: results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -143,8 +143,8 @@ def _line(func, dom: Domain, X: np.ndarray, V: np.ndarray, D: np.ndarray,
     of every searched line at the SECTION_POINTS = 32 interior parameters
     t = a + i h, h = (b - a)/33, of its bracket [a, b], and keeps
     [a + (i* - 1) h, a + (i* + 1) h] around the first largest value i*. The
-    arithmetic is elementwise, so a line ends where it would end alone, at
-    the point at the midpoint of its last bracket: its line maximum.
+    arithmetic is elementwise, so a line ends where it would end alone, on
+    the best point of its last step with that step's value: its line maximum.
     """
     tlo, thi = dom.line_range(X, D)
     tlo, thi = np.maximum(tlo, -reach), np.minimum(thi, reach)
@@ -160,8 +160,8 @@ def _line(func, dom: Domain, X: np.ndarray, V: np.ndarray, D: np.ndarray,
         v = _values(func, P.reshape(-1, P.shape[-1])).reshape(T.shape)
         best = np.argmax(v, axis=1)  # i* - 1
         a, b = a + best * h, a + (best + 2) * h
-    P = Xr + (0.5 * (a + b))[:, None] * Dr
-    v = _values(func, P)
+    k = np.arange(len(rows))
+    P, v = P[k, best], v[k, best]
     up = v > V[rows]
     X[rows[up]] = P[up]
     V[rows[up]] = v[up]
@@ -333,16 +333,16 @@ def sampled_hull_envelope(m: Monomial, box: Domain, x, side: str) -> float:
 
 def sigma_numeric(m: Monomial, dom: Domain, beta,
                   grid: Optional[GridSpec] = None) -> float:
-    """Numeric best valid intercept: sum(beta) + min over the domain of
-    x**alpha - beta.x for finite beta >= 1, via grid refinement plus exact
-    vertex enumeration whenever the domain carries a vertex list."""
+    """Numeric best valid intercept: min over the domain of x**alpha -
+    beta.(x - 1), which has no sum(beta) to cancel, for finite beta >= 1, via
+    grid refinement plus vertex enumeration where the domain has vertices."""
     if m.n > 6:
         raise ScaleExceeded("sigma_numeric supports n <= 6")
     b = slopes(beta, m.n)
     dom.require_monomial(m)
 
     def objective(X):
-        return monomial_values(m, X) - np.einsum("ij,j->i", np.ascontiguousarray(X), b)
+        return monomial_values(m, X) - np.einsum("ij,j->i", np.ascontiguousarray(X - 1.0), b)
 
     best, _ = grid_minimize(objective, dom, grid, center_weights=b)
     try:
@@ -351,7 +351,7 @@ def sigma_numeric(m: Monomial, dom: Domain, beta,
         verts = None
     if verts is not None:
         best = min(best, float(np.min(objective(verts))))
-    return float(b.sum()) + best
+    return best
 
 
 def relaxation_error_PB(m: Monomial, B: Sequence, dom: Domain,

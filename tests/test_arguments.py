@@ -174,6 +174,25 @@ def _other_cases():
             oracle.ratio_box_diagonal_gap(3, 2.0, v))
 
 
+# each profile parameter as (its name, a function of it); phi_beta_kappa gave
+# nan at t = nan, warned at -1 and returned 1e308 at 1e308, psi_value gave
+# 0.0 at nan, inf and 1e308 and a bare math domain error at -5, and
+# root_poly_value gave nan at nan and warned at inf
+PROFILE_ENTRIES = {
+    "phi_beta_kappa": ("t", lambda t: bounds.phi_beta_kappa((1.5, 1.5), (1.0, 2.0), 1.0, t)),
+    "psi_value": ("t", lambda t: bounds.psi_value(3, 2.0, t)),
+    "root_poly_value": ("s", lambda s: bounds.root_poly_value(5, 2.0, s)),
+}
+BAD_PROFILE_PARAMETERS = {"nan": NAN, "inf": INF, "-inf": -INF, "-1": -1.0, "-5": -5.0,
+                          "1e308": 1e308, "1.5": 1.5, "one-of-two": [0.5, NAN]}
+
+
+def _profile_cases():
+    for name, (_, call) in PROFILE_ENTRIES.items():
+        for label, bad in BAD_PROFILE_PARAMETERS.items():
+            yield f"{name}-{label}", lambda c=call, v=bad: c(v)
+
+
 def _dimension_cases():
     # a float n once built a domain that failed later with a numpy TypeError
     # and a hull that failed in range(); n must be an int, or a numpy integer
@@ -288,6 +307,7 @@ REJECTIONS = [
     *(("lp", name, call, DimensionMismatch) for name, call in _lp_cases()),
     *(("objective", name, call, DimensionMismatch) for name, call in _objective_cases()),
     *(("ratio", name, call, ValueError) for name, call in _ratio_cases()),
+    *(("profile", name, call, ValueError) for name, call in _profile_cases()),
     *(("dimension", name, call, ValueError) for name, call in _dimension_cases()),
     *(("integer", name, call, ValueError) for name, call in _integer_cases()),
     *(("other", name, call, ValueError) for name, call in _other_cases()),
@@ -300,6 +320,17 @@ def test_bad_argument_raises_its_typed_error(kind, name, call, error):
     with pytest.raises(ValueError) as info:
         call()
     assert info.type is error, info.value
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(PROFILE_ENTRIES))
+def test_a_profile_parameter_outside_the_unit_interval_is_named(name):
+    arg, call = PROFILE_ENTRIES[name]
+    for bad in BAD_PROFILE_PARAMETERS.values():
+        with pytest.raises(ValueError, match=rf"^{arg} must be in \[0, 1\]"):
+            call(bad)
+    for good in (0.0, 0.5, 1.0, [0.0, 1.0]):
+        assert np.isfinite(call(good)).all()
 
 
 def test_every_slope_entry_accepts_valid_slopes():

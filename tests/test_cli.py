@@ -420,6 +420,12 @@ class TestSigmaRoot:
         assert code == EXIT_SCALE
         assert out == "" and "the sum of beta" in err
 
+    def test_large_slopes_keep_the_numeric_intercept(self, capsys):
+        # it printed "sigma numeric   0": sum(beta) cancelled the minimum
+        code, out, _ = run_cli(capsys, "sigma", "--alpha", "1,1", "--beta", "1e300,1e300")
+        assert code == EXIT_OK
+        assert "sigma exact     1\n" in out and "sigma numeric   1\n" in out
+
     def test_root_output(self, capsys):
         code, out, _ = run_cli(capsys, "root", "--lambda1", "6", "--lambda2", "3")
         assert code == EXIT_OK

@@ -141,6 +141,12 @@ class TestSigmaNumeric:
         m = Monomial((1, 1))
         assert sigma_numeric(m, UnitBox(2), [1.0, 1.0]) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    def test_large_slopes_do_not_cancel(self):
+        # sum(beta) + min(f - beta.x) read 2e300 + (1 - 2e300) = 0
+        m = Monomial((1, 1))
+        assert sigma_numeric(m, UnitBox(2), [1e300, 1e300], GridSpec(resolution=4)) == 1.0
+
     def test_unit_box_interval(self):
         rng = np.random.default_rng(1)
         m = Monomial((2, 1))
@@ -164,8 +170,9 @@ class TestSigmaNumeric:
         m, spec = Monomial((2, 1)), GridSpec(resolution=4)
         with pytest.raises(RuntimeError, match="vertex list failed"):
             sigma_numeric(m, Broken(2), [1.0, 1.0], spec)
-        grid_only = float(np.sum([1.0, 1.0])) + oracle.grid_minimize(
-            lambda X: monomial_values(m, X) - np.einsum("ij,j->i", X, np.ones(2)), UnitBox(2), spec,
+        grid_only = oracle.grid_minimize(
+            lambda X: monomial_values(m, X) - np.einsum("ij,j->i", np.ascontiguousarray(X - 1.0),
+                                                        np.ones(2)), UnitBox(2), spec,
             center_weights=np.ones(2))[0]
         assert sigma_numeric(m, NoVertices(2), [1.0, 1.0], spec) == grid_only
 
@@ -746,10 +753,11 @@ def _seq_section_line(func, x, d, tlo, thi):
     i = np.arange(1, oracle.SECTION_POINTS + 1)[:, None]
     for _ in range(oracle.SECTION_STEPS):
         h = (b - a) / (oracle.SECTION_POINTS + 1)
-        i_star = int(np.argmax(func(x + (a + i * h) * d))) + 1
+        P = x + (a + i * h) * d
+        vals = func(P)
+        i_star = int(np.argmax(vals)) + 1
         a, b = a + (i_star - 1) * h, a + (i_star + 1) * h
-    t = 0.5 * (a + b)
-    return t, float(func((x + t * d)[None, :])[0])
+    return P[i_star - 1], float(vals[i_star - 1])  # the last step's best point
 
 
 def _seq_refine(func, dom, x0, v0, cell, center_weights=None):
@@ -757,9 +765,9 @@ def _seq_refine(func, dom, x0, v0, cell, center_weights=None):
         tlo, thi = dom.line_range(x, d)
         tlo, thi = max(tlo, -reach), min(thi, reach)
         if np.isfinite(tlo) and np.isfinite(thi) and thi - tlo > 1e-14:
-            t, vt = _seq_section_line(func, x, d, tlo, thi)
+            p, vt = _seq_section_line(func, x, d, tlo, thi)
             if vt > v:
-                return x + t * d, vt
+                return p, vt
         return x, v
 
     n = dom.n
@@ -872,7 +880,9 @@ class TestLockstepRefinement:
 
     def test_estimator_calls_per_verdict(self):
         # one call per section step evaluates 32 points of every searched
-        # line; a one-point-per-call line search needs about 900 calls here
+        # line; a one-point-per-call line search needs about 900 calls here.
+        # The scan takes 13 calls (by_blocks blocks), then refinement 2
+        # passes of 5 lines of SECTION_STEPS calls: the second pass settles
         n = 3
         m = Monomial.multilinear(n)
         calls = []
@@ -883,7 +893,7 @@ class TestLockstepRefinement:
 
         rep = max_gap(m, UnitBox(n), est, oracle.UNDER, bound=bounds.c2(n))
         assert rep.verdict is Verdict.TIGHT
-        assert len(calls) <= 150
+        assert len(calls) == 13 + 2 * 5 * oracle.SECTION_STEPS
 
     def test_first_of_equal_values_wins(self, monkeypatch):
         # a constant function: every start ties, so the grid incumbent stays
@@ -986,8 +996,8 @@ PINNED_VERDICTS = {
     "unit-convex-3": ("0x1.2f684bda12f69p-2",
         ("0x1.5555555e559aap-1", "0x1.55555550d532bp-1", "0x1.55555550d532bp-1")),
     "unit-convex-5": ("0x1.4f8b588e368f2p-2",
-        ("0x1.9999999da63bep-1", "0x1.9999997632666p-1", "0x1.999999ad26f26p-1",
-         "0x1.999999a783cf3p-1", "0x1.999999977c9c3p-1")),
+        ("0x1.9999999804dedp-1", "0x1.999999a76c1e1p-1", "0x1.99999991f760ap-1",
+         "0x1.999999942ad15p-1", "0x1.9999999a6cd13p-1")),
     "ratio-convex-3": ("0x1.425ed097b4270p-1",
         ("0x1.aaaaaaea7e7ffp+0", "0x1.aaaaaa8ac0c02p+0", "0x1.aaaaaa8ac0c02p+0")),
     "ratio-convex-5": ("0x1.72a5a469d7368p+1",

@@ -51,10 +51,11 @@ def _every_step_line(func, dom, X, V, D, reach, steps):
         for _ in range(SECTION_STEPS):
             steps[k] += 1
             h = (b - a) / (SECTION_POINTS + 1)
-            best = int(np.argmax(func(x + (a + i * h) * d)))
+            P = x + (a + i * h) * d
+            vals = func(P)
+            best = int(np.argmax(vals))
             a, b = a + best * h, a + (best + 2) * h
-        p = x + 0.5 * (a + b) * d
-        v = func(p[None, :])[0]
+        p, v = P[best], vals[best]  # the last step's best point and value
         if v > V[k]:
             X[k], V[k] = p, v
 
@@ -97,7 +98,8 @@ class TestSectionMax:
 
     def test_one_call_per_step_on_open_brackets(self):
         # segments 2, 2e-12 and 5e-15 wide: the last is under the search
-        # floor and never asked; the others take every step, however narrow
+        # floor and never asked; the others take every step, however narrow,
+        # and no other call
         X, V, D = _stack([0.0, 0.0, 0.0], [1.0, 1e12, 4e14])
         calls = []
 
@@ -106,7 +108,7 @@ class TestSectionMax:
             return -P[:, 0] ** 2
 
         oracle._line(f, DOM, X, V, D)
-        assert calls == [2 * SECTION_POINTS] * SECTION_STEPS + [2]  # then the line maxima
+        assert calls == [2 * SECTION_POINTS] * SECTION_STEPS
         assert X[2, 0] == 0.0 and V[2] == -np.inf
 
     def test_step_cap(self):
@@ -119,7 +121,28 @@ class TestSectionMax:
 
         oracle._line(f, DOM, X, V, D)
         assert abs(X[0, 0] - 0.1) <= 2.0 * SHRINK ** SECTION_STEPS / 2
-        assert len(calls) == SECTION_STEPS + 1
+        assert len(calls) == SECTION_STEPS
+
+    def test_a_line_ends_on_the_best_point_of_its_last_step(self):
+        # no call after the last step: each line keeps the first largest
+        # row of that step's call and the value the call gave it
+        rng = np.random.default_rng(11)
+        k = 9
+        X, V, D = _stack(rng.uniform(-1.0, 1.0, k), 10.0 ** rng.uniform(-2.0, 12.0, k))
+        calls = []
+        func = _peaks(X, rng.uniform(-1.0, 1.0, k))
+
+        def f(P):
+            calls.append((P.copy(), func(P)))
+            return calls[-1][1]
+
+        oracle._line(f, DOM, X, V, D)
+        assert len(calls) == SECTION_STEPS
+        P, v = calls[-1]
+        P, v = P.reshape(k, SECTION_POINTS, 2), v.reshape(k, SECTION_POINTS)
+        best = np.argmax(v, axis=1)
+        assert np.array_equal(_bits(X), _bits(P[np.arange(k), best]))
+        assert np.array_equal(_bits(V), _bits(v[np.arange(k), best]))
 
     @pytest.mark.filterwarnings("error")
     def test_brackets_below_float_resolution_stay_finite(self):
@@ -136,7 +159,7 @@ class TestSectionMax:
             return -np.abs(P[:, 0] - 0.3)
 
         oracle._line(f, DOM, X, V, D)
-        assert calls == [(SECTION_POINTS * k, True)] * SECTION_STEPS + [(k, True)]
+        assert calls == [(SECTION_POINTS * k, True)] * SECTION_STEPS
         assert np.isfinite(X).all() and np.isfinite(V).all()
         assert DOM.contains_many(X).all()
 
