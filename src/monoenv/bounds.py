@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -25,8 +25,6 @@ from .core import (
     slopes,
     unit_interval,
 )
-
-BISECT_MAX_ITER = 200
 
 
 def _convex_power(sigma, D, rho=1) -> float:
@@ -282,13 +280,7 @@ def errenv_bound(m: Monomial, B: Sequence[tuple[Sequence[float], float]]) -> flo
             k = a.copy()
             k[j] = min(a[j], bmin[j])
             candidates.append(k)
-    best = math.inf
-    for k in candidates:
-        inf_c = min(
-            c_beta_kappa(m, b, k, s) for b, s in zip(betas, sigmas)
-        )
-        best = min(best, inf_c)
-    return best
+    return min(c_beta_kappa(m, b, k, s) for k in candidates for b, s in zip(betas, sigmas))
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +459,15 @@ def psi_value(n: int, r: float, t) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
+def _bisect(below: Callable[[float], bool], lo: float, hi: float) -> tuple[float, float]:
+    """Halve [lo, hi] until no float lies between: mid replaces lo if ``below(mid)``, else hi."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo, hi
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+
+
 @dataclass(frozen=True)
 class DBoundResult:
     bound: float
@@ -486,10 +487,7 @@ def d_bound_cases(n: int, r: float) -> DBoundResult:
     n, r = b.n, float(r)
     if n * b.L > _EXP_OVERFLOW:
         raise ScaleExceeded(f"r**n overflows for n={n}, r={r}; the bound is unrepresentable")
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if _psi_slope(b, mid) > 0.0 else (lo, mid)
+    lo, hi = _bisect(lambda t: _psi_slope(b, t) > 0.0, 0.0, 1.0)
     t_star = 0.5 * (lo + hi)
     thresh = (n - 1) / n
     if t_star >= thresh - 1e-12:
@@ -521,14 +519,22 @@ class RootResult:
     certificate_min: Optional[float]  # min of the polynomial on a (0,1] grid when rootless
 
 
+def _root_params(lam1, lam2) -> int:
+    """lam1 as an int, once lam1 >= 1 and then a finite lam2 >= 1 are checked."""
+    lam1 = require_count(lam1, "lam1", 1)
+    if not 1.0 <= lam2 < math.inf:
+        raise ValueError(f"lam2 must be finite and >= 1, got {lam2}")
+    return lam1
+
+
 def root_poly_value(lam1: int, lam2: float, s) -> float | np.ndarray:
     """(1 - s)**lam1 + lam2 * s - 1 for s in [0, 1]."""
-    out = _root_poly(lam1, lam2, unit_interval(s, "s"))
+    out = _root_poly(_root_params(lam1, lam2), lam2, unit_interval(s, "s"))
     return float(out) if out.ndim == 0 else out
 
 
 def _root_poly(lam1: int, lam2: float, s):
-    # root_poly_value without the check on s, for the bisection's own points
+    # root_poly_value without its checks, for the bisection's own points
     return np.power(1.0 - s, exponent_float(lam1)) + lam2 * s - 1.0
 
 
@@ -538,13 +544,12 @@ def find_root_power_linear(lam1: int, lam2: float) -> RootResult:
     For lam2 >= lam1 the polynomial is positive on (0, 1] and no root exists
     (certified on a grid). Otherwise bisection on
     [1 - (lam2/lam1)**(1/(lam1-1)), 1] drives |value| below 1e-12; that lower
-    end is taken in logs, so a lam1 beyond the float range works.
+    end is taken in logs, so a lam1 beyond the float range works. A root that
+    floats cannot resolve that far (1 - s rounds to 1) is a ``ScaleExceeded``.
     lam1 = lam2 = 1 gives the zero polynomial, which every s solves; that is
     a ``ValueError``, not "no root".
     """
-    lam1 = require_count(lam1, "lam1", 1)
-    if not 1.0 <= lam2 < math.inf:
-        raise ValueError(f"lam2 must be finite and >= 1, got {lam2}")
+    lam1 = _root_params(lam1, lam2)
     if lam1 == 1 and lam2 == 1.0:
         raise ValueError("lam1 = lam2 = 1 gives the zero polynomial: every s is a root")
     if lam2 >= lam1:
@@ -553,20 +558,13 @@ def find_root_power_linear(lam1: int, lam2: float) -> RootResult:
         return RootResult(has_root=False, root=None, residual=None,
                           lower_bound=None, certificate_min=cert)
     tilde = -math.expm1((math.log(lam2) - math.log(lam1)) * (1 / (lam1 - 1)))
-    lo, hi = tilde, 1.0
-    # run to interval exhaustion; the residual then sits far below the target
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _root_poly(lam1, lam2, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda s: _root_poly(lam1, lam2, s) < 0.0, tilde, 1.0)
     root = hi if abs(_root_poly(lam1, lam2, hi)) <= abs(_root_poly(lam1, lam2, lo)) else lo
     if root <= tilde:
         root = np.nextafter(tilde, 1.0)
     val = _root_poly(lam1, lam2, root)
+    if abs(val) > 1e-12:
+        raise ScaleExceeded(f"no float resolves the root: residual {float(val):.9g} > 1e-12")
     return RootResult(has_root=True, root=float(root), residual=float(val),
                       lower_bound=float(tilde), certificate_min=None)
 

@@ -9,7 +9,6 @@ parameter whose default is the command's; every other constant is fixed here.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -19,6 +18,7 @@ import numpy as np
 
 from . import bounds, envelopes, hulls, oracle
 from .core import (
+    TOL_ORACLE,
     ErrorReport,
     Monomial,
     RatioBox,
@@ -29,8 +29,6 @@ from .core import (
     eval_monomial,
     monomial_values,
 )
-
-TOL = 1e-3  # oracle tolerance of `monoenv verify` when --tol is not given
 
 
 @dataclass
@@ -59,14 +57,16 @@ def _max_gap(name: str, m: Monomial, dom, estimator, side: str, bound: float,
     return Check(name, rep.verdict.value, rep.measured_value, rep.bound_value, rep)
 
 
-def unitbox(alpha=(1, 1), grid: Optional[oracle.GridSpec] = None, tol: float = TOL) -> list[Check]:
+def unitbox(alpha=(1, 1), grid: Optional[oracle.GridSpec] = None,
+            tol: float = TOL_ORACLE) -> list[Check]:
     """Criterion 1: the min-coordinate overestimator's error over [0,1]^n is c1(d)."""
     m = Monomial(alpha)
     return [_max_gap(f"unitbox hull error alpha={list(alpha)}", m, UnitBox(m.n),
                      envelopes.concave_unitbox(m), oracle.OVER, bounds.c1(m.degree), grid, tol)]
 
 
-def cvxmulti(n: int = 3, grid: Optional[oracle.GridSpec] = None, tol: float = TOL) -> list[Check]:
+def cvxmulti(n: int = 3, grid: Optional[oracle.GridSpec] = None,
+             tol: float = TOL_ORACLE) -> list[Check]:
     """Criterion 2: the hinge convex envelope's error over [0,1]^n is (1 - 1/n)^n."""
     return [_max_gap(f"multilinear convex envelope n={n}", Monomial.multilinear(n), UnitBox(n),
                      envelopes.convex_unitbox_multilinear(n), oracle.UNDER, bounds.c2(n),
@@ -74,7 +74,7 @@ def cvxmulti(n: int = 3, grid: Optional[oracle.GridSpec] = None, tol: float = TO
 
 
 def ratiobox(n: int = 3, r: float = 2.0, grid: Optional[oracle.GridSpec] = None,
-             tol: float = TOL) -> list[Check]:
+             tol: float = TOL_ORACLE) -> list[Check]:
     """Criterion 3: the concave and convex envelope errors over [1,r]^n are E and D."""
     m, dom = Monomial.multilinear(n), RatioBox(n, r)
     D, E = bounds.ratio_box_constants(n, r)
@@ -86,7 +86,8 @@ def ratiobox(n: int = 3, r: float = 2.0, grid: Optional[oracle.GridSpec] = None,
     ]
 
 
-def symbox(n: int = 3, grid: Optional[oracle.GridSpec] = None, tol: float = TOL) -> list[Check]:
+def symbox(n: int = 3, grid: Optional[oracle.GridSpec] = None,
+           tol: float = TOL_ORACLE) -> list[Check]:
     """Criterion 4: both facet-system errors over [-1,1]^n are 1 + ((n-2)/n)^n, and
     every reflection of the anchor attainment point is a hull member at that error."""
     m, dom = Monomial.multilinear(n), SymBox(n)
@@ -100,8 +101,8 @@ def symbox(n: int = 3, grid: Optional[oracle.GridSpec] = None, tol: float = TOL)
     ]
     x0, w0 = bounds.symbox_attainment(n)
     worst, member = 0.0, True
-    for s in itertools.product((1.0, -1.0), repeat=n):
-        x, w = np.array(s) * x0, w0 * math.prod(s)
+    for s in dom.vertices():
+        x, w = s * x0, w0 * math.prod(s)
         worst = max(worst, abs(abs(w - eval_monomial(m, x)) - bound))
         member = member and hulls.hull_membership(fs, x, w).member
     records.append(_check(f"symbox reflections n={n} (2^{n} points, membership={member})",
@@ -117,7 +118,8 @@ def integrality(n: int = 4, trials: int = 1000, seed: int = 42) -> list[Check]:
                    rep.passed, rep.max_value_gap, 1e-9)]
 
 
-def simplex(alpha=(1, 1), grid: Optional[oracle.GridSpec] = None, tol: float = TOL) -> list[Check]:
+def simplex(alpha=(1, 1), grid: Optional[oracle.GridSpec] = None,
+            tol: float = TOL_ORACLE) -> list[Check]:
     """Criterion 6: the concave bound and the convex error over the simplex."""
     m = Monomial(alpha)
     sb = bounds.simplex_bounds(m)
@@ -237,7 +239,9 @@ def underestimator(seed: int = 42) -> list[Check]:
         axes = [np.linspace(lower[j], upper[j], res) for j in range(n)]
         pts = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
         dense = dense and len(pts) >= 100_000
-        worst = max(worst, float(np.max(1.0 + (pts - 1.0) @ g - monomial_values(m, pts))))
+        cut = envelopes.LinearUnderestimator(g, 1.0)
+        worst = max(worst, float(np.max(envelopes.underestimator_value(cut, pts)
+                                        - monomial_values(m, pts))))
     sig_worst = 0.0
     for _ in range(10):
         n = int(rng.integers(2, 4))

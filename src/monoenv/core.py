@@ -20,7 +20,7 @@ import numpy as np
 TOL_EXACT = 1e-9
 TOL_ORACLE = 1e-4
 
-VERTEX_ENUM_LIMIT = 20  # 2^n blowup guard for explicit vertex lists
+VERTEX_ENUM_LIMIT = 20  # 2^n blowup guard for explicit vertex and facet lists
 BLOCK_FLOATS = 1 << 16  # input floats per row-kernel call, so its temporaries stay in cache
 _EXPONENT_INF = 2 ** 1023  # see exponent_float
 
@@ -570,12 +570,7 @@ class CornerSimplexOne(Domain):
         return 1.0 - np.asarray(self.lam), np.ones(self.n)
 
     def vertices(self) -> np.ndarray:
-        vs = [np.ones(self.n)]
-        for i in range(self.n):
-            v = np.ones(self.n)
-            v[i] = 1.0 - self.lam[i]
-            vs.append(v)
-        return np.vstack(vs)
+        return np.vstack([np.ones(self.n), 1.0 - np.diag(self.lam)])
 
     def monomial_extreme(self, m, sense):
         if sense == "max":
@@ -605,10 +600,8 @@ class ComplementSimplex(Domain):
         return np.zeros(self.n), np.ones(self.n)
 
     def vertices(self) -> np.ndarray:
-        if self.n > VERTEX_ENUM_LIMIT:
-            raise ScaleExceeded(f"vertex enumeration refused for n={self.n}")
-        vs = [v for v in itertools.product((0.0, 1.0), repeat=self.n) if sum(v) < self.n]
-        return np.array(vs, dtype=float)
+        # the unit box's vertices in their order, whose last is the all-ones point
+        return _box_vertices(*self.bounding_box())[:-1]
 
     def intercept_range(self, m, beta):
         v = float(beta.min())

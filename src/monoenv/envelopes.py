@@ -53,7 +53,8 @@ class LinearUnderestimator:
 
 
 def underestimator_value(u: LinearUnderestimator, x) -> float | np.ndarray:
-    """intercept + sum_j beta_j (x_j - 1)."""
+    """intercept + sum_j beta_j (x_j - 1), the one evaluator of such a cut: on
+    row-major shifted points, so a row of a column-major grid gets its bits alone."""
     X, single = as_points(x, u.n)
     vals = u.intercept + np.einsum("ij,j->i", np.ascontiguousarray(X - 1.0), np.asarray(u.beta))
     return float(vals[0]) if single else vals

@@ -21,9 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import envelopes, lp
-from .core import TOL_EXACT, ScaleExceeded, SymBox, one_point, require_count
-
-FACET_ENUM_LIMIT = 20
+from .core import TOL_EXACT, VERTEX_ENUM_LIMIT, ScaleExceeded, SymBox, one_point, require_count
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,7 @@ class FacetSystem:
 
     def __post_init__(self):
         require_count(self.n, "n", 1)
-        if self.n > FACET_ENUM_LIMIT:
+        if self.n > VERTEX_ENUM_LIMIT:
             raise ScaleExceeded(f"facet enumeration refused for n={self.n}: 2^{self.n} facets; "
                                 "use the closed-form envelope evaluation instead")
 
@@ -71,20 +69,17 @@ class FacetSystem:
                      if bin(mask).count("1") % 2 == 1)
 
     @functools.cached_property
-    def _signs(self) -> np.ndarray:
+    def sign_matrix(self) -> np.ndarray:
+        """Facet coefficient rows (+1 on the subset, -1 off it); read-only."""
         masks = np.array([f.mask for f in self.facets], dtype=np.int64)
         bits = (masks[:, None] >> np.arange(self.nvars)) & 1
         signs = (2 * bits - 1).astype(float)
         signs.setflags(write=False)
         return signs
 
-    def sign_matrix(self) -> np.ndarray:
-        """Facet coefficient rows (+1 on the subset, -1 off it); read-only."""
-        return self._signs
-
     def to_ub(self) -> tuple[np.ndarray, np.ndarray]:
         """Inequalities as A z <= b (facet rows only, box handled separately)."""
-        A = -self.sign_matrix()
+        A = -self.sign_matrix
         b = np.full(len(A), self.n - 1.0)
         return A, b
 
@@ -126,7 +121,7 @@ def hull_membership(fs: FacetSystem, x, w: float) -> MembershipResult:
     if not np.all(np.isfinite(z)):
         raise ValueError(f"hull_membership needs finite (x, w), got {z.tolist()}")
     box_bad = tuple(i + 1 for i, v in enumerate(z) if abs(v) > 1.0 + TOL_EXACT)
-    ok = fs.sign_matrix() @ z >= -(fs.n - 1.0) - TOL_EXACT
+    ok = fs.sign_matrix @ z >= -(fs.n - 1.0) - TOL_EXACT
     violated = tuple(fs.facets[i] for i in np.flatnonzero(~ok))
     return MembershipResult(member=not box_bad and not violated,
                             violated=violated, box_violations=box_bad)

@@ -42,7 +42,7 @@ from .core import (
     slopes,
 )
 from . import bounds as _bounds
-from .envelopes import Envelope, concave_unitbox
+from .envelopes import Envelope, LinearUnderestimator, concave_unitbox, underestimator_value
 from .lp import solve_equality_lp
 
 OVER = "OVER"
@@ -340,17 +340,16 @@ def sigma_numeric(m: Monomial, dom: Domain, beta,
         raise ScaleExceeded("sigma_numeric supports n <= 6")
     b = slopes(beta, m.n)
     dom.require_monomial(m)
+    cut = LinearUnderestimator(b, 0.0)
 
     def objective(X):
-        return monomial_values(m, X) - np.einsum("ij,j->i", np.ascontiguousarray(X - 1.0), b)
+        return monomial_values(m, X) - underestimator_value(cut, X)
 
     best, _ = grid_minimize(objective, dom, grid, center_weights=b)
     try:
-        verts = dom.vertices()
+        best = min(best, float(np.min(objective(dom.vertices()))))
     except UnsupportedDomain:
-        verts = None
-    if verts is not None:
-        best = min(best, float(np.min(objective(verts))))
+        pass
     return best
 
 
@@ -373,20 +372,19 @@ def relaxation_error_PB(m: Monomial, B: Sequence, dom: Domain,
     if not dom.contains(np.ones(m.n)):
         raise ValueError("the all-ones point must belong to the domain")
 
-    pairs = []
+    cuts = []
     for s in betas:
         iv = _bounds.sigma_beta(m, dom, s)
         sig = iv.lo if iv.exact else sigma_numeric(m, dom, s, grid)
-        pairs.append((s, sig))
+        cuts.append(LinearUnderestimator(s, sig))
 
     over = concave_unitbox(m)
 
     def err(X):
         f = monomial_values(m, X)
         under = np.zeros(X.shape[0])
-        shifted = np.ascontiguousarray(X - 1.0)
-        for s, sig in pairs:
-            under = np.maximum(under, sig + np.einsum("ij,j->i", shifted, s))
+        for cut in cuts:
+            under = np.maximum(under, underestimator_value(cut, X))
         return np.maximum(f - under, over.value(X) - f)
 
     spec = grid or GridSpec()

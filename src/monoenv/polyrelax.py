@@ -216,9 +216,7 @@ def _relaxed_minimum_lp(p: Polynomial) -> tuple[float, np.ndarray]:
             rows.append(row)
             rhs.append(0.0)
     A_ub = np.vstack(rows) if rows else np.zeros((0, nv))
-    lower = np.concatenate([np.zeros(n), np.zeros(len(pos)), np.zeros(len(neg))])
-    upper = np.concatenate([np.ones(n), np.ones(len(pos)), np.ones(len(neg))])
-    z, val = solve_box_lp(c, A_ub, rhs, lower, upper, maximize=False)
+    z, val = solve_box_lp(c, A_ub, rhs, np.zeros(nv), np.ones(nv), maximize=False)
     return float(val + const), z[:n]
 
 

@@ -152,6 +152,11 @@ def _ratio_cases():
 def _other_cases():
     yield "find_root_power_linear-inf", lambda: bounds.find_root_power_linear(3, INF)
     yield "find_root_power_linear-nan", lambda: bounds.find_root_power_linear(3, NAN)
+    # root_poly_value once checked only s: lam2 = nan gave nan, inf gave inf
+    # and 0.5 a value, and lam1 = -3 gave 8.0
+    for label, bad in (("nan", NAN), ("inf", INF), ("0.5", 0.5)):
+        yield f"root_poly_value-lam2-{label}", lambda v=bad: bounds.root_poly_value(3, v, 0.5)
+    yield "root_poly_value-lam1--3", lambda: bounds.root_poly_value(-3, 2.0, 0.5)
     # each of these once passed construction and failed later, or not at all
     yield "GridSpec-resolution-2.5", lambda: oracle.GridSpec(resolution=2.5)
     yield "GridSpec-resolution-1", lambda: oracle.GridSpec(resolution=1)
@@ -236,6 +241,7 @@ def _integer_cases():
         "psi_value": lambda n: bounds.psi_value(n, 2.0, 0.5),
         "ratio_box_diagonal_gap": lambda n: oracle.ratio_box_diagonal_gap(n, 2.0, 0.5),
         "find_root_power_linear": lambda k: bounds.find_root_power_linear(k, 1.5),
+        "root_poly_value.lam1": lambda k: bounds.root_poly_value(k, 1.5, 0.5),
         "Polynomial.n": lambda n: polyrelax.Polynomial(n, ()),
         "Polynomial.alpha": lambda a: polyrelax.Polynomial(2, ((1.0, (a, 1)),)),
         "parse_polynomial_json.n": lambda n: _poly_json(n, [1, 1]),
@@ -331,6 +337,17 @@ def test_a_profile_parameter_outside_the_unit_interval_is_named(name):
             call(bad)
     for good in (0.0, 0.5, 1.0, [0.0, 1.0]):
         assert np.isfinite(call(good)).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [lambda lam1, lam2: bounds.root_poly_value(lam1, lam2, 0.5),
+                                   bounds.find_root_power_linear],
+                         ids=["root_poly_value", "find_root_power_linear"])
+@pytest.mark.parametrize("lam1,lam2,name", [(3, NAN, "lam2"), (2.5, 2.0, "lam1"),
+                                            (3, 0.5, "lam2"), (2.5, NAN, "lam1")])
+def test_a_bad_root_parameter_is_named_lam1_first(entry, lam1, lam2, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        entry(lam1, lam2)
 
 
 def test_every_slope_entry_accepts_valid_slopes():

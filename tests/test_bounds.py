@@ -799,6 +799,15 @@ class TestRootFinder:
         with pytest.raises(ValueError):
             find_root_power_linear(3, float("nan"))
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_root_floats_cannot_resolve_is_a_scale_refusal(self):
+        # 1 - s rounds to 1 near the root, about 7e-21: bisection returned a
+        # point with residual 0.35 as the root
+        with pytest.raises(ScaleExceeded, match="residual"):
+            find_root_power_linear(10 ** 20, 5e19)
+        with pytest.raises(ScaleExceeded):
+            find_root_power_linear(3 * 10 ** 16, 1.5e16)
+
 class TestDegreeInequality:
     def test_equality_at_two(self):
         assert dineq_check(2)

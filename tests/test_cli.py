@@ -564,6 +564,15 @@ def test_root_for_lambda1_beyond_the_float_range(capsys):
     assert out == f"root={1 / 1.5!r} residual=0 lower_bound=0\n"
 
 
+def test_root_below_float_resolution_is_a_scale_refusal(capsys):
+    # 1 - s rounds to 1 near this root: it printed root=6.93e-21 with
+    # residual=0.34657359 and exited 0
+    code, out, err = run_cli(capsys, "root", "--lambda1", "100000000000000000000",
+                             "--lambda2", "5e19")
+    assert (code, out) == (EXIT_SCALE, "")
+    assert err.startswith("scale refusal:")
+
+
 @pytest.mark.parametrize("domain", [d for d, reads in DOMAIN_READS.items() if reads])
 def test_missing_domain_flag_is_a_usage_error(capsys, domain):
     code, out, err = run_cli(capsys, "bounds", "--alpha", "1,1", "--domain", domain)

@@ -348,7 +348,7 @@ def _block_cases():
         yield "concave_env_ratiobox", n, lambda X, n=n: envelopes.concave_env_ratiobox(n, 1.7, X), box
         yield "convex_env_ratiobox", n, lambda X, n=n: envelopes.convex_env_ratiobox(n, 1.7, X), box
         yield "envelopes_symbox", n, lambda X, n=n: np.stack(envelopes.envelopes_symbox(n, X), 1), signed
-        if n <= hulls.FACET_ENUM_LIMIT:
+        if n <= core.VERTEX_ENUM_LIMIT:
             fs = hulls.build_symbox_hull(n)
             yield "envelope_lower", n, fs.envelope_lower, signed
             yield "envelope_upper", n, fs.envelope_upper, signed
