@@ -9,11 +9,11 @@ by the one block rule of every row kernel, ``core.by_blocks``, so that each
 block's temporaries stay in cache; every package estimator gives a row the
 same bits whatever rows share its call, so the values are those of one call
 on the whole grid. The incumbent, and from n = 5 on the seeded restarts too,
-are then polished by per-coordinate section searches plus line searches
-along each start's orthant diagonal, which is where the attainment loci
-live. All starts are refined in lockstep: each line takes 11 section steps,
-each one call on 32 points per start still searching, and ends on its last
-step's best point; a start whose value a whole pass did not raise gets no
+are then polished by line searches along each coordinate and each start's
+orthant diagonal, which is where the attainment loci live, and along every
+sign diagonal of the incumbent. A pass searches every line of every start as
+one stack in 11 section steps, each one call on 32 points per line; each
+start then moves to its best line's end, and a start no line raised gets no
 more passes. All randomness is seeded: results are reproducible bit for bit.
 """
 
@@ -34,6 +34,7 @@ from .core import (
     Monomial,
     ScaleExceeded,
     UnsupportedDomain,
+    _box_vertices,
     by_blocks,
     error_report,
     monomial_values,
@@ -120,11 +121,14 @@ def _values(func: Callable[[np.ndarray], np.ndarray], P: np.ndarray,
             what: str = "objective") -> np.ndarray:
     """func(P) as a float array of one value per row of P; any other shape
     is a ``DimensionMismatch``, which would otherwise broadcast against the
-    monomial or pick the wrong incumbent."""
+    monomial or pick the wrong incumbent. A nan is a ``ValueError`` naming its
+    first point: the scan and the section search would pass it over."""
     v = np.asarray(func(P), dtype=float)
     if v.shape != (len(P),):
         raise DimensionMismatch(f"the {what} must return one value per point: "
                                 f"{len(P)} points gave shape {v.shape}")
+    if np.isnan(v).any():
+        raise ValueError(f"the {what} is nan at {P[np.argmax(np.isnan(v))].tolist()}")
     return v
 
 
@@ -133,11 +137,12 @@ SECTION_STEPS = 11  # steps per bracket: (2/33)**11, about 4e-14 of the segment,
 
 
 def _line(func, dom: Domain, X: np.ndarray, V: np.ndarray, D: np.ndarray,
-          reach: float = np.inf) -> None:
+          reach=np.inf) -> None:
     """Uniform section search (Avriel & Wilde 1966) from each row of X along
-    the same row of D over its feasible segment, clipped to |t| <= reach; a
-    row moves to its line maximum when that beats V. Only a finite segment
-    longer than 1e-14 is searched, so a zero row of D leaves its start alone.
+    the same row of D over its feasible segment, clipped to |t| <= reach (a
+    number or one per row); a row moves to its line maximum when that beats
+    V. Only a finite segment longer than 1e-14 is searched, so a zero row of
+    D leaves its start alone.
 
     Each of the SECTION_STEPS steps calls ``func`` once, on the points X + t D
     of every searched line at the SECTION_POINTS = 32 interior parameters
@@ -170,16 +175,17 @@ def _line(func, dom: Domain, X: np.ndarray, V: np.ndarray, D: np.ndarray,
 def _refine(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
             X: np.ndarray, V: np.ndarray, cell: np.ndarray,
             center_weights: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Up to REFINE_PASSES passes of line searches: along each coordinate
-    within one grid cell of each start, then along its orthant diagonal and
-    its centering directions.
+    """Up to REFINE_PASSES passes of line searches from each start: along
+    each coordinate within one grid cell, its orthant diagonal and its
+    centering directions, and from the grid incumbent (row 0) every sign
+    diagonal.
 
-    The starts (rows of X, values V) move through this schedule in lockstep,
-    one estimator call per section step for all of them; each row does the
-    arithmetic it would do alone. A line moves a start only where its value
-    strictly rises, so a start whose value a whole pass did not raise is
-    where it was and would only repeat that pass: it is settled, and the
-    remaining passes run on the other starts alone.
+    A pass is one ``_line`` call on the stack of every line of every start;
+    each row does the arithmetic it would do alone. Each start then moves to
+    the first of its best lines if that raised its value, so a narrow bump is
+    found only by a line near its peak: hence the incumbent's diagonals. A
+    start whose value a pass did not raise is settled: it would only repeat
+    that pass, and the remaining passes run on the others alone.
 
     A centering direction moves toward equal |coordinates| while preserving a
     weighted signed sum, which tracks hinge ridges {sum w_j x_j = const}; the
@@ -191,25 +197,32 @@ def _refine(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     weightings = [np.ones(n)]
     if center_weights is not None and not np.all(np.asarray(center_weights) == 1.0):
         weightings.append(np.asarray(center_weights, dtype=float))
+    signs = _box_vertices(-np.ones(n), np.ones(n))[2 ** (n - 1):]
     active = np.arange(len(X))
     for _ in range(REFINE_PASSES):
         if len(active) == 0:
             break
         Xa, Va = X[active], V[active]
-        V0 = Va.copy()
-        for j in range(n):
-            D = np.zeros_like(Xa)
-            D[:, j] = 1.0
-            _line(func, dom, Xa, Va, D, float(cell[j]))
         diag = np.where(Xa < 0, -1.0, 1.0)
-        _line(func, dom, Xa, Va, diag)
+        D = [np.broadcast_to(e, Xa.shape) for e in np.eye(n)] + [diag]
         for w in weightings:
             target = np.sum(w * diag * Xa, axis=1) / np.sum(w)
             cen = diag * target[:, None] - Xa
             cen[np.max(np.abs(cen), axis=1) <= 1e-12] = 0.0  # already centered
-            _line(func, dom, Xa, Va, cen)
-        X[active], V[active] = Xa, Va
-        active = active[Va > V0]
+            D.append(cen)
+        D.extend(signs[:, None] * (active == 0)[:, None])  # zero for restarts: not searched
+        D = np.stack(D)  # (lines, starts, n)
+        L, K = D.shape[:2]
+        Xs, Vs = np.tile(Xa, (L, 1)), np.tile(Va, L)
+        reach = np.repeat(np.concatenate([cell, np.full(L - n, np.inf)]), K)
+        _line(func, dom, Xs, Vs, D.reshape(-1, n), reach)
+        Vs = Vs.reshape(L, K)
+        best = np.argmax(Vs, axis=0)  # the first of each start's best lines
+        k = np.arange(K)
+        up = Vs[best, k] > Va
+        X[active[up]] = Xs.reshape(L, K, n)[best, k][up]
+        V[active[up]] = Vs[best, k][up]
+        active = active[up]
     return X, V
 
 
@@ -219,11 +232,11 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     """Maximize a vectorized function over a structured domain.
 
     Grid scan in ``core.by_blocks`` blocks of rows (lexicographic tie-break:
-    one argmax over all the scan values), section-search refinement from the
-    incumbent, plus seeded random restarts when the grid is coarse (n >= 5),
-    all refined in lockstep; the first best start wins. The refined value
-    never falls below the grid incumbent. A best value of +-inf is a
-    ``ScaleExceeded``: the function left the float range.
+    one argmax over all the scan values), then ``_refine`` from the
+    incumbent, plus seeded random restarts when the grid is coarse (n >= 5);
+    the first best start wins. The refined value never falls below the grid
+    incumbent. A best value of +-inf is a ``ScaleExceeded``: the function
+    left the float range, and a nan is a ``ValueError`` (``_values``).
     """
     spec = grid or GridSpec()
     n = dom.n

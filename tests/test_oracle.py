@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,41 @@ def test_all_nan_estimator_is_an_error_not_valid_upper():
     m = Monomial.multilinear(2)
     with pytest.raises(ValueError, match="nan"):
         max_gap(m, UnitBox(2), lambda X: np.full(len(X), np.nan), oracle.OVER, bound=0.25)
+
+
+def test_a_nan_only_the_scan_meets_is_an_error_not_tight():
+    # nan on a slab no grid centre lies in: the scan passes over it
+    n = 3
+
+    def est(X):
+        v = envelopes.convex_env_unitbox_multilinear(n, X)
+        return np.where(np.abs(X[:, 0] - 2 / 3) < 1e-3, np.nan, v)
+
+    with pytest.raises(ValueError, match=r"the estimator is nan at \[0\.66"):
+        max_gap(Monomial.multilinear(n), UnitBox(n), est, oracle.UNDER, bound=bounds.c2(n))
+
+
+def test_a_nan_only_the_refinement_meets_is_an_error_not_valid_upper(monkeypatch):
+    # nan on the first row of every refinement call: the section search
+    # passed over it and the verdict read VALID_UPPER, 3.4e-3 below the bound
+    n = 3
+    refining = []
+    refine = oracle._refine
+
+    def marked(*args):
+        refining.append(True)
+        return refine(*args)
+
+    def est(X):
+        v = envelopes.convex_env_unitbox_multilinear(n, X)
+        if refining:
+            v[0] = np.nan
+        return v
+
+    monkeypatch.setattr(oracle, "_refine", marked)
+    with pytest.raises(ValueError, match="the estimator is nan at"):
+        max_gap(Monomial.multilinear(n), UnitBox(n), est, oracle.UNDER, bound=bounds.c2(n))
+    assert refining
 
 
 def _report_bits(rep):
@@ -738,13 +775,13 @@ class TestScaledBoxTransport:
         x = rep.attainment_points[0]
         best = min(
             float(np.max(np.abs(x - np.array(s) * x0)))
-            for s in __import__("itertools").product((-1.0, 1.0), repeat=n)
+            for s in itertools.product((-1.0, 1.0), repeat=n)
         )
         assert best <= 1e-3
 
 
 # ---------------------------------------------------------------------------
-# Lockstep refinement against the one-start-at-a-time schedule
+# Stacked refinement against the one-start-at-a-time schedule
 # ---------------------------------------------------------------------------
 
 def _seq_section_line(func, x, d, tlo, thi):
@@ -760,34 +797,38 @@ def _seq_section_line(func, x, d, tlo, thi):
     return P[i_star - 1], float(vals[i_star - 1])  # the last step's best point
 
 
-def _seq_refine(func, dom, x0, v0, cell, center_weights=None):
-    def line(x, v, d, reach=np.inf):
-        tlo, thi = dom.line_range(x, d)
-        tlo, thi = max(tlo, -reach), min(thi, reach)
-        if np.isfinite(tlo) and np.isfinite(thi) and thi - tlo > 1e-14:
-            p, vt = _seq_section_line(func, x, d, tlo, thi)
-            if vt > v:
-                return p, vt
-        return x, v
-
+def _seq_refine(func, dom, x0, v0, cell, center_weights=None, incumbent=True):
+    """One start alone: each pass searches every line from the pass's start
+    point, one line after another, then moves to the first of the best line
+    ends if it beats the start's value; a pass that does not move it ends the
+    refinement. The grid incumbent also searches every sign diagonal."""
     n = dom.n
-    x, v = x0.copy(), v0
     weightings = [np.ones(n)]
     if center_weights is not None and not np.all(np.asarray(center_weights) == 1.0):
         weightings.append(np.asarray(center_weights, dtype=float))
+    signs = [s for s in itertools.product((-1.0, 1.0), repeat=n) if s[0] == 1.0]
+    x, v = x0.copy(), v0
     for _ in range(oracle.REFINE_PASSES):
-        x0, v0 = x, v
-        for j, e_j in enumerate(np.eye(n)):
-            x, v = line(x, v, e_j, float(cell[j]))
         diag = np.where(x < 0, -1.0, 1.0)
-        x, v = line(x, v, diag)
+        lines = [(e_j, float(cell[j])) for j, e_j in enumerate(np.eye(n))] + [(diag, np.inf)]
         for w in weightings:
             target = float(np.sum(w * diag * x) / np.sum(w))
             cen = diag * target - x
             if np.max(np.abs(cen)) > 1e-12:
-                x, v = line(x, v, cen)
-        if np.array_equal(_bits(x), _bits(x0)) and _bits(v) == _bits(v0):
+                lines.append((cen, np.inf))
+        if incumbent:
+            lines += [(np.array(s), np.inf) for s in signs]
+        best_x, best_v = x, v
+        for d, reach in lines:
+            tlo, thi = dom.line_range(x, d)
+            tlo, thi = max(tlo, -reach), min(thi, reach)
+            if np.isfinite(tlo) and np.isfinite(thi) and thi - tlo > 1e-14:
+                p, vt = _seq_section_line(func, x, d, tlo, thi)
+                if vt > best_v:
+                    best_x, best_v = p, vt
+        if not best_v > v:
             break  # settled: another pass would repeat this one
+        x, v = best_x, best_v
     return x, v
 
 
@@ -811,7 +852,7 @@ def _seq_grid_maximize(func, dom, spec, center_weights=None):
             starts.extend(cand[: oracle.RESTARTS - len(starts)])
         for s in starts:
             xs, vs = _seq_refine(func, dom, np.asarray(s), float(func(s[None, :])[0]),
-                                 cell, center_weights)
+                                 cell, center_weights, incumbent=False)
             if vs > v:
                 x, v = xs, vs
     return v, x
@@ -880,9 +921,9 @@ class TestLockstepRefinement:
 
     def test_estimator_calls_per_verdict(self):
         # one call per section step evaluates 32 points of every searched
-        # line; a one-point-per-call line search needs about 900 calls here.
-        # The scan takes 13 calls (by_blocks blocks), then refinement 2
-        # passes of 5 lines of SECTION_STEPS calls: the second pass settles
+        # line of every start; a one-point-per-call line search needs about
+        # 900 calls here. The scan takes 13 calls (by_blocks blocks), then
+        # refinement REFINE_PASSES passes of SECTION_STEPS calls each
         n = 3
         m = Monomial.multilinear(n)
         calls = []
@@ -893,7 +934,36 @@ class TestLockstepRefinement:
 
         rep = max_gap(m, UnitBox(n), est, oracle.UNDER, bound=bounds.c2(n))
         assert rep.verdict is Verdict.TIGHT
-        assert len(calls) == 13 + 2 * 5 * oracle.SECTION_STEPS
+        assert len(calls) == 13 + 3 * oracle.SECTION_STEPS
+
+    def test_only_the_incumbent_searches_every_sign_diagonal(self):
+        # at n = 5 a start searches 5 coordinate lines, its orthant diagonal
+        # and one centering line; the grid incumbent (row 0) adds all 16 sign
+        # diagonals, but only while it is still rising
+        n, steps = 5, oracle.SECTION_STEPS
+        c = np.array([0.52, 0.47, 0.55, 0.44, 0.5])
+        calls = []
+
+        def func(X):
+            calls.append(len(X))
+            return -np.sum((X - c) ** 2, axis=1)
+
+        def rows_per_call(X0):
+            X0 = np.array(X0, float)
+            calls.clear()
+            oracle._refine(func, UnitBox(n), X0, -np.sum((X0 - c) ** 2, axis=1), np.full(n, 0.1))
+            return calls
+
+        start = [0.3, 0.6, 0.2, 0.7, 0.4]
+        lines = n + 2
+        assert set(rows_per_call([start])) == {oracle.SECTION_POINTS * (lines + 16)}
+        rows = rows_per_call([start, [0.7, 0.2, 0.6, 0.3, 0.8], [0.2, 0.3, 0.8, 0.6, 0.7]])
+        assert rows[0] == oracle.SECTION_POINTS * (3 * lines + 16)
+        # the incumbent at the maximum settles in the first pass, a restart does not
+        rows = rows_per_call([c, start])
+        assert rows[:steps] == [oracle.SECTION_POINTS * (2 * lines + 16)] * steps
+        assert len(rows) > steps
+        assert rows[steps:] == [oracle.SECTION_POINTS * lines] * (len(rows) - steps)
 
     def test_first_of_equal_values_wins(self, monkeypatch):
         # a constant function: every start ties, so the grid incumbent stays
@@ -904,9 +974,10 @@ class TestLockstepRefinement:
         assert np.array_equal(x, pts[0])
 
     def test_a_start_whose_value_did_not_rise_gets_no_further_pass(self, monkeypatch):
-        # the start at the maximizer never rises, so it costs one pass of
-        # rows; the other rises in every pass and takes all three
+        # the start at the maximizer never rises, so it takes part in the
+        # first pass only; the other rises in every pass and takes all three
         c = np.array([0.9, 0.1])
+        steps = oracle.SECTION_STEPS
         rows = []
 
         def func(X):
@@ -919,16 +990,18 @@ class TestLockstepRefinement:
             V0 = -(X0[:, 0] - c[0]) ** 2 - 10 * (X0[:, 1] - c[1]) ** 2
             rows.clear()
             _, V = oracle._refine(func, UnitBox(2), X0, V0, np.full(2, 0.05))
-            return sum(rows), V
+            return list(rows), V
 
-        top, V_top = refine_rows([c], 1)
+        top, V_top = refine_rows([c], 3)
         assert V_top[0] == 0.0
-        assert refine_rows([c], 3)[0] == top
+        assert len(top) == steps  # one pass
         climb = [refine_rows([[0.1, 0.9]], p) for p in (1, 2, 3)]
         assert climb[0][1][0] < climb[1][1][0] < climb[2][1][0]  # a rise in every pass
-        both, V_both = refine_rows([c, [0.1, 0.9]], 3)
-        assert both == top + climb[2][0]
-        assert np.array_equal(_bits(V_both), _bits([V_top[0], climb[2][1][0]]))
+        both, V_both = refine_rows([[0.1, 0.9], c], 3)
+        assert len(both) == 3 * steps
+        assert both[0] > climb[2][0][0]  # the first pass searches both starts' lines
+        assert both[steps:] == climb[2][0][steps:]  # the later ones the climbing start's alone
+        assert np.array_equal(_bits(V_both), _bits([climb[2][1][0], V_top[0]]))
 
     def test_settled_start_skips_its_remaining_passes(self, monkeypatch):
         # the bilinear start settles before the last pass; running every pass
@@ -993,21 +1066,21 @@ PINNED_VERDICTS = {
          "0x1.428a2f6c731b2p-1")),
     "unit-concave-weighted-3": ("0x1.e3cf476542bd0p-2",
         ("0x1.428a2f6c731b2p-1", "0x1.428a2f6c731b2p-1", "0x1.428a2f6c731b2p-1")),
-    "unit-convex-3": ("0x1.2f684bda12f69p-2",
-        ("0x1.5555555e559aap-1", "0x1.55555550d532bp-1", "0x1.55555550d532bp-1")),
-    "unit-convex-5": ("0x1.4f8b588e368f2p-2",
-        ("0x1.9999999804dedp-1", "0x1.999999a76c1e1p-1", "0x1.99999991f760ap-1",
-         "0x1.999999942ad15p-1", "0x1.9999999a6cd13p-1")),
-    "ratio-convex-3": ("0x1.425ed097b4270p-1",
-        ("0x1.aaaaaaea7e7ffp+0", "0x1.aaaaaa8ac0c02p+0", "0x1.aaaaaa8ac0c02p+0")),
-    "ratio-convex-5": ("0x1.72a5a469d7368p+1",
-        ("0x1.ccccccc418af3p+0", "0x1.ccccccc48cbf3p+0", "0x1.ccccccd23d4c7p+0",
-         "0x1.ccccccce5755dp+0", "0x1.ccccccd6c5efcp+0")),
+    "unit-convex-3": ("0x1.2f684bda12f68p-2",
+        ("0x1.555555555553fp-1", "0x1.555555555555fp-1", "0x1.5555555555561p-1")),
+    "unit-convex-5": ("0x1.4f8b588e368f0p-2",
+        ("0x1.999999999981cp-1", "0x1.9999999999a98p-1", "0x1.9999999999a98p-1",
+         "0x1.9999999999a98p-1", "0x1.999999999981cp-1")),
+    "ratio-convex-3": ("0x1.425ed097b4268p-1",
+        ("0x1.aaaaaaaaaaaa3p+0", "0x1.aaaaaaaaaaaafp+0", "0x1.aaaaaaaaaaab0p+0")),
+    "ratio-convex-5": ("0x1.72a5a469d7360p+1",
+        ("0x1.ccccccccccc13p+0", "0x1.ccccccccccd4cp+0", "0x1.ccccccccccd4cp+0",
+         "0x1.ccccccccccc0ep+0", "0x1.ccccccccccd4cp+0")),
     "sym-convex-3": ("0x1.097b425ed097bp+0",
-        ("-0x1.55555649bb686p-2", "-0x1.555554db224b4p-2", "0x1.555554db224b4p-2")),
+        ("-0x1.555555555572cp-2", "-0x1.5555555555467p-2", "0x1.5555555555467p-2")),
     "sym-convex-5": ("0x1.13e81450efdcap+0",
-        ("-0x1.333333efadb00p-1", "-0x1.3333330414940p-1", "-0x1.3333330414940p-1",
-         "-0x1.3333330414940p-1", "0x1.3333330414940p-1")),
+        ("-0x1.3333333ad7b36p-1", "-0x1.333333cbb14cep-1", "0x1.33333330ef84cp-1",
+         "0x1.333332d519b52p-1", "0x1.333332f36dc5ep-1")),
     "sym-concave-2": ("0x1.0000000000000p+0",
         ("0x1.ffff7d4800000p-28", "0x1.ffff7d4800000p-28")),
     "sym-concave-4": ("0x1.1000000000000p+0",
@@ -1015,9 +1088,9 @@ PINNED_VERDICTS = {
          "0x1.fffffef87b860p-2")),
     "simplex-concave-3": ("0x1.2f684bda12f17p-2",
         ("0x1.55555555554dbp-2", "0x1.55555555554dbp-2", "0x1.55555555554dbp-2")),
-    "simplex-concave-5": ("0x1.98f1d3ed527a4p-3",
-        ("0x1.9999999999958p-3", "0x1.9999999999962p-3", "0x1.9999999999962p-3",
-         "0x1.999999999998ep-3", "0x1.9999999999962p-3")),
+    "simplex-concave-5": ("0x1.98f1d3ed52755p-3",
+        ("0x1.9999999999908p-3", "0x1.9999999999908p-3", "0x1.9999999999908p-3",
+         "0x1.9999999999908p-3", "0x1.9999999999908p-3")),
 }
 
 
