@@ -10,11 +10,12 @@ block's temporaries stay in cache; every package estimator gives a row the
 same bits whatever rows share its call, so the values are those of one call
 on the whole grid. The incumbent, and from n = 5 on the seeded restarts too,
 are then polished by line searches along each coordinate and each start's
-orthant diagonal, which is where the attainment loci live, and along every
-sign diagonal of the incumbent. A pass searches every line of every start as
-one stack in 11 section steps, each one call on 32 points per line; each
-start then moves to its best line's end, and a start no line raised gets no
-more passes. All randomness is seeded: results are reproducible bit for bit.
+orthant diagonal, which is where the attainment loci live, and up to n = 6
+along every sign diagonal of the incumbent. A pass searches every line of
+every start as one stack in 11 section steps, each one call on 32 points per
+line; each start then moves to its best line's end, and a start no line
+raised gets no more passes. All randomness is seeded: results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -117,18 +118,26 @@ def _grid_points(dom: Domain, res: int) -> np.ndarray:
     return cols.T
 
 
-def _values(func: Callable[[np.ndarray], np.ndarray], P: np.ndarray,
-            what: str = "objective") -> np.ndarray:
+def _row_values(func: Callable[[np.ndarray], np.ndarray], P: np.ndarray,
+                what: str) -> np.ndarray:
     """func(P) as a float array of one value per row of P; any other shape
     is a ``DimensionMismatch``, which would otherwise broadcast against the
-    monomial or pick the wrong incumbent. A nan is a ``ValueError`` naming its
-    first point: the scan and the section search would pass it over."""
+    monomial or pick the wrong incumbent."""
     v = np.asarray(func(P), dtype=float)
     if v.shape != (len(P),):
         raise DimensionMismatch(f"the {what} must return one value per point: "
                                 f"{len(P)} points gave shape {v.shape}")
+    return v
+
+
+def _values(func: Callable[[np.ndarray], np.ndarray], P: np.ndarray) -> np.ndarray:
+    """The objective's ``_row_values``; a nan is a ``ValueError`` naming its
+    first point, since the scan and the section search would pass it over.
+    Each value is tested once, here: ``max_gap`` tests its estimator only for
+    its shape, as a nan estimator value gives a nan gap."""
+    v = _row_values(func, P, "objective")
     if np.isnan(v).any():
-        raise ValueError(f"the {what} is nan at {P[np.argmax(np.isnan(v))].tolist()}")
+        raise ValueError(f"the objective is nan at {P[np.argmax(np.isnan(v))].tolist()}")
     return v
 
 
@@ -177,8 +186,8 @@ def _refine(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
             center_weights: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """Up to REFINE_PASSES passes of line searches from each start: along
     each coordinate within one grid cell, its orthant diagonal and its
-    centering directions, and from the grid incumbent (row 0) every sign
-    diagonal.
+    centering directions, and from the grid incumbent (row 0) every other
+    sign diagonal while n has a default grid (n <= 6).
 
     A pass is one ``_line`` call on the stack of every line of every start;
     each row does the arithmetic it would do alone. Each start then moves to
@@ -197,7 +206,9 @@ def _refine(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     weightings = [np.ones(n)]
     if center_weights is not None and not np.all(np.asarray(center_weights) == 1.0):
         weightings.append(np.asarray(center_weights, dtype=float))
-    signs = _box_vertices(-np.ones(n), np.ones(n))[2 ** (n - 1):]
+    # sign diagonals only where a default grid exists: 2^(n-1) lines outgrow memory
+    signs = (_box_vertices(-np.ones(n), np.ones(n))[2 ** (n - 1):]
+             if n <= max(_DEFAULT_RESOLUTION) else np.empty((0, n)))
     active = np.arange(len(X))
     for _ in range(REFINE_PASSES):
         if len(active) == 0:
@@ -210,7 +221,9 @@ def _refine(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
             cen = diag * target[:, None] - Xa
             cen[np.max(np.abs(cen), axis=1) <= 1e-12] = 0.0  # already centered
             D.append(cen)
-        D.extend(signs[:, None] * (active == 0)[:, None])  # zero for restarts: not searched
+        if active[0] == 0:  # the incumbent's sign diagonals but its orthant one (+-diag)
+            off = signs[np.abs(signs @ diag[0]) < n]
+            D.extend(off[:, None] * (active == 0)[:, None])  # zero for restarts: not searched
         D = np.stack(D)  # (lines, starts, n)
         L, K = D.shape[:2]
         Xs, Vs = np.tile(Xa, (L, 1)), np.tile(Va, L)
@@ -291,10 +304,10 @@ def max_gap(m: Monomial, dom: Domain, estimator: Callable[[np.ndarray], np.ndarr
 
     if side == OVER:
         def gap(X):
-            return _values(estimator, X, "estimator") - monomial_values(m, X)
+            return _row_values(estimator, X, "estimator") - monomial_values(m, X)
     else:
         def gap(X):
-            return monomial_values(m, X) - _values(estimator, X, "estimator")
+            return monomial_values(m, X) - _row_values(estimator, X, "estimator")
 
     spec = grid or GridSpec()
     measured, point = grid_maximize(gap, dom, spec, center_weights=np.asarray(m.alpha, float))

@@ -217,7 +217,7 @@ def test_a_nan_only_the_scan_meets_is_an_error_not_tight():
         v = envelopes.convex_env_unitbox_multilinear(n, X)
         return np.where(np.abs(X[:, 0] - 2 / 3) < 1e-3, np.nan, v)
 
-    with pytest.raises(ValueError, match=r"the estimator is nan at \[0\.66"):
+    with pytest.raises(ValueError, match=r"the objective is nan at \[0\.66"):
         max_gap(Monomial.multilinear(n), UnitBox(n), est, oracle.UNDER, bound=bounds.c2(n))
 
 
@@ -239,9 +239,25 @@ def test_a_nan_only_the_refinement_meets_is_an_error_not_valid_upper(monkeypatch
         return v
 
     monkeypatch.setattr(oracle, "_refine", marked)
-    with pytest.raises(ValueError, match="the estimator is nan at"):
+    with pytest.raises(ValueError, match="the objective is nan at"):
         max_gap(Monomial.multilinear(n), UnitBox(n), est, oracle.UNDER, bound=bounds.c2(n))
     assert refining
+
+
+@pytest.mark.parametrize("slab, point", [(0.1, r"0\.0"), (1e-4, r"0\.(29|30)")],
+                         ids=["scan", "refinement"])
+def test_a_nan_of_the_objective_is_an_error(slab, point):
+    # the first nan of grid_maximize's own objective: at x_0 < 0.1 in the
+    # scan, or on a slab around x_0 = 0.3 that no grid centre lies in, in a
+    # section step
+    c = np.array([0.3, 0.6])
+
+    def func(X):
+        return np.where(np.abs(X[:, 0] - (0.0 if slab == 0.1 else 0.3)) < slab, np.nan,
+                        -np.sum((X - c) ** 2, axis=1))
+
+    with pytest.raises(ValueError, match=rf"the objective is nan at \[{point}"):
+        grid_maximize(func, UnitBox(2))
 
 
 def _report_bits(rep):
@@ -801,7 +817,7 @@ def _seq_refine(func, dom, x0, v0, cell, center_weights=None, incumbent=True):
     """One start alone: each pass searches every line from the pass's start
     point, one line after another, then moves to the first of the best line
     ends if it beats the start's value; a pass that does not move it ends the
-    refinement. The grid incumbent also searches every sign diagonal."""
+    refinement. The grid incumbent also searches every other sign diagonal."""
     n = dom.n
     weightings = [np.ones(n)]
     if center_weights is not None and not np.all(np.asarray(center_weights) == 1.0):
@@ -816,8 +832,8 @@ def _seq_refine(func, dom, x0, v0, cell, center_weights=None, incumbent=True):
             cen = diag * target - x
             if np.max(np.abs(cen)) > 1e-12:
                 lines.append((cen, np.inf))
-        if incumbent:
-            lines += [(np.array(s), np.inf) for s in signs]
+        if incumbent:  # every sign diagonal but the orthant one
+            lines += [(np.array(s), np.inf) for s in signs if abs(np.dot(s, diag)) < n]
         best_x, best_v = x, v
         for d, reach in lines:
             tlo, thi = dom.line_range(x, d)
@@ -938,8 +954,8 @@ class TestLockstepRefinement:
 
     def test_only_the_incumbent_searches_every_sign_diagonal(self):
         # at n = 5 a start searches 5 coordinate lines, its orthant diagonal
-        # and one centering line; the grid incumbent (row 0) adds all 16 sign
-        # diagonals, but only while it is still rising
+        # and one centering line; the grid incumbent (row 0) adds the other 15
+        # sign diagonals, but only while it is still rising
         n, steps = 5, oracle.SECTION_STEPS
         c = np.array([0.52, 0.47, 0.55, 0.44, 0.5])
         calls = []
@@ -956,14 +972,33 @@ class TestLockstepRefinement:
 
         start = [0.3, 0.6, 0.2, 0.7, 0.4]
         lines = n + 2
-        assert set(rows_per_call([start])) == {oracle.SECTION_POINTS * (lines + 16)}
+        assert set(rows_per_call([start])) == {oracle.SECTION_POINTS * (lines + 15)}
         rows = rows_per_call([start, [0.7, 0.2, 0.6, 0.3, 0.8], [0.2, 0.3, 0.8, 0.6, 0.7]])
-        assert rows[0] == oracle.SECTION_POINTS * (3 * lines + 16)
+        assert rows[0] == oracle.SECTION_POINTS * (3 * lines + 15)
         # the incumbent at the maximum settles in the first pass, a restart does not
         rows = rows_per_call([c, start])
-        assert rows[:steps] == [oracle.SECTION_POINTS * (2 * lines + 16)] * steps
+        assert rows[:steps] == [oracle.SECTION_POINTS * (2 * lines + 15)] * steps
         assert len(rows) > steps
         assert rows[steps:] == [oracle.SECTION_POINTS * lines] * (len(rows) - steps)
+
+    def test_no_sign_diagonals_without_a_default_grid(self):
+        # GridSpec(resolution=2) scans UnitBox(21) (2^21 cells); its incumbent
+        # keeps its coordinate lines, orthant diagonal and centering line, not
+        # the 2^20 sign diagonals, which would need 2^20 x 32 points a step
+        n = 21
+        c = np.linspace(0.2, 0.45, n)
+        calls = []
+
+        def func(X):
+            calls.append(len(X))
+            return -np.sum((X - c) ** 2, axis=1)
+
+        X0 = np.full((1, n), 0.25)  # a cell center of the resolution-2 grid
+        V0 = func(X0)
+        calls.clear()
+        _, V = oracle._refine(func, UnitBox(n), X0, V0, np.full(n, 0.5))
+        assert V[0] > V0[0]
+        assert max(calls) <= oracle.SECTION_POINTS * (n + 2)
 
     def test_first_of_equal_values_wins(self, monkeypatch):
         # a constant function: every start ties, so the grid incumbent stays
