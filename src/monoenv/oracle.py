@@ -13,9 +13,11 @@ are then polished by line searches along each coordinate and each start's
 orthant diagonal, which is where the attainment loci live, and up to n = 6
 along every sign diagonal of the incumbent. A pass searches every line of
 every start as one stack in 11 section steps, each one call on 32 points per
-line; each start then moves to its best line's end, and a start no line
-raised gets no more passes. All randomness is seeded: results are
-reproducible bit for bit.
+line, built and passed column by column like the grid and as read-only; so
+at n >= 8, which only explicit grids reach, a row-sum kernel gives refined
+rows the column-major bits that grid rows get. Each start then moves to its
+best line's end, and a start no line raised gets no more passes. All
+randomness is seeded: results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -157,6 +159,8 @@ def _line(func, dom: Domain, X: np.ndarray, V: np.ndarray, D: np.ndarray,
     of every searched line at the SECTION_POINTS = 32 interior parameters
     t = a + i h, h = (b - a)/33, of its bracket [a, b], and keeps
     [a + (i* - 1) h, a + (i* + 1) h] around the first largest value i*. The
+    points are built as n contiguous columns and passed read-only as their
+    transpose, rows line by line and t by t, the grid's layout. The
     arithmetic is elementwise, so a line ends where it would end alone, on
     the best point of its last step with that step's value: its line maximum.
     """
@@ -165,17 +169,20 @@ def _line(func, dom: Domain, X: np.ndarray, V: np.ndarray, D: np.ndarray,
     rows = np.flatnonzero(np.isfinite(tlo) & np.isfinite(thi) & (thi - tlo > 1e-14))
     if len(rows) == 0:
         return
-    a, b, Xr, Dr = tlo[rows], thi[rows], X[rows], D[rows]
+    a, b = tlo[rows], thi[rows]
+    Xc, Dc = (np.repeat(A[rows].T, SECTION_POINTS, axis=1) for A in (X, D))  # (n, lines * 32)
     i = np.arange(1, SECTION_POINTS + 1)
     for _ in range(SECTION_STEPS):
         h = (b - a) / (SECTION_POINTS + 1)
         T = a[:, None] + i * h[:, None]
-        P = Xr[:, None] + T[..., None] * Dr[:, None]
-        v = _values(func, P.reshape(-1, P.shape[-1])).reshape(T.shape)
+        P = T.reshape(-1) * Dc
+        P += Xc
+        P.setflags(write=False)
+        v = _values(func, P.T).reshape(T.shape)
         best = np.argmax(v, axis=1)  # i* - 1
         a, b = a + best * h, a + (best + 2) * h
     k = np.arange(len(rows))
-    P, v = P[k, best], v[k, best]
+    P, v = P.T[k * SECTION_POINTS + best], v[k, best]
     up = v > V[rows]
     X[rows[up]] = P[up]
     V[rows[up]] = v[up]
@@ -248,7 +255,7 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     one argmax over all the scan values), then ``_refine`` from the
     incumbent, plus seeded random restarts when the grid is coarse (n >= 5);
     the first best start wins. The refined value never falls below the grid
-    incumbent. A best value of +-inf is a ``ScaleExceeded``: the function
+    incumbent. Every stack ``func`` gets is read-only. A best value of +-inf is a ``ScaleExceeded``: the function
     left the float range, and a nan is a ``ValueError`` (``_values``).
     """
     spec = grid or GridSpec()
@@ -272,6 +279,7 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
         while len(S) < RESTARTS:
             cand = lo + rng.random((4 * RESTARTS, n)) * span
             S = np.vstack([S, cand[dom.contains_many(cand)][: RESTARTS - len(S)]])
+        S.setflags(write=False)
         X, V = np.vstack([X, S]), np.concatenate([V, _values(func, S)])
     X, V = _refine(func, dom, X, V, cell, center_weights)
     best = max(range(len(V)), key=V.__getitem__)  # first of the largest, as in a scan

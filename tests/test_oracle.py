@@ -260,6 +260,38 @@ def test_a_nan_of_the_objective_is_an_error(slab, point):
         grid_maximize(func, UnitBox(2))
 
 
+def test_an_objective_that_writes_its_input_cannot_move_the_result():
+    # every stack the objective gets is read-only, as the grid is: a write
+    # into a section step's points used to move the point grid_maximize
+    # returned, to (0.9, 0.6) with the value of a point near (0.3, 0.6)
+    c = np.array([0.3, 0.6])
+
+    def func(X, always=False):
+        v = -np.sum((X - c) ** 2, axis=1)
+        if always or X.flags.writeable:
+            X[:, 0] = 0.9
+        return v
+
+    value, point = grid_maximize(func, UnitBox(2))
+    assert value == pytest.approx(0.0, abs=1e-12)
+    assert point == pytest.approx(c, abs=1e-6)
+    with pytest.raises(ValueError, match="read-only"):
+        grid_maximize(lambda X: func(X, always=True), UnitBox(2))
+
+
+def test_the_objective_gets_only_read_only_stacks():
+    # scan blocks, the seeded restarts (n = 5) and every section step
+    m = Monomial.multilinear(5)
+    writeable = []
+
+    def gap(X):
+        writeable.append(X.flags.writeable)
+        return envelopes.concave_env_unitbox(m, X) - monomial_values(m, X)
+
+    grid_maximize(gap, UnitBox(5))
+    assert len(writeable) > 1 + 1 + oracle.SECTION_STEPS and not any(writeable)
+
+
 def _report_bits(rep):
     return (rep.verdict, float(rep.measured_value).hex(), float(rep.bound_value).hex(),
             [np.asarray(p, dtype=float).tobytes() for p in rep.attainment_points])
@@ -490,6 +522,23 @@ def test_grid_values_match_a_row_major_copy(n, monkeypatch):
         pts = oracle._grid_points(dom, res)
         assert np.array_equal(_bits(func(pts)), _bits(func(np.ascontiguousarray(pts)))), (
             name, dom)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_refined_values_match_a_row_major_copy(n, monkeypatch):
+    # the section steps hand over their points column by column, as the
+    # scan does; each refined value has the bits of a row-major call
+    res = GridSpec().resolution_for(n)
+    moved = 0
+    for dom, name, func in _grid_estimators(monkeypatch, n):
+        pts = oracle._grid_points(dom, res)
+        X0 = np.ascontiguousarray(pts[np.linspace(0, len(pts) - 1, 3).astype(int)])
+        V0 = func(X0)
+        lo, hi = dom.bounding_box()
+        X, V = oracle._refine(func, dom, X0, V0, (hi - lo) / res, np.arange(1.0, n + 1))
+        assert np.array_equal(_bits(V), _bits(func(np.ascontiguousarray(X)))), (name, dom)
+        moved += int(np.sum(V > V0))
+    assert moved >= 20  # most of the 30 starts move
 
 
 @pytest.mark.parametrize("n", range(2, 7))

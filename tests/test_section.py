@@ -144,6 +144,29 @@ class TestSectionMax:
         assert np.array_equal(_bits(X), _bits(P[np.arange(k), best]))
         assert np.array_equal(_bits(V), _bits(v[np.arange(k), best]))
 
+    def test_each_step_hands_over_a_column_major_read_only_stack(self):
+        # stored column by column like the grid; its rows run line by line,
+        # point by point along each line
+        rng = np.random.default_rng(5)
+        k = 6
+        X, V, D = _stack(rng.uniform(-1.0, 1.0, k), 10.0 ** rng.uniform(-2.0, 3.0, k))
+        tags = np.repeat(X[:, 1], SECTION_POINTS)
+        func = _peaks(X, rng.uniform(-1.0, 1.0, k))
+        calls = []
+
+        def f(P):
+            calls.append((P.flags.f_contiguous, P.flags.writeable, P.copy()))
+            return func(P)
+
+        oracle._line(f, DOM, X, V, D)
+        assert len(calls) == SECTION_STEPS
+        for f_contiguous, writeable, P in calls:
+            assert f_contiguous and not writeable
+            assert np.array_equal(P[:, 1], tags)
+            assert (np.diff(P[:, 0].reshape(k, SECTION_POINTS), axis=1) >= 0).all()
+        with pytest.raises(ValueError, match="read-only"):
+            oracle._line(lambda P: P.sort(axis=0), DOM, X, V, D)
+
     @pytest.mark.filterwarnings("error")
     def test_brackets_below_float_resolution_stay_finite(self):
         # segments from 1e3 wide down to just above the floor: after 11
