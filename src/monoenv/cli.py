@@ -69,8 +69,7 @@ def _write(out_path: Optional[str], text: str) -> None:
 
 
 def _gridspec(args) -> oracle.GridSpec:
-    seed = oracle.GridSpec.seed if args.seed is None else args.seed
-    return oracle.GridSpec(resolution=args.grid, seed=seed)
+    return oracle.GridSpec(resolution=args.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +176,9 @@ def cmd_bounds(args) -> int:
 # tol, seed, trials capped at 200); it does not read --alpha, --n or --r
 _ALL_ARGS = {"unitbox": {"alpha": (1, 1, 1)}, "integrality": {"n": 3}}
 _SHARED = ("grid", "tol", "seed", "trials")
-# the case parameters each flag feeds; --seed also seeds the GridSpec restarts
+# the case parameters each flag feeds
 _FEEDS = {"alpha": ("alpha",), "n": ("n",), "r": ("r",), "trials": ("trials",),
-          "tol": ("tol",), "grid": ("grid",), "seed": ("seed", "grid")}
+          "tol": ("tol",), "grid": ("grid",), "seed": ("seed",)}
 
 
 def _params(name: str):
@@ -416,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=_ints, required=True)
     sp.add_argument("--beta", type=_floats, default=None)
     add_domain(sp, ["unit", "sub", "simplex", "corner", "comp"])
-    add_common(sp, reads=("seed", "grid"))
+    add_common(sp, reads=("grid",))
     sp.set_defaults(func=cmd_sigma)
 
     sp = sub.add_parser("root", help="unique (0,1] root of (1-s)^lam1 + lam2*s - 1")

@@ -8,16 +8,16 @@ read them. The scan calls the function on blocks of consecutive grid rows
 by the one block rule of every row kernel, ``core.by_blocks``, so that each
 block's temporaries stay in cache; every package estimator gives a row the
 same bits whatever rows share its call, so the values are those of one call
-on the whole grid. The incumbent, and from n = 5 on the seeded restarts too,
-are then polished by line searches along each coordinate and each start's
-orthant diagonal, which is where the attainment loci live, and up to n = 6
-along every sign diagonal of the incumbent. A pass searches every line of
-every start as one stack in 11 section steps, each one call on 32 points per
-line, built and passed column by column like the grid and as read-only; so
-at n >= 8, which only explicit grids reach, a row-sum kernel gives refined
-rows the column-major bits that grid rows get. Each start then moves to its
-best line's end, and a start no line raised gets no more passes. All
-randomness is seeded: results are reproducible bit for bit.
+on the whole grid. The grid incumbent is then polished by line searches
+along each coordinate and its orthant diagonal, which is where the attainment
+loci live, along its centering directions and, up to n = 6, along every
+other sign diagonal. A pass searches all these lines as one stack in 11
+section steps, each one call on 32 points per line, built and passed column
+by column like the grid and as read-only; so at n >= 8, which only explicit
+grids reach, a row-sum kernel gives refined rows the column-major bits that
+grid rows get. The incumbent then moves to its best line's end, and a pass
+that does not raise its value ends the refinement. Nothing is random:
+results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -58,15 +58,16 @@ def _require_side(side: str) -> None:
         raise ValueError(f"side must be OVER or UNDER, got {side!r}")
 
 _DEFAULT_RESOLUTION = {1: 512, 2: 64, 3: 64, 4: 24, 5: 12, 6: 8}
-REFINE_PASSES = 3  # refinement passes per start at most
-RESTARTS = 16  # seeded random starts for n >= 5, where the grid is coarse
+REFINE_PASSES = 3  # refinement passes at most
 MAX_GRID_POINTS = 10 ** 8  # cap on res ** n
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Scan parameters: the per-coordinate resolution (None for the
-    n-dependent default) and the seed of the restarts."""
+    n-dependent default). ``seed`` is validated and read by no code here:
+    the benchmark workloads still pass it, and ROADMAP item 18 (e), which
+    stops that, deletes it."""
 
     resolution: Optional[int] = None
     seed: int = 42
@@ -189,61 +190,46 @@ def _line(func, dom: Domain, X: np.ndarray, V: np.ndarray, D: np.ndarray,
 
 
 def _refine(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
-            X: np.ndarray, V: np.ndarray, cell: np.ndarray,
-            center_weights: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Up to REFINE_PASSES passes of line searches from each start: along
-    each coordinate within one grid cell, its orthant diagonal and its
-    centering directions, and from the grid incumbent (row 0) every other
-    sign diagonal while n has a default grid (n <= 6).
+            x: np.ndarray, v: float, cell: np.ndarray,
+            center_weights: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
+    """Up to REFINE_PASSES passes of line searches from x, whose value is v:
+    along each coordinate within one grid cell, its orthant diagonal, its
+    centering directions and, while n has a default grid (n <= 6), every
+    other sign diagonal.
 
-    A pass is one ``_line`` call on the stack of every line of every start;
-    each row does the arithmetic it would do alone. Each start then moves to
-    the first of its best lines if that raised its value, so a narrow bump is
-    found only by a line near its peak: hence the incumbent's diagonals. A
-    start whose value a pass did not raise is settled: it would only repeat
-    that pass, and the remaining passes run on the others alone.
+    A pass is one ``_line`` call on the stack of every line; each line does
+    the arithmetic it would do alone. x then moves to the first of its best
+    lines if that raised its value, so a narrow bump is found only by a line
+    near its peak: hence the sign diagonals. A pass that does not raise the
+    value ends the refinement, since another would only repeat it.
 
     A centering direction moves toward equal |coordinates| while preserving a
     weighted signed sum, which tracks hinge ridges {sum w_j x_j = const}; the
     unweighted move covers multilinear cuts and ``center_weights`` (usually
     the monomial's exponents) covers slope-weighted ones.
     """
-    n = X.shape[1]
-    X, V = X.copy(), np.array(V, dtype=float)
+    n = len(x)
     weightings = [np.ones(n)]
     if center_weights is not None and not np.all(np.asarray(center_weights) == 1.0):
         weightings.append(np.asarray(center_weights, dtype=float))
     # sign diagonals only where a default grid exists: 2^(n-1) lines outgrow memory
     signs = (_box_vertices(-np.ones(n), np.ones(n))[2 ** (n - 1):]
              if n <= max(_DEFAULT_RESOLUTION) else np.empty((0, n)))
-    active = np.arange(len(X))
     for _ in range(REFINE_PASSES):
-        if len(active) == 0:
-            break
-        Xa, Va = X[active], V[active]
-        diag = np.where(Xa < 0, -1.0, 1.0)
-        D = [np.broadcast_to(e, Xa.shape) for e in np.eye(n)] + [diag]
+        diag = np.where(x < 0, -1.0, 1.0)
+        D = [*np.eye(n), diag]
         for w in weightings:
-            target = np.sum(w * diag * Xa, axis=1) / np.sum(w)
-            cen = diag * target[:, None] - Xa
-            cen[np.max(np.abs(cen), axis=1) <= 1e-12] = 0.0  # already centered
-            D.append(cen)
-        if active[0] == 0:  # the incumbent's sign diagonals but its orthant one (+-diag)
-            off = signs[np.abs(signs @ diag[0]) < n]
-            D.extend(off[:, None] * (active == 0)[:, None])  # zero for restarts: not searched
-        D = np.stack(D)  # (lines, starts, n)
-        L, K = D.shape[:2]
-        Xs, Vs = np.tile(Xa, (L, 1)), np.tile(Va, L)
-        reach = np.repeat(np.concatenate([cell, np.full(L - n, np.inf)]), K)
-        _line(func, dom, Xs, Vs, D.reshape(-1, n), reach)
-        Vs = Vs.reshape(L, K)
-        best = np.argmax(Vs, axis=0)  # the first of each start's best lines
-        k = np.arange(K)
-        up = Vs[best, k] > Va
-        X[active[up]] = Xs.reshape(L, K, n)[best, k][up]
-        V[active[up]] = Vs[best, k][up]
-        active = active[up]
-    return X, V
+            cen = diag * (np.sum(w * diag * x) / np.sum(w)) - x
+            if np.max(np.abs(cen)) > 1e-12:  # not already centered
+                D.append(cen)
+        D = np.vstack(D + [signs[np.abs(signs @ diag) < n]])  # every sign diagonal but +-diag
+        X, V = np.tile(x, (len(D), 1)), np.full(len(D), v)
+        _line(func, dom, X, V, D, np.concatenate([cell, np.full(len(D) - n, np.inf)]))
+        best = int(np.argmax(V))  # the first of the best lines
+        if not V[best] > v:
+            break
+        x, v = X[best], V[best]
+    return x, v
 
 
 def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
@@ -253,10 +239,10 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
 
     Grid scan in ``core.by_blocks`` blocks of rows (lexicographic tie-break:
     one argmax over all the scan values), then ``_refine`` from the
-    incumbent, plus seeded random restarts when the grid is coarse (n >= 5);
-    the first best start wins. The refined value never falls below the grid
-    incumbent. Every stack ``func`` gets is read-only. A best value of +-inf is a ``ScaleExceeded``: the function
-    left the float range, and a nan is a ``ValueError`` (``_values``).
+    incumbent, so the value never falls below the grid incumbent's. The point
+    returned is an array of its own. Every stack ``func`` gets is read-only.
+    A best value of +-inf is a ``ScaleExceeded``: the function left the float
+    range, and a nan is a ``ValueError`` (``_values``).
     """
     spec = grid or GridSpec()
     n = dom.n
@@ -269,23 +255,10 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     vals = by_blocks(_values, pts, func)
     k = int(np.argmax(vals))  # first max in C order = lexicographic argmax
     lo, hi = dom.bounding_box()
-    cell = (hi - lo) / res
-    X, V = pts[k:k + 1], vals[k:k + 1]
-
-    if n >= 5:
-        rng = np.random.default_rng(spec.seed)
-        span = hi - lo
-        S = np.empty((0, n))
-        while len(S) < RESTARTS:
-            cand = lo + rng.random((4 * RESTARTS, n)) * span
-            S = np.vstack([S, cand[dom.contains_many(cand)][: RESTARTS - len(S)]])
-        S.setflags(write=False)
-        X, V = np.vstack([X, S]), np.concatenate([V, _values(func, S)])
-    X, V = _refine(func, dom, X, V, cell, center_weights)
-    best = max(range(len(V)), key=V.__getitem__)  # first of the largest, as in a scan
-    if np.isinf(V[best]):
+    x, v = _refine(func, dom, pts[k].copy(), vals[k], (hi - lo) / res, center_weights)
+    if np.isinf(v):
         raise ScaleExceeded(f"the best value over {dom} is infinite, beyond the float range")
-    return float(V[best]), X[best]
+    return float(v), x
 
 
 def grid_minimize(func, dom: Domain, grid: Optional[GridSpec] = None,

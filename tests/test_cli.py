@@ -166,6 +166,7 @@ class TestVerify:
         ["--case", "unitbox", "--tol", "nan"],
         ["--case", "unitbox", "--tol", "-1"],
         ["--case", "unitbox", "--seed", "-1"],
+        ["--case", "integrality", "--seed", "-1"],
         ["--case", "ratiobox", "--r", "inf"],
     ], ids=" ".join)
     def test_given_value_is_used_not_replaced(self, capsys, argv):
@@ -183,24 +184,13 @@ class TestVerify:
         ["--case", "all", "--r", "2"],
         ["--case", "integrality", "--grid", "8"],
         ["--case", "figure1", "--seed", "1"],
+        ["--case", "unitbox", "--seed", "5"],
     ], ids=" ".join)
     def test_unread_flag_is_a_usage_error(self, capsys, argv):
         # each of these once ran as if the flag had not been given, and exited 0
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == EXIT_USAGE
         assert out == "" and err.startswith("error: ") and argv[2] in err
-
-    def test_seed_feeds_the_grid_restarts(self, capsys, monkeypatch):
-        seen = []
-
-        def stub(grid, tol=None):
-            seen.append(grid.seed)
-            return [checks.Check("stub", "PASS", 0.0, 0.0)]
-
-        monkeypatch.setitem(checks.CASES, "unitbox", stub)
-        assert run_cli(capsys, "verify", "--case", "unitbox", "--seed", "5")[0] == EXIT_OK
-        assert run_cli(capsys, "verify", "--case", "unitbox")[0] == EXIT_OK
-        assert seen == [5, 42]
 
 
 class TestRegistry:
@@ -455,6 +445,7 @@ class TestSigmaRoot:
     (["facets", "--n", "2", "--tol", "nan", "--seed", "3", "--grid", "0"], "seed"),
     (["gap", "--poly", "{poly}", "--certify", "--grid", "8"], "grid"),
     (["sigma", "--alpha", "1,2", "--tol", "0.1"], "tol"),
+    (["sigma", "--alpha", "1,2", "--seed", "2"], "seed"),
     (["root", "--lambda1", "6", "--lambda2", "3", "--tol", "nan", "--grid", "0"], "grid"),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_unread_shared_flag_is_a_usage_error(capsys, tmp_path, argv, flag):
@@ -467,8 +458,8 @@ def test_unread_shared_flag_is_a_usage_error(capsys, tmp_path, argv, flag):
     assert out == "" and err.startswith("error: ") and f"does not read --{flag}" in err
 
 
-def test_sigma_reads_grid_and_seed(capsys):
-    code, out, _ = run_cli(capsys, "sigma", "--alpha", "1,2", "--grid", "4", "--seed", "2")
+def test_sigma_reads_grid(capsys):
+    code, out, _ = run_cli(capsys, "sigma", "--alpha", "1,2", "--grid", "4")
     assert code == EXIT_OK and "sigma numeric" in out
 
 

@@ -280,7 +280,7 @@ def test_an_objective_that_writes_its_input_cannot_move_the_result():
 
 
 def test_the_objective_gets_only_read_only_stacks():
-    # scan blocks, the seeded restarts (n = 5) and every section step
+    # scan blocks and every section step
     m = Monomial.multilinear(5)
     writeable = []
 
@@ -289,7 +289,7 @@ def test_the_objective_gets_only_read_only_stacks():
         return envelopes.concave_env_unitbox(m, X) - monomial_values(m, X)
 
     grid_maximize(gap, UnitBox(5))
-    assert len(writeable) > 1 + 1 + oracle.SECTION_STEPS and not any(writeable)
+    assert len(writeable) > 1 + oracle.SECTION_STEPS and not any(writeable)
 
 
 def _report_bits(rep):
@@ -532,12 +532,13 @@ def test_refined_values_match_a_row_major_copy(n, monkeypatch):
     moved = 0
     for dom, name, func in _grid_estimators(monkeypatch, n):
         pts = oracle._grid_points(dom, res)
-        X0 = np.ascontiguousarray(pts[np.linspace(0, len(pts) - 1, 3).astype(int)])
-        V0 = func(X0)
         lo, hi = dom.bounding_box()
-        X, V = oracle._refine(func, dom, X0, V0, (hi - lo) / res, np.arange(1.0, n + 1))
-        assert np.array_equal(_bits(V), _bits(func(np.ascontiguousarray(X)))), (name, dom)
-        moved += int(np.sum(V > V0))
+        for k in np.linspace(0, len(pts) - 1, 3).astype(int):
+            v0 = func(pts[k:k + 1])[0]
+            x, v = oracle._refine(func, dom, pts[k].copy(), v0, (hi - lo) / res,
+                                  np.arange(1.0, n + 1))
+            assert _bits(v) == _bits(func(x[None, :])[0]), (name, dom)
+            moved += int(v > v0)
     assert moved >= 20  # most of the 30 starts move
 
 
@@ -692,6 +693,12 @@ class TestGridEngine:
         r2 = max_gap(m, UnitBox(5), est, oracle.UNDER, grid=GridSpec(seed=9))
         assert r1.measured_value == r2.measured_value
         assert np.array_equal(r1.attainment_points[0], r2.attainment_points[0])
+        # nor does the seed move a verdict: nothing in the search is random
+        lower = hulls.build_symbox_hull(5).envelope_lower
+        s0, s9 = (max_gap(m, SymBox(5), lower, oracle.UNDER, grid=GridSpec(seed=seed))
+                  for seed in (0, 9))
+        assert _bits(s0.measured_value) == _bits(s9.measured_value)
+        assert np.array_equal(_bits(s0.attainment_points[0]), _bits(s9.attainment_points[0]))
 
     def test_scale_guard_on_resolution(self, monkeypatch):
         m = Monomial.multilinear(3)
@@ -846,7 +853,7 @@ class TestScaledBoxTransport:
 
 
 # ---------------------------------------------------------------------------
-# Stacked refinement against the one-start-at-a-time schedule
+# Stacked refinement against the one-line-at-a-time schedule
 # ---------------------------------------------------------------------------
 
 def _seq_section_line(func, x, d, tlo, thi):
@@ -862,11 +869,12 @@ def _seq_section_line(func, x, d, tlo, thi):
     return P[i_star - 1], float(vals[i_star - 1])  # the last step's best point
 
 
-def _seq_refine(func, dom, x0, v0, cell, center_weights=None, incumbent=True):
-    """One start alone: each pass searches every line from the pass's start
-    point, one line after another, then moves to the first of the best line
-    ends if it beats the start's value; a pass that does not move it ends the
-    refinement. The grid incumbent also searches every other sign diagonal."""
+def _seq_refine(func, dom, x0, v0, cell, center_weights=None):
+    """Each pass searches every line from the pass's start point, one line
+    after another, then moves to the first of the best line ends if it beats
+    the start's value; a pass that does not move it ends the refinement. The
+    lines are the coordinates, the orthant diagonal, the centering lines and
+    every other sign diagonal."""
     n = dom.n
     weightings = [np.ones(n)]
     if center_weights is not None and not np.all(np.asarray(center_weights) == 1.0):
@@ -881,8 +889,7 @@ def _seq_refine(func, dom, x0, v0, cell, center_weights=None, incumbent=True):
             cen = diag * target - x
             if np.max(np.abs(cen)) > 1e-12:
                 lines.append((cen, np.inf))
-        if incumbent:  # every sign diagonal but the orthant one
-            lines += [(np.array(s), np.inf) for s in signs if abs(np.dot(s, diag)) < n]
+        lines += [(np.array(s), np.inf) for s in signs if abs(np.dot(s, diag)) < n]
         best_x, best_v = x, v
         for d, reach in lines:
             tlo, thi = dom.line_range(x, d)
@@ -898,34 +905,19 @@ def _seq_refine(func, dom, x0, v0, cell, center_weights=None, incumbent=True):
 
 
 def _seq_grid_maximize(func, dom, spec, center_weights=None):
-    """The incumbent, then each restart, refined one after another."""
-    n = dom.n
-    res = spec.resolution_for(n)
+    """The grid incumbent, refined one line at a time."""
+    res = spec.resolution_for(dom.n)
     pts = oracle._grid_points(dom, res)
     vals = func(pts)
     k = int(np.argmax(vals))
     lo, hi = dom.bounding_box()
-    cell = (hi - lo) / res
-    x, v = _seq_refine(func, dom, pts[k].copy(), float(vals[k]), cell, center_weights)
-    if n >= 5:
-        rng = np.random.default_rng(spec.seed)
-        span = hi - lo
-        starts = []
-        while len(starts) < oracle.RESTARTS:
-            cand = lo + rng.random((4 * oracle.RESTARTS, n)) * span
-            cand = cand[dom.contains_many(cand)]
-            starts.extend(cand[: oracle.RESTARTS - len(starts)])
-        for s in starts:
-            xs, vs = _seq_refine(func, dom, np.asarray(s), float(func(s[None, :])[0]),
-                                 cell, center_weights, incumbent=False)
-            if vs > v:
-                x, v = xs, vs
+    x, v = _seq_refine(func, dom, pts[k], float(vals[k]), (hi - lo) / res, center_weights)
     return v, x
 
 
 def _lockstep_case(name):
     """(domain, function, exponents) at n = 5; every function gives a row the
-    same bits whatever rows share its call (no BLAS products)."""
+    same bits whatever rows share its call."""
     alpha = (1, 2, 1, 3, 1)
     m = Monomial(alpha)
     ml = Monomial.multilinear(5)
@@ -949,14 +941,14 @@ def _bits(a):
 
 def _every_pass(monkeypatch, passes):
     """Replace ``oracle._refine`` by ``passes`` one-pass calls, each fed the
-    last one's starts: every start takes every pass, none ever settles."""
+    last one's point: the refinement takes every pass and never settles."""
     refine = oracle._refine
     monkeypatch.setattr(oracle, "REFINE_PASSES", 1)
 
-    def run(func, dom, X, V, *args):
+    def run(func, dom, x, v, *args):
         for _ in range(passes):
-            X, V = refine(func, dom, X, V, *args)
-        return X, V
+            x, v = refine(func, dom, x, v, *args)
+        return x, v
 
     monkeypatch.setattr(oracle, "_refine", run)
 
@@ -965,12 +957,11 @@ class TestLockstepRefinement:
     @pytest.mark.parametrize("name", ["UnitBox", "SymBox", "RatioBox", "RatioBoxConcave",
                                       "StdSimplex"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
-    def test_matches_one_start_at_a_time(self, name, weighted, monkeypatch):
-        monkeypatch.setattr(oracle, "REFINE_PASSES", 2)
-        monkeypatch.setattr(oracle, "RESTARTS", 5)
+    def test_matches_one_start_at_a_time(self, name, weighted):
+        # one stack per pass gives the bits of searching its lines one by one
         dom, func, alpha = _lockstep_case(name)
         weights = np.asarray(alpha, float) if weighted else None
-        spec = GridSpec(resolution=6, seed=5)
+        spec = GridSpec(resolution=6)
         v_ref, x_ref = _seq_grid_maximize(func, dom, spec, weights)
         v, x = grid_maximize(func, dom, spec, center_weights=weights)
         assert _bits(v) == _bits(v_ref)
@@ -986,9 +977,9 @@ class TestLockstepRefinement:
 
     def test_estimator_calls_per_verdict(self):
         # one call per section step evaluates 32 points of every searched
-        # line of every start; a one-point-per-call line search needs about
-        # 900 calls here. The scan takes 13 calls (by_blocks blocks), then
-        # refinement REFINE_PASSES passes of SECTION_STEPS calls each
+        # line; a one-point-per-call line search needs about 900 calls here.
+        # The scan takes 13 calls (by_blocks blocks), then refinement
+        # REFINE_PASSES passes of SECTION_STEPS calls each
         n = 3
         m = Monomial.multilinear(n)
         calls = []
@@ -1002,9 +993,9 @@ class TestLockstepRefinement:
         assert len(calls) == 13 + 3 * oracle.SECTION_STEPS
 
     def test_only_the_incumbent_searches_every_sign_diagonal(self):
-        # at n = 5 a start searches 5 coordinate lines, its orthant diagonal
-        # and one centering line; the grid incumbent (row 0) adds the other 15
-        # sign diagonals, but only while it is still rising
+        # at n = 5 the incumbent searches 5 coordinate lines, its orthant
+        # diagonal, one centering line and the other 15 sign diagonals, in
+        # every pass while it is still rising
         n, steps = 5, oracle.SECTION_STEPS
         c = np.array([0.52, 0.47, 0.55, 0.44, 0.5])
         calls = []
@@ -1013,22 +1004,17 @@ class TestLockstepRefinement:
             calls.append(len(X))
             return -np.sum((X - c) ** 2, axis=1)
 
-        def rows_per_call(X0):
-            X0 = np.array(X0, float)
+        def rows_per_call(x0):
+            x0 = np.array(x0, float)
             calls.clear()
-            oracle._refine(func, UnitBox(n), X0, -np.sum((X0 - c) ** 2, axis=1), np.full(n, 0.1))
+            oracle._refine(func, UnitBox(n), x0, -np.sum((x0 - c) ** 2), np.full(n, 0.1))
             return calls
 
-        start = [0.3, 0.6, 0.2, 0.7, 0.4]
-        lines = n + 2
-        assert set(rows_per_call([start])) == {oracle.SECTION_POINTS * (lines + 15)}
-        rows = rows_per_call([start, [0.7, 0.2, 0.6, 0.3, 0.8], [0.2, 0.3, 0.8, 0.6, 0.7]])
-        assert rows[0] == oracle.SECTION_POINTS * (3 * lines + 15)
-        # the incumbent at the maximum settles in the first pass, a restart does not
-        rows = rows_per_call([c, start])
-        assert rows[:steps] == [oracle.SECTION_POINTS * (2 * lines + 15)] * steps
-        assert len(rows) > steps
-        assert rows[steps:] == [oracle.SECTION_POINTS * lines] * (len(rows) - steps)
+        lines = n + 2 + 15
+        rows = rows_per_call([0.3, 0.6, 0.2, 0.7, 0.4])
+        assert len(rows) > steps and set(rows) == {oracle.SECTION_POINTS * lines}
+        # at the maximum it settles in the first pass
+        assert rows_per_call(c) == [oracle.SECTION_POINTS * lines] * steps
 
     def test_no_sign_diagonals_without_a_default_grid(self):
         # GridSpec(resolution=2) scans UnitBox(21) (2^21 cells); its incumbent
@@ -1042,24 +1028,25 @@ class TestLockstepRefinement:
             calls.append(len(X))
             return -np.sum((X - c) ** 2, axis=1)
 
-        X0 = np.full((1, n), 0.25)  # a cell center of the resolution-2 grid
-        V0 = func(X0)
+        x0 = np.full(n, 0.25)  # a cell center of the resolution-2 grid
+        v0 = func(x0[None, :])[0]
         calls.clear()
-        _, V = oracle._refine(func, UnitBox(n), X0, V0, np.full(n, 0.5))
-        assert V[0] > V0[0]
+        _, v = oracle._refine(func, UnitBox(n), x0, v0, np.full(n, 0.5))
+        assert v > v0
         assert max(calls) <= oracle.SECTION_POINTS * (n + 2)
 
-    def test_first_of_equal_values_wins(self, monkeypatch):
-        # a constant function: every start ties, so the grid incumbent stays
-        monkeypatch.setattr(oracle, "RESTARTS", 3)
-        v, x = grid_maximize(lambda X: np.zeros(len(X)), UnitBox(5), GridSpec(resolution=4, seed=2))
+    def test_first_of_equal_values_wins(self):
+        # a constant function: no line beats the grid incumbent, which stays,
+        # returned as an array of its own, not a view of the read-only grid
+        v, x = grid_maximize(lambda X: np.zeros(len(X)), UnitBox(5), GridSpec(resolution=4))
         pts = oracle._grid_points(UnitBox(5), 4)
         assert v == 0.0
         assert np.array_equal(x, pts[0])
+        assert x.flags.writeable and not np.shares_memory(x, pts)
 
     def test_a_start_whose_value_did_not_rise_gets_no_further_pass(self, monkeypatch):
-        # the start at the maximizer never rises, so it takes part in the
-        # first pass only; the other rises in every pass and takes all three
+        # the start at the maximizer never rises, so it takes the first pass
+        # only; a start that rises in every pass takes all three
         c = np.array([0.9, 0.1])
         steps = oracle.SECTION_STEPS
         rows = []
@@ -1068,24 +1055,20 @@ class TestLockstepRefinement:
             rows.append(len(X))
             return -(X[:, 0] - c[0]) ** 2 - 10 * (X[:, 1] - c[1]) ** 2
 
-        def refine_rows(X0, passes):
+        def refine_rows(x0, passes):
             monkeypatch.setattr(oracle, "REFINE_PASSES", passes)
-            X0 = np.array(X0, float)
-            V0 = -(X0[:, 0] - c[0]) ** 2 - 10 * (X0[:, 1] - c[1]) ** 2
+            x0 = np.array(x0, float)
+            v0 = -(x0[0] - c[0]) ** 2 - 10 * (x0[1] - c[1]) ** 2
             rows.clear()
-            _, V = oracle._refine(func, UnitBox(2), X0, V0, np.full(2, 0.05))
-            return list(rows), V
+            _, v = oracle._refine(func, UnitBox(2), x0, v0, np.full(2, 0.05))
+            return list(rows), v
 
-        top, V_top = refine_rows([c], 3)
-        assert V_top[0] == 0.0
+        top, v_top = refine_rows(c, 3)
+        assert v_top == 0.0
         assert len(top) == steps  # one pass
-        climb = [refine_rows([[0.1, 0.9]], p) for p in (1, 2, 3)]
-        assert climb[0][1][0] < climb[1][1][0] < climb[2][1][0]  # a rise in every pass
-        both, V_both = refine_rows([[0.1, 0.9], c], 3)
-        assert len(both) == 3 * steps
-        assert both[0] > climb[2][0][0]  # the first pass searches both starts' lines
-        assert both[steps:] == climb[2][0][steps:]  # the later ones the climbing start's alone
-        assert np.array_equal(_bits(V_both), _bits([climb[2][1][0], V_top[0]]))
+        climb = [refine_rows([0.1, 0.9], p) for p in (1, 2, 3)]
+        assert climb[0][1] < climb[1][1] < climb[2][1]  # a rise in every pass
+        assert len(climb[2][0]) == 3 * steps
 
     def test_settled_start_skips_its_remaining_passes(self, monkeypatch):
         # the bilinear start settles before the last pass; running every pass
@@ -1111,9 +1094,10 @@ class TestLockstepRefinement:
     @pytest.mark.parametrize("name", ["UnitBox", "SymBox", "RatioBox", "RatioBoxConcave",
                                       "StdSimplex"])
     def test_settled_starts_change_no_bit(self, name, monkeypatch):
-        # every start's point and value, against the schedule that runs all
-        # passes on every start; with 8 passes some starts settle in each case
-        monkeypatch.setattr(oracle, "REFINE_PASSES", 8)
+        # the point and value from each of 8 starts, against the schedule that
+        # runs all passes; with 16 passes some starts settle in each case (on
+        # the simplex the first settles after 13)
+        monkeypatch.setattr(oracle, "REFINE_PASSES", 16)
         dom, func, alpha = _lockstep_case(name)
         lo, hi = dom.bounding_box()
         cand = lo + np.random.default_rng(3).random((4096, 5)) * (hi - lo)
@@ -1127,11 +1111,12 @@ class TestLockstepRefinement:
                 rows.append(len(X))
                 return func(X)
 
-            X, V = oracle._refine(counted, dom, X0, V0, (hi - lo) / 6, np.asarray(alpha, float))
-            return X, V, sum(rows)
+            ends = [oracle._refine(counted, dom, x0, v0, (hi - lo) / 6, np.asarray(alpha, float))
+                    for x0, v0 in zip(X0, V0)]
+            return np.array([x for x, _ in ends]), np.array([v for _, v in ends]), sum(rows)
 
         X, V, settled = refine()
-        _every_pass(monkeypatch, 8)
+        _every_pass(monkeypatch, 16)
         X_full, V_full, every_pass = refine()
         assert np.array_equal(_bits(X), _bits(X_full))
         assert np.array_equal(_bits(V), _bits(V_full))
@@ -1140,8 +1125,7 @@ class TestLockstepRefinement:
 
 # Bits of default-grid verdicts, as float.hex of the measured value and of the
 # attainment point. A change that moves any of them lists what moved and
-# updates this table; ratio-box concave at n = 5 is left out, since its BLAS
-# product depends on the batch.
+# updates this table.
 PINNED_VERDICTS = {
     "unit-concave-2": ("0x1.0000000000000p-2",
         ("0x1.ffffffc000105p-2", "0x1.ffffffc000105p-2")),
@@ -1160,11 +1144,14 @@ PINNED_VERDICTS = {
     "ratio-convex-5": ("0x1.72a5a469d7360p+1",
         ("0x1.ccccccccccc13p+0", "0x1.ccccccccccd4cp+0", "0x1.ccccccccccd4cp+0",
          "0x1.ccccccccccc0ep+0", "0x1.ccccccccccd4cp+0")),
+    "ratio-concave-5": ("0x1.24464e0402310p+3",
+        ("0x1.93f5a588baa76p+0", "0x1.93f5a588baa76p+0", "0x1.93f5a588baa76p+0",
+         "0x1.93f5a588baa76p+0", "0x1.93f5a588baa76p+0")),
     "sym-convex-3": ("0x1.097b425ed097bp+0",
         ("-0x1.555555555572cp-2", "-0x1.5555555555467p-2", "0x1.5555555555467p-2")),
-    "sym-convex-5": ("0x1.13e81450efdcap+0",
-        ("-0x1.3333333ad7b36p-1", "-0x1.333333cbb14cep-1", "0x1.33333330ef84cp-1",
-         "0x1.333332d519b52p-1", "0x1.333332f36dc5ep-1")),
+    "sym-convex-5": ("0x1.13e81450efdc9p+0",
+        ("-0x1.3333333332c05p-1", "-0x1.33333333337f7p-1", "-0x1.33333333337f7p-1",
+         "-0x1.33333333337f7p-1", "0x1.3333333332c05p-1")),
     "sym-concave-2": ("0x1.0000000000000p+0",
         ("0x1.ffff7d4800000p-28", "0x1.ffff7d4800000p-28")),
     "sym-concave-4": ("0x1.1000000000000p+0",
@@ -1189,6 +1176,7 @@ def _pinned_case(name):
         "unit-concave": (m, UnitBox(n), envelopes.concave_unitbox(m), oracle.OVER),
         "unit-convex": (m, UnitBox(n), envelopes.convex_unitbox_multilinear(n), oracle.UNDER),
         "ratio-convex": (m, RatioBox(n, 2.0), envelopes.convex_ratiobox(n, 2.0), oracle.UNDER),
+        "ratio-concave": (m, RatioBox(n, 2.0), envelopes.concave_ratiobox(n, 2.0), oracle.OVER),
         "sym-convex": (m, SymBox(n), hulls.build_symbox_hull(n).envelope_lower, oracle.UNDER),
         "sym-concave": (m, SymBox(n), hulls.build_symbox_hull(n).envelope_upper, oracle.OVER),
         "simplex-concave": (m, StdSimplex(n), envelopes.concave_unitbox(m), oracle.OVER),
