@@ -286,6 +286,7 @@ class Domain:
 
     n: int
     is_box = False  # True on the four axis-aligned box families
+    symmetric = False  # True where every permutation of the coordinates maps the domain onto itself
     min_n = 1  # the least dimension of the family
 
     def __post_init__(self):
@@ -437,6 +438,7 @@ class UnitBox(_BoxDomain):
     """[0, 1]^n."""
 
     n: int
+    symmetric = True
 
     def bounding_box(self):
         return np.zeros(self.n), np.ones(self.n)
@@ -480,6 +482,7 @@ class RatioBox(_BoxDomain):
 
     n: int
     r: float
+    symmetric = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -494,6 +497,7 @@ class SymBox(_BoxDomain):
     """[-1, 1]^n."""
 
     n: int
+    symmetric = True
 
     def bounding_box(self):
         return -np.ones(self.n), np.ones(self.n)
@@ -515,6 +519,7 @@ class StdSimplex(Domain):
     """{x >= 0 : sum_j x_j <= 1}."""
 
     n: int
+    symmetric = True
 
     def _halfspaces(self):
         n = self.n
@@ -587,6 +592,7 @@ class ComplementSimplex(Domain):
     """conv({0,1}^n minus the all-ones point) = {x in [0,1]^n : sum x_j <= n-1}."""
 
     n: int
+    symmetric = True
     min_n = 2
 
     def _halfspaces(self):

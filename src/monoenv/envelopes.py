@@ -64,10 +64,18 @@ def underestimator_value(u: LinearUnderestimator, x) -> float | np.ndarray:
 class Envelope:
     """A closed-form envelope: ``value(X)`` on an (m, n) array whose rows the
     caller knows lie in ``dom``, and a call that checks them first. Called on
-    a single point it gives a float, or a tuple of floats for a pair."""
+    a single point it gives a float, or a tuple of floats for a pair.
+    ``symmetric`` declares ``value`` invariant under coordinate permutations
+    (a row sum up to its last bits), which needs a ``Domain.symmetric`` dom,
+    else a ``ValueError``; ``oracle.max_gap`` reads it (see there)."""
 
     dom: Domain
     value: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, ...]]
+    symmetric: bool = False
+
+    def __post_init__(self):
+        if self.symmetric and not self.dom.symmetric:
+            raise ValueError(f"{self.dom} is not symmetric, so no envelope over it is")
 
     def __call__(self, x):
         X, single = as_points(x, self.dom.n)
@@ -88,7 +96,7 @@ _built_once = functools.lru_cache(maxsize=64, typed=True)
 @_built_once
 def concave_unitbox(m: Monomial) -> Envelope:
     """Concave envelope of x**alpha over [0,1]^n: min_j x_j (any alpha >= 1)."""
-    return Envelope(UnitBox(m.n), lambda X: fold_columns(np.minimum, X))
+    return Envelope(UnitBox(m.n), lambda X: fold_columns(np.minimum, X), symmetric=True)
 
 
 def concave_env_unitbox(m: Monomial, x) -> float | np.ndarray:
@@ -98,7 +106,8 @@ def concave_env_unitbox(m: Monomial, x) -> float | np.ndarray:
 @_built_once
 def convex_unitbox_multilinear(n: int) -> Envelope:
     """Convex envelope of x_1...x_n over [0,1]^n: max{0, 1 + sum_j (x_j - 1)}."""
-    return Envelope(UnitBox(n), lambda X: np.maximum(0.0, 1.0 + np.sum(X - 1.0, axis=-1)))
+    return Envelope(UnitBox(n), lambda X: np.maximum(0.0, 1.0 + np.sum(X - 1.0, axis=-1)),
+                    symmetric=True)
 
 
 def convex_env_unitbox_multilinear(n: int, x) -> float | np.ndarray:
@@ -190,7 +199,8 @@ def concave_ratiobox(n: int, r: float) -> Envelope:
     shift = sum(powers[1:])
     if not math.isfinite(shift):
         raise ScaleExceeded(f"sum of r**j for j < n overflows for n={n}, r={dom.r}")
-    return Envelope(dom, lambda X: np.einsum("ij,j->i", _sorted_rows(X), coeffs) - shift)
+    return Envelope(dom, lambda X: np.einsum("ij,j->i", _sorted_rows(X), coeffs) - shift,
+                    symmetric=True)
 
 
 def concave_env_ratiobox(n: int, r: float, x) -> float | np.ndarray:
@@ -212,7 +222,7 @@ def convex_ratiobox(n: int, r: float) -> Envelope:
             np.maximum(vals, cut, out=vals)
         return vals
 
-    return Envelope(dom, value)
+    return Envelope(dom, value, symmetric=True)
 
 
 def convex_env_ratiobox(n: int, r: float, x) -> float | np.ndarray:
@@ -237,7 +247,7 @@ def symbox_bounds(n: int) -> Envelope:
         k = fold_columns(np.not_equal, X < 0) * sm2
         return np.maximum(tot - k - (n - 1), -1.0), np.minimum(sm2 - k - tot + (n - 1), 1.0)
 
-    return Envelope(SymBox(n), value)
+    return Envelope(SymBox(n), value, symmetric=True)
 
 
 def envelopes_symbox(n: int, x) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:

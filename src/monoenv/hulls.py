@@ -92,11 +92,13 @@ class FacetSystem:
 
     @functools.cached_property
     def envelope_lower(self) -> envelopes.Envelope:
-        return envelopes.Envelope(SymBox(self.n), lambda X: self.envelope_bounds.value(X)[0])
+        return envelopes.Envelope(SymBox(self.n), lambda X: self.envelope_bounds.value(X)[0],
+                                  symmetric=True)
 
     @functools.cached_property
     def envelope_upper(self) -> envelopes.Envelope:
-        return envelopes.Envelope(SymBox(self.n), lambda X: self.envelope_bounds.value(X)[1])
+        return envelopes.Envelope(SymBox(self.n), lambda X: self.envelope_bounds.value(X)[1],
+                                  symmetric=True)
 
 
 def build_symbox_hull(n: int) -> FacetSystem:

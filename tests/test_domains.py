@@ -130,6 +130,24 @@ def same_bits(got, want):
 def test_members_per_family(dom):
     assert dom.inside_unit_box() is (dom in INSIDE)
     assert dom.is_box is isinstance(dom, (UnitBox, SubBox, RatioBox, SymBox))
+    assert dom.symmetric is isinstance(dom, (UnitBox, RatioBox, SymBox, StdSimplex,
+                                             ComplementSimplex))
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_a_symmetric_domain_is_unchanged_by_permuted_coordinates(n):
+    # one interval on every axis, and membership does not move under a
+    # permutation of the columns, also for rows just across the boundary
+    rng = np.random.default_rng(n)
+    for dom in (d for d in families(n) if d.symmetric):
+        lo, hi = dom.bounding_box()
+        assert np.all(lo == lo[0]) and np.all(hi == hi[0]), dom
+        X = lo[0] + (hi[0] - lo[0]) * rng.uniform(-0.05, 1.05, (512, n))
+        X[:64] *= (1.0 + 2e-9) / np.maximum(1e-12, X[:64].sum(axis=1, keepdims=True))
+        keep = dom.contains_many(X)
+        assert 0 < keep.sum() < len(X), dom
+        for _ in range(8):
+            assert np.array_equal(dom.contains_many(X[:, rng.permutation(n)]), keep), dom
 
 
 @pytest.mark.parametrize("sense", ["min", "max"])

@@ -504,3 +504,61 @@ def test_envelope_objects_sandwich_the_monomial(T, alpha, r):
         else:
             assert _same_bits(got, want)
             assert type(one) is float and _same_bits(one, first[0])
+
+
+def _declared_symmetric(n):
+    """(envelope, rows of its domain, whether its value is exact under
+    permutation) for every envelope that declares ``symmetric``: seeded rows
+    and the domain's vertices."""
+    rng = np.random.default_rng(3200 + n)
+    T = np.vstack([rng.random((64, n)), UnitBox(n).vertices()])
+    R, S = 1.0 + 1.7 * T, 2.0 * T - 1.0
+    fs = hulls.build_symbox_hull(n)
+    yield envelopes.concave_unitbox(Monomial(tuple(range(1, n + 1)))), T, True
+    yield envelopes.convex_unitbox_multilinear(n), T, False
+    yield envelopes.concave_ratiobox(n, 2.7), R, True
+    yield envelopes.convex_ratiobox(n, 2.7), R, False
+    yield envelopes.symbox_bounds(n), S, False
+    yield fs.envelope_lower, S, False
+    yield fs.envelope_upper, S, False
+
+
+def _permutations_agree(env, X, rng, exact):
+    """Whether ``env.value`` gives the rows of X, under each of 8 seeded
+    column permutations, their own values: bit for bit when ``exact``, else
+    within a few ulps of each row's magnitude, 16 n eps max(1, max_j |x_j|)^n."""
+    n = X.shape[1]
+    tol = 16 * n * np.finfo(float).eps * np.maximum(1.0, np.abs(X).max(axis=1)) ** n
+    want = env.value(X)
+    want = want if type(want) is tuple else (want,)
+    for _ in range(8):
+        got = env.value(X[:, rng.permutation(n)])
+        for g, w in zip(got if type(got) is tuple else (got,), want):
+            if not (_same_bits(g, w) if exact else np.all(np.abs(g - w) <= tol)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_declared_symmetry_holds_under_permuted_columns(n):
+    rng = np.random.default_rng(n)
+    count = 0
+    for env, X, exact in _declared_symmetric(n):
+        assert env.symmetric and env.dom.symmetric, env
+        assert _permutations_agree(env, X, rng, exact), env
+        count += 1
+    assert count == 7
+
+
+def test_a_planted_asymmetric_envelope_fails_the_symmetry_check():
+    planted = envelopes.Envelope(UnitBox(3), lambda X: X[:, 0], symmetric=True)
+    X = np.random.default_rng(0).random((64, 3))
+    assert not _permutations_agree(planted, X, np.random.default_rng(1), exact=False)
+
+
+@pytest.mark.parametrize("dom", [SubBox((0.1, 0.2), (0.9, 0.9)), CornerSimplexOne((0.5, 1.0))],
+                         ids=repr)
+def test_symmetry_needs_a_symmetric_domain(dom):
+    with pytest.raises(ValueError, match="not symmetric"):
+        envelopes.Envelope(dom, lambda X: np.zeros(len(X)), symmetric=True)
+    assert not envelopes.Envelope(dom, lambda X: np.zeros(len(X))).symmetric

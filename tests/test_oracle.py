@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -1190,3 +1191,110 @@ def test_verdict_bits_are_pinned(name):
     value, point = PINNED_VERDICTS[name]
     assert float(rep.measured_value).hex() == value
     assert tuple(float(x).hex() for x in rep.attainment_points[0]) == point
+
+
+def _symmetric_families(n):
+    return [dom for dom in (UnitBox(n), RatioBox(n, 2.5), SymBox(n), StdSimplex(n))
+            + ((ComplementSimplex(n),) if n >= 2 else ()) if dom.symmetric]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbit_points_are_the_nondecreasing_grid_rows(n):
+    doms = _symmetric_families(n)
+    assert len(doms) == 4 + (n >= 2)
+    for dom in doms:
+        for res in (2, 3, GridSpec().resolution_for(n)):
+            grid = oracle._grid_points(dom, res)
+            pts = oracle._orbit_points(dom, res)
+            want = grid[np.all(np.diff(grid, axis=1) >= 0.0, axis=1)]
+            assert np.array_equal(_bits(pts), _bits(want)), (dom, res)
+            assert pts.flags.f_contiguous and not pts.flags.writeable, (dom, res)
+
+
+def test_orbit_row_counts_at_the_default_resolution():
+    counts = [len(oracle._orbit_points(SymBox(n), GridSpec().resolution_for(n)))
+              for n in range(2, 7)]
+    assert counts == [2080, 45760, 17550, 4368, 1716]
+    assert len(oracle._orbit_points(StdSimplex(3), 64)) == 7799
+
+
+def test_the_orbit_scan_never_builds_the_full_grid(monkeypatch):
+    def refuse(dom, res):
+        raise AssertionError("the full grid was built")
+
+    monkeypatch.setattr(oracle, "_grid_points", refuse)
+    m, dom, r = Monomial.multilinear(4), RatioBox(4, 2.0312), 2.0312  # no cache holds its rows
+    env = envelopes.concave_ratiobox(4, r)
+    rep = max_gap(m, dom, env, oracle.OVER, bound=bounds.ratio_box_constants(4, r)[1])
+    assert rep.verdict is Verdict.TIGHT
+    with pytest.raises(AssertionError, match="full grid"):
+        max_gap(m, dom, lambda X: env.value(X), oracle.OVER)
+
+
+def _scan_rows(monkeypatch, m, dom, estimator, side):
+    """``max_gap``'s report and the rows its grid scan handed the estimator."""
+    rows, scanned = [], []
+    refine = oracle._refine
+
+    def marked(*args):
+        scanned.append(sum(rows))
+        return refine(*args)
+
+    def counted(value):
+        def count(X):
+            rows.append(len(X))
+            return value(X)
+        return count
+
+    est = (dataclasses.replace(estimator, value=counted(estimator.value))
+           if isinstance(estimator, envelopes.Envelope) else counted(estimator))
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "_refine", marked)
+        rep = max_gap(m, dom, est, side)
+    return rep, scanned[0]
+
+
+# cases whose maximizers lie on the diagonal, an orbit of one row, or whose
+# gap is exact on the grid: the orbit scan gives the full scan's bits
+_ORBIT_BITS = {"unit-conc", "ratio-conc", "sym-lo", "sym-hi", "simplex-conc"}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_orbit_scan_agrees_with_the_full_scan(n, monkeypatch):
+    ml, m2 = Monomial.multilinear(n), Monomial((2,) * n)
+    fs = hulls.build_symbox_hull(n)
+    zero = envelopes.Envelope(StdSimplex(n), lambda X: np.zeros(len(X)), symmetric=True)
+    cases = [("unit-conc", ml, envelopes.concave_unitbox(ml), oracle.OVER),
+             ("unit-conc", m2, envelopes.concave_unitbox(m2), oracle.OVER),
+             ("unit-cvx", ml, envelopes.convex_unitbox_multilinear(n), oracle.UNDER),
+             ("sym-lo", ml, fs.envelope_lower, oracle.UNDER),
+             ("sym-hi", ml, fs.envelope_upper, oracle.OVER),
+             ("simplex-cvx", ml, zero, oracle.UNDER),
+             ("simplex-cvx", m2, zero, oracle.UNDER)]
+    for r in (1.3, 2.7):
+        cases += [("ratio-conc", ml, envelopes.concave_ratiobox(n, r), oracle.OVER),
+                  ("ratio-cvx", ml, envelopes.convex_ratiobox(n, r), oracle.UNDER)]
+    for m in (ml, m2):
+        conc = envelopes.Envelope(StdSimplex(n), envelopes.concave_unitbox(m).value, symmetric=True)
+        cases.append(("simplex-conc", m, conc, oracle.OVER))
+    res = GridSpec().resolution_for(n)
+    for name, m, env, side in cases:
+        rep, rows = _scan_rows(monkeypatch, m, env.dom, env, side)
+        ref, full = _scan_rows(monkeypatch, m, env.dom, lambda X: env.value(X), side)
+        assert rows == len(oracle._orbit_points(env.dom, res)) < full, (name, m)
+        assert full == len(oracle._grid_points(env.dom, res)), (name, m)
+        if name in _ORBIT_BITS:
+            assert _report_bits(rep) == _report_bits(ref), (name, m)
+        else:
+            assert rep.measured_value == pytest.approx(ref.measured_value, rel=1e-14, abs=0.0)
+
+
+def test_these_scans_keep_the_full_grid(monkeypatch):
+    m, ml = Monomial((2, 1, 1)), Monomial.multilinear(3)
+    conc = envelopes.concave_unitbox(ml)
+    full = len(oracle._grid_points(UnitBox(3), 64))
+    for mono, est in ((m, envelopes.concave_unitbox(m)),  # unequal exponents
+                      (ml, lambda X: conc.value(X)),  # a plain callable
+                      (ml, envelopes.Envelope(UnitBox(3), conc.value))):  # no declaration
+        assert _scan_rows(monkeypatch, mono, UnitBox(3), est, oracle.OVER)[1] == full
+    assert _scan_rows(monkeypatch, ml, UnitBox(3), conc, oracle.OVER)[1] < full
