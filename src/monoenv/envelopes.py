@@ -48,9 +48,6 @@ class LinearUnderestimator:
     def n(self) -> int:
         return len(self.beta)
 
-    def degree_beta(self) -> float:
-        return float(sum(self.beta))
-
 
 def underestimator_value(u: LinearUnderestimator, x) -> float | np.ndarray:
     """intercept + sum_j beta_j (x_j - 1), the one evaluator of such a cut: on
@@ -67,7 +64,7 @@ class Envelope:
     a single point it gives a float, or a tuple of floats for a pair.
     ``symmetric`` declares ``value`` invariant under coordinate permutations
     (a row sum up to its last bits), which needs a ``Domain.symmetric`` dom,
-    else a ``ValueError``; ``oracle.max_gap`` reads it (see there)."""
+    else a ``ValueError``; ``oracle.grid_maximize`` reads it (see there)."""
 
     dom: Domain
     value: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, ...]]

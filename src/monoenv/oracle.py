@@ -8,11 +8,11 @@ read them. The scan calls the function on blocks of consecutive grid rows
 by the one block rule of every row kernel, ``core.by_blocks``, so that each
 block's temporaries stay in cache; every package estimator gives a row the
 same bits whatever rows share its call, so the values are those of one call
-on the whole grid. ``max_gap`` scans only the nondecreasing rows, one per
-orbit of the coordinate permutations, for an ``Envelope`` over the scanned
-domain that declares ``symmetric`` and equal exponents; other scans, a plain
-callable's too, take the whole grid. Such a row is its orbit's first in C
-order, so for an objective symmetric in floats both find the same incumbent.
+on the whole grid. ``grid_maximize`` scans only the nondecreasing rows, one
+per orbit of the coordinate permutations, for an ``Envelope`` over the domain
+that declares ``symmetric`` (``max_gap``'s gap does for equal exponents and
+such an estimator); others scan the whole grid. Such a row is its orbit's
+first in C order: an objective symmetric in floats gets the whole grid's incumbent.
 The grid incumbent is then polished by line searches
 along each coordinate and its orthant diagonal, which is where the attainment
 loci live, along its centering directions and, up to n = 6, along every
@@ -264,18 +264,17 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
 
     Grid scan in ``core.by_blocks`` blocks of rows (lexicographic tie-break:
     one argmax over all the scan values), then ``_refine`` from the
-    incumbent, so the value never falls below the grid incumbent's. The point
+    incumbent, so the value never falls below the grid incumbent's. An
+    ``Envelope`` over ``dom`` itself is evaluated by its unchecked ``value``,
+    as the search makes only points of ``dom``, and on ``_orbit_points`` when
+    it declares ``symmetric``; other functions scan the whole grid. The point
     returned is an array of its own. Every stack ``func`` gets is read-only.
     A best value of +-inf is a ``ScaleExceeded``: the function left the float
     range, and a nan is a ``ValueError`` (``_values``).
     """
+    func, orbits = _unchecked(func, dom)
     res = (grid or GridSpec()).resolution_for(dom.n)
-    return _scan_refine(func, dom, _grid_points(dom, res), res, center_weights)
-
-
-def _scan_refine(func, dom: Domain, pts: np.ndarray, res: int,
-                 center_weights: Optional[np.ndarray]) -> tuple[float, np.ndarray]:
-    """``grid_maximize`` over pts, grid rows of resolution res."""
+    pts = (_orbit_points if orbits else _grid_points)(dom, res)
     if len(pts) == 0:
         raise ScaleExceeded("grid resolution too coarse: no interior cell centers")
     vals = by_blocks(_values, pts, func)
@@ -285,6 +284,13 @@ def _scan_refine(func, dom: Domain, pts: np.ndarray, res: int,
     if np.isinf(v):
         raise ScaleExceeded(f"the best value over {dom} is infinite, beyond the float range")
     return float(v), x
+
+
+def _unchecked(func, dom: Domain) -> tuple[Callable[[np.ndarray], np.ndarray], bool]:
+    """(value, symmetric) of an ``Envelope`` over dom itself, else (func, False)."""
+    if isinstance(func, Envelope) and func.dom == dom:
+        return func.value, func.symmetric
+    return func, False
 
 
 def grid_minimize(func, dom: Domain, grid: Optional[GridSpec] = None,
@@ -302,16 +308,13 @@ def max_gap(m: Monomial, dom: Domain, estimator: Callable[[np.ndarray], np.ndarr
     ``side="UNDER"`` scans f(x) - estimator(x). The report compares the
     measured maximum against ``bound`` when one is supplied. An
     :class:`~monoenv.envelopes.Envelope` over ``dom`` itself is evaluated by
-    its unchecked ``value``, since the scan generates every point in ``dom``,
-    and on one row per orbit when it is ``symmetric`` and the exponents equal.
+    its unchecked ``value``. The gap goes to ``grid_maximize`` as an
+    ``Envelope`` over ``dom``, ``symmetric`` when the estimator declares it and
+    the exponents are equal, so that its scan takes one row per orbit.
     """
     _require_side(side)
     dom.require_monomial(m)
-    orbits = False
-    if isinstance(estimator, Envelope) and estimator.dom == dom:
-        # a symmetric Envelope's domain is symmetric, so is the gap for equal exponents
-        orbits = estimator.symmetric and m.is_symmetric()
-        estimator = estimator.value
+    estimator, symmetric = _unchecked(estimator, dom)
 
     if side == OVER:
         def gap(X):
@@ -320,12 +323,10 @@ def max_gap(m: Monomial, dom: Domain, estimator: Callable[[np.ndarray], np.ndarr
         def gap(X):
             return monomial_values(m, X) - _row_values(estimator, X, "estimator")
 
-    spec, weights = grid or GridSpec(), np.asarray(m.alpha, float)
-    if orbits:
-        res = spec.resolution_for(dom.n)
-        measured, point = _scan_refine(gap, dom, _orbit_points(dom, res), res, weights)
-    else:  # through grid_maximize, so that the benchmark's span on it times every full scan
-        measured, point = grid_maximize(gap, dom, spec, weights)
+    # a symmetric Envelope's domain is symmetric, so is the gap for equal exponents
+    objective = Envelope(dom, gap, symmetric=symmetric and m.is_symmetric())
+    spec = grid or GridSpec()
+    measured, point = grid_maximize(objective, dom, spec, np.asarray(m.alpha, float))
     ref_bound = measured if bound is None else bound
     return error_report(ref_bound, measured, points=[point], tol=tol, grid=spec)
 
@@ -377,8 +378,6 @@ def sigma_numeric(m: Monomial, dom: Domain, beta,
     """Numeric best valid intercept: min over the domain of x**alpha -
     beta.(x - 1), which has no sum(beta) to cancel, for finite beta >= 1, via
     grid refinement plus vertex enumeration where the domain has vertices."""
-    if m.n > 6:
-        raise ScaleExceeded("sigma_numeric supports n <= 6")
     b = slopes(beta, m.n)
     dom.require_monomial(m)
     cut = LinearUnderestimator(b, 0.0)

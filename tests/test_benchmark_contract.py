@@ -73,16 +73,19 @@ def test_hull_reads_as_the_workloads_read_it(n):
 def test_traced_wrappers_install():
     # install_spans raises when a name it rebinds is gone from the package;
     # the two LP spans stay empty if a caller binds an LP entry past the
-    # module attribute that install_spans rebinds, and a box's point check
-    # records no span if it leaves Domain.require_inside
+    # module attribute that install_spans rebinds, the grid_maximize span if
+    # a scan runs past it, and a box's point check records no span if it
+    # leaves Domain.require_inside
     code = ("import sys; sys.path.insert(0, 'perfbench')\n"
             "from spans import Tracer\n"
             "from worker import install_spans\n"
-            "from monoenv import Monomial, UnitBox, envelopes, hulls, oracle\n"
+            "from monoenv import Monomial, SymBox, UnitBox, envelopes, hulls, oracle\n"
             "tracer = Tracer()\n"
             "install_spans(tracer)\n"
             "hulls.verify_integrality(3, trials=1)\n"
             "oracle.sampled_hull_envelope(Monomial((1, 1)), UnitBox(2), (0.5, 0.25), oracle.UNDER)\n"
+            "oracle.max_gap(Monomial.multilinear(3), SymBox(3), hulls.FacetSystem(3).envelope_lower,\n"
+            "               oracle.UNDER)\n"
             "print(' '.join(sorted({tracer.names[i] for i in tracer.name})))\n"
             "nid = tracer.name_id('core.require_inside')\n"
             "for check in (lambda: envelopes.concave_env_unitbox(Monomial((1, 1)), [0.5, 0.5]),\n"
@@ -99,6 +102,8 @@ def test_traced_wrappers_install():
     names, *checks = proc.stdout.splitlines()
     traced = set(names.split())
     assert {"lp.solve_box_lp", "lp.solve_equality_lp"} <= traced, traced
+    # an orbit-scanned verdict searches through the rebound grid_maximize too
+    assert "oracle.grid_maximize" in traced, traced
     # one span per checked call on a UnitBox, a RatioBox and a SymBox
     assert checks == ["require_inside 1"] * 3, checks
     # install_spans rebinds require_inside and contains_many on Domain itself;

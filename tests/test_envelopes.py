@@ -105,9 +105,6 @@ class TestUnderestimatorValue:
         with pytest.raises(ValueError):
             LinearUnderestimator((0.5, 1.0), 1.0)
 
-    def test_degree_beta(self):
-        assert LinearUnderestimator((1.5, 2.0), 1.0).degree_beta() == 3.5
-
 
 class TestGammaVector:
     def test_subbox_formula(self):

@@ -384,10 +384,9 @@ def _batch_cases(monkeypatch):
         u = envelopes.LinearUnderestimator(tuple(beta), 0.5)
         yield "underestimator_value", n, lambda X, u=u: envelopes.underestimator_value(u, X), box
         unit = rng.random((64, n))
-        if n <= 6:
-            obj = _captured(monkeypatch, "grid_minimize",
-                            lambda: sigma_numeric(m, UnitBox(n), beta, GridSpec(resolution=2)))
-            yield "sigma_numeric", n, obj, unit
+        obj = _captured(monkeypatch, "grid_minimize",
+                        lambda: sigma_numeric(m, UnitBox(n), beta, GridSpec(resolution=2)))
+        yield "sigma_numeric", n, obj, unit
         err = _captured(monkeypatch, "grid_maximize", lambda: oracle.relaxation_error_PB(
             m, [np.ones(n)], UnitBox(n), GridSpec(resolution=2)))
         # rows where the cut x -> 1 + sum(x - 1), not min(x), sets the error
@@ -714,6 +713,11 @@ class TestGridEngine:
     def test_no_default_grid_beyond_six(self):
         with pytest.raises(ScaleExceeded):
             GridSpec().resolution_for(7)
+        # the grid's rule is sigma_numeric's too: an explicit grid works at n = 7
+        m = Monomial.multilinear(7)
+        assert sigma_numeric(m, UnitBox(7), np.ones(7), GridSpec(resolution=2)) == 1.0
+        with pytest.raises(ScaleExceeded, match="no default grid for n=7"):
+            sigma_numeric(m, UnitBox(7), np.ones(7))
 
     def test_attainment_loci_on_diagonal(self):
         # concave gap argmax over the unit box sits on the main diagonal
@@ -1227,12 +1231,15 @@ def test_the_orbit_scan_never_builds_the_full_grid(monkeypatch):
     env = envelopes.concave_ratiobox(4, r)
     rep = max_gap(m, dom, env, oracle.OVER, bound=bounds.ratio_box_constants(4, r)[1])
     assert rep.verdict is Verdict.TIGHT
+    _, rows = _rows_scanned(monkeypatch, lambda f: grid_maximize(f, dom), env)
+    assert rows == len(oracle._orbit_points(dom, GridSpec().resolution_for(4)))
     with pytest.raises(AssertionError, match="full grid"):
         max_gap(m, dom, lambda X: env.value(X), oracle.OVER)
 
 
-def _scan_rows(monkeypatch, m, dom, estimator, side):
-    """``max_gap``'s report and the rows its grid scan handed the estimator."""
+def _rows_scanned(monkeypatch, search, func):
+    """search(func), where func is a function or an ``Envelope``, and the
+    rows that its grid scan handed func before the refinement."""
     rows, scanned = [], []
     refine = oracle._refine
 
@@ -1246,12 +1253,17 @@ def _scan_rows(monkeypatch, m, dom, estimator, side):
             return value(X)
         return count
 
-    est = (dataclasses.replace(estimator, value=counted(estimator.value))
-           if isinstance(estimator, envelopes.Envelope) else counted(estimator))
+    func = (dataclasses.replace(func, value=counted(func.value))
+            if isinstance(func, envelopes.Envelope) else counted(func))
     with monkeypatch.context() as mp:
         mp.setattr(oracle, "_refine", marked)
-        rep = max_gap(m, dom, est, side)
-    return rep, scanned[0]
+        out = search(func)
+    return out, scanned[0]
+
+
+def _scan_rows(monkeypatch, m, dom, estimator, side):
+    """``max_gap``'s report and the rows its grid scan handed the estimator."""
+    return _rows_scanned(monkeypatch, lambda est: max_gap(m, dom, est, side), estimator)
 
 
 # cases whose maximizers lie on the diagonal, an orbit of one row, or whose
@@ -1293,8 +1305,14 @@ def test_these_scans_keep_the_full_grid(monkeypatch):
     m, ml = Monomial((2, 1, 1)), Monomial.multilinear(3)
     conc = envelopes.concave_unitbox(ml)
     full = len(oracle._grid_points(UnitBox(3), 64))
+    plain, undeclared = lambda X: conc.value(X), envelopes.Envelope(UnitBox(3), conc.value)
     for mono, est in ((m, envelopes.concave_unitbox(m)),  # unequal exponents
-                      (ml, lambda X: conc.value(X)),  # a plain callable
-                      (ml, envelopes.Envelope(UnitBox(3), conc.value))):  # no declaration
+                      (ml, plain), (ml, undeclared)):
         assert _scan_rows(monkeypatch, mono, UnitBox(3), est, oracle.OVER)[1] == full
     assert _scan_rows(monkeypatch, ml, UnitBox(3), conc, oracle.OVER)[1] < full
+    for func in (plain, undeclared):
+        assert _rows_scanned(monkeypatch, lambda f: grid_maximize(f, UnitBox(3)), func)[1] == full
+    # an Envelope over another domain is called through its checked call
+    simplex = StdSimplex(3)
+    assert _rows_scanned(monkeypatch, lambda f: grid_maximize(f, simplex), conc)[1] == len(
+        oracle._grid_points(simplex, 64))
