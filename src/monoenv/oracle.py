@@ -2,27 +2,28 @@
 extremes, sampled-hull envelope values via tiny LPs, numeric intercepts, and
 a high-precision decimal reference for the constant-ratio box concave error.
 
-Grids use cell-center sampling (no boundary ties) and are stored column by
+Grids use cell-center sampling (no boundary ties) and are laid out column by
 column, one contiguous array per coordinate, which is how the grid kernels
-read them. The scan calls the function on blocks of consecutive grid rows
-by the one block rule of every row kernel, ``core.by_blocks``, so that each
-block's temporaries stay in cache; every package estimator gives a row the
-same bits whatever rows share its call, so the values are those of one call
-on the whole grid. ``grid_maximize`` scans only the nondecreasing rows, one
-per orbit of the coordinate permutations, for an ``Envelope`` over the domain
-that declares ``symmetric`` (``max_gap``'s gap does for equal exponents and
-such an estimator); others scan the whole grid. Such a row is its orbit's
-first in C order: an objective symmetric in floats gets the whole grid's incumbent.
-The grid incumbent is then polished by line searches
-along each coordinate and its orthant diagonal, which is where the attainment
-loci live, along its centering directions and, up to n = 6, along every
-other sign diagonal. A pass searches all these lines as one stack in 11
-section steps, each one call on 32 points per line, built and passed column
-by column like the grid and as read-only; so at n >= 8, which only explicit
-grids reach, a row-sum kernel gives refined rows the column-major bits that
-grid rows get. The incumbent then moves to its best line's end, and a pass
-that does not raise its value ends the refinement. Nothing is random:
-results are reproducible bit for bit.
+read them. The scan calls the function on blocks of at most
+``core.BLOCK_FLOATS // n`` consecutive grid rows, the block rule of every row
+kernel, so that each block's temporaries stay in cache; every package
+estimator gives a row the same bits whatever rows share its call, so the
+values are those of one call on the whole grid. A box's blocks are generated
+from its axes, so its grid is never stored. ``grid_maximize`` scans only the
+nondecreasing rows, one per orbit of the coordinate permutations, for an
+``Envelope`` over the domain that declares ``symmetric`` (``max_gap``'s gap
+does for equal exponents and such an estimator); others scan the whole grid.
+Such a row is its orbit's first in C order: an objective symmetric in floats
+gets the whole grid's incumbent. The grid incumbent is then polished by line
+searches along each coordinate and its orthant diagonal, which is where the
+attainment loci live, along its centering directions and, up to n = 6, along
+every other sign diagonal. A pass searches all these lines as one stack in 11
+section steps, each one call on 32 points per line, built and passed column by
+column like the grid and as read-only; so at n >= 8, which only explicit grids
+reach, a row-sum kernel gives refined rows the column-major bits that grid
+rows get. The incumbent then moves to its best line's end, and a pass that
+does not raise its value ends the refinement. Nothing is random: results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ import functools
 import itertools
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .core import (
+    BLOCK_FLOATS,
     TOL_ORACLE,
     DimensionMismatch,
     Domain,
@@ -44,7 +46,6 @@ from .core import (
     ScaleExceeded,
     UnsupportedDomain,
     _box_vertices,
-    by_blocks,
     error_report,
     monomial_values,
     one_point,
@@ -99,19 +100,47 @@ def _grid_points(dom: Domain, res: int) -> np.ndarray:
     read-only (N, n) array whose rows run over the cells in C order (the
     last coordinate fastest). A center that is not finite is a ``ScaleExceeded``.
 
-    It is stored column by column (``f_contiguous``): filled as an (n, res^n)
-    array, filtered by columns and returned transposed. Every grid kernel
-    reads one coordinate at a time (``fold_columns``, ``monomial_values``),
-    and so reads each coordinate contiguously.
-    The package's kernels give these rows the bits of a row-major copy;
-    only a row sum over 8 or more columns (``np.sum`` along a row, which
-    numpy adds pairwise by layout) can differ in its last bit.
+    The ``_grid_blocks`` joined, filtered by columns and returned transposed
+    (``f_contiguous``): every grid kernel reads one coordinate at a time
+    (``fold_columns``, ``monomial_values``), so each one contiguously. The
+    package's kernels give these rows the bits of a row-major copy; only a
+    row sum over 8 or more columns (``np.sum`` along a row, which numpy adds
+    pairwise by layout) can differ in its last bit. No box scan calls this.
+    """
+    cols, s = np.empty((dom.n, res ** dom.n)), 0  # filled in place: a joined list holds two grids
+    for block in _grid_blocks(dom, res):
+        cols[:, s:s + block.shape[1]] = block
+        s += block.shape[1]
+    return _members(dom, cols)
+
+
+def _grid_blocks(dom: Domain, res: int) -> Iterator[np.ndarray]:
+    """The res^n cell centers of the domain's bounding box, in C order, as
+    fresh (n, m) column blocks of at most BLOCK_FLOATS // n rows each.
+
+    A block is whole tiles: a tile is the grid of the trailing k coordinates,
+    res^k rows for the largest k that fits a block, built once and copied
+    into every block, while each leading coordinate holds one value per tile.
     """
     n, axes = dom.n, _cell_centers(dom, res)
-    cols = np.empty((n,) + (res,) * n)
-    for j in range(n):
-        cols[j] = axes[j].reshape((res,) + (1,) * (n - 1 - j))  # varies along axis j
-    return _members(dom, cols.reshape(n, -1))
+    rows = BLOCK_FLOATS // n or 1
+    k = max(k for k in range(n + 1) if res ** k <= rows)
+    tile, tiles = _lattice(axes[n - k:], np.arange(res ** k)), res ** (n - k)
+    per = rows // res ** k
+    for s in range(0, tiles, per):
+        cols = np.empty((n, min(per, tiles - s), res ** k))
+        cols[:n - k] = _lattice(axes[:n - k], np.arange(s, s + cols.shape[1]))[:, :, None]
+        cols[n - k:] = tile[:, None, :]
+        yield cols.reshape(n, -1)
+
+
+def _lattice(axes: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows idx, in C order, of the grid over the (k, res) axes, as a (k, len(idx)) array."""
+    out = np.empty((len(axes), len(idx)))
+    for j in range(len(axes) - 1, -1, -1):
+        idx, i = np.divmod(idx, axes.shape[1])
+        out[j] = axes[j][i]
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -262,9 +291,11 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
                   center_weights: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:
     """Maximize a vectorized function over a structured domain.
 
-    Grid scan in ``core.by_blocks`` blocks of rows (lexicographic tie-break:
-    one argmax over all the scan values), then ``_refine`` from the
-    incumbent, so the value never falls below the grid incumbent's. An
+    Grid scan in blocks of rows, a box's full grid generated by
+    ``_grid_blocks`` and other rows sliced from their cache, keeping the
+    whole grid's first maximum (a strict ``>`` across blocks, ``argmax``
+    within one), then ``_refine`` from the incumbent, so the value never
+    falls below the grid incumbent's. An
     ``Envelope`` over ``dom`` itself is evaluated by its unchecked ``value``,
     as the search makes only points of ``dom``, and on ``_orbit_points`` when
     it declares ``symmetric``; other functions scan the whole grid. The point
@@ -274,13 +305,22 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     """
     func, orbits = _unchecked(func, dom)
     res = (grid or GridSpec()).resolution_for(dom.n)
-    pts = (_orbit_points if orbits else _grid_points)(dom, res)
-    if len(pts) == 0:
+    if dom.is_box and not orbits:
+        blocks = (_members(dom, cols) for cols in _grid_blocks(dom, res))
+    else:
+        pts = (_orbit_points if orbits else _grid_points)(dom, res)
+        rows = BLOCK_FLOATS // dom.n or 1
+        blocks = (pts[s:s + rows] for s in range(0, len(pts), rows))
+    x = None
+    for P in blocks:
+        vals = _values(func, P)
+        k = int(np.argmax(vals))  # first max in C order = lexicographic argmax
+        if x is None or vals[k] > v:
+            x, v = P[k].copy(), vals[k]
+    if x is None:
         raise ScaleExceeded("grid resolution too coarse: no interior cell centers")
-    vals = by_blocks(_values, pts, func)
-    k = int(np.argmax(vals))  # first max in C order = lexicographic argmax
     lo, hi = dom.bounding_box()
-    x, v = _refine(func, dom, pts[k].copy(), vals[k], (hi - lo) / res, center_weights)
+    x, v = _refine(func, dom, x, v, (hi - lo) / res, center_weights)
     if np.isinf(v):
         raise ScaleExceeded(f"the best value over {dom} is infinite, beyond the float range")
     return float(v), x

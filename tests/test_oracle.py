@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -510,9 +511,10 @@ def _grid_estimators(monkeypatch, n):
     yield UnitBox(n), "sigma_numeric", _captured(
         monkeypatch, "grid_minimize",
         lambda: sigma_numeric(m, UnitBox(n), beta, GridSpec(resolution=2)))
-    yield UnitBox(n), "relaxation_error_PB", _captured(
-        monkeypatch, "grid_maximize", lambda: oracle.relaxation_error_PB(
-            m, [np.ones(n), beta], UnitBox(n), GridSpec(resolution=2)))
+    if n >= 2:  # its bound, c1, needs a degree of 2 or more
+        yield UnitBox(n), "relaxation_error_PB", _captured(
+            monkeypatch, "grid_maximize", lambda: oracle.relaxation_error_PB(
+                m, [np.ones(n), beta], UnitBox(n), GridSpec(resolution=2)))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -542,39 +544,51 @@ def test_refined_values_match_a_row_major_copy(n, monkeypatch):
     assert moved >= 20  # most of the 30 starts move
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+# resolutions besides the default: a tile of one row in blocks of 65536 at
+# n = 1, tiles of 200 rows that do not fill a block of 32768 at n = 2, and
+# one small tile at n = 3
+_EXTRA_RESOLUTIONS = {1: (100_000,), 2: (200,), 3: (7,)}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 def test_blocked_scan_values_match_one_call_on_the_grid(n, monkeypatch):
     # the scan calls the function on consecutive blocks of at most
-    # core.BLOCK_FLOATS // n rows; the values it takes its argmax over are those
-    # of one call on the whole grid. Refinement is stubbed out: it sees only
-    # the scan's incumbent.
+    # core.BLOCK_FLOATS // n rows, each read-only with contiguous columns; a
+    # box's blocks are fresh column-major arrays. The values it takes its
+    # argmax over are those of one call on the whole grid. Refinement is
+    # stubbed out, so every call is a scan block.
     monkeypatch.setattr(oracle, "_refine", lambda func, dom, X, V, *a: (X, V))
     rows = core.BLOCK_FLOATS // n
-    res = GridSpec().resolution_for(n)
     m = Monomial.multilinear(n)
-    cases = [*_grid_estimators(monkeypatch, n),
-             (ComplementSimplex(n), "monomial_values", lambda X: monomial_values(m, X))]
+    cases = [*_grid_estimators(monkeypatch, n)]
+    if n >= 2:
+        cases.append((ComplementSimplex(n), "monomial_values", lambda X: monomial_values(m, X)))
     sizes = set()
-    for dom, name, func in cases:
-        pts = oracle._grid_points(dom, res)
-        calls = []
+    for res in (GridSpec().resolution_for(n),) + _EXTRA_RESOLUTIONS.get(n, ()):
+        for dom, name, func in cases:
+            pts = oracle._grid_points(dom, res)
+            calls = []
 
-        def record(X, func=func):
-            calls.append((np.array(X), np.array(func(X))))
-            return calls[-1][1]
+            def record(X, func=func):
+                calls.append((X, np.array(func(X))))
+                return calls[-1][1]
 
-        grid_maximize(record, dom, GridSpec())
-        blocks = calls[:-(-len(pts) // rows)]
-        assert all(len(X) <= rows for X, _ in blocks), (name, dom)
-        assert np.array_equal(np.concatenate([X for X, _ in blocks]), pts), (name, dom)
-        scan = np.concatenate([v for _, v in blocks])
-        assert np.array_equal(_bits(scan), _bits(func(pts))), (name, dom)
-        sizes.add(len(pts))
-    # every n but 2 (largest grid 4096 rows) has a grid that ends in a
-    # partial block, and every n but 3 (smallest grid 43680 rows) one that
-    # fits in a single block
-    assert any(k > rows and k % rows for k in sizes) or n == 2
-    assert min(sizes) < rows or n == 3
+            grid_maximize(record, dom, GridSpec(resolution=res))
+            for i, (X, _) in enumerate(calls):
+                assert len(X) <= rows and not X.flags.writeable, (name, dom, res)
+                assert X.strides[0] == X.itemsize, (name, dom, res)  # contiguous columns
+                if dom.is_box:
+                    assert X.flags.f_contiguous, (name, dom, res)
+                    assert i == 0 or not np.shares_memory(X, calls[i - 1][0]), (name, dom, res)
+            assert np.array_equal(_bits(np.concatenate([X for X, _ in calls])), _bits(pts)), (
+                name, dom, res)
+            scan = np.concatenate([v for _, v in calls])
+            assert np.array_equal(_bits(scan), _bits(func(pts))), (name, dom, res)
+            sizes.add(len(pts))
+    # every n has a grid longer than one block that is not a whole number of
+    # blocks, and one that fits in a single block
+    assert any(k > rows and k % rows for k in sizes)
+    assert min(sizes) < rows
 
 
 def _row_major_grid(dom, res):
@@ -1233,8 +1247,38 @@ def test_the_orbit_scan_never_builds_the_full_grid(monkeypatch):
     assert rep.verdict is Verdict.TIGHT
     _, rows = _rows_scanned(monkeypatch, lambda f: grid_maximize(f, dom), env)
     assert rows == len(oracle._orbit_points(dom, GridSpec().resolution_for(4)))
-    with pytest.raises(AssertionError, match="full grid"):
-        max_gap(m, dom, lambda X: env.value(X), oracle.OVER)
+    # nor does the full scan of a plain callable: a box's blocks come from its axes
+    _, rows = _scan_rows(monkeypatch, m, dom, lambda X: env.value(X), oracle.OVER)
+    assert rows == GridSpec().resolution_for(4) ** 4
+
+
+@pytest.mark.parametrize("dom", [UnitBox(3), RatioBox(4, 2.0314), SymBox(5),
+                                 SubBox((0.1, 0.3, 0.2, 0.0), (0.9, 0.4, 0.7, 0.5))], ids=repr)
+def test_a_box_scan_never_builds_its_grid(dom, monkeypatch):
+    # a box's full scan generates its rows block by block from the axes, so
+    # no box grid is stored: every res^n row is scanned without _grid_points
+    def refuse(dom, res):
+        raise AssertionError("the full grid was built")
+
+    monkeypatch.setattr(oracle, "_grid_points", refuse)
+    m = Monomial.multilinear(dom.n)
+    _, rows = _rows_scanned(monkeypatch, lambda f: grid_maximize(f, dom),
+                            lambda X: monomial_values(m, X))
+    assert rows == GridSpec().resolution_for(dom.n) ** dom.n
+
+
+def test_a_ratio_box_scan_peaks_below_four_mib():
+    # a fresh RatioBox(4, r) grid is 331776 x 4 floats, 10.6 MB; the scan
+    # holds blocks of at most 16384 rows
+    r = 2.0313  # no cache holds its rows
+    dom = RatioBox(4, r)
+    tracemalloc.start()
+    try:
+        grid_maximize(lambda X: envelopes.concave_env_ratiobox(4, r, X), dom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def _rows_scanned(monkeypatch, search, func):
