@@ -134,12 +134,17 @@ _DOMAINS = {
 }
 
 
+def _require_read(args, flags, reads, who: str) -> None:
+    """Each of `flags` that the user gave must be one of those `who` reads."""
+    for flag in flags:
+        if getattr(args, flag, None) is not None and flag not in reads:
+            raise ValueError(f"{who} does not read --{flag}")
+
+
 def _domain(args, n: int):
     """The --domain the user chose; a domain flag it does not read is a usage error."""
     reads, build, _ = _DOMAINS[args.domain]
-    for flag in _DOMAIN_FLAGS:
-        if getattr(args, flag, None) is not None and flag not in reads:
-            raise ValueError(f"--domain {args.domain} does not read --{flag}")
+    _require_read(args, _DOMAIN_FLAGS, reads, f"--domain {args.domain}")
     values = [getattr(args, flag) for flag in reads]
     if None in values:
         raise ValueError(f"--domain {args.domain} needs " + " and ".join(f"--{f}" for f in reads))
@@ -176,9 +181,8 @@ def cmd_bounds(args) -> int:
 # tol, seed, trials capped at 200); it does not read --alpha, --n or --r
 _ALL_ARGS = {"unitbox": {"alpha": (1, 1, 1)}, "integrality": {"n": 3}}
 _SHARED = ("grid", "tol", "seed", "trials")
-# the case parameters each flag feeds
-_FEEDS = {"alpha": ("alpha",), "n": ("n",), "r": ("r",), "trials": ("trials",),
-          "tol": ("tol",), "grid": ("grid",), "seed": ("seed",)}
+# the flags of `verify`, each feeding the case parameter of its name
+_CASE_FLAGS = ("alpha", "n", "r", "trials", "tol", "grid", "seed")
 
 
 def _params(name: str):
@@ -191,18 +195,15 @@ def _run_case(name: str, given: dict) -> list[checks.Check]:
     return checks.CASES[name](**{k: v for k, v in given.items() if k in params and v is not None})
 
 
-def _require_read(args) -> None:
-    """A flag the user gave must feed a parameter of the case (under `all`, of some case)."""
-    names = list(checks.CASES) if args.case == "all" else [args.case]
-    passed = _SHARED if args.case == "all" else _FEEDS
-    params = {p for name in names for p in _params(name)}
-    for flag, feeds in _FEEDS.items():
-        if getattr(args, flag) is not None and not (flag in passed and params.intersection(feeds)):
-            raise ValueError(f"--case {args.case} does not read --{flag}")
+def _case_reads(case: str) -> set[str]:
+    """The flags feeding a parameter of the case (under `all`, shared flags of some case)."""
+    names = list(checks.CASES) if case == "all" else [case]
+    passed = _SHARED if case == "all" else _CASE_FLAGS
+    return {p for name in names for p in _params(name) if p in passed}
 
 
 def cmd_verify(args) -> int:
-    _require_read(args)
+    _require_read(args, _CASE_FLAGS, _case_reads(args.case), f"--case {args.case}")
     shared = {"grid": _gridspec(args), "tol": args.tol, "seed": args.seed}
     if args.case == "all":
         shared["trials"] = 200 if args.trials is None else min(args.trials, 200)
@@ -430,9 +431,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag in ("seed", "grid", "tol"):
-            if getattr(args, flag) is not None and flag not in args.reads:
-                raise ValueError(f"{args.command} does not read --{flag}")
+        _require_read(args, ("seed", "grid", "tol"), args.reads, args.command)
         return args.func(args)
     except ScaleExceeded as exc:
         sys.stderr.write(f"scale refusal: {exc}\n")

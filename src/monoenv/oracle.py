@@ -8,8 +8,9 @@ read them. The scan calls the function on blocks of at most
 ``core.BLOCK_FLOATS // n`` consecutive grid rows, the block rule of every row
 kernel, so that each block's temporaries stay in cache; every package
 estimator gives a row the same bits whatever rows share its call, so the
-values are those of one call on the whole grid. A box's blocks are generated
-from its axes, so its grid is never stored. ``grid_maximize`` scans only the
+values are those of one call on the whole grid. Grid blocks are generated
+from the bounding box's axes: a box's scan stores none, and any other stored
+grid joins only each block's members. ``grid_maximize`` scans only the
 nondecreasing rows, one per orbit of the coordinate permutations, for an
 ``Envelope`` over the domain that declares ``symmetric`` (``max_gap``'s gap
 does for equal exponents and such an estimator); others scan the whole grid.
@@ -100,18 +101,16 @@ def _grid_points(dom: Domain, res: int) -> np.ndarray:
     read-only (N, n) array whose rows run over the cells in C order (the
     last coordinate fastest). A center that is not finite is a ``ScaleExceeded``.
 
-    The ``_grid_blocks`` joined, filtered by columns and returned transposed
-    (``f_contiguous``): every grid kernel reads one coordinate at a time
-    (``fold_columns``, ``monomial_values``), so each one contiguously. The
-    package's kernels give these rows the bits of a row-major copy; only a
+    The join of each ``_grid_blocks`` block's ``_members``, so it never holds
+    the bounding box, stored by columns (``f_contiguous``): every grid kernel
+    reads one coordinate at a time (``fold_columns``, ``monomial_values``).
+    The package's kernels give these rows the bits of a row-major copy; only a
     row sum over 8 or more columns (``np.sum`` along a row, which numpy adds
     pairwise by layout) can differ in its last bit. No box scan calls this.
     """
-    cols, s = np.empty((dom.n, res ** dom.n)), 0  # filled in place: a joined list holds two grids
-    for block in _grid_blocks(dom, res):
-        cols[:, s:s + block.shape[1]] = block
-        s += block.shape[1]
-    return _members(dom, cols)
+    cols = np.concatenate([_members(dom, block).T for block in _grid_blocks(dom, res)], axis=1)
+    cols.setflags(write=False)
+    return cols.T
 
 
 def _grid_blocks(dom: Domain, res: int) -> Iterator[np.ndarray]:
@@ -442,9 +441,10 @@ def relaxation_error_PB(m: Monomial, B: Sequence, dom: Domain,
     its best valid intercept over ``dom`` (exact where known, numeric
     otherwise). The scanned set lives over the whole unit box: points between
     the pointwise-max underestimator and the min-coordinate overestimator.
-    The measured error is compared against the degree constant c1.
+    The measured error is compared against the degree constant c1, read first.
     """
     dom.require_monomial(m)
+    bound = _bounds.c1(m.degree)
     a = np.asarray(m.alpha, dtype=float)
     betas = [np.asarray(bb, dtype=float) for bb in B]
     if not any(np.array_equal(s, a) for s in betas):
@@ -469,7 +469,7 @@ def relaxation_error_PB(m: Monomial, B: Sequence, dom: Domain,
 
     spec = grid or GridSpec()
     measured, point = grid_maximize(err, over.dom, spec, center_weights=np.asarray(m.alpha, float))
-    return error_report(_bounds.c1(m.degree), measured, points=[point], tol=tol, grid=spec)
+    return error_report(bound, measured, points=[point], tol=tol, grid=spec)
 
 
 _DECIMAL_DIGITS = 50

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from monoenv import Monomial, ComplementSimplex, ScaleExceeded, StdSimplex, SubBox, UnitBox
+from monoenv import (Monomial, ComplementSimplex, ScaleExceeded, StdSimplex, SubBox, UnitBox,
+                     UnsupportedDomain)
 from monoenv import bounds, envelopes, oracle
 from monoenv.core import simplex_peak
 from monoenv.bounds import (
@@ -292,6 +293,11 @@ class TestCBetaKappa:
         m = Monomial((3, 3))
         with pytest.raises(ValueError):
             c_beta_kappa(m, [1.5, 1.5], [2.0, 2.0], 1.0)
+
+    def test_rejects_kappa_above_alpha(self):
+        m = Monomial((2, 1))
+        with pytest.raises(ValueError, match="need 1 <= kappa <= alpha componentwise"):
+            c_beta_kappa(m, [3.0, 3.0], [2.0, 1.5], 1.0)
 
 
 class TestErrEnvBound:
@@ -669,6 +675,11 @@ def _check_concave_box(alpha, lower, upper):
     _within_or_underflow(cb.bound, ref, budget)
     for v in cb.point:
         _within_or_underflow(v, u, budget)
+
+
+def test_concave_bound_box_refuses_a_non_box_domain():
+    with pytest.raises(UnsupportedDomain, match="needs a box inside the unit box"):
+        bounds.concave_bound_box(Monomial((1, 1)), StdSimplex(2))
 
 
 @pytest.mark.parametrize("a", [7060, 7090, 7100, 8000, 10 ** 5, 10 ** 18, 10 ** 400])

@@ -25,7 +25,7 @@ from monoenv import (
     scale_point,
 )
 from monoenv import envelopes
-from monoenv.core import TOL_EXACT, monomial_values
+from monoenv.core import TOL_EXACT, as_points, monomial_values
 
 
 class TestMonomial:
@@ -68,6 +68,10 @@ class TestEvalMonomial:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             eval_monomial(Monomial((1, 1)), [1.0, 1.0, 1.0])
+
+    def test_a_three_dimensional_stack_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="got ndim=3"):
+            as_points(np.ones((2, 3, 2)), 2)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(0)
@@ -145,6 +149,10 @@ class TestDomains:
             CornerSimplexOne((0.0, 0.5))
         with pytest.raises(ValueError):
             CornerSimplexOne((1.2,))
+        with pytest.raises(ValueError, match="lower/upper must be nonempty vectors of equal length"):
+            SubBox((0.1, 0.2), (0.5,))
+        with pytest.raises(ValueError, match="lam must be nonempty"):
+            CornerSimplexOne(())
 
     def test_membership_examples(self):
         assert StdSimplex(2).contains([0.3, 0.3])

@@ -343,6 +343,29 @@ class TestParseFullHullOnly:
         with pytest.raises(ValueError, match="bad facet line"):
             parse_facets_text(text)
 
+    @pytest.mark.parametrize("fmt, message", [("text", "missing facet header line"),
+                                              ("csv", "missing csv header")])
+    def test_missing_header(self, fmt, message):
+        text = _facet_inputs(2, _FULL_N2)[fmt]
+        with pytest.raises(ValueError, match=message):
+            _PARSERS[fmt](text.split("\n", 1)[1])
+
+    def test_facet_count_disagrees_with_header(self):
+        text = _facet_inputs(2, _FULL_N2)["text"].replace("facets=4", "facets=5")
+        with pytest.raises(ValueError, match="facet count disagrees with header"):
+            parse_facets_text(text)
+
+    def test_bad_csv_row(self):
+        text = _facet_inputs(2, _FULL_N2)["csv"].replace("2,GE,-1", "2,GE,-1,0")
+        with pytest.raises(ValueError, match="bad csv row: '2,GE,-1,0'"):
+            parse_facets_csv(text)
+
+    @pytest.mark.parametrize("rhs", ["nan", "inf"])
+    def test_csv_rhs_not_finite(self, rhs):
+        rows = [(1, "GE", rhs)] + _FULL_N2[1:]
+        with pytest.raises(ValueError, match="csv needs facet rows with a finite rhs"):
+            parse_facets_csv(_facet_inputs(2, rows)["csv"])
+
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_wrong_rhs(self, fmt):
         rows = _FULL_N2[:3] + [(7, "GE", -2)]

@@ -96,6 +96,10 @@ class TestExtremize:
         assert val == pytest.approx(0.8 * 0.81)
         assert np.allclose(point, [0.8, 0.9])
 
+    def test_bad_sense_rejected(self):
+        with pytest.raises(ValueError, match="sense must be 'min' or 'max'"):
+            extremize_f(Monomial.multilinear(2), UnitBox(2), "argmax")
+
     def test_grid_fallback_complement_simplex(self):
         from monoenv import ComplementSimplex
         val, point = extremize_f(Monomial.multilinear(2), ComplementSimplex(2), "max")
@@ -203,6 +207,20 @@ class TestRelaxationError:
         m = Monomial.multilinear(2)
         with pytest.raises(ValueError):
             oracle.relaxation_error_PB(m, [2.0 * np.ones(2)], UnitBox(2))
+
+    def test_requires_the_all_ones_point_in_the_domain(self):
+        m = Monomial.multilinear(2)
+        with pytest.raises(ValueError, match="the all-ones point must belong to the domain"):
+            oracle.relaxation_error_PB(m, [np.ones(2)], StdSimplex(2))
+
+    def test_a_degree_below_two_is_refused_before_any_intercept_or_scan(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached")
+
+        monkeypatch.setattr(oracle, "grid_maximize", refuse)
+        monkeypatch.setattr(oracle, "sigma_numeric", refuse)
+        with pytest.raises(ValueError, match="degree must be an integer >= 2"):
+            oracle.relaxation_error_PB(Monomial((1,)), [(1.0,)], UnitBox(1))
 
 
 def test_all_nan_estimator_is_an_error_not_valid_upper():
@@ -1279,6 +1297,27 @@ def test_a_ratio_box_scan_peaks_below_four_mib():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+def test_a_stored_grid_peaks_below_four_mib():
+    # StdSimplex(6) at resolution 12 keeps 5005 of the 12^6 = 2985984 cell
+    # centers of its bounding box, 0.23 MiB; the whole box would be 143 MiB
+    oracle._grid_points.cache_clear()
+    tracemalloc.start()
+    try:
+        pts = oracle._grid_points(StdSimplex(6), 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pts.shape == (5005, 6)
+    assert peak < 4 * 2 ** 20
+
+
+def test_a_grid_without_interior_cell_centers_is_scale_exceeded():
+    # every center of the resolution-2 grid has coordinates 0.25 or 0.75,
+    # so each sums to at least 1.25 > 1 in five dimensions
+    with pytest.raises(ScaleExceeded, match="no interior cell centers"):
+        grid_maximize(lambda X: X[:, 0], StdSimplex(5), GridSpec(resolution=2))
 
 
 def _rows_scanned(monkeypatch, search, func):

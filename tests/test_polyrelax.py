@@ -152,6 +152,12 @@ class TestGapBound:
             gb = gap_bound(p)
             assert gb.tight <= gb.cheap + 1e-12
 
+    def test_cheap_is_zero_below_degree_two(self):
+        # linear and constant terms are exact under convexification
+        gb = gap_bound(Polynomial(2, ((2.0, (1, 0)), (-3.0, (0, 1)), (1.5, (0, 0)))))
+        assert gb.cheap == 0.0
+        assert gb.tight == 0.0
+
     def test_sharp_uses_term_count(self):
         p = Polynomial(2, ((1.0, (1, 1)), (1.0, (2, 0))))
         gb = gap_bound(p)
@@ -314,6 +320,13 @@ class TestCertify:
             assert rep.z_mon <= grid_min + 1e-9
             assert rep.z_mon == pytest.approx(grid_min, abs=5e-3)
 
+    def test_constant_term_shifts_both_minima(self):
+        p = Polynomial(2, ((-1.0, (1, 1)), (2.5, (0, 0))))
+        rep = certify_gap_small_instance(p, UnitBox(2))
+        assert rep.z_star == pytest.approx(1.5)
+        assert rep.z_mon == pytest.approx(1.5)
+        assert rep.passed
+
     def test_rejects_non_multilinear(self):
         with pytest.raises(ValueError):
             certify_gap_small_instance(Polynomial(2, ((1.0, (2, 1)),)), UnitBox(2))
@@ -362,3 +375,7 @@ class TestParsing:
     def test_inconsistent_width_rejected(self):
         with pytest.raises(ValueError):
             parse_polynomial_text("1 1 1\n2 1\n")
+
+    def test_no_terms_rejected(self):
+        with pytest.raises(ValueError, match="no terms found"):
+            parse_polynomial_text("# a comment only\n\n   # and another\n")
