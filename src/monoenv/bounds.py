@@ -438,12 +438,6 @@ def ratio_box_ratios(n: int, r: float) -> tuple[float, float]:
     return _ratio(_D(b), E), _ratio(_relaxed(b), E)
 
 
-def ratio_box_e_ratio(n: int, r: float) -> float:
-    """E/(r**n - 1), without the search for D."""
-    b = _require_ratio_box(n, r)
-    return _ratio(_E(b), _span(b))
-
-
 def ratio_box_asymptotics(n: int, r: float) -> tuple[float, float]:
     """(E/(r**n - 1), D/(r**n - 1))."""
     b = _require_ratio_box(n, r)

@@ -152,7 +152,7 @@ def figure1() -> list[Check]:
                 for n in range(2, 101) for r in (1.01, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0))
 
     r = 2.0
-    e_ratio = {n: bounds.ratio_box_e_ratio(n, r) for n in (*range(2, 1001), 10 ** 4, 10 ** 5)}
+    e_ratio = {n: bounds.ratio_box_asymptotics(n, r)[0] for n in (*range(2, 1001), 10 ** 4, 10 ** 5)}
     t_star, ref = oracle.ratio_box_diagonal_max(100, r)
     scan = [oracle.ratio_box_diagonal_gap(100, r, Decimal(k) / 200) for k in range(201)]
     scan_ok = max(scan) <= ref and abs(scan.index(max(scan)) / 200 - float(t_star)) <= 1 / 200

@@ -290,8 +290,9 @@ class Domain:
     min_n = 1  # the least dimension of the family
 
     def __post_init__(self):
-        # for the families given n; SubBox and CornerSimplexOne check their vectors
-        require_count(self.n, "n", self.min_n)
+        # for the families given n; SubBox and CornerSimplexOne check their vectors.
+        # The int, not a numpy integer, whose powers would wrap
+        object.__setattr__(self, "n", require_count(self.n, "n", self.min_n))
 
     def require_monomial(self, m: Monomial) -> None:
         """A ``DimensionMismatch`` unless the monomial has the domain's dimension."""
@@ -645,15 +646,16 @@ def error_report(bound: float, measured: float, points: Sequence = (),
                  tol: float = TOL_ORACLE, grid=None) -> ErrorReport:
     """Classify a measurement against a bound at the given tolerance.
 
-    A ``nan`` measurement or bound, or a ``nan`` or negative tolerance, raises
-    ``ValueError``: every comparison with ``nan`` is false, which would read as
-    ``VALID_UPPER``. An infinite bound is allowed.
+    A ``nan`` measurement or bound, or a ``nan``, negative or infinite
+    tolerance, raises ``ValueError``: every comparison with ``nan`` is false,
+    which would read as ``VALID_UPPER``, and an infinite tolerance makes every
+    verdict ``TIGHT``. An infinite bound is allowed.
     """
     if math.isnan(measured) or math.isnan(bound):
         raise ValueError(f"cannot classify a nan measurement or bound "
                          f"(measured={measured}, bound={bound})")
-    if not tol >= 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tol}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     if measured > bound + tol:
         verdict = Verdict.VIOLATED
     elif abs(measured - bound) <= tol:

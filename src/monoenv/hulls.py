@@ -53,7 +53,7 @@ class FacetSystem:
     n: int
 
     def __post_init__(self):
-        require_count(self.n, "n", 1)
+        object.__setattr__(self, "n", require_count(self.n, "n", 1))
         if self.n > VERTEX_ENUM_LIMIT:
             raise ScaleExceeded(f"facet enumeration refused for n={self.n}: 2^{self.n} facets; "
                                 "use the closed-form envelope evaluation instead")

@@ -9,13 +9,14 @@ read them. The scan calls the function on blocks of at most
 kernel, so that each block's temporaries stay in cache; every package
 estimator gives a row the same bits whatever rows share its call, so the
 values are those of one call on the whole grid. Grid blocks are generated
-from the bounding box's axes: a box's scan stores none, and any other stored
-grid joins only each block's members. ``grid_maximize`` scans only the
-nondecreasing rows, one per orbit of the coordinate permutations, for an
-``Envelope`` over the domain that declares ``symmetric`` (``max_gap``'s gap
-does for equal exponents and such an estimator); others scan the whole grid.
-Such a row is its orbit's first in C order: an objective symmetric in floats
-gets the whole grid's incumbent. The grid incumbent is then polished by line
+from the bounding box's axes: a box's full scan stores none, and every other
+scan reads one cached grid that joins only each block's kept rows.
+``grid_maximize`` scans only the rows whose coordinates do not decrease, one
+per orbit of the coordinate permutations, for an ``Envelope`` over the
+domain that declares ``symmetric`` (``max_gap``'s gap does for equal
+exponents and such an estimator); others scan the whole grid. Such a row is
+its orbit's first in C order: an objective symmetric in floats gets the
+whole grid's incumbent. The grid incumbent is then polished by line
 searches along each coordinate and its orthant diagonal, which is where the
 attainment loci live, along its centering directions and, up to n = 6, along
 every other sign diagonal. A pass searches all these lines as one stack in 11
@@ -30,7 +31,6 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Callable, Iterator, Optional, Sequence
@@ -81,9 +81,10 @@ class GridSpec:
     seed: int = 42
 
     def __post_init__(self):
+        # the ints, not numpy integers: res ** n must not wrap below the cap
         if self.resolution is not None:
-            require_count(self.resolution, "resolution", 2)
-        require_count(self.seed, "seed", 0)
+            object.__setattr__(self, "resolution", require_count(self.resolution, "resolution", 2))
+        object.__setattr__(self, "seed", require_count(self.seed, "seed", 0))
 
     def resolution_for(self, n: int) -> int:
         res = self.resolution or _DEFAULT_RESOLUTION.get(n)
@@ -94,21 +95,25 @@ class GridSpec:
         return res
 
 
-@functools.lru_cache(maxsize=16)
-def _grid_points(dom: Domain, res: int) -> np.ndarray:
+@functools.lru_cache(maxsize=32)
+def _grid_points(dom: Domain, res: int, orbits: bool = False) -> np.ndarray:
     """Cell-center grid over the domain's bounding box, filtered to members
     unless the domain is a box, which holds every cell center of itself: a
     read-only (N, n) array whose rows run over the cells in C order (the
     last coordinate fastest). A center that is not finite is a ``ScaleExceeded``.
+    With ``orbits``, for a ``Domain.symmetric`` domain, only the rows whose
+    coordinates do not decrease: the first row in C order of each orbit of
+    the coordinate permutations.
 
-    The join of each ``_grid_blocks`` block's ``_members``, so it never holds
+    The join of each ``_grid_blocks`` block's ``_kept`` rows, so it never holds
     the bounding box, stored by columns (``f_contiguous``): every grid kernel
     reads one coordinate at a time (``fold_columns``, ``monomial_values``).
     The package's kernels give these rows the bits of a row-major copy; only a
     row sum over 8 or more columns (``np.sum`` along a row, which numpy adds
-    pairwise by layout) can differ in its last bit. No box scan calls this.
+    pairwise by layout) can differ in its last bit. No full box scan calls this.
     """
-    cols = np.concatenate([_members(dom, block).T for block in _grid_blocks(dom, res)], axis=1)
+    cols = np.concatenate([_kept(dom, block, orbits).T for block in _grid_blocks(dom, res)],
+                          axis=1)
     cols.setflags(write=False)
     return cols.T
 
@@ -142,18 +147,6 @@ def _lattice(axes: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _orbit_points(dom: Domain, res: int) -> np.ndarray:
-    """The rows of ``_grid_points(dom, res)`` whose coordinates do not
-    decrease, in its order and layout, for a ``Domain.symmetric`` domain: the
-    first row in C order of each orbit of the coordinate permutations, built
-    from the nondecreasing index tuples without the full grid."""
-    idx = np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations_with_replacement(range(res), dom.n)), dtype=np.intp)
-    cols = _cell_centers(dom, res)[0][idx.reshape(-1, dom.n).T.copy()]  # C-ordered
-    return _members(dom, cols)
-
-
 def _cell_centers(dom: Domain, res: int) -> np.ndarray:
     """The res cell centers of each axis of the bounding box, an (n, res) array."""
     lo, hi = dom.bounding_box()
@@ -164,8 +157,11 @@ def _cell_centers(dom: Domain, res: int) -> np.ndarray:
     return axes
 
 
-def _members(dom: Domain, cols: np.ndarray) -> np.ndarray:
-    """The (n, N) array cols as read-only (N, n) rows, less those outside a non-box dom."""
+def _kept(dom: Domain, cols: np.ndarray, orbits: bool = False) -> np.ndarray:
+    """The (n, N) array cols as read-only (N, n) rows, less those whose
+    coordinates decrease if ``orbits``, then less those outside a non-box dom."""
+    if orbits:
+        cols = cols.compress(np.all(cols[1:] >= cols[:-1], axis=0), axis=1)
     if not dom.is_box:
         keep = dom.contains_many(cols.T)
         if not keep.all():
@@ -291,13 +287,14 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     """Maximize a vectorized function over a structured domain.
 
     Grid scan in blocks of rows, a box's full grid generated by
-    ``_grid_blocks`` and other rows sliced from their cache, keeping the
-    whole grid's first maximum (a strict ``>`` across blocks, ``argmax``
-    within one), then ``_refine`` from the incumbent, so the value never
-    falls below the grid incumbent's. An
+    ``_grid_blocks`` and every other scan's rows sliced from their cached
+    ``_grid_points``, keeping the whole grid's first maximum (a strict ``>``
+    across blocks, ``argmax`` within one), then ``_refine`` from the
+    incumbent, so the value never falls below the grid incumbent's. An
     ``Envelope`` over ``dom`` itself is evaluated by its unchecked ``value``,
-    as the search makes only points of ``dom``, and on ``_orbit_points`` when
-    it declares ``symmetric``; other functions scan the whole grid. The point
+    as the search makes only points of ``dom``, and on the orbit rows
+    (``_grid_points(dom, res, True)``) when it declares ``symmetric``; other
+    functions scan the whole grid. The point
     returned is an array of its own. Every stack ``func`` gets is read-only.
     A best value of +-inf is a ``ScaleExceeded``: the function left the float
     range, and a nan is a ``ValueError`` (``_values``).
@@ -305,9 +302,9 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     func, orbits = _unchecked(func, dom)
     res = (grid or GridSpec()).resolution_for(dom.n)
     if dom.is_box and not orbits:
-        blocks = (_members(dom, cols) for cols in _grid_blocks(dom, res))
+        blocks = (_kept(dom, cols) for cols in _grid_blocks(dom, res))
     else:
-        pts = (_orbit_points if orbits else _grid_points)(dom, res)
+        pts = _grid_points(dom, res, orbits)
         rows = BLOCK_FLOATS // dom.n or 1
         blocks = (pts[s:s + rows] for s in range(0, len(pts), rows))
     x = None

@@ -133,7 +133,7 @@ def test_criterion_07b_concave_error_asymptote():
     fit, step, lead, window = checks.figure1()[1:5]
     ok = all(ch.ok for ch in (fit, step, lead, window))
     _emit("7b E/(r^n-1) at n=100 r=2", ok,
-          f"ratio={bounds.ratio_box_e_ratio(100, 2.0):.6f} |closed-decimal|={fit.measured:.1e} "
+          f"ratio={bounds.ratio_box_asymptotics(100, 2.0)[0]:.6f} |closed-decimal|={fit.measured:.1e} "
           f"|deficit/leading-1|={lead.measured:.4f} window from n=228")
     assert fit.measured <= 1e-12, f"closed form vs decimal at n=100 off by {fit.measured}"
     assert fit.ok, "a scan point over t beats the stationary value or peaks away from t*"

@@ -140,7 +140,7 @@ def _ratio_cases():
         "ratio_box_constants": lambda r: bounds.ratio_box_constants(3, r),
         "ratio_box_e_point": lambda r: bounds.ratio_box_e_point(3, r),
         "ratio_box_relaxed_error": lambda r: bounds.ratio_box_relaxed_error(3, r),
-        "ratio_box_e_ratio": lambda r: bounds.ratio_box_e_ratio(3, r),
+        "ratio_box_asymptotics": lambda r: bounds.ratio_box_asymptotics(3, r),
         "psi_value": lambda r: bounds.psi_value(3, r, 0.5),
         "ratio_box_diagonal_max": lambda r: oracle.ratio_box_diagonal_max(3, r),
     }
@@ -228,7 +228,7 @@ def _integer_cases():
     # in a TypeError or OverflowError
     ratio_box = (bounds.ratio_box_constants, bounds.ratio_box_e_point,
                  bounds.ratio_box_relaxed_error, bounds.ratio_box_ratios,
-                 bounds.ratio_box_e_ratio, bounds.ratio_box_asymptotics, bounds.d_bound_cases,
+                 bounds.ratio_box_asymptotics, bounds.d_bound_cases,
                  oracle.ratio_box_diagonal_max)
     entries = {
         "Monomial": lambda a: Monomial((a, 1)),
@@ -379,6 +379,23 @@ def test_numpy_integer_dimensions_are_accepted(n):
     assert bounds.find_root_power_linear(n, 1.5) == bounds.find_root_power_linear(2, 1.5)
     assert polyrelax.hierarchy_threshold(n, n) == polyrelax.hierarchy_threshold(2, 2)
     assert hulls.verify_integrality(n, trials=n, seed=n) == hulls.verify_integrality(2, 2, 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_numpy_integer_sizes_are_stored_as_ints_under_the_grid_cap():
+    # each kept the numpy integer that require_count had checked, so res ** n
+    # wrapped in int64: 2048^6 = 2^66 read as 0 and passed the cap, then the
+    # scan ended in a ValueError, and UnitBox(int64(6)) at 8192 found no cells
+    spec = oracle.GridSpec(resolution=np.int64(2048), seed=np.int64(3))
+    assert type(spec.resolution) is int and type(spec.seed) is int
+    with pytest.raises(ScaleExceeded, match="exceeds the cap"):
+        spec.resolution_for(6)
+    six = np.int64(6)
+    doms = (UnitBox(six), RatioBox(six, 2.0), SymBox(six), StdSimplex(six), ComplementSimplex(six))
+    assert all(type(dom.n) is int for dom in doms)
+    assert type(hulls.FacetSystem(six).n) is int
+    with pytest.raises(ScaleExceeded, match="exceeds the cap"):
+        oracle.grid_maximize(lambda X: X[:, 0], UnitBox(six), oracle.GridSpec(resolution=8192))
 
 
 def test_one_point_accepts_a_stack_of_one():

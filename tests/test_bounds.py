@@ -384,13 +384,18 @@ class TestRatioBoxConstants:
         assert seq[1] == pytest.approx(float(oracle.ratio_box_diagonal_max(100, 2.0)[1]), abs=1e-12)
         assert abs(seq[3] - 1.0) <= 0.05
 
-    def test_e_ratio_alone_equals_asymptotics(self):
+    def test_e_ratio_is_e_over_the_span(self):
+        # the quotient itself where E and r^n - 1 are floats, and finite in
+        # (0, 1) past the float range, where both are inf
         for n in (2, 3, 10, 100, 228, 10 ** 5):
             for r in (1.01, 2.0, 10.0):
-                assert bounds.ratio_box_e_ratio(n, r) == ratio_box_asymptotics(n, r)[0]
+                x, ratio = n * math.log1p(r - 1.0), ratio_box_asymptotics(n, r)[0]
+                if x < 709.0:
+                    assert ratio == ratio_box_constants(n, r)[1] / math.expm1(x), (n, r)
+                else:
+                    assert ratio_box_constants(n, r)[1] == math.inf and 0.0 < ratio < 1.0, (n, r)
 
-    @pytest.mark.parametrize("func", [bounds.ratio_box_e_ratio, ratio_box_asymptotics,
-                                      bounds.ratio_box_ratios])
+    @pytest.mark.parametrize("func", [ratio_box_asymptotics, bounds.ratio_box_ratios])
     @pytest.mark.parametrize("n, r", [(1, 2.0), (3, 1.0), (3, float("nan"))])
     def test_log_domain_forms_reject_bad_parameters(self, func, n, r):
         # n = 1 used to end in a ZeroDivisionError
@@ -525,7 +530,7 @@ def test_ratio_box_constants_match_a_50_digit_reference(n, n_e, r):
     budget = 64 * EPS * n_e * max(1.0, math.log(r))
     _within(ratio_box_constants(n_e, r)[1], ref["E"], budget)
     _within(bounds.ratio_box_e_point(n_e, r), ref["t_E"], budget)
-    _within(bounds.ratio_box_e_ratio(n_e, r), ref["E"] / ref["span"], budget)
+    _within(ratio_box_asymptotics(n_e, r)[0], ref["E"] / ref["span"], budget)
 
 
 FLOAT_TINY = Decimal(sys.float_info.min)

@@ -165,6 +165,7 @@ class TestVerify:
         ["--case", "all", "--trials", "0"],
         ["--case", "unitbox", "--tol", "nan"],
         ["--case", "unitbox", "--tol", "-1"],
+        ["--case", "unitbox", "--tol", "inf"],
         ["--case", "unitbox", "--seed", "-1"],
         ["--case", "integrality", "--seed", "-1"],
         ["--case", "ratiobox", "--r", "inf"],

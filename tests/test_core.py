@@ -269,9 +269,11 @@ class TestErrorReport:
         (float("nan"), 0.25, 1e-4),
         (0.25, 0.25, float("nan")),
         (0.25, 0.25, -1.0),
-    ], ids=["nan-measured", "nan-bound", "nan-tol", "negative-tol"])
+        (0.25, 0.5, float("inf")),
+    ], ids=["nan-measured", "nan-bound", "nan-tol", "negative-tol", "inf-tol"])
     def test_rejects_nan_and_negative_tolerance(self, bound, measured, tol):
-        # each of these used to classify as VALID_UPPER or VIOLATED
+        # each of these used to classify as VALID_UPPER or VIOLATED, and an
+        # infinite tolerance every measurement as TIGHT
         with pytest.raises(ValueError):
             error_report(bound, measured, tol=tol)
 

@@ -1241,30 +1241,38 @@ def test_orbit_points_are_the_nondecreasing_grid_rows(n):
     for dom in doms:
         for res in (2, 3, GridSpec().resolution_for(n)):
             grid = oracle._grid_points(dom, res)
-            pts = oracle._orbit_points(dom, res)
+            pts = oracle._grid_points(dom, res, True)
             want = grid[np.all(np.diff(grid, axis=1) >= 0.0, axis=1)]
             assert np.array_equal(_bits(pts), _bits(want)), (dom, res)
             assert pts.flags.f_contiguous and not pts.flags.writeable, (dom, res)
 
 
 def test_orbit_row_counts_at_the_default_resolution():
-    counts = [len(oracle._orbit_points(SymBox(n), GridSpec().resolution_for(n)))
+    counts = [len(oracle._grid_points(SymBox(n), GridSpec().resolution_for(n), True))
               for n in range(2, 7)]
     assert counts == [2080, 45760, 17550, 4368, 1716]
-    assert len(oracle._orbit_points(StdSimplex(3), 64)) == 7799
+    assert len(oracle._grid_points(StdSimplex(3), 64, True)) == 7799
 
 
 def test_the_orbit_scan_never_builds_the_full_grid(monkeypatch):
-    def refuse(dom, res):
-        raise AssertionError("the full grid was built")
-
-    monkeypatch.setattr(oracle, "_grid_points", refuse)
+    # the orbit rows are joined block by block: RatioBox(4, r)'s full grid is
+    # 331776 x 4 floats, 10.6 MB, and SymBox(6)'s 262144 x 6, 12.6 MB
     m, dom, r = Monomial.multilinear(4), RatioBox(4, 2.0312), 2.0312  # no cache holds its rows
+    for box in (dom, SymBox(6)):
+        res = GridSpec().resolution_for(box.n)
+        tracemalloc.start()
+        try:
+            pts = oracle._grid_points.__wrapped__(box, res, True)  # uncached
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pts) == {4: 17550, 6: 1716}[box.n]
+        assert peak < 4 * 2 ** 20, box
     env = envelopes.concave_ratiobox(4, r)
     rep = max_gap(m, dom, env, oracle.OVER, bound=bounds.ratio_box_constants(4, r)[1])
     assert rep.verdict is Verdict.TIGHT
     _, rows = _rows_scanned(monkeypatch, lambda f: grid_maximize(f, dom), env)
-    assert rows == len(oracle._orbit_points(dom, GridSpec().resolution_for(4)))
+    assert rows == len(oracle._grid_points(dom, GridSpec().resolution_for(4), True))
     # nor does the full scan of a plain callable: a box's blocks come from its axes
     _, rows = _scan_rows(monkeypatch, m, dom, lambda X: env.value(X), oracle.OVER)
     assert rows == GridSpec().resolution_for(4) ** 4
@@ -1275,7 +1283,7 @@ def test_the_orbit_scan_never_builds_the_full_grid(monkeypatch):
 def test_a_box_scan_never_builds_its_grid(dom, monkeypatch):
     # a box's full scan generates its rows block by block from the axes, so
     # no box grid is stored: every res^n row is scanned without _grid_points
-    def refuse(dom, res):
+    def refuse(*args):
         raise AssertionError("the full grid was built")
 
     monkeypatch.setattr(oracle, "_grid_points", refuse)
@@ -1376,12 +1384,36 @@ def test_the_orbit_scan_agrees_with_the_full_scan(n, monkeypatch):
     for name, m, env, side in cases:
         rep, rows = _scan_rows(monkeypatch, m, env.dom, env, side)
         ref, full = _scan_rows(monkeypatch, m, env.dom, lambda X: env.value(X), side)
-        assert rows == len(oracle._orbit_points(env.dom, res)) < full, (name, m)
+        assert rows == len(oracle._grid_points(env.dom, res, True)) < full, (name, m)
         assert full == len(oracle._grid_points(env.dom, res)), (name, m)
         if name in _ORBIT_BITS:
             assert _report_bits(rep) == _report_bits(ref), (name, m)
         else:
             assert rep.measured_value == pytest.approx(ref.measured_value, rel=1e-14, abs=0.0)
+
+
+def test_a_degenerate_box_keeps_equal_rows_and_the_full_scan_bits(monkeypatch):
+    # the 64 cell centers of [1, 1 + 1e-14] are 46 distinct floats, so more
+    # rows have nondecreasing values (46948) than nondecreasing indices
+    # (45760); each extra row is a bit-copy of a row with nondecreasing indices
+    n, r = 3, 1 + 1e-14
+    dom, res = RatioBox(n, r), GridSpec().resolution_for(n)
+    assert len(np.unique(oracle._cell_centers(dom, res)[0])) == 46
+    pts = oracle._grid_points(dom, res, True)
+    assert len(pts) == 46948
+    idx = np.array(list(itertools.product(range(res), repeat=n)))
+    up = np.all(np.diff(idx, axis=1) >= 0, axis=1)
+    assert up.sum() == 45760
+    grid = oracle._grid_points(dom, res)
+    kept = np.all(np.diff(grid, axis=1) >= 0.0, axis=1)
+    rows = {row.tobytes() for row in _bits(grid[up])}
+    assert np.array_equal(_bits(pts), _bits(grid[kept]))
+    assert all(row.tobytes() in rows for row in _bits(grid[kept & ~up]))
+    m, env = Monomial.multilinear(n), envelopes.concave_ratiobox(n, r)
+    rep, scanned = _scan_rows(monkeypatch, m, dom, env, oracle.OVER)
+    ref, full = _scan_rows(monkeypatch, m, dom, lambda X: env.value(X), oracle.OVER)
+    assert (scanned, full) == (46948, res ** n)
+    assert _report_bits(rep) == _report_bits(ref)
 
 
 def test_these_scans_keep_the_full_grid(monkeypatch):
