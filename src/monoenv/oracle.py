@@ -9,8 +9,11 @@ read them. The scan calls the function on blocks of at most
 kernel, so that each block's temporaries stay in cache; every package
 estimator gives a row the same bits whatever rows share its call, so the
 values are those of one call on the whole grid. Grid blocks are generated
-from the bounding box's axes: a box's full scan stores none, and every other
-scan reads one cached grid that joins only each block's kept rows.
+from the bounding box's axes into one buffer per scan, off a box only those
+of the tiles that can meet the domain: a box's full scan stores none, and
+every other scan reads one cached grid that joins only each block's kept
+rows. A box's block is valid only during the call it is passed to, so a
+function that keeps one must copy it.
 ``grid_maximize`` scans only the rows whose coordinates do not decrease, one
 per orbit of the coordinate permutations, for an ``Envelope`` over the
 domain that declares ``symmetric`` (``max_gap``'s gap does for equal
@@ -39,6 +42,7 @@ import numpy as np
 
 from .core import (
     BLOCK_FLOATS,
+    TOL_EXACT,
     TOL_ORACLE,
     DimensionMismatch,
     Domain,
@@ -89,7 +93,8 @@ class GridSpec:
     def resolution_for(self, n: int) -> int:
         res = self.resolution or _DEFAULT_RESOLUTION.get(n)
         if res is None:
-            raise ScaleExceeded(f"no default grid for n={n}; supply an explicit GridSpec")
+            raise ScaleExceeded(f"no default grid for n={n}; pass GridSpec(resolution=...), "
+                                "or --grid on the command line")
         if res ** n > MAX_GRID_POINTS:
             raise ScaleExceeded(f"grid of {res}^{n} points exceeds the cap {MAX_GRID_POINTS}")
         return res
@@ -105,37 +110,78 @@ def _grid_points(dom: Domain, res: int, orbits: bool = False) -> np.ndarray:
     coordinates do not decrease: the first row in C order of each orbit of
     the coordinate permutations.
 
-    The join of each ``_grid_blocks`` block's ``_kept`` rows, so it never holds
-    the bounding box, stored by columns (``f_contiguous``): every grid kernel
+    The join of each ``_grid_blocks`` block's ``_kept`` rows, copied where
+    they are still the generator's buffer, so it never holds the bounding box
+    and, off a box, generates only the tiles that can meet the domain; stored
+    by columns (``f_contiguous``): every grid kernel
     reads one coordinate at a time (``fold_columns``, ``monomial_values``).
     The package's kernels give these rows the bits of a row-major copy; only a
     row sum over 8 or more columns (``np.sum`` along a row, which numpy adds
     pairwise by layout) can differ in its last bit. No full box scan calls this.
     """
-    cols = np.concatenate([_kept(dom, block, orbits).T for block in _grid_blocks(dom, res)],
-                          axis=1)
+    parts = []
+    for block in _grid_blocks(dom, res):
+        cols = _kept(dom, block, orbits).T
+        # a block that kept every row is still the generator's buffer
+        parts.append(cols.copy() if np.may_share_memory(cols, block) else cols)
+    cols = np.concatenate(parts, axis=1) if parts else np.empty((dom.n, 0))
     cols.setflags(write=False)
     return cols.T
 
 
 def _grid_blocks(dom: Domain, res: int) -> Iterator[np.ndarray]:
     """The res^n cell centers of the domain's bounding box, in C order, as
-    fresh (n, m) column blocks of at most BLOCK_FLOATS // n rows each.
+    (n, m) column blocks of at most BLOCK_FLOATS // n rows each, less, off a
+    box, the tiles that cannot meet the domain (``_meeting_tiles``).
 
     A block is whole tiles: a tile is the grid of the trailing k coordinates,
-    res^k rows for the largest k that fits a block, built once and copied
-    into every block, while each leading coordinate holds one value per tile.
+    res^k rows for the largest k that fits a block, while each leading
+    coordinate holds one value per tile. Every block is a view of one buffer,
+    so it is valid only until the next one is made: a caller that keeps a
+    block copies it. The tile is written once, and again for a shorter last
+    block; each block rewrites only its n - k leading coordinates.
     """
     n, axes = dom.n, _cell_centers(dom, res)
     rows = BLOCK_FLOATS // n or 1
     k = max(k for k in range(n + 1) if res ** k <= rows)
-    tile, tiles = _lattice(axes[n - k:], np.arange(res ** k)), res ** (n - k)
-    per = rows // res ** k
-    for s in range(0, tiles, per):
-        cols = np.empty((n, min(per, tiles - s), res ** k))
-        cols[:n - k] = _lattice(axes[:n - k], np.arange(s, s + cols.shape[1]))[:, :, None]
-        cols[n - k:] = tile[:, None, :]
+    j, t = n - k, res ** k  # leading coordinates, rows per tile
+    lead = None if dom.is_box else _meeting_tiles(dom, axes, j, rows)
+    tiles = res ** j if lead is None else len(lead)
+    per = min(rows // t, tiles)
+    buf = np.empty(n * per * t)
+    laid = 0  # the tiles per block for which buf's trailing coordinates hold the tile
+    for s in range(0, tiles, per or 1):  # per is 0 only where no tile is left
+        m = min(per, tiles - s)
+        cols = buf[:n * m * t].reshape(n, m, t)
+        if m != laid:
+            cols[j:] = _lattice(axes[j:], np.arange(t))[:, None, :]
+            laid = m
+        cols[:j] = _lattice(axes[:j], np.arange(s, s + m) if lead is None
+                            else lead[s:s + m])[:, :, None]
         yield cols.reshape(n, -1)
+
+
+def _meeting_tiles(dom: Domain, axes: np.ndarray, j: int, rows: int) -> np.ndarray:
+    """Indices, in C order, of the tiles (the rows of the grid over the first
+    j axes) that can meet the domain.
+
+    A tile is dropped when some halfspace's least A x over it, A_lead x_lead
+    plus each trailing axis's least A_i c (at an end of the axis), exceeds
+    b + TOL_EXACT by more than 1e-9 (1 + S), where S is the halfspace's
+    sum of max |A_i c| over the axes: far more than the rounding of any A x
+    that ``contains_many`` keeps, so every kept row's tile is generated.
+    The leading rows are tested ``rows`` at a time.
+    """
+    A, b = dom.halfspaces()
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = A[:, :, None] * axes[:, [0, -1]]  # (h, n, 2): the extremes of A_i c
+        slack = (b + TOL_EXACT + 1e-9 * (1 + np.abs(ends).max(axis=2).sum(axis=1))
+                 - ends[:, j:].min(axis=2).sum(axis=1))
+        tiles = axes.shape[1] ** j
+        keep = [s + np.flatnonzero(~np.any(
+            A[:, :j] @ _lattice(axes[:j], np.arange(s, min(s + rows, tiles)))
+            > slack[:, None], axis=0)) for s in range(0, tiles, rows)]
+    return np.concatenate(keep)
 
 
 def _lattice(axes: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -295,7 +341,9 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     as the search makes only points of ``dom``, and on the orbit rows
     (``_grid_points(dom, res, True)``) when it declares ``symmetric``; other
     functions scan the whole grid. The point
-    returned is an array of its own. Every stack ``func`` gets is read-only.
+    returned is an array of its own. Every stack ``func`` gets is read-only,
+    and a box's block is valid only during that call: the next block
+    overwrites it, so a ``func`` that keeps its argument copies it.
     A best value of +-inf is a ``ScaleExceeded``: the function left the float
     range, and a nan is a ``ValueError`` (``_values``).
     """

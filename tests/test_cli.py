@@ -411,6 +411,13 @@ class TestSigmaRoot:
         assert code == EXIT_SCALE
         assert out == "" and "the sum of beta" in err
 
+    def test_no_default_grid_names_the_grid_flag(self, capsys):
+        # it told a command-line user to supply a GridSpec
+        code, out, err = run_cli(capsys, "sigma", "--alpha", "1,1,1,1,1,1,1",
+                                 "--domain", "simplex")
+        assert code == EXIT_SCALE
+        assert out == "" and "no default grid for n=7" in err and "--grid" in err
+
     def test_large_slopes_keep_the_numeric_intercept(self, capsys):
         # it printed "sigma numeric   0": sum(beta) cancelled the minimum
         code, out, _ = run_cli(capsys, "sigma", "--alpha", "1,1", "--beta", "1e300,1e300")

@@ -572,9 +572,10 @@ _EXTRA_RESOLUTIONS = {1: (100_000,), 2: (200,), 3: (7,)}
 def test_blocked_scan_values_match_one_call_on_the_grid(n, monkeypatch):
     # the scan calls the function on consecutive blocks of at most
     # core.BLOCK_FLOATS // n rows, each read-only with contiguous columns; a
-    # box's blocks are fresh column-major arrays. The values it takes its
-    # argmax over are those of one call on the whole grid. Refinement is
-    # stubbed out, so every call is a scan block.
+    # box's blocks are column-major views of one buffer, valid only during
+    # the call, so each is recorded as a copy. The values it takes its argmax
+    # over are those of one call on the whole grid. Refinement is stubbed
+    # out, so every call is a scan block.
     monkeypatch.setattr(oracle, "_refine", lambda func, dom, X, V, *a: (X, V))
     rows = core.BLOCK_FLOATS // n
     m = Monomial.multilinear(n)
@@ -588,25 +589,98 @@ def test_blocked_scan_values_match_one_call_on_the_grid(n, monkeypatch):
             calls = []
 
             def record(X, func=func):
-                calls.append((X, np.array(func(X))))
+                flags = (X.flags.writeable, X.strides[0] == X.itemsize, X.flags.f_contiguous)
+                calls.append((X.copy(), np.array(func(X)), flags))
                 return calls[-1][1]
 
             grid_maximize(record, dom, GridSpec(resolution=res))
-            for i, (X, _) in enumerate(calls):
-                assert len(X) <= rows and not X.flags.writeable, (name, dom, res)
-                assert X.strides[0] == X.itemsize, (name, dom, res)  # contiguous columns
-                if dom.is_box:
-                    assert X.flags.f_contiguous, (name, dom, res)
-                    assert i == 0 or not np.shares_memory(X, calls[i - 1][0]), (name, dom, res)
-            assert np.array_equal(_bits(np.concatenate([X for X, _ in calls])), _bits(pts)), (
+            for X, _, (writeable, contiguous_columns, f_contiguous) in calls:
+                assert len(X) <= rows and not writeable, (name, dom, res)
+                assert contiguous_columns, (name, dom, res)
+                assert f_contiguous or not dom.is_box, (name, dom, res)
+            assert np.array_equal(_bits(np.concatenate([X for X, *_ in calls])), _bits(pts)), (
                 name, dom, res)
-            scan = np.concatenate([v for _, v in calls])
+            scan = np.concatenate([v for _, v, _ in calls])
             assert np.array_equal(_bits(scan), _bits(func(pts))), (name, dom, res)
             sizes.add(len(pts))
     # every n has a grid longer than one block that is not a whole number of
     # blocks, and one that fits in a single block
     assert any(k > rows and k % rows for k in sizes)
     assert min(sizes) < rows
+
+
+@pytest.mark.parametrize("dom, res", [(UnitBox(5), 12), (RatioBox(3, 2.5), 64),
+                                      (SymBox(1), 200_000)], ids=repr)
+def test_a_box_scan_reuses_one_block_buffer(dom, res, monkeypatch):
+    # every full-size block is the same buffer, rewritten in place
+    monkeypatch.setattr(oracle, "_refine", lambda func, dom, X, V, *a: (X, V))
+    calls = []
+
+    def record(X):
+        calls.append(X)
+        return X[:, 0] + 0.0
+
+    grid_maximize(record, dom, GridSpec(resolution=res))
+    full = [X for X in calls if len(X) == len(calls[0])]
+    assert len(full) >= 2 and len(calls) > len(full)  # a shorter last block too
+    assert all(np.shares_memory(X, Y) for X, Y in zip(full, full[1:]))
+
+
+def test_a_box_scan_peaks_below_three_quarters_of_a_mib():
+    # UnitBox(5) at resolution 12 is scanned in 21 blocks of up to 12096 x 5
+    # floats, 0.46 MiB; a fresh array per block peaked at 1.06 MiB
+    scan = lambda: grid_maximize(lambda X: X[:, 0] + 0.0, UnitBox(5), GridSpec(resolution=12))
+    scan()  # the first call's imports and caches are not the scan's
+    tracemalloc.start()
+    try:
+        scan()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 2 ** 20
+
+
+def _generated_rows(monkeypatch, dom, res, orbits=False):
+    """The uncached ``_grid_points(dom, res, orbits)`` and the rows that
+    ``_grid_blocks`` generated for it."""
+    sizes, blocks = [], oracle._grid_blocks
+
+    def counted(dom, res):
+        for cols in blocks(dom, res):
+            sizes.append(cols.shape[1])
+            yield cols
+
+    with monkeypatch.context() as patched:
+        patched.setattr(oracle, "_grid_blocks", counted)
+        pts = oracle._grid_points.__wrapped__(dom, res, orbits)
+    return pts, sum(sizes)
+
+
+def test_a_simplex_grid_generates_only_the_tiles_that_can_meet_it(monkeypatch):
+    # StdSimplex(7) keeps 6435 of the 12^7 = 35831808 cell centers of its
+    # bounding box; its tiles are the 12^3 centers of the last three axes
+    pts, generated = _generated_rows(monkeypatch, StdSimplex(7), 12)
+    assert pts.shape == (6435, 7)
+    assert 20 * generated <= 12 ** 7
+
+
+@pytest.mark.parametrize("dom, res", [
+    (StdSimplex(7), 6), (StdSimplex(8), 4), (ComplementSimplex(7), 4),
+    (CornerSimplexOne(tuple(0.3 + 0.1 * j for j in range(7))), 5),
+    # entries of 1/lam up to 1e10, whose sums round far beyond 1e-9: a fixed
+    # margin of 1e-9 dropped a tile that holds a member of the first
+    (CornerSimplexOne((1e-9, 1e-10, 1e-10, 1e-10)), 12), (CornerSimplexOne((1e-7, 0.3, 1.0)), 64),
+    (StdSimplex(5), 2), (StdSimplex(6), 2)], ids=repr)
+def test_a_pruned_grid_is_the_unpruned_grid(dom, res, monkeypatch):
+    # the tiles dropped off a non-box domain hold no row that the mask keeps
+    for orbits in (False, True):
+        pts, generated = _generated_rows(monkeypatch, dom, res, orbits)
+        want = _row_major_grid(dom, res)
+        if orbits:
+            want = want[np.all(np.diff(want, axis=1) >= 0.0, axis=1)]
+        assert np.array_equal(_bits(pts), _bits(want)), orbits
+        assert pts.shape == (len(want), dom.n) and pts.flags.f_contiguous, orbits
+        assert generated < res ** dom.n or not isinstance(dom, StdSimplex), orbits
 
 
 def _row_major_grid(dom, res):
