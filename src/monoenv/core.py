@@ -427,9 +427,8 @@ class _BoxDomain(Domain):
 
     def monomial_extreme(self, m, sense):
         lo, hi = self.bounding_box()
-        if not np.all(lo >= 0.0):
-            return None
-        # monotone increasing on the nonnegative orthant
+        # monotone increasing on the nonnegative orthant, which holds every
+        # box but SymBox, and SymBox overrides this
         corner = hi if sense == "max" else lo
         return float(monomial_values(m, corner[None, :])[0]), corner
 

@@ -8,11 +8,12 @@ read them. The scan calls the function on blocks of at most
 ``core.BLOCK_FLOATS // n`` consecutive grid rows, the block rule of every row
 kernel, so that each block's temporaries stay in cache; every package
 estimator gives a row the same bits whatever rows share its call, so the
-values are those of one call on the whole grid. Grid blocks are generated
-from the bounding box's axes into one buffer per scan, off a box only those
-of the tiles that can meet the domain: a box's full scan stores none, and
-every other scan reads one cached grid that joins only each block's kept
-rows. A box's block is valid only during the call it is passed to, so a
+values are those of one call on the whole grid. Grid blocks are read-only
+row blocks generated from the bounding box's axes into one buffer per scan,
+off a box only those of the tiles that can meet the domain: a box's full
+scan passes them on as they are and stores none, and every other scan reads
+one cached grid that joins the rows it keeps of each block, each a new
+array. A box's block is valid only during the call it is passed to, so a
 function that keeps one must copy it.
 ``grid_maximize`` scans only the rows whose coordinates do not decrease, one
 per orbit of the coordinate permutations, for an ``Envelope`` over the
@@ -110,20 +111,15 @@ def _grid_points(dom: Domain, res: int, orbits: bool = False) -> np.ndarray:
     coordinates do not decrease: the first row in C order of each orbit of
     the coordinate permutations.
 
-    The join of each ``_grid_blocks`` block's ``_kept`` rows, copied where
-    they are still the generator's buffer, so it never holds the bounding box
-    and, off a box, generates only the tiles that can meet the domain; stored
-    by columns (``f_contiguous``): every grid kernel
+    The join of each ``_grid_blocks`` block's ``_kept`` rows, so it never
+    holds the bounding box and, off a box, generates only the tiles that can
+    meet the domain; stored by columns (``f_contiguous``): every grid kernel
     reads one coordinate at a time (``fold_columns``, ``monomial_values``).
     The package's kernels give these rows the bits of a row-major copy; only a
     row sum over 8 or more columns (``np.sum`` along a row, which numpy adds
     pairwise by layout) can differ in its last bit. No full box scan calls this.
     """
-    parts = []
-    for block in _grid_blocks(dom, res):
-        cols = _kept(dom, block, orbits).T
-        # a block that kept every row is still the generator's buffer
-        parts.append(cols.copy() if np.may_share_memory(cols, block) else cols)
+    parts = [_kept(dom, P, orbits).T for P in _grid_blocks(dom, res)]
     cols = np.concatenate(parts, axis=1) if parts else np.empty((dom.n, 0))
     cols.setflags(write=False)
     return cols.T
@@ -131,34 +127,34 @@ def _grid_points(dom: Domain, res: int, orbits: bool = False) -> np.ndarray:
 
 def _grid_blocks(dom: Domain, res: int) -> Iterator[np.ndarray]:
     """The res^n cell centers of the domain's bounding box, in C order, as
-    (n, m) column blocks of at most BLOCK_FLOATS // n rows each, less, off a
-    box, the tiles that cannot meet the domain (``_meeting_tiles``).
+    read-only (m, n) row blocks of at most BLOCK_FLOATS // n rows each, less,
+    off a box, the tiles that cannot meet the domain (``_meeting_tiles``).
 
     A block is whole tiles: a tile is the grid of the trailing k coordinates,
     res^k rows for the largest k that fits a block, while each leading
-    coordinate holds one value per tile. Every block is a view of one buffer,
-    so it is valid only until the next one is made: a caller that keeps a
-    block copies it. The tile is written once, and again for a shorter last
-    block; each block rewrites only its n - k leading coordinates.
+    coordinate holds one value per tile. Every block is an F-contiguous view
+    of one buffer, so it is valid only until the next one is made: a caller
+    that keeps a block copies it. The tile is written once, and again for a
+    shorter last block; each block rewrites only its n - k leading coordinates.
     """
     n, axes = dom.n, _cell_centers(dom, res)
     rows = BLOCK_FLOATS // n or 1
     k = max(k for k in range(n + 1) if res ** k <= rows)
     j, t = n - k, res ** k  # leading coordinates, rows per tile
-    lead = None if dom.is_box else _meeting_tiles(dom, axes, j, rows)
-    tiles = res ** j if lead is None else len(lead)
-    per = min(rows // t, tiles)
+    lead = range(res ** j) if dom.is_box else _meeting_tiles(dom, axes, j, rows)
+    per = min(rows // t, len(lead))
     buf = np.empty(n * per * t)
     laid = 0  # the tiles per block for which buf's trailing coordinates hold the tile
-    for s in range(0, tiles, per or 1):  # per is 0 only where no tile is left
-        m = min(per, tiles - s)
+    for s in range(0, len(lead), per or 1):  # per is 0 only where no tile is left
+        m = min(per, len(lead) - s)
         cols = buf[:n * m * t].reshape(n, m, t)
         if m != laid:
             cols[j:] = _lattice(axes[j:], np.arange(t))[:, None, :]
             laid = m
-        cols[:j] = _lattice(axes[:j], np.arange(s, s + m) if lead is None
-                            else lead[s:s + m])[:, :, None]
-        yield cols.reshape(n, -1)
+        cols[:j] = _lattice(axes[:j], lead[s:s + m])[:, :, None]
+        P = cols.reshape(n, -1).T
+        P.setflags(write=False)
+        yield P
 
 
 def _meeting_tiles(dom: Domain, axes: np.ndarray, j: int, rows: int) -> np.ndarray:
@@ -185,7 +181,10 @@ def _meeting_tiles(dom: Domain, axes: np.ndarray, j: int, rows: int) -> np.ndarr
 
 
 def _lattice(axes: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Rows idx, in C order, of the grid over the (k, res) axes, as a (k, len(idx)) array."""
+    """Rows idx (an index array or a range), in C order, of the grid over the
+    (k, res) axes, as a (k, len(idx)) array."""
+    if isinstance(idx, range):  # numpy would read a range element by element
+        idx = np.arange(idx.start, idx.stop)
     out = np.empty((len(axes), len(idx)))
     for j in range(len(axes) - 1, -1, -1):
         idx, i = np.divmod(idx, axes.shape[1])
@@ -203,17 +202,14 @@ def _cell_centers(dom: Domain, res: int) -> np.ndarray:
     return axes
 
 
-def _kept(dom: Domain, cols: np.ndarray, orbits: bool = False) -> np.ndarray:
-    """The (n, N) array cols as read-only (N, n) rows, less those whose
-    coordinates decrease if ``orbits``, then less those outside a non-box dom."""
-    if orbits:
-        cols = cols.compress(np.all(cols[1:] >= cols[:-1], axis=0), axis=1)
-    if not dom.is_box:
-        keep = dom.contains_many(cols.T)
-        if not keep.all():
-            cols = cols.compress(keep, axis=1)  # stays row-major; cols[:, keep] would not
-    cols.setflags(write=False)
-    return cols.T
+def _kept(dom: Domain, P: np.ndarray, orbits: bool = False) -> np.ndarray:
+    """A new F-contiguous array of the rows of P, with ``orbits`` only those
+    whose coordinates do not decrease, and of those, off a box, only the
+    members of dom."""
+    if orbits:  # first: a membership mask over the whole block built orbit grids 3-8x slower
+        P = P.T.compress(np.all(P[:, 1:] >= P[:, :-1], axis=1), axis=1).T
+    keep = np.ones(len(P), bool) if dom.is_box else dom.contains_many(P)
+    return P.T.compress(keep, axis=1).T
 
 
 def _row_values(func: Callable[[np.ndarray], np.ndarray], P: np.ndarray,
@@ -332,9 +328,9 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
                   center_weights: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:
     """Maximize a vectorized function over a structured domain.
 
-    Grid scan in blocks of rows, a box's full grid generated by
-    ``_grid_blocks`` and every other scan's rows sliced from their cached
-    ``_grid_points``, keeping the whole grid's first maximum (a strict ``>``
+    Grid scan in blocks of rows, a box's full grid in the blocks
+    ``_grid_blocks`` yields and every other scan's rows sliced from their
+    cached ``_grid_points``, keeping the whole grid's first maximum (a strict ``>``
     across blocks, ``argmax`` within one), then ``_refine`` from the
     incumbent, so the value never falls below the grid incumbent's. An
     ``Envelope`` over ``dom`` itself is evaluated by its unchecked ``value``,
@@ -350,7 +346,7 @@ def grid_maximize(func: Callable[[np.ndarray], np.ndarray], dom: Domain,
     func, orbits = _unchecked(func, dom)
     res = (grid or GridSpec()).resolution_for(dom.n)
     if dom.is_box and not orbits:
-        blocks = (_kept(dom, cols) for cols in _grid_blocks(dom, res))
+        blocks = _grid_blocks(dom, res)
     else:
         pts = _grid_points(dom, res, orbits)
         rows = BLOCK_FLOATS // dom.n or 1

@@ -173,6 +173,13 @@ class TestLowerBoundPhi:
         with pytest.raises(ValueError):
             lower_bound_phi(2, 1.0, 1.0)
 
+    @pytest.mark.parametrize("args", [(3, 1e-300, 1e300), (2 ** 1023, 1.0, 2.0)],
+                             ids=["ratio", "degree"])
+    def test_a_ratio_box_beyond_the_float_range_is_a_scale_refusal(self, args):
+        # the refusal named "n or r - 1", arguments lower_bound_phi does not take
+        with pytest.raises(ScaleExceeded, match=r"^d or \(t2 - t1\)/t1 is too large for a float"):
+            lower_bound_phi(*args)
+
 
 class TestSimplexBounds:
     def test_bilinear(self):
@@ -837,6 +844,27 @@ class TestDegreeInequality:
     def test_sweep(self):
         assert all(dineq_check(d) for d in range(2, 51))
         assert all(dineq_margins(d)[1] > 0 for d in range(3, 51))
+
+    @pytest.mark.parametrize("d", [*range(2, 51), 10 ** 8, 10 ** 15])
+    def test_margins_match_a_60_digit_reference(self, d):
+        # each margin was a difference of two terms of size d**2 ln d: at
+        # d = 10**8 the first read 0.0 for ln d = 18.42, and the check failed
+        with localcontext() as ctx:
+            ctx.prec = 60
+            D = Decimal(d)
+            want = (D.ln(), D * (D - 2) * D.ln() - (D - 1) ** 2 * (D - 1).ln())
+            for got, ref in zip(dineq_margins(d), want):
+                assert abs(Decimal(got) - ref) <= Decimal("4e-16") * ref  # 0.0 at d = 2
+        assert dineq_check(d)
+
+    def test_a_degree_beyond_the_float_range_is_a_scale_refusal(self):
+        # (d-1)**2 ln d raised an OverflowError from d of about 10**154 on
+        top = int(sys.float_info.max)
+        assert all(map(math.isfinite, dineq_margins(top))) and dineq_check(10 ** 160)
+        for d in (top + 1, 10 ** 5000):  # too long to print as a str
+            for call in (dineq_margins, dineq_check):
+                with pytest.raises(ScaleExceeded, match="beyond the float range"):
+                    call(d)
 
 
 class TestOverflowBehavior:

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import monoenv
-from monoenv import checks
+from monoenv import checks, polyrelax
 from monoenv.cli import EXIT_OK, EXIT_SCALE, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -127,6 +128,12 @@ class TestVerify:
                                "--trials", "100", "--seed", "7")
         assert code == EXIT_OK
         assert "PASS" in out
+
+    def test_integrality_fail(self, capsys, faulty_maximizer):
+        code, out, _ = run_cli(capsys, "verify", "--case", "integrality", "--n", "3",
+                               "--trials", "10")
+        assert code == EXIT_VERIFY
+        assert out.startswith("[VIOLATED] integrality n=3") and "0/1 checks passed" in out
 
     def test_scale_refusal(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--case", "integrality", "--n", "9")
@@ -361,6 +368,17 @@ class TestGap:
         code, out, _ = run_cli(capsys, "gap", "--poly", str(poly), "--certify")
         assert code == EXIT_OK
         assert "PASS" in out
+
+    def test_certify_fail(self, capsys, tmp_path, monkeypatch):
+        # a tight bound below the measured gap fails the certificate
+        gap_bound = polyrelax.gap_bound
+        monkeypatch.setattr(polyrelax, "gap_bound",
+                            lambda p: dataclasses.replace(gap_bound(p), tight=-1.0))
+        poly = tmp_path / "p.txt"
+        poly.write_text("1 1 1 0\n-1 0 1 1\n1 1 0 1\n")
+        code, out, _ = run_cli(capsys, "gap", "--poly", str(poly), "--certify")
+        assert code == EXIT_VERIFY
+        assert "<= tight -1: FAIL" in out
 
     def test_json_input(self, capsys, tmp_path):
         poly = tmp_path / "p.json"

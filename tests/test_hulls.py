@@ -232,6 +232,16 @@ class TestIntegrality:
         with pytest.raises(ValueError, match="trials"):
             verify_integrality(3, trials=trials)
 
+    def test_a_faulty_maximizer_fails(self, faulty_maximizer):
+        # a wrong value counts a failure per trial; an odd parity point clears
+        # constructive_all_pm1_even
+        rep = verify_integrality(3, trials=20)
+        assert not rep.passed
+        if faulty_maximizer == "value":
+            assert rep.failures == 20 and rep.constructive_all_pm1_even
+        else:
+            assert rep.failures == 0 and not rep.constructive_all_pm1_even
+
     def test_deterministic(self):
         a = verify_integrality(2, trials=50, seed=5)
         b = verify_integrality(2, trials=50, seed=5)

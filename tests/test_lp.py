@@ -25,6 +25,14 @@ def test_known_equality_instance():
     assert x[1] == pytest.approx(1.0)
 
 
+def test_a_solve_past_the_pivot_limit_is_refused(monkeypatch):
+    # phase one of the instance above pivots out two artificials
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 1)
+    with pytest.raises(RuntimeError, match="simplex iteration limit reached"):
+        solve_equality_lp([-1.0, -2.0, 0.0, 0.0], [[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]],
+                          [4.0, 6.0])
+
+
 def test_degenerate_redundant_row():
     # second row is a duplicate of the first
     c = [1.0, 1.0]

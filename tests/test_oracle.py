@@ -626,6 +626,33 @@ def test_a_box_scan_reuses_one_block_buffer(dom, res, monkeypatch):
     assert all(np.shares_memory(X, Y) for X, Y in zip(full, full[1:]))
 
 
+_BLOCK_DOMAINS = [UnitBox(1), RatioBox(3, 2.5), SymBox(4), SubBox((0.1, 0.2), (0.9, 0.4)),
+                  StdSimplex(3), ComplementSimplex(5), CornerSimplexOne((0.3, 0.4, 0.5))]
+
+
+@pytest.mark.parametrize("dom", _BLOCK_DOMAINS, ids=repr)
+def test_grid_blocks_are_read_only_row_blocks(dom):
+    rows = core.BLOCK_FLOATS // dom.n
+    for res in (2, 7, GridSpec().resolution_for(dom.n)):
+        sizes = []
+        for P in oracle._grid_blocks(dom, res):
+            assert P.ndim == 2 and P.shape[1] == dom.n and 0 < len(P) <= rows, res
+            assert P.flags.f_contiguous and not P.flags.writeable, res
+            sizes.append(len(P))
+        assert sum(sizes) == res ** dom.n or not dom.is_box, res
+
+
+@pytest.mark.parametrize("dom", _BLOCK_DOMAINS, ids=repr)
+def test_kept_rows_are_a_new_array(dom):
+    # on a box without orbits every row is kept, and still copied
+    P = next(oracle._grid_blocks(dom, 7))
+    for orbits in (False, True):
+        kept = oracle._kept(dom, P, orbits)
+        assert not np.shares_memory(kept, P), orbits
+        assert kept.flags.f_contiguous and kept.shape[1] == dom.n, orbits
+        assert len(kept) == len(P) or orbits or not dom.is_box, orbits
+
+
 def test_a_box_scan_peaks_below_three_quarters_of_a_mib():
     # UnitBox(5) at resolution 12 is scanned in 21 blocks of up to 12096 x 5
     # floats, 0.46 MiB; a fresh array per block peaked at 1.06 MiB
@@ -642,18 +669,24 @@ def test_a_box_scan_peaks_below_three_quarters_of_a_mib():
 
 def _generated_rows(monkeypatch, dom, res, orbits=False):
     """The uncached ``_grid_points(dom, res, orbits)`` and the rows that
-    ``_grid_blocks`` generated for it."""
+    ``_grid_blocks`` generated for it. The count checks itself on the box
+    UnitBox(n) at resolution 3, which generates each of its 3^n rows."""
     sizes, blocks = [], oracle._grid_blocks
 
     def counted(dom, res):
-        for cols in blocks(dom, res):
-            sizes.append(cols.shape[1])
-            yield cols
+        for P in blocks(dom, res):
+            sizes.append(len(P))
+            yield P
 
-    with monkeypatch.context() as patched:
-        patched.setattr(oracle, "_grid_blocks", counted)
-        pts = oracle._grid_points.__wrapped__(dom, res, orbits)
-    return pts, sum(sizes)
+    def run(dom, res):
+        sizes.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(oracle, "_grid_blocks", counted)
+            pts = oracle._grid_points.__wrapped__(dom, res, orbits)
+        return pts, sum(sizes)
+
+    assert run(UnitBox(dom.n), 3)[1] == 3 ** dom.n
+    return run(dom, res)
 
 
 def test_a_simplex_grid_generates_only_the_tiles_that_can_meet_it(monkeypatch):
