@@ -6,10 +6,11 @@ its logarithm, and comparisons across that range are done on logarithms.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -151,7 +152,7 @@ def lower_bound_phi(d: int, t1: float, t2: float) -> PhiLowerBound:
         t, value, xi = t2, (c, math.log(c)), math.exp(_log_peak(d))
     else:
         b = _box(d, (t2 - t1) / t1, "d or (t2 - t1)/t1")
-        t, value, xi = t1, _E(b), math.expm1(_log_t_e(b)) / b.s
+        t, value, xi = t1, b.E, math.expm1(_log_t_e(b)) / b.s
     d_f = exponent_float(d)
     log_scale = math.log(t) * d_f if t != 1.0 else 0.0  # log t**d
     if value[0] < math.inf and abs(log_scale) < _EXP_OVERFLOW:
@@ -315,25 +316,40 @@ def _exp_or_inf(logv: float) -> float:
     return math.exp(logv) if logv <= _LOG_MAX else math.inf
 
 
-class _Box(NamedTuple):
-    """[1, r]^n as the constants read it: s = r - 1, L = log1p(s), lm(s), log(L/s)."""
+class _FirstRead(functools.cached_property):
+    """functools.cached_property without its per-read lock: records are pure."""
 
-    n: int
-    s: float
-    L: float
-    lm_s: float
-    log_l_s: float
+    def __get__(self, b, owner=None):
+        value = b.__dict__[self.attrname] = self.func(b)
+        return value
+
+
+class _Box:
+    """[1, r]^n as the constants read it: s = r - 1, L = log1p(s), lm(s), log(L/s);
+    D, E, the relaxed error and r^n - 1 are evaluated on first read."""
+
+    def __init__(self, n: int, s: float, names: str):
+        if exponent_float(n) == math.inf or s == math.inf:
+            raise ScaleExceeded(f"{names} is too large for a float")
+        L, lm_s = math.log1p(s), _lm(s)
+        self.n, self.s, self.L, self.lm_s = n, s, L, lm_s
+        self.log_l_s = math.log1p(lm_s / s) if s <= 1.0 else math.log(L / s)
+
+    # lambdas, as the evaluators are defined below
+    D = _FirstRead(lambda b: _D(b))
+    E = _FirstRead(lambda b: _E(b))
+    relaxed = _FirstRead(lambda b: _relaxed(b))
+    span = _FirstRead(lambda b: _span(b))
+
+
+# One record per box, so ratio_box_constants and then ratio_box_ratios on one
+# (n, r) evaluate D and E once. Far fewer are kept than the 693 pairs of one
+# figure-1 sweep: the only reuse is within a pair, never a repeated sweep.
+_box = functools.lru_cache(maxsize=4)(_Box)
 
 
 def _require_ratio_box(n: int, r: float) -> _Box:
     return _box(require_count(n, "n", 2), box_ratio(r) - 1.0, "n or r - 1")
-
-
-def _box(n: int, s: float, names: str) -> _Box:
-    if exponent_float(n) == math.inf or s == math.inf:
-        raise ScaleExceeded(f"{names} is too large for a float")
-    L, lm_s = math.log1p(s), _lm(s)
-    return _Box(n, s, L, lm_s, math.log1p(lm_s / s) if s <= 1.0 else math.log(L / s))
 
 
 def _chord(b: _Box, t: float) -> float:
@@ -417,7 +433,7 @@ def ratio_box_constants(n: int, r: float) -> tuple[float, float]:
     :func:`ratio_box_ratios`.
     """
     b = _require_ratio_box(n, r)
-    return _D(b)[0], _E(b)[0]
+    return b.D[0], b.E[0]
 
 
 def ratio_box_e_point(n: int, r: float) -> float:
@@ -428,20 +444,19 @@ def ratio_box_e_point(n: int, r: float) -> float:
 def ratio_box_relaxed_error(n: int, r: float) -> float:
     """Error of the relaxed convex envelope that keeps only the first and last
     affine pieces; at n = 2 this coincides with D."""
-    return _relaxed(_require_ratio_box(n, r))[0]
+    return _require_ratio_box(n, r).relaxed[0]
 
 
 def ratio_box_ratios(n: int, r: float) -> tuple[float, float]:
     """(D/E, relaxedD/E), finite where D and E overflow."""
     b = _require_ratio_box(n, r)
-    E = _E(b)
-    return _ratio(_D(b), E), _ratio(_relaxed(b), E)
+    return _ratio(b.D, b.E), _ratio(b.relaxed, b.E)
 
 
 def ratio_box_asymptotics(n: int, r: float) -> tuple[float, float]:
     """(E/(r**n - 1), D/(r**n - 1))."""
     b = _require_ratio_box(n, r)
-    return _ratio(_E(b), _span(b)), _ratio(_D(b), _span(b))
+    return _ratio(b.E, b.span), _ratio(b.D, b.span)
 
 
 def psi_value(n: int, r: float, t) -> float | np.ndarray:

@@ -10,6 +10,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -99,8 +100,16 @@ def require_count(v, name: str, low: int) -> int:
     """``v`` as a Python int: an integer >= low, numpy integers included. A
     ``bool``, any float (2.0 too), a string or anything else is a ``ValueError``."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+        raise ValueError(f"{name} must be an integer >= {low}, got {_shown(v)}")
     return int(v)
+
+
+def _shown(v) -> str:
+    """repr(v), or the sign and digit count of an int too long for a str."""
+    try:
+        return repr(v)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return f"{'-' if v < 0 else ''}<an int of {Decimal(abs(v)).adjusted() + 1} digits>"
 
 
 def exponent_float(a: int) -> float:

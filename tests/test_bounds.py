@@ -416,6 +416,104 @@ class TestRatioBoxConstants:
             ratio_box_constants(3, 1.0)
 
 
+FIGURE1_GRID = [(n, r) for n in range(2, 101) for r in (1.01, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0)]
+
+# every public function that reads a ratio-box record, as a call on (n, r)
+RATIO_BOX_CALLS = {
+    "ratio_box_constants": ratio_box_constants,
+    "ratio_box_ratios": ratio_box_ratios,
+    "ratio_box_asymptotics": ratio_box_asymptotics,
+    "ratio_box_relaxed_error": ratio_box_relaxed_error,
+    "ratio_box_e_point": bounds.ratio_box_e_point,
+    "psi_value": lambda n, r: psi_value(n, r, 0.375),
+    "d_bound_cases": d_bound_cases,
+}
+
+
+def _outcome(call, *args):
+    """repr of the result (a float's repr gives back its bits), or the error's type and message."""
+    try:
+        return repr(call(*args))
+    except (ValueError, TypeError, ScaleExceeded) as e:
+        return type(e).__name__, str(e)
+
+
+def _counting(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, evaluate):
+        def wrapper(b):
+            calls[name] += 1
+            return evaluate(b)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
+    bounds._box.cache_clear()
+    return calls
+
+
+class TestRatioBoxRecord:
+    """One record per (n, r): D, E, the relaxed error and r^n - 1 are
+    evaluated on its first read, and only the last few records are kept."""
+
+    def test_a_pair_evaluates_d_and_e_once(self, monkeypatch):
+        calls = _counting(monkeypatch, "_D", "_E", "_relaxed")
+        D, E = ratio_box_constants(7, 1.5)
+        ratio, relaxed = ratio_box_ratios(7, 1.5)
+        assert calls == {"_D": 1, "_E": 1, "_relaxed": 1}
+        assert ratio == D / E
+
+    def test_a_second_figure1_sweep_misses_the_cache_on_every_pair(self, monkeypatch, tmp_path):
+        from monoenv import cli
+        calls = _counting(monkeypatch, "_D", "_E")
+        out = tmp_path / "f.csv"
+        assert cli.main(["figure1", "--out", str(out)]) == 0
+        assert calls == {"_D": 693, "_E": 693}
+        before = bounds._box.cache_info()
+        assert cli.main(["figure1", "--out", str(out)]) == 0
+        after = bounds._box.cache_info()
+        assert calls == {"_D": 2 * 693, "_E": 2 * 693}
+        # one miss and one hit per pair: ratio_box_constants, then ratio_box_ratios
+        assert (after.misses - before.misses, after.hits - before.hits) == (693, 693)
+        assert after.currsize <= after.maxsize < len(FIGURE1_GRID)
+
+    @pytest.mark.parametrize("pairs", [
+        FIGURE1_GRID,
+        [(2, 1.0 + 1e-12), (3, 1.0 + 1e-12), (100, 1.0 + 1e-12), (3, 1e100), (100, 1e100),
+         (10 ** 5, 1.0 + 1e-12), (10 ** 5, 1.01), (10 ** 5, 2.0), (10 ** 5, 1e100)],
+    ], ids=["figure1-grid", "extremes"])
+    def test_the_record_gives_the_bits_of_fresh_evaluators(self, monkeypatch, pairs):
+        def outcomes():
+            return [[_outcome(call, n, r) for call in RATIO_BOX_CALLS.values()] for n, r in pairs]
+
+        got = outcomes()  # each pair's calls share one record
+        with monkeypatch.context() as m:  # a new record, so fresh evaluators, on every call
+            m.setattr(bounds, "_box", bounds._box.__wrapped__)
+            want = outcomes()
+        assert got == want
+
+    @pytest.mark.parametrize("n, r, error, message", [
+        (True, 2.0, ValueError, "n must be an integer >= 2, got True"),
+        (2.0, 2.0, ValueError, "n must be an integer >= 2, got 2.0"),
+        ([3], 2.0, ValueError, "n must be an integer >= 2, got [3]"),
+        (-10 ** 5000, 2.0, ValueError, "n must be an integer >= 2, got -<an int of 5001 digits>"),
+        (10 ** 400, 2.0, ScaleExceeded, "n or r - 1 is too large for a float"),
+        (3, 1.0, ValueError, "need a finite ratio r > 1, got 1.0"),
+        (3, 0.5, ValueError, "need a finite ratio r > 1, got 0.5"),
+        (3, float("nan"), ValueError, "need a finite ratio r > 1, got nan"),
+        (3, [2.0], TypeError, "float() argument must be a string or a"),
+    ], ids=["true", "float-n", "list-n", "long-negative-n", "huge-n", "r-one", "r-half", "r-nan",
+            "list-r"])
+    @pytest.mark.parametrize("name", RATIO_BOX_CALLS)
+    def test_a_bad_argument_is_refused_before_the_record(self, name, n, r, error, message):
+        for good in (2, 3):  # a cached record must not answer a bad (n, r): 2.0 == 2
+            ratio_box_constants(good, 2.0)
+        with pytest.raises(error) as info:
+            RATIO_BOX_CALLS[name](n, r)
+        assert type(info.value) is error and str(info.value).startswith(message)
+
+
 class TestDBoundCases:
     def test_psi_endpoints_vanish(self):
         for n, r in [(2, 1.5), (3, 2.0), (5, 10.0)]:
