@@ -96,11 +96,14 @@ def unit_interval(v, name: str) -> np.ndarray:
     return x
 
 
-def require_count(v, name: str, low: int) -> int:
+def require_count(v, name: str, low: int, high: Optional[int] = None) -> int:
     """``v`` as a Python int: an integer >= low, numpy integers included. A
-    ``bool``, any float (2.0 too), a string or anything else is a ``ValueError``."""
+    ``bool``, any float (2.0 too), a string or anything else is a ``ValueError``;
+    an integer above ``high``, where given, a ``ScaleExceeded``."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {_shown(v)}")
+    if high is not None and v > high:
+        raise ScaleExceeded(f"{name} must be <= {high}, got {_shown(v)}")
     return int(v)
 
 
@@ -399,9 +402,7 @@ def _cached_halfspaces(dom: Domain) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _box_vertices(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    n = len(lower)
-    if n > VERTEX_ENUM_LIMIT:
-        raise ScaleExceeded(f"vertex enumeration refused for n={n} (2^n blowup)")
+    n = require_count(len(lower), "n", 1, VERTEX_ENUM_LIMIT)
     cols = [(lower[j], upper[j]) for j in range(n)]
     return np.array(list(itertools.product(*cols)), dtype=float)
 

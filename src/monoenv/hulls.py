@@ -21,7 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import envelopes, lp
-from .core import TOL_EXACT, VERTEX_ENUM_LIMIT, ScaleExceeded, SymBox, one_point, require_count
+from .core import TOL_EXACT, VERTEX_ENUM_LIMIT, SymBox, one_point, require_count
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,7 @@ class FacetSystem:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", require_count(self.n, "n", 1))
-        if self.n > VERTEX_ENUM_LIMIT:
-            raise ScaleExceeded(f"facet enumeration refused for n={self.n}: 2^{self.n} facets; "
-                                "use the closed-form envelope evaluation instead")
+        object.__setattr__(self, "n", require_count(self.n, "n", 1, VERTEX_ENUM_LIMIT))
 
     @property
     def nvars(self) -> int:
@@ -174,8 +171,7 @@ def verify_integrality(n: int, trials: int = 1000, seed: int = 42) -> Integralit
     """Check that optimizing any direction over the facet system lands on a
     +/-1 point with even -1 parity, by comparing the closed-form maximizer
     against the dense LP solver on seeded random objectives."""
-    if require_count(n, "n", 1) > 6:
-        raise ScaleExceeded(f"integrality verification supports n <= 6, got {n}")
+    require_count(n, "n", 1, 6)
     require_count(trials, "trials", 1)
     require_count(seed, "seed", 0)
     fs = build_symbox_hull(n)

@@ -52,6 +52,7 @@ from .core import (
     ScaleExceeded,
     UnsupportedDomain,
     _box_vertices,
+    _shown,
     error_report,
     monomial_values,
     one_point,
@@ -94,10 +95,12 @@ class GridSpec:
     def resolution_for(self, n: int) -> int:
         res = self.resolution or _DEFAULT_RESOLUTION.get(n)
         if res is None:
-            raise ScaleExceeded(f"no default grid for n={n}; pass GridSpec(resolution=...), "
-                                "or --grid on the command line")
-        if res ** n > MAX_GRID_POINTS:
-            raise ScaleExceeded(f"grid of {res}^{n} points exceeds the cap {MAX_GRID_POINTS}")
+            raise ScaleExceeded(f"no default grid for n={_shown(n)}; pass "
+                                "GridSpec(resolution=...), or --grid on the command line")
+        # res ** n only up to the cap's bit length, beyond which res >= 2 exceeds it anyway
+        if res ** min(n, MAX_GRID_POINTS.bit_length()) > MAX_GRID_POINTS:
+            raise ScaleExceeded(f"grid of {_shown(res)}^{_shown(n)} points exceeds the cap "
+                                f"{MAX_GRID_POINTS}")
         return res
 
 
@@ -141,7 +144,7 @@ def _grid_blocks(dom: Domain, res: int) -> Iterator[np.ndarray]:
     rows = BLOCK_FLOATS // n or 1
     k = max(k for k in range(n + 1) if res ** k <= rows)
     j, t = n - k, res ** k  # leading coordinates, rows per tile
-    lead = range(res ** j) if dom.is_box else _meeting_tiles(dom, axes, j, rows)
+    lead = np.arange(res ** j) if dom.is_box else _meeting_tiles(dom, axes, j, rows)
     per = min(rows // t, len(lead))
     buf = np.empty(n * per * t)
     laid = 0  # the tiles per block for which buf's trailing coordinates hold the tile
@@ -181,10 +184,8 @@ def _meeting_tiles(dom: Domain, axes: np.ndarray, j: int, rows: int) -> np.ndarr
 
 
 def _lattice(axes: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Rows idx (an index array or a range), in C order, of the grid over the
-    (k, res) axes, as a (k, len(idx)) array."""
-    if isinstance(idx, range):  # numpy would read a range element by element
-        idx = np.arange(idx.start, idx.stop)
+    """Rows idx (an index array), in C order, of the grid over the (k, res)
+    axes, as a (k, len(idx)) array."""
     out = np.empty((len(axes), len(idx)))
     for j in range(len(axes) - 1, -1, -1):
         idx, i = np.divmod(idx, axes.shape[1])
@@ -438,8 +439,7 @@ def sampled_hull_envelope(m: Monomial, box: Domain, x, side: str) -> float:
     if not box.is_box:
         raise ValueError("sampled hull envelopes require a box domain")
     box.require_monomial(m)
-    if m.n > 4:
-        raise ScaleExceeded("sampled hull envelope supports n <= 4")
+    require_count(m.n, "n", 1, 4)
     _require_side(side)
     x = one_point(x, m.n)
     box.require_inside(x)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as _bounds
-from .core import (Domain, Monomial, ScaleExceeded, UnitBox, as_points, monomial_values,
-                   require_count)
+from .core import (Domain, Monomial, ScaleExceeded, UnitBox, _shown, as_points,
+                   monomial_values, require_count)
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class Polynomial:
         merged: dict[tuple[int, ...], float] = {}
         for coeff, alpha in self.terms:
             if len(alpha) != n:
-                raise ValueError(f"exponent vector {alpha} must have length {n}")
+                raise ValueError(f"exponent vector {alpha} must have length {_shown(n)}")
             key = tuple(require_count(a, "exponent", 0) for a in alpha)
             merged[key] = merged.get(key, 0.0) + float(coeff)
             if not math.isfinite(merged[key]):
@@ -106,7 +106,8 @@ def gap_bound(p: Polynomial) -> GapBound:
     m = p.total_degree
     count = math.comb(p.n + m, p.n)
     if count > sys.float_info.max:
-        raise ScaleExceeded(f"the monomial count C(n+m, n) for n={p.n}, m={m} overflows a float")
+        raise ScaleExceeded(f"the monomial count C(n+m, n) for n={_shown(p.n)}, m={_shown(m)} "
+                            "overflows a float")
     lp = lprime(p)
     tight = lp * count
     if m >= 2:
@@ -155,7 +156,8 @@ def hierarchy_threshold(n: int, m: int) -> float:
     log_val = (2 * math.log(m) + math.log(m + 1) - math.log(6.0) - _bounds._log_peak(m)
                - log_prod)
     if log_val > _bounds._LOG_MAX:
-        raise ScaleExceeded(f"the hierarchy threshold for n={n}, m={m} overflows a float")
+        raise ScaleExceeded(f"the hierarchy threshold for n={_shown(n)}, m={_shown(m)} "
+                            "overflows a float")
     return math.exp(log_val)
 
 
@@ -230,11 +232,10 @@ def certify_gap_small_instance(p: Polynomial, dom: Domain) -> CertifyReport:
     guaranteed sign of the gap (z_mon <= z*) free of grid noise.
     """
     if dom != UnitBox(p.n):
-        raise ValueError(f"certification is defined over the unit box of dimension {p.n}")
+        raise ValueError(f"certification is defined over the unit box of dimension {_shown(p.n)}")
     if not p.is_multilinear():
         raise ValueError("certification supports multilinear polynomials only")
-    if p.n > 4:
-        raise ScaleExceeded("certification supports n <= 4")
+    require_count(p.n, "n", 0, 4)
 
     verts = dom.vertices()
     vals = p.evaluate(verts)

@@ -3,14 +3,16 @@
 Slope vectors (``core.slopes``), monomial-domain pairs
 (``Domain.require_monomial``), single points (``core.one_point``),
 coordinate scalings and integers (``core.require_count``: every degree,
-exponent, count, dimension and seed) are each checked by one helper that
-every public entry calls. The rejection table pins the exact error type of each bad argument at
-each entry; the property tests check the scaling transport rule and every
-closed-form box envelope against the vertex-LP envelope.
+exponent, count, dimension and seed, and every upper limit on a dimension)
+are each checked by one helper that every public entry calls. The rejection
+table pins the exact error type of each bad argument at each entry; the
+property tests check the scaling transport rule and every closed-form box
+envelope against the vertex-LP envelope.
 """
 
 import json
 import math
+import time
 from decimal import Decimal
 
 import numpy as np
@@ -263,6 +265,30 @@ def _integer_cases():
     yield "verify_integrality.n-7.5", lambda: hulls.verify_integrality(7.5, trials=1)
 
 
+HUGE = 10 ** 5000  # more digits than Python turns into a str
+
+
+def _huge_int_cases():
+    # the integer table's huge-int column: each message printed the int
+    # whole, so Python's digit-limit ValueError came out in place of the
+    # refusal, and resolution_for(HUGE) at resolution 2 computed 2 ** HUGE
+    spec, poly = oracle.GridSpec, polyrelax.Polynomial
+    yield "FacetSystem", lambda: hulls.FacetSystem(HUGE), ScaleExceeded
+    yield "verify_integrality.n", lambda: hulls.verify_integrality(HUGE, trials=1), ScaleExceeded
+    yield "resolution_for-default", lambda: spec().resolution_for(HUGE), ScaleExceeded
+    yield "resolution_for-resolution", lambda: spec(resolution=HUGE).resolution_for(2), \
+        ScaleExceeded
+    yield "resolution_for-n", lambda: spec(resolution=2).resolution_for(HUGE), ScaleExceeded
+    yield "grid_maximize", lambda: oracle.grid_maximize(lambda X: X[:, 0], UnitBox(HUGE)), \
+        ScaleExceeded
+    yield "hierarchy_threshold", lambda: polyrelax.hierarchy_threshold(HUGE, 10 ** 2000), \
+        ScaleExceeded
+    yield "gap_bound", lambda: polyrelax.gap_bound(poly(1, ((1.0, (HUGE,)),))), ScaleExceeded
+    yield "Polynomial.n", lambda: poly(HUGE, ((1.0, (1,)),)), ValueError
+    yield "certify_gap_small_instance", lambda: polyrelax.certify_gap_small_instance(
+        poly(HUGE, ()), UnitBox(2)), ValueError
+
+
 def _objective_cases():
     # an estimator or objective without one value per point once broadcast
     # against the monomial (an IndexError deep in the scan) or silently took
@@ -326,6 +352,37 @@ def test_bad_argument_raises_its_typed_error(kind, name, call, error):
     with pytest.raises(ValueError) as info:
         call()
     assert info.type is error, info.value
+
+
+HUGE_INT_CASES = list(_huge_int_cases())
+
+
+@pytest.mark.parametrize("name,call,error", HUGE_INT_CASES, ids=[c[0] for c in HUGE_INT_CASES])
+def test_a_huge_int_is_refused_at_once_by_its_digit_count(name, call, error):
+    start = time.perf_counter()
+    with pytest.raises(error, match="<an int of 5001 digits>") as info:
+        call()
+    assert time.perf_counter() - start < 1.0
+    assert info.type is error
+
+
+# each upper limit on a count, at one above it
+UPPER_LIMITS = {
+    "FacetSystem": (20, hulls.FacetSystem),
+    "Domain.vertices": (20, lambda n: UnitBox(n).vertices()),
+    "verify_integrality": (6, lambda n: hulls.verify_integrality(n, trials=1)),
+    "sampled_hull_envelope": (4, lambda n: oracle.sampled_hull_envelope(
+        Monomial.multilinear(n), UnitBox(n), np.full(n, 0.5), oracle.OVER)),
+    "certify_gap_small_instance": (4, lambda n: polyrelax.certify_gap_small_instance(
+        polyrelax.Polynomial(n, ((1.0, (1,) * n),)), UnitBox(n))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UPPER_LIMITS))
+def test_an_upper_limit_names_the_argument_the_limit_and_the_value(name):
+    limit, call = UPPER_LIMITS[name]
+    with pytest.raises(ScaleExceeded, match=rf"^n must be <= {limit}, got {limit + 1}$"):
+        call(limit + 1)
 
 
 @pytest.mark.filterwarnings("error")
