@@ -22,7 +22,6 @@ from .core import (
     box_ratio,
     exponent_float,
     require_count,
-    simplex_peak,
     slopes,
     unit_interval,
 )
@@ -164,6 +163,19 @@ def lower_bound_phi(d: int, t1: float, t2: float) -> PhiLowerBound:
 class SimplexBounds:
     conc: float
     cvx: float
+
+
+def simplex_peak(m: Monomial) -> tuple[float, float]:
+    """(alpha**alpha, alpha**alpha / d**d) for x**alpha of degree d: the
+    self-exponentiated coefficient and the maximum of x**alpha over the
+    standard simplex, attained at alpha / d. ``ScaleExceeded`` when
+    alpha**alpha or d**d is beyond the float range."""
+    try:
+        with np.errstate(over="raise"):
+            aa = m.alpha_power()
+        return aa, aa / float(m.degree) ** m.degree
+    except (OverflowError, FloatingPointError):
+        raise ScaleExceeded(f"alpha**alpha or d**d overflows for alpha={list(m.alpha)}") from None
 
 
 def simplex_bounds(m: Monomial) -> SimplexBounds:
@@ -439,12 +451,6 @@ def ratio_box_constants(n: int, r: float) -> tuple[float, float]:
 def ratio_box_e_point(n: int, r: float) -> float:
     """t_E = ((r^n - 1)/(n(r - 1)))^(1/(n-1)): E is attained at t_E (1,...,1)."""
     return math.exp(_log_t_e(_require_ratio_box(n, r)))
-
-
-def ratio_box_relaxed_error(n: int, r: float) -> float:
-    """Error of the relaxed convex envelope that keeps only the first and last
-    affine pieces; at n = 2 this coincides with D."""
-    return _require_ratio_box(n, r).relaxed[0]
 
 
 def ratio_box_ratios(n: int, r: float) -> tuple[float, float]:

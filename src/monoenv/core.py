@@ -168,19 +168,6 @@ class Monomial:
         return float(np.prod([float(a) ** a for a in self.alpha]))
 
 
-def simplex_peak(m: Monomial) -> tuple[float, float]:
-    """(alpha**alpha, alpha**alpha / d**d) for x**alpha of degree d: the
-    self-exponentiated coefficient and the maximum of x**alpha over the
-    standard simplex, attained at alpha / d. ``ScaleExceeded`` when
-    alpha**alpha or d**d is beyond the float range."""
-    try:
-        with np.errstate(over="raise"):
-            aa = m.alpha_power()
-        return aa, aa / float(m.degree) ** m.degree
-    except (OverflowError, FloatingPointError):
-        raise ScaleExceeded(f"alpha**alpha or d**d overflows for alpha={list(m.alpha)}") from None
-
-
 def fold_columns(ufunc: np.ufunc, X: np.ndarray) -> np.ndarray:
     """``ufunc`` across the last axis of X, left to right:
     ufunc(...ufunc(X[..., 0], X[..., 1])..., X[..., n-1]).
@@ -292,8 +279,8 @@ class Domain:
     Each family is described exactly by finitely many halfspaces A x <= b, and
     all membership queries reduce to those inequalities. What the bounds need
     to know about a family (is it a box, does it lie in the unit box, closed
-    forms for monomial extremes and intercepts) is answered here, by the
-    family, so no other module tests which family it holds.
+    forms for intercepts) is answered here, by the family, so no other
+    module tests which family it holds.
     """
 
     n: int
@@ -380,11 +367,6 @@ class Domain:
         lo, hi = self.bounding_box()
         return bool(np.all(lo >= 0.0) and np.all(hi <= 1.0))
 
-    def monomial_extreme(self, m: Monomial, sense: str) -> Optional[tuple[float, np.ndarray]]:
-        """Closed-form (value, point) of the "min" or "max" of x**alpha over the
-        domain, or None where the family has none."""
-        return None
-
     def intercept_range(self, m: Monomial, beta: np.ndarray) -> tuple[float, float]:
         """(lo, hi) around the best valid intercept sigma(beta) of the
         underestimator sigma + beta.(x - 1) of x**alpha, for a domain inside
@@ -434,13 +416,6 @@ class _BoxDomain(Domain):
 
     def vertices(self) -> np.ndarray:
         return _box_vertices(*self.bounding_box())
-
-    def monomial_extreme(self, m, sense):
-        lo, hi = self.bounding_box()
-        # monotone increasing on the nonnegative orthant, which holds every
-        # box but SymBox, and SymBox overrides this
-        corner = hi if sense == "max" else lo
-        return float(monomial_values(m, corner[None, :])[0]), corner
 
 
 @dataclass(frozen=True)
@@ -512,17 +487,6 @@ class SymBox(_BoxDomain):
     def bounding_box(self):
         return -np.ones(self.n), np.ones(self.n)
 
-    def monomial_extreme(self, m, sense):
-        point = np.ones(m.n)
-        if sense == "max":
-            return 1.0, point
-        odd = [i for i, a in enumerate(m.alpha) if a % 2 == 1]
-        if odd:
-            point[odd[0]] = -1.0
-            return -1.0, point
-        point[0] = 0.0
-        return 0.0, point
-
 
 @dataclass(frozen=True)
 class StdSimplex(Domain):
@@ -542,13 +506,6 @@ class StdSimplex(Domain):
 
     def vertices(self) -> np.ndarray:
         return np.vstack([np.zeros(self.n), np.eye(self.n)])
-
-    def monomial_extreme(self, m, sense):
-        if sense == "min":
-            return 0.0, np.zeros(m.n)
-        # stationary point of the product on the unit-sum face
-        point = np.asarray(m.alpha, dtype=float) / m.degree
-        return simplex_peak(m)[1], point
 
 
 @dataclass(frozen=True)
@@ -586,15 +543,6 @@ class CornerSimplexOne(Domain):
 
     def vertices(self) -> np.ndarray:
         return np.vstack([np.ones(self.n), 1.0 - np.diag(self.lam)])
-
-    def monomial_extreme(self, m, sense):
-        if sense == "max":
-            return 1.0, np.ones(m.n)
-        vals = [(1.0 - self.lam[i]) ** m.alpha[i] for i in range(m.n)]
-        i = int(np.argmin(vals))
-        point = np.ones(m.n)
-        point[i] = 1.0 - self.lam[i]
-        return float(vals[i]), point
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,14 @@ parity inequality per odd subset of the n+1 coordinates (w counted as
 coordinate n+1), together with the box bounds. Facets are stored as subset
 bitmasks. A ``FacetSystem`` is always the full hull, as its facets follow from
 n: its envelope bounds are the closed-form envelopes of :mod:`monoenv.envelopes`,
-membership is one product with the facet sign matrix, and the parsers accept
-only the full facet set.
+membership is one product with the facet sign matrix, and the text parser
+accepts only the full facet set; the CSV format is written, not read.
 """
 
 from __future__ import annotations
 
 import functools
 import io
-import math
 import re
 from dataclasses import dataclass
 from typing import ClassVar
@@ -248,16 +247,11 @@ def _full_hull(n: int, rows: list[tuple[int, str, float]]) -> FacetSystem:
     return fs
 
 
-def _nonblank_lines(text: str) -> list[str]:
+def parse_facets_text(text: str) -> FacetSystem:
+    """Parse :func:`export_facets_text` output; only the full hull is accepted."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty facet input")
-    return lines
-
-
-def parse_facets_text(text: str) -> FacetSystem:
-    """Parse :func:`export_facets_text` output; only the full hull is accepted."""
-    lines = _nonblank_lines(text)
     m = _TEXT_HEADER.fullmatch(lines[0])
     if not m:
         raise ValueError("missing facet header line")
@@ -274,22 +268,4 @@ def parse_facets_text(text: str) -> FacetSystem:
         rows.append((mask, g.group(2), float(g.group(3))))
     if len(rows) != int(m.group(2)):
         raise ValueError("facet count disagrees with header")
-    return _full_hull(n, rows)
-
-
-def parse_facets_csv(text: str) -> FacetSystem:
-    """Parse :func:`export_facets_csv` output; only the full hull is accepted."""
-    lines = _nonblank_lines(text)
-    if lines[0] != "mask,sense,rhs":
-        raise ValueError("missing csv header")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"bad csv row: {ln!r}")
-        rows.append((int(parts[0]), parts[1], float(parts[2])))
-    if not rows or not math.isfinite(rows[0][2]):
-        raise ValueError("csv needs facet rows with a finite rhs")
-    # n from the rhs column: rhs = -(n-1)
-    n = int(round(-rows[0][2])) + 1
     return _full_hull(n, rows)

@@ -1,6 +1,6 @@
-"""Brute-force verifiers: grid maximization with local refinement, monomial
-extremes, sampled-hull envelope values via tiny LPs, numeric intercepts, and
-a high-precision decimal reference for the constant-ratio box concave error.
+"""Brute-force verifiers: grid maximization with local refinement,
+sampled-hull envelope values via tiny LPs, numeric intercepts, and a
+high-precision decimal reference for the constant-ratio box concave error.
 
 Grids use cell-center sampling (no boundary ties) and are laid out column by
 column, one contiguous array per coordinate, which is how the grid kernels
@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from .core import (
     slopes,
 )
 from . import bounds as _bounds
-from .envelopes import Envelope, LinearUnderestimator, concave_unitbox, underestimator_value
+from .envelopes import Envelope, LinearUnderestimator, underestimator_value
 from .lp import solve_equality_lp
 
 OVER = "OVER"
@@ -412,21 +412,6 @@ def max_gap(m: Monomial, dom: Domain, estimator: Callable[[np.ndarray], np.ndarr
     return error_report(ref_bound, measured, points=[point], tol=tol, grid=spec)
 
 
-def extremize_f(m: Monomial, dom: Domain, sense: str,
-                grid: Optional[GridSpec] = None) -> tuple[float, np.ndarray]:
-    """Monomial extreme value over a domain: the domain's closed form
-    (:meth:`Domain.monomial_extreme`) where it has one, else grid plus
-    refinement."""
-    if sense not in ("min", "max"):
-        raise ValueError("sense must be 'min' or 'max'")
-    dom.require_monomial(m)
-    closed = dom.monomial_extreme(m, sense)
-    if closed is not None:
-        return closed
-    search = grid_maximize if sense == "max" else grid_minimize
-    return search(lambda X: monomial_values(m, X), dom, grid)
-
-
 def sampled_hull_envelope(m: Monomial, box: Domain, x, side: str) -> float:
     """Envelope value at x from a tiny LP over convex multipliers on the box
     vertices: optimize sum(lam_v f(v)) with sum(lam_v v) = x, sum(lam) = 1.
@@ -471,46 +456,6 @@ def sigma_numeric(m: Monomial, dom: Domain, beta,
     except UnsupportedDomain:
         pass
     return best
-
-
-def relaxation_error_PB(m: Monomial, B: Sequence, dom: Domain,
-                        grid: Optional[GridSpec] = None,
-                        tol: float = TOL_ORACLE) -> ErrorReport:
-    """Error of the sandwich relaxation built from a family of affine cuts.
-
-    ``B`` is a list of slope vectors that must contain alpha; each slope gets
-    its best valid intercept over ``dom`` (exact where known, numeric
-    otherwise). The scanned set lives over the whole unit box: points between
-    the pointwise-max underestimator and the min-coordinate overestimator.
-    The measured error is compared against the degree constant c1, read first.
-    """
-    dom.require_monomial(m)
-    bound = _bounds.c1(m.degree)
-    a = np.asarray(m.alpha, dtype=float)
-    betas = [np.asarray(bb, dtype=float) for bb in B]
-    if not any(np.array_equal(s, a) for s in betas):
-        raise ValueError("B must contain alpha itself")
-    if not dom.contains(np.ones(m.n)):
-        raise ValueError("the all-ones point must belong to the domain")
-
-    cuts = []
-    for s in betas:
-        iv = _bounds.sigma_beta(m, dom, s)
-        sig = iv.lo if iv.exact else sigma_numeric(m, dom, s, grid)
-        cuts.append(LinearUnderestimator(s, sig))
-
-    over = concave_unitbox(m)
-
-    def err(X):
-        f = monomial_values(m, X)
-        under = np.zeros(X.shape[0])
-        for cut in cuts:
-            under = np.maximum(under, underestimator_value(cut, X))
-        return np.maximum(f - under, over.value(X) - f)
-
-    spec = grid or GridSpec()
-    measured, point = grid_maximize(err, over.dom, spec, center_weights=np.asarray(m.alpha, float))
-    return error_report(bound, measured, points=[point], tol=tol, grid=spec)
 
 
 _DECIMAL_DIGITS = 50

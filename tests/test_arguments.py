@@ -79,11 +79,6 @@ def _slope_cases():
         yield f"{name}-wrong-length", lambda c=call, v=wrong: c(v), DimensionMismatch
 
 
-def _families3():
-    return [UnitBox(3), SubBox((0.1, 0.2, 0.3), (0.9, 0.8, 0.7)), RatioBox(3, 2.5), SymBox(3),
-            StdSimplex(3), CornerSimplexOne((0.3, 0.5, 0.7)), ComplementSimplex(3)]
-
-
 def _pairing_cases():
     m, box = Monomial((1, 1)), UnitBox(3)
     yield "gamma_vector", lambda: envelopes.gamma_vector(m, box)
@@ -91,14 +86,25 @@ def _pairing_cases():
     yield "max_gap", lambda: oracle.max_gap(
         m, box, lambda X: envelopes.concave_env_unitbox(Monomial((1, 1, 1)), X), oracle.OVER,
         grid=GRID)
-    for dom in _families3():
-        for sense in ("min", "max"):
-            yield (f"extremize_f-{type(dom).__name__}-{sense}",
-                   lambda d=dom, s=sense: oracle.extremize_f(m, d, s, GRID))
     yield "sigma_numeric", lambda: oracle.sigma_numeric(m, box, (1.0, 1.0), GRID)
     yield "sampled_hull_envelope", lambda: oracle.sampled_hull_envelope(
         m, box, (0.5, 0.5, 0.5), oracle.UNDER)
-    yield "relaxation_error_PB", lambda: oracle.relaxation_error_PB(m, [(1.0, 1.0)], box, GRID)
+    yield "concave_bound_box", lambda: bounds.concave_bound_box(m, box)
+    # each on the other six families: the pairing is refused before the
+    # family's own rule (a box, a domain inside the unit box)
+    for dom in (SubBox((0.1, 0.2, 0.3), (0.9, 0.8, 0.7)), RatioBox(3, 2.5), SymBox(3),
+                StdSimplex(3), CornerSimplexOne((0.3, 0.5, 0.7)), ComplementSimplex(3)):
+        name = type(dom).__name__
+        yield f"gamma_vector-{name}", lambda d=dom: envelopes.gamma_vector(m, d)
+        yield f"sigma_beta-{name}", lambda d=dom: bounds.sigma_beta(m, d, (1.0, 1.0))
+        yield f"concave_bound_box-{name}", lambda d=dom: bounds.concave_bound_box(m, d)
+        yield f"max_gap-{name}", lambda d=dom: oracle.max_gap(
+            m, d, lambda X: envelopes.concave_env_unitbox(Monomial((1, 1, 1)), X), oracle.OVER,
+            grid=GRID)
+        yield f"sigma_numeric-{name}", lambda d=dom: oracle.sigma_numeric(m, d, (1.0, 1.0), GRID)
+        if dom.is_box:  # it refuses every other family first
+            yield f"sampled_hull_envelope-{name}", lambda d=dom: oracle.sampled_hull_envelope(
+                m, d, (0.5, 0.5, 0.5), oracle.UNDER)
 
 
 def _point_cases():
@@ -141,9 +147,11 @@ def _ratio_cases():
         "convex_env_ratiobox": lambda r: envelopes.convex_env_ratiobox(3, r, [1.0, 1.0, 1.0]),
         "ratio_box_constants": lambda r: bounds.ratio_box_constants(3, r),
         "ratio_box_e_point": lambda r: bounds.ratio_box_e_point(3, r),
-        "ratio_box_relaxed_error": lambda r: bounds.ratio_box_relaxed_error(3, r),
+        "ratio_box_ratios": lambda r: bounds.ratio_box_ratios(3, r),
         "ratio_box_asymptotics": lambda r: bounds.ratio_box_asymptotics(3, r),
         "psi_value": lambda r: bounds.psi_value(3, r, 0.5),
+        "d_bound_cases": lambda r: bounds.d_bound_cases(3, r),
+        "ratio_box_diagonal_gap": lambda r: oracle.ratio_box_diagonal_gap(3, r, 0.5),
         "ratio_box_diagonal_max": lambda r: oracle.ratio_box_diagonal_max(3, r),
     }
     for name, call in entries.items():
@@ -229,9 +237,8 @@ def _integer_cases():
     # rule, and at least one of these values passed each of them or ended
     # in a TypeError or OverflowError
     ratio_box = (bounds.ratio_box_constants, bounds.ratio_box_e_point,
-                 bounds.ratio_box_relaxed_error, bounds.ratio_box_ratios,
-                 bounds.ratio_box_asymptotics, bounds.d_bound_cases,
-                 oracle.ratio_box_diagonal_max)
+                 bounds.ratio_box_ratios, bounds.ratio_box_asymptotics,
+                 bounds.d_bound_cases, oracle.ratio_box_diagonal_max)
     entries = {
         "Monomial": lambda a: Monomial((a, 1)),
         "Monomial.multilinear": Monomial.multilinear,

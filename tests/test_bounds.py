@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from monoenv import (Monomial, ComplementSimplex, ScaleExceeded, StdSimplex, SubBox, UnitBox,
                      UnsupportedDomain)
 from monoenv import bounds, envelopes, oracle
-from monoenv.core import simplex_peak
+from monoenv.core import monomial_values
 from monoenv.bounds import (
     c1,
     c2,
@@ -28,10 +28,10 @@ from monoenv.bounds import (
     ratio_box_asymptotics,
     ratio_box_constants,
     ratio_box_ratios,
-    ratio_box_relaxed_error,
     root_poly_value,
     sigma_beta,
     simplex_bounds,
+    simplex_peak,
     symbox_error,
 )
 
@@ -207,7 +207,7 @@ class TestSimplexBounds:
 
     def test_oracle_max_over_simplex_equals_cvx(self):
         m = Monomial((2, 1))
-        val, point = oracle.extremize_f(m, StdSimplex(2), "max")
+        val, point = oracle.grid_maximize(lambda X: monomial_values(m, X), StdSimplex(2))
         assert val == pytest.approx(4 / 27)
         assert np.allclose(point, [2 / 3, 1 / 3])
 
@@ -217,13 +217,12 @@ class TestSimplexBounds:
 
     @pytest.mark.parametrize("alpha", [(1, 1), (2, 1), (3, 5, 2), (70, 70), (130, 1)])
     def test_peak_keeps_its_bits(self, alpha):
-        # StdSimplex and simplex_bounds share the one closed form of alpha^alpha / d^d
+        # simplex_bounds reads the one closed form of alpha^alpha / d^d
         m = Monomial(alpha)
         aa = float(np.prod([float(a) ** a for a in alpha]))
         sb = simplex_bounds(m)
         assert sb.cvx == aa / float(m.degree) ** m.degree
         assert sb.conc == aa ** (1.0 / m.degree) / m.degree - sb.cvx
-        assert StdSimplex(m.n).monomial_extreme(m, "max")[0] == sb.cvx
 
     @pytest.mark.parametrize("alpha", [(200, 200), (75, 75), (100, 100, 100)])
     def test_peak_overflow_is_a_scale_refusal(self, alpha):
@@ -231,8 +230,6 @@ class TestSimplexBounds:
         m = Monomial(alpha)
         with pytest.raises(ScaleExceeded):
             simplex_bounds(m)
-        with pytest.raises(ScaleExceeded):
-            StdSimplex(m.n).monomial_extreme(m, "max")
 
 
 class TestSigmaBeta:
@@ -354,6 +351,12 @@ def test_errenv_bound_refuses_an_exponent_beyond_the_float_range(alpha):
         errenv_bound(Monomial(alpha), [((2.0,) * len(alpha), 1.0)])
 
 
+def _relaxed(n, r):
+    """Error of the relaxed convex envelope that keeps only the first and last
+    affine pieces, read from the (n, r) record; at n = 2 it is D."""
+    return bounds._require_ratio_box(n, r).relaxed[0]
+
+
 class TestRatioBoxConstants:
     def test_two_by_two(self):
         D, E = ratio_box_constants(2, 2.0)
@@ -378,11 +381,11 @@ class TestRatioBoxConstants:
             D, E = ratio_box_constants(n, r)
             ratio, relaxed = ratio_box_ratios(n, r)
             assert ratio == pytest.approx(D / E, rel=1e-12)
-            assert relaxed == pytest.approx(ratio_box_relaxed_error(n, r) / E, rel=1e-12)
+            assert relaxed == pytest.approx(_relaxed(n, r) / E, rel=1e-12)
 
     def test_relaxed_reduces_to_d_at_two(self):
         for r in (1.5, 2.0, 5.0):
-            assert ratio_box_relaxed_error(2, r) == pytest.approx(ratio_box_constants(2, r)[0], abs=1e-12)
+            assert _relaxed(2, r) == pytest.approx(ratio_box_constants(2, r)[0], abs=1e-12)
 
     def test_asymptotics_toward_one(self):
         # E/(r^n - 1) climbs toward 1; about 0.90 at n=100 and inside 0.05 by n=300
@@ -423,10 +426,15 @@ RATIO_BOX_CALLS = {
     "ratio_box_constants": ratio_box_constants,
     "ratio_box_ratios": ratio_box_ratios,
     "ratio_box_asymptotics": ratio_box_asymptotics,
-    "ratio_box_relaxed_error": ratio_box_relaxed_error,
     "ratio_box_e_point": bounds.ratio_box_e_point,
     "psi_value": lambda n, r: psi_value(n, r, 0.375),
     "d_bound_cases": d_bound_cases,
+}
+# and the oracle's 50-digit diagonal, which reads the record only to refuse a bad (n, r)
+REFUSING_CALLS = {
+    **RATIO_BOX_CALLS,
+    "ratio_box_diagonal_gap": lambda n, r: oracle.ratio_box_diagonal_gap(n, r, 0.375),
+    "ratio_box_diagonal_max": oracle.ratio_box_diagonal_max,
 }
 
 
@@ -505,12 +513,12 @@ class TestRatioBoxRecord:
         (3, [2.0], TypeError, "float() argument must be a string or a"),
     ], ids=["true", "float-n", "list-n", "long-negative-n", "huge-n", "r-one", "r-half", "r-nan",
             "list-r"])
-    @pytest.mark.parametrize("name", RATIO_BOX_CALLS)
+    @pytest.mark.parametrize("name", REFUSING_CALLS)
     def test_a_bad_argument_is_refused_before_the_record(self, name, n, r, error, message):
         for good in (2, 3):  # a cached record must not answer a bad (n, r): 2.0 == 2
             ratio_box_constants(good, 2.0)
         with pytest.raises(error) as info:
-            RATIO_BOX_CALLS[name](n, r)
+            REFUSING_CALLS[name](n, r)
         assert type(info.value) is error and str(info.value).startswith(message)
 
 
@@ -619,7 +627,7 @@ def test_ratio_box_constants_match_a_50_digit_reference(n, n_e, r):
     D, E = ratio_box_constants(n, r)
     _within(D, ref["D"], budget)
     _within(E, ref["E"], budget)
-    _within(ratio_box_relaxed_error(n, r), ref["relaxed"], budget)
+    _within(_relaxed(n, r), ref["relaxed"], budget)
     ratio, relaxed = ratio_box_ratios(n, r)
     _within(ratio, ref["D"] / ref["E"], budget)
     _within(relaxed, ref["relaxed"] / ref["E"], budget)
@@ -985,7 +993,7 @@ class TestOverflowBehavior:
         # in 50-digit decimals, against the overflow-free form
         for n, r in [(2, 2.0), (3, 2.0), (5, 1.2), (10, 3.0), (100, 10.0), (3, 1.000001)]:
             ref = _ratio_box_reference(n, r, candidates=True)["relaxed"]
-            _within(ratio_box_relaxed_error(n, r), ref, 64 * EPS * n * max(1.0, math.log(r)))
+            _within(_relaxed(n, r), ref, 64 * EPS * n * max(1.0, math.log(r)))
 
 
 class TestDegenerateAndUnsupported:

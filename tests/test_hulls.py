@@ -13,7 +13,6 @@ from monoenv.hulls import (
     export_facets_csv,
     export_facets_text,
     hull_membership,
-    parse_facets_csv,
     parse_facets_text,
     verify_integrality,
 )
@@ -256,13 +255,6 @@ class TestExport:
         back = parse_facets_text(text)
         assert back == fs
 
-    def test_csv_round_trip(self):
-        fs = build_symbox_hull(2)
-        csv_text = export_facets_csv(fs)
-        assert csv_text.splitlines()[0] == "mask,sense,rhs"
-        back = parse_facets_csv(csv_text)
-        assert back == fs
-
     def test_round_trip_membership_agreement(self):
         rng = np.random.default_rng(4)
         fs = build_symbox_hull(3)
@@ -273,15 +265,22 @@ class TestExport:
             assert hull_membership(fs, x, w).member == hull_membership(back, x, w).member
 
     @pytest.mark.parametrize("n", range(1, 9))
-    @pytest.mark.parametrize("fmt", ["text", "csv"])
-    def test_round_trip_up_to_n8(self, fmt, n):
-        export = {"text": export_facets_text, "csv": export_facets_csv}[fmt]
+    def test_round_trip_up_to_n8(self, n):
         fs = FacetSystem(n)
-        out = export(fs)
-        back = _PARSERS[fmt](out)
+        out = export_facets_text(fs)
+        back = parse_facets_text(out)
         assert back == fs
         # equality reads only n, so the bytes carry the facet check
-        assert export(back) == out
+        assert export_facets_text(back) == out
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_csv_lines_up_to_n8(self, n):
+        # CSV is written, not read: one line per facet, in order, with its
+        # mask, GE and rhs -(n-1), which prints as -0 at n = 1
+        fs = FacetSystem(n)
+        assert all((f.sense, f.rhs) == ("GE", 1.0 - n) for f in fs.facets)
+        assert export_facets_csv(fs).split("\n") == (
+            ["mask,sense,rhs"] + [f"{f.mask},GE,-{n - 1}" for f in fs.facets] + [""])
 
     def test_facet_line_format(self):
         fs = build_symbox_hull(2)
@@ -293,94 +292,81 @@ class TestExport:
 _FULL_N2 = [(1, "GE", -1), (2, "GE", -1), (4, "GE", -1), (7, "GE", -1)]
 
 
-def _facet_inputs(n, rows):
-    """The same (mask, sense, rhs) rows written in the text and the CSV format."""
+def _facet_text(n, rows):
+    """(mask, sense, rhs) rows written in the text format."""
     text = [f"# symbox-hull n={n} facets={len(rows)}"]
     for mask, sense, rhs in rows:
         idx = ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
         text.append(f"I={{{idx}}} sense={sense} rhs={rhs}")
-    csv = ["mask,sense,rhs"] + [f"{m},{s},{r}" for m, s, r in rows]
-    return {"text": "\n".join(text) + "\n", "csv": "\n".join(csv) + "\n"}
-
-
-_PARSERS = {"text": parse_facets_text, "csv": parse_facets_csv}
+    return "\n".join(text) + "\n"
 
 
 class TestParseFullHullOnly:
-    """The parsers accept exactly the 2^n odd-subset GE facets with rhs -(n-1)."""
+    """The parser accepts exactly the 2^n odd-subset GE facets with rhs -(n-1)."""
 
-    @pytest.mark.parametrize("fmt", ["text", "csv"])
-    def test_shuffled_full_set_accepted(self, fmt):
+    def test_shuffled_full_set_accepted(self):
         rows = [_FULL_N2[i] for i in (3, 1, 0, 2)]
-        assert _PARSERS[fmt](_facet_inputs(2, rows)[fmt]) == build_symbox_hull(2)
+        assert parse_facets_text(_facet_text(2, rows)) == build_symbox_hull(2)
 
-    @pytest.mark.parametrize("fmt", ["text", "csv"])
     @pytest.mark.parametrize("text", ["", "  \n\n"])
-    def test_empty_input(self, fmt, text):
+    def test_empty_input(self, text):
         with pytest.raises(ValueError, match="empty"):
-            _PARSERS[fmt](text)
+            parse_facets_text(text)
 
-    @pytest.mark.parametrize("fmt", ["text", "csv"])
-    def test_even_parity_mask(self, fmt):
+    def test_even_parity_mask(self):
         rows = _FULL_N2[:3] + [(3, "GE", -1)]
         with pytest.raises(ValueError, match="mask 3 is not an odd subset"):
-            _PARSERS[fmt](_facet_inputs(2, rows)[fmt])
+            parse_facets_text(_facet_text(2, rows))
 
-    @pytest.mark.parametrize("fmt", ["text", "csv"])
-    def test_out_of_range_mask(self, fmt):
+    def test_out_of_range_mask(self):
         rows = _FULL_N2[:3] + [(64, "GE", -1)]
         with pytest.raises(ValueError):
-            _PARSERS[fmt](_facet_inputs(2, rows)[fmt])
+            parse_facets_text(_facet_text(2, rows))
 
-    @pytest.mark.parametrize("fmt", ["text", "csv"])
-    def test_unknown_sense(self, fmt):
+    def test_unknown_sense(self):
         rows = _FULL_N2[:2] + [(4, "LE", -1)] + _FULL_N2[3:]
         with pytest.raises(ValueError, match="sense 'LE'"):
-            _PARSERS[fmt](_facet_inputs(2, rows)[fmt])
+            parse_facets_text(_facet_text(2, rows))
 
-    @pytest.mark.parametrize("fmt", ["text", "csv"])
-    def test_partial_set(self, fmt):
+    def test_partial_set(self):
         with pytest.raises(ValueError, match="not the full hull"):
-            _PARSERS[fmt](_facet_inputs(2, _FULL_N2[:3])[fmt])
+            parse_facets_text(_facet_text(2, _FULL_N2[:3]))
 
-    @pytest.mark.parametrize("fmt", ["text", "csv"])
-    def test_duplicated_facet(self, fmt):
+    def test_duplicated_facet(self):
         with pytest.raises(ValueError, match="not the full hull"):
-            _PARSERS[fmt](_facet_inputs(2, _FULL_N2 + _FULL_N2[:1])[fmt])
+            parse_facets_text(_facet_text(2, _FULL_N2 + _FULL_N2[:1]))
 
     def test_trailing_text_on_a_facet_line(self):
-        text = _facet_inputs(2, _FULL_N2)["text"].replace("rhs=-1\n", "rhs=-1 LE\n", 1)
+        text = _facet_text(2, _FULL_N2).replace("rhs=-1\n", "rhs=-1 LE\n", 1)
         with pytest.raises(ValueError, match="bad facet line"):
             parse_facets_text(text)
 
-    @pytest.mark.parametrize("fmt, message", [("text", "missing facet header line"),
-                                              ("csv", "missing csv header")])
-    def test_missing_header(self, fmt, message):
-        text = _facet_inputs(2, _FULL_N2)[fmt]
-        with pytest.raises(ValueError, match=message):
-            _PARSERS[fmt](text.split("\n", 1)[1])
+    def test_missing_header(self):
+        text = _facet_text(2, _FULL_N2)
+        with pytest.raises(ValueError, match="missing facet header line"):
+            parse_facets_text(text.split("\n", 1)[1])
 
     def test_facet_count_disagrees_with_header(self):
-        text = _facet_inputs(2, _FULL_N2)["text"].replace("facets=4", "facets=5")
+        text = _facet_text(2, _FULL_N2).replace("facets=4", "facets=5")
         with pytest.raises(ValueError, match="facet count disagrees with header"):
             parse_facets_text(text)
 
-    def test_bad_csv_row(self):
-        text = _facet_inputs(2, _FULL_N2)["csv"].replace("2,GE,-1", "2,GE,-1,0")
-        with pytest.raises(ValueError, match="bad csv row: '2,GE,-1,0'"):
-            parse_facets_csv(text)
-
     @pytest.mark.parametrize("rhs", ["nan", "inf"])
-    def test_csv_rhs_not_finite(self, rhs):
+    def test_rhs_not_finite(self, rhs):
         rows = [(1, "GE", rhs)] + _FULL_N2[1:]
-        with pytest.raises(ValueError, match="csv needs facet rows with a finite rhs"):
-            parse_facets_csv(_facet_inputs(2, rows)["csv"])
+        with pytest.raises(ValueError, match=f"facet rhs {rhs} is not"):
+            parse_facets_text(_facet_text(2, rows))
 
-    @pytest.mark.parametrize("fmt", ["text", "csv"])
-    def test_wrong_rhs(self, fmt):
+    @pytest.mark.parametrize("subset", ["1,1", "0"])
+    def test_repeated_or_zero_index(self, subset):
+        text = _facet_text(2, _FULL_N2).replace("I={1} ", f"I={{{subset}}} ", 1)
+        with pytest.raises(ValueError, match=r"outside 1\.\.3 or repeated"):
+            parse_facets_text(text)
+
+    def test_wrong_rhs(self):
         rows = _FULL_N2[:3] + [(7, "GE", -2)]
         with pytest.raises(ValueError, match="rhs"):
-            _PARSERS[fmt](_facet_inputs(2, rows)[fmt])
+            parse_facets_text(_facet_text(2, rows))
 
 
 class TestParityRegrouping:

@@ -23,7 +23,7 @@ from monoenv import (
 )
 from monoenv import bounds, checks, core, envelopes, hulls, oracle
 from monoenv.core import monomial_values
-from monoenv.oracle import GridSpec, extremize_f, grid_maximize, max_gap, sampled_hull_envelope, sigma_numeric
+from monoenv.oracle import GridSpec, grid_maximize, max_gap, sampled_hull_envelope, sigma_numeric
 
 
 class TestMaxGap:
@@ -69,41 +69,6 @@ class TestMaxGap:
             # ratio-box envelope cannot be evaluated over the unit box
             max_gap(m, UnitBox(2), lambda X: envelopes.concave_env_ratiobox(2, 2.0, X),
                     oracle.OVER)
-
-
-class TestExtremize:
-    def test_simplex_max(self):
-        val, point = extremize_f(Monomial((1, 1)), StdSimplex(2), "max")
-        assert val == pytest.approx(0.25)
-        assert np.allclose(point, [0.5, 0.5])
-
-    def test_unitbox_min_on_zero_face(self):
-        val, _ = extremize_f(Monomial((2, 1)), UnitBox(2), "min")
-        assert val == 0.0
-
-    def test_symbox_min_at_odd_parity_vertex(self):
-        val, point = extremize_f(Monomial.multilinear(3), SymBox(3), "min")
-        assert val == -1.0
-        assert int((point < 0).sum()) % 2 == 1
-
-    def test_symbox_even_exponents(self):
-        val, _ = extremize_f(Monomial((2, 2)), SymBox(2), "min")
-        assert val == 0.0
-
-    def test_subbox_corners(self):
-        box = SubBox((0.2, 0.3), (0.8, 0.9))
-        val, point = extremize_f(Monomial((1, 2)), box, "max")
-        assert val == pytest.approx(0.8 * 0.81)
-        assert np.allclose(point, [0.8, 0.9])
-
-    def test_bad_sense_rejected(self):
-        with pytest.raises(ValueError, match="sense must be 'min' or 'max'"):
-            extremize_f(Monomial.multilinear(2), UnitBox(2), "argmax")
-
-    def test_grid_fallback_complement_simplex(self):
-        from monoenv import ComplementSimplex
-        val, point = extremize_f(Monomial.multilinear(2), ComplementSimplex(2), "max")
-        assert val == pytest.approx(0.25, abs=1e-6)  # max of x1 x2 on x1+x2 <= 1
 
 
 class TestSampledHullEnvelope:
@@ -183,44 +148,6 @@ class TestSigmaNumeric:
                                                         np.ones(2)), UnitBox(2), spec,
             center_weights=np.ones(2))[0]
         assert sigma_numeric(m, NoVertices(2), [1.0, 1.0], spec) == grid_only
-
-
-class TestRelaxationError:
-    def test_mccormick_case(self):
-        m = Monomial.multilinear(2)
-        rep = oracle.relaxation_error_PB(m, [np.ones(2)], UnitBox(2))
-        assert rep.measured_value == pytest.approx(0.25, abs=1e-6)
-        assert rep.verdict is Verdict.TIGHT
-
-    def test_trilinear_attainment(self):
-        m = Monomial.multilinear(3)
-        rep = oracle.relaxation_error_PB(m, [np.ones(3)], UnitBox(3))
-        assert rep.measured_value == pytest.approx(bounds.c1(3), abs=1e-6)
-        assert np.allclose(rep.attainment_points[0], 3 ** -0.5, atol=1e-3)
-
-    def test_extra_cut_does_not_change_error(self):
-        m = Monomial.multilinear(2)
-        rep = oracle.relaxation_error_PB(m, [np.ones(2), 2.0 * np.ones(2)], UnitBox(2))
-        assert rep.measured_value == pytest.approx(0.25, abs=1e-6)
-
-    def test_requires_alpha_in_family(self):
-        m = Monomial.multilinear(2)
-        with pytest.raises(ValueError):
-            oracle.relaxation_error_PB(m, [2.0 * np.ones(2)], UnitBox(2))
-
-    def test_requires_the_all_ones_point_in_the_domain(self):
-        m = Monomial.multilinear(2)
-        with pytest.raises(ValueError, match="the all-ones point must belong to the domain"):
-            oracle.relaxation_error_PB(m, [np.ones(2)], StdSimplex(2))
-
-    def test_a_degree_below_two_is_refused_before_any_intercept_or_scan(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("reached")
-
-        monkeypatch.setattr(oracle, "grid_maximize", refuse)
-        monkeypatch.setattr(oracle, "sigma_numeric", refuse)
-        with pytest.raises(ValueError, match="degree must be an integer >= 2"):
-            oracle.relaxation_error_PB(Monomial((1,)), [(1.0,)], UnitBox(1))
 
 
 def test_all_nan_estimator_is_an_error_not_valid_upper():
@@ -406,12 +333,6 @@ def _batch_cases(monkeypatch):
         obj = _captured(monkeypatch, "grid_minimize",
                         lambda: sigma_numeric(m, UnitBox(n), beta, GridSpec(resolution=2)))
         yield "sigma_numeric", n, obj, unit
-        err = _captured(monkeypatch, "grid_maximize", lambda: oracle.relaxation_error_PB(
-            m, [np.ones(n)], UnitBox(n), GridSpec(resolution=2)))
-        # rows where the cut x -> 1 + sum(x - 1), not min(x), sets the error
-        cand = rng.random((20_000, n)) ** 0.2
-        f, cut = monomial_values(m, cand), 1.0 + np.sum(cand - 1.0, axis=1)
-        yield "relaxation_error_PB", n, err, cand[(cut > 0) & (f - cut > cand.min(axis=1) - f)][:64]
         # the column-wise kernels: products, minima, maxima, parities, membership
         alpha = tuple(int(a) for a in rng.integers(1, 5, n))
         signed = rng.uniform(-1.5, 1.5, (64, n))
@@ -510,7 +431,7 @@ def test_the_point_outside_names_the_first_in_any_block():
 def _grid_estimators(monkeypatch, n):
     """(domain, name, function) for every estimator that oracle-verify and
     ``checks`` hand the oracle at dimension n, the monomial and the grid
-    objectives of ``sigma_numeric`` and ``relaxation_error_PB``."""
+    objective of ``sigma_numeric``."""
     m, alpha = Monomial.multilinear(n), tuple(range(1, n + 1))
     fs = hulls.build_symbox_hull(n)
     yield UnitBox(n), "monomial_values", lambda X: monomial_values(Monomial(alpha), X)
@@ -529,10 +450,6 @@ def _grid_estimators(monkeypatch, n):
     yield UnitBox(n), "sigma_numeric", _captured(
         monkeypatch, "grid_minimize",
         lambda: sigma_numeric(m, UnitBox(n), beta, GridSpec(resolution=2)))
-    if n >= 2:  # its bound, c1, needs a degree of 2 or more
-        yield UnitBox(n), "relaxation_error_PB", _captured(
-            monkeypatch, "grid_maximize", lambda: oracle.relaxation_error_PB(
-                m, [np.ones(n), beta], UnitBox(n), GridSpec(resolution=2)))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -794,14 +711,10 @@ class TestGridEngine:
             sub = max_gap(m, box, est, oracle.OVER).measured_value
             assert sub <= full + 1e-12
 
-    def test_hull_error_is_max_of_envelope_gaps(self):
-        m = Monomial.multilinear(3)
-        conc = max_gap(m, UnitBox(3), lambda X: envelopes.concave_env_unitbox(m, X),
-                       oracle.OVER).measured_value
-        cvx = max_gap(m, UnitBox(3), lambda X: envelopes.convex_env_unitbox_multilinear(3, X),
-                      oracle.UNDER).measured_value
-        hull = oracle.relaxation_error_PB(m, [np.ones(3)], UnitBox(3)).measured_value
-        assert hull == pytest.approx(max(conc, cvx), abs=1e-6)
+    def test_monomial_max_over_complement_simplex(self):
+        val, _ = grid_maximize(lambda X: monomial_values(Monomial.multilinear(2), X),
+                               ComplementSimplex(2))
+        assert val == pytest.approx(0.25, abs=1e-6)  # max of x1 x2 on x1+x2 <= 1
 
     def test_refinement_never_below_grid_incumbent(self):
         m = Monomial.multilinear(2)
@@ -926,8 +839,8 @@ class TestConvexSideTheory:
         # first coordinate below it and the bound goes strict
         m = Monomial((1, 1))
         box = SubBox((0.0, 0.0), (0.4, 1.0))
-        fmin, _ = extremize_f(m, box, "min")
-        fmax, _ = extremize_f(m, box, "max")
+        # x1 x2 grows on the nonnegative orthant: its extremes are the box's corners
+        fmin, fmax = monomial_values(m, np.array(box.bounding_box()))
         cb = bounds.concave_bound_xi(m, fmin, fmax)
         assert not box.contains(cb.point)
         rep = max_gap(m, box, lambda X: envelopes.concave_env_unitbox(m, X),
