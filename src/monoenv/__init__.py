@@ -20,8 +20,6 @@ from .core import (
     Verdict,
     error_report,
     eval_monomial,
-    scale_error,
-    scale_point,
 )
 
 __all__ = [
@@ -42,8 +40,6 @@ __all__ = [
     "Verdict",
     "error_report",
     "eval_monomial",
-    "scale_error",
-    "scale_point",
 ]
 
 __version__ = "0.1.0"

@@ -439,10 +439,9 @@ def _ratio(num: tuple[float, float], den: tuple[float, float]) -> float:
 def ratio_box_constants(n: int, r: float) -> tuple[float, float]:
     """Exact convex (D) and concave (E) envelope errors of x_1...x_n over [1,r]^n.
 
-    D is the largest of its n-1 candidates psi(i/n) (:func:`psi_value`), next
-    to psi's one stationary point; E is the closed form from the diagonal
-    secant bound. Past the float range a value is inf; compare with
-    :func:`ratio_box_ratios`.
+    D is the largest of its n-1 candidates psi(i/n), next to psi's one
+    stationary point; E is the closed form from the diagonal secant bound.
+    Past the float range a value is inf; compare with :func:`ratio_box_ratios`.
     """
     b = _require_ratio_box(n, r)
     return b.D[0], b.E[0]
@@ -463,15 +462,6 @@ def ratio_box_asymptotics(n: int, r: float) -> tuple[float, float]:
     """(E/(r**n - 1), D/(r**n - 1))."""
     b = _require_ratio_box(n, r)
     return _ratio(b.E, b.span), _ratio(b.D, b.span)
-
-
-def psi_value(n: int, r: float, t) -> float | np.ndarray:
-    """psi(t) = (1 + (r-1) t)**n - r**(n t), t in [0, 1], the diagonal gap
-    profile; D is its largest value at t = i/n, i = 1..n-1."""
-    b = _require_ratio_box(n, r)
-    t = unit_interval(t, "t")
-    out = np.array([_psi(b, float(v))[0] for v in t.ravel()]).reshape(t.shape)
-    return float(out) if out.ndim == 0 else out
 
 
 def _bisect(below: Callable[[float], bool], lo: float, hi: float) -> tuple[float, float]:
@@ -542,14 +532,8 @@ def _root_params(lam1, lam2) -> int:
     return lam1
 
 
-def root_poly_value(lam1: int, lam2: float, s) -> float | np.ndarray:
-    """(1 - s)**lam1 + lam2 * s - 1 for s in [0, 1]."""
-    out = _root_poly(_root_params(lam1, lam2), lam2, unit_interval(s, "s"))
-    return float(out) if out.ndim == 0 else out
-
-
 def _root_poly(lam1: int, lam2: float, s):
-    # root_poly_value without its checks, for the bisection's own points
+    """(1 - s)**lam1 + lam2 * s - 1, for parameters that passed ``_root_params``."""
     return np.power(1.0 - s, exponent_float(lam1)) + lam2 * s - 1.0
 
 

@@ -358,14 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
                 description="Monomial envelope error bounds and their verification")
     sub = p.add_subparsers(dest="command", required=True)
 
+    shared = {"seed": {"type": int},
+              "grid": {"type": int, "help": "per-coordinate grid resolution override"},
+              "tol": {"type": float}}
+
     def add_common(sp, reads=()):
-        # every subcommand takes the shared flags; `reads` names those it uses
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--grid", type=int, default=None,
-                        help="per-coordinate grid resolution override")
-        sp.add_argument("--tol", type=float, default=None)
+        # --out, and only those of the shared flags that the subcommand reads
+        for flag in reads:
+            sp.add_argument(f"--{flag}", default=None, **shared[flag])
         sp.add_argument("--out", type=str, default=None)
-        sp.set_defaults(reads=reads)
 
     def add_domain(sp, choices):
         # --domain and the domain flags that one of its choices reads
@@ -431,7 +432,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _require_read(args, ("seed", "grid", "tol"), args.reads, args.command)
         return args.func(args)
     except ScaleExceeded as exc:
         sys.stderr.write(f"scale refusal: {exc}\n")

@@ -232,43 +232,6 @@ def eval_monomial(m: Monomial, x) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
-def _scaling(c, m: Monomial) -> tuple[np.ndarray, float]:
-    """(c, c**alpha) for a scaling vector c of finite, nonzero entries whose
-    c**alpha is a finite, nonzero float."""
-    C = np.asarray(c, dtype=float)
-    if C.shape != (m.n,):
-        raise DimensionMismatch(f"scaling vector must have dimension {m.n}, got shape {C.shape}")
-    if not np.all(np.isfinite(C) & (C != 0.0)):
-        raise ValueError(f"scaling vector must have finite, nonzero entries, got {C.tolist()}")
-    with np.errstate(over="ignore", under="ignore"):
-        calpha = float(monomial_values(m, C[None, :])[0])
-    if not math.isfinite(calpha) or calpha == 0.0:
-        raise ScaleExceeded(f"c**alpha is not a finite, nonzero float for c={C.tolist()}")
-    return C, calpha
-
-
-def _transported(value: float, factor: float, name: str) -> float:
-    """factor * value for a finite value; ScaleExceeded if the product overflows."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    out = factor * value
-    if not math.isfinite(out):
-        raise ScaleExceeded(f"the scaled {name} overflows: {factor} * {value}")
-    return out
-
-
-def scale_error(err: float, c, m: Monomial) -> float:
-    """Transport an error value to the coordinate-scaled box: |c**alpha| * err;
-    :func:`scale_point` maps the points."""
-    return _transported(float(err), abs(_scaling(c, m)[1]), "err")
-
-
-def scale_point(x, w: float, c, m: Monomial) -> tuple[np.ndarray, float]:
-    """Companion map of :func:`scale_error` for one point: x_j -> c_j x_j, w -> c**alpha * w."""
-    C, calpha = _scaling(c, m)
-    return one_point(x, m.n) * C, _transported(float(w), calpha, "w")
-
-
 # ---------------------------------------------------------------------------
 # Structured domains
 # ---------------------------------------------------------------------------
@@ -360,7 +323,7 @@ class Domain:
         return tlo, thi
 
     def vertices(self) -> np.ndarray:
-        raise UnsupportedDomain(f"{type(self).__name__} has no vertex list")
+        raise NotImplementedError
 
     def inside_unit_box(self) -> bool:
         """Whether the domain lies in [0, 1]^n, read from its bounding box."""

@@ -15,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    TOL_EXACT,
     Domain,
     Monomial,
     RatioBox,
@@ -130,32 +129,6 @@ def gamma_vector(m: Monomial, dom: Domain) -> np.ndarray:
     if not np.all(gamma < np.inf):
         raise ScaleExceeded("an exponent gamma_i = alpha_i is too large for a float")
     return gamma
-
-
-def underestimator_necessary(m: Monomial, dom: Domain, beta) -> bool:
-    """Necessary conditions for ``1 + beta.(x-1)`` to underestimate x**alpha.
-
-    Checks only coordinates whose unit-box edge at the all-ones vertex meets
-    the domain; there the slope beta_i must lie in a computable window. The
-    test is necessary, not sufficient.
-    """
-    beta = slopes(beta, m.n)
-    if not (dom.is_box and dom.inside_unit_box()):
-        raise UnsupportedDomain("edge test needs a box inside the unit box")
-    lower, upper = dom.bounding_box()
-    gamma = gamma_vector(m, dom)
-    for i in range(m.n):
-        if beta[i] > m.alpha[i]:
-            continue
-        # For boxes the edge at the all-ones vertex realizes the coordinate
-        # projection, so the gamma window is the binding necessary condition.
-        on_edge = all(upper[j] >= 1.0 - TOL_EXACT for j in range(m.n) if j != i)
-        meets_relint = lower[i] < 1.0 and upper[i] > 0.0
-        if not (on_edge and meets_relint):
-            continue
-        if beta[i] < gamma[i] - TOL_EXACT:
-            return False
-    return True
 
 
 def _ratio_powers(dom: RatioBox) -> list[float]:

@@ -50,7 +50,6 @@ from .core import (
     ErrorReport,
     Monomial,
     ScaleExceeded,
-    UnsupportedDomain,
     _box_vertices,
     _shown,
     error_report,
@@ -442,7 +441,7 @@ def sigma_numeric(m: Monomial, dom: Domain, beta,
                   grid: Optional[GridSpec] = None) -> float:
     """Numeric best valid intercept: min over the domain of x**alpha -
     beta.(x - 1), which has no sum(beta) to cancel, for finite beta >= 1, via
-    grid refinement plus vertex enumeration where the domain has vertices."""
+    grid refinement plus the domain's vertices."""
     b = slopes(beta, m.n)
     dom.require_monomial(m)
     cut = LinearUnderestimator(b, 0.0)
@@ -451,11 +450,7 @@ def sigma_numeric(m: Monomial, dom: Domain, beta,
         return monomial_values(m, X) - underestimator_value(cut, X)
 
     best, _ = grid_minimize(objective, dom, grid, center_weights=b)
-    try:
-        best = min(best, float(np.min(objective(dom.vertices()))))
-    except UnsupportedDomain:
-        pass
-    return best
+    return min(best, float(np.min(objective(dom.vertices()))))
 
 
 _DECIMAL_DIGITS = 50

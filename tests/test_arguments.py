@@ -1,13 +1,12 @@
 """Argument rules, each checked once in ``monoenv.core``.
 
 Slope vectors (``core.slopes``), monomial-domain pairs
-(``Domain.require_monomial``), single points (``core.one_point``),
-coordinate scalings and integers (``core.require_count``: every degree,
-exponent, count, dimension and seed, and every upper limit on a dimension)
-are each checked by one helper that every public entry calls. The rejection
-table pins the exact error type of each bad argument at each entry; the
-property tests check the scaling transport rule and every closed-form box
-envelope against the vertex-LP envelope.
+(``Domain.require_monomial``), single points (``core.one_point``) and
+integers (``core.require_count``: every degree, exponent, count, dimension
+and seed, and every upper limit on a dimension) are each checked by one
+helper that every public entry calls. The rejection table pins the exact
+error type of each bad argument at each entry; the property test checks every
+closed-form box envelope against the vertex-LP envelope.
 """
 
 import json
@@ -38,8 +37,6 @@ from monoenv import (
     lp,
     oracle,
     polyrelax,
-    scale_error,
-    scale_point,
 )
 from monoenv.core import monomial_values
 
@@ -57,7 +54,6 @@ M2 = Monomial((2, 2))
 # each slope entry as a function of one slope vector for M2 (valid: (1.5, 1.5))
 SLOPE_ENTRIES = {
     "LinearUnderestimator": lambda b: envelopes.LinearUnderestimator(b, 1.0),
-    "underestimator_necessary": lambda b: envelopes.underestimator_necessary(M2, UnitBox(2), b),
     "gamma_bound": lambda b: bounds.gamma_bound(b),
     "sigma_beta": lambda b: bounds.sigma_beta(M2, ComplementSimplex(2), b),
     "c_beta_kappa.beta": lambda b: bounds.c_beta_kappa(M2, b, (1.0, 2.0), 1.0),
@@ -113,22 +109,7 @@ def _point_cases():
     yield "hull_membership", lambda: hulls.hull_membership(hulls.build_symbox_hull(2), two, 0.0)
     yield "sampled_hull_envelope", lambda: oracle.sampled_hull_envelope(
         m, UnitBox(2), two, oracle.UNDER)
-    yield "scale_point", lambda: scale_point(two, 0.5, (2.0, 3.0), m)
     yield "contains", lambda: UnitBox(2).contains(two)
-
-
-def _scaling_cases():
-    m = Monomial((1, 2))
-    entries = {"scale_error": lambda c: scale_error(0.25, c, m),
-               "scale_point": lambda c: scale_point((0.5, 0.5), 0.25, c, m)}
-    for name, call in entries.items():
-        for label, bad in (("nan", NAN), ("inf", INF), ("zero", 0.0)):
-            yield f"{name}-{label}", lambda c=call, v=bad: c((2.0, v)), ValueError
-        yield f"{name}-wrong-length", lambda c=call: c((2.0,)), DimensionMismatch
-    for label, bad in (("nan", NAN), ("inf", INF)):
-        yield f"scale_error-err-{label}", lambda v=bad: scale_error(v, (2.0, 3.0), m), ValueError
-        yield f"scale_point-w-{label}", lambda v=bad: scale_point((0.5, 0.5), v, (2.0, 3.0), m), \
-            ValueError
 
 
 def _sigma_cases():
@@ -149,7 +130,6 @@ def _ratio_cases():
         "ratio_box_e_point": lambda r: bounds.ratio_box_e_point(3, r),
         "ratio_box_ratios": lambda r: bounds.ratio_box_ratios(3, r),
         "ratio_box_asymptotics": lambda r: bounds.ratio_box_asymptotics(3, r),
-        "psi_value": lambda r: bounds.psi_value(3, r, 0.5),
         "d_bound_cases": lambda r: bounds.d_bound_cases(3, r),
         "ratio_box_diagonal_gap": lambda r: oracle.ratio_box_diagonal_gap(3, r, 0.5),
         "ratio_box_diagonal_max": lambda r: oracle.ratio_box_diagonal_max(3, r),
@@ -162,11 +142,7 @@ def _ratio_cases():
 def _other_cases():
     yield "find_root_power_linear-inf", lambda: bounds.find_root_power_linear(3, INF)
     yield "find_root_power_linear-nan", lambda: bounds.find_root_power_linear(3, NAN)
-    # root_poly_value once checked only s: lam2 = nan gave nan, inf gave inf
-    # and 0.5 a value, and lam1 = -3 gave 8.0
-    for label, bad in (("nan", NAN), ("inf", INF), ("0.5", 0.5)):
-        yield f"root_poly_value-lam2-{label}", lambda v=bad: bounds.root_poly_value(3, v, 0.5)
-    yield "root_poly_value-lam1--3", lambda: bounds.root_poly_value(-3, 2.0, 0.5)
+    yield "find_root_power_linear-lam1--3", lambda: bounds.find_root_power_linear(-3, 2.0)
     # each of these once passed construction and failed later, or not at all
     yield "GridSpec-resolution-2.5", lambda: oracle.GridSpec(resolution=2.5)
     yield "GridSpec-resolution-1", lambda: oracle.GridSpec(resolution=1)
@@ -190,13 +166,9 @@ def _other_cases():
 
 
 # each profile parameter as (its name, a function of it); phi_beta_kappa gave
-# nan at t = nan, warned at -1 and returned 1e308 at 1e308, psi_value gave
-# 0.0 at nan, inf and 1e308 and a bare math domain error at -5, and
-# root_poly_value gave nan at nan and warned at inf
+# nan at t = nan, warned at -1 and returned 1e308 at 1e308
 PROFILE_ENTRIES = {
     "phi_beta_kappa": ("t", lambda t: bounds.phi_beta_kappa((1.5, 1.5), (1.0, 2.0), 1.0, t)),
-    "psi_value": ("t", lambda t: bounds.psi_value(3, 2.0, t)),
-    "root_poly_value": ("s", lambda s: bounds.root_poly_value(5, 2.0, s)),
 }
 BAD_PROFILE_PARAMETERS = {"nan": NAN, "inf": INF, "-inf": -INF, "-1": -1.0, "-5": -5.0,
                           "1e308": 1e308, "1.5": 1.5, "one-of-two": [0.5, NAN]}
@@ -247,10 +219,8 @@ def _integer_cases():
         "lower_bound_phi": lambda d: bounds.lower_bound_phi(d, 0.0, 1.0),
         "dineq_margins": bounds.dineq_margins,
         **{f.__name__: lambda n, f=f: f(n, 2.0) for f in ratio_box},
-        "psi_value": lambda n: bounds.psi_value(n, 2.0, 0.5),
         "ratio_box_diagonal_gap": lambda n: oracle.ratio_box_diagonal_gap(n, 2.0, 0.5),
         "find_root_power_linear": lambda k: bounds.find_root_power_linear(k, 1.5),
-        "root_poly_value.lam1": lambda k: bounds.root_poly_value(k, 1.5, 0.5),
         "Polynomial.n": lambda n: polyrelax.Polynomial(n, ()),
         "Polynomial.alpha": lambda a: polyrelax.Polynomial(2, ((1.0, (a, 1)),)),
         "parse_polynomial_json.n": lambda n: _poly_json(n, [1, 1]),
@@ -340,7 +310,6 @@ REJECTIONS = [
     *(("slope", *case) for case in _slope_cases()),
     *(("pairing", name, call, DimensionMismatch) for name, call in _pairing_cases()),
     *(("point", name, call, DimensionMismatch) for name, call in _point_cases()),
-    *(("scaling", *case) for case in _scaling_cases()),
     *(("sigma", name, call, ValueError) for name, call in _sigma_cases()),
     *(("values", *case) for case in _monomial_values_cases()),
     *(("lp", name, call, DimensionMismatch) for name, call in _lp_cases()),
@@ -404,9 +373,7 @@ def test_a_profile_parameter_outside_the_unit_interval_is_named(name):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("entry", [lambda lam1, lam2: bounds.root_poly_value(lam1, lam2, 0.5),
-                                   bounds.find_root_power_linear],
-                         ids=["root_poly_value", "find_root_power_linear"])
+@pytest.mark.parametrize("entry", [bounds.find_root_power_linear], ids=["find_root_power_linear"])
 @pytest.mark.parametrize("lam1,lam2,name", [(3, NAN, "lam2"), (2.5, 2.0, "lam1"),
                                             (3, 0.5, "lam2"), (2.5, NAN, "lam1")])
 def test_a_bad_root_parameter_is_named_lam1_first(entry, lam1, lam2, name):
@@ -466,63 +433,9 @@ def test_one_point_accepts_a_stack_of_one():
     fs = hulls.build_symbox_hull(2)
     one = hulls.hull_membership(fs, [0.5, 0.25], 0.0)
     assert hulls.hull_membership(fs, [[0.5, 0.25]], 0.0) == one
-    x, w = scale_point([[0.5, 0.25]], 0.5, (2.0, -4.0), Monomial((1, 1)))
-    assert x.tolist() == [1.0, -1.0] and w == -4.0
     assert UnitBox(2).contains([[0.5, 0.25]]) and not UnitBox(2).contains([[0.5, 1.25]])
     with pytest.raises(DimensionMismatch, match="got a stack of 2"):
         UnitBox(2).contains([[0.5, 0.25], [0.75, 0.5]])
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("c", [(1e200, 1e200), (1e-200, 1e-200)], ids=["overflow", "underflow"])
-def test_unrepresentable_scaling_raises_scale_exceeded(c):
-    m = Monomial((2, 2))
-    with pytest.raises(ScaleExceeded):
-        scale_error(1.0, c, m)
-    with pytest.raises(ScaleExceeded):
-        scale_point((0.5, 0.5), 0.25, c, m)
-
-
-def test_scaled_value_overflow_raises_scale_exceeded():
-    with pytest.raises(ScaleExceeded):
-        scale_error(1e300, (1e10, 1.0), Monomial((1, 1)))
-
-
-# ---------------------------------------------------------------------------
-# the scaling transport rule
-# ---------------------------------------------------------------------------
-
-_unit = st.floats(0.0, 1.0)
-_scale = st.tuples(st.floats(0.125, 8.0), st.sampled_from((-1.0, 1.0))).map(lambda p: p[0] * p[1])
-
-
-@st.composite
-def _scaled_boxes(draw):
-    n = draw(st.integers(1, 4))
-    alpha = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
-    ends = draw(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-                         min_size=n, max_size=n))
-    lo = np.array([min(a, b) for a, b in ends])
-    hi = np.array([max(a, b) for a, b in ends])
-    t = np.array(draw(st.lists(_unit, min_size=n, max_size=n)))
-    c = np.array(draw(st.lists(_scale, min_size=n, max_size=n)))
-    return Monomial(tuple(alpha)), lo, hi, lo + t * (hi - lo), c
-
-
-@given(_scaled_boxes(), st.floats(0.0, 10.0))
-def test_scaling_transport_rule(case, err):
-    m, lo, hi, x, c = case
-    calpha = math.prod(cj ** a for cj, a in zip(c.tolist(), m.alpha))
-    assert scale_error(err, c, m) == pytest.approx(abs(calpha) * err, rel=1e-12, abs=0.0)
-    # a point of the box lands in the scaled box, and w goes to c**alpha w
-    w = float(monomial_values(m, x[None, :])[0])
-    y, v = scale_point(x, w, c, m)
-    slack = 1e-12 * np.abs(c) * np.maximum(np.abs(lo), np.abs(hi))
-    assert np.all(y >= np.minimum(c * lo, c * hi) - slack)
-    assert np.all(y <= np.maximum(c * lo, c * hi) + slack)
-    assert v == pytest.approx(calpha * w, rel=1e-12, abs=1e-300)
-    # the graph of the monomial maps onto the graph over the scaled box
-    assert v == pytest.approx(float(monomial_values(m, y[None, :])[0]), rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +443,7 @@ def test_scaling_transport_rule(case, err):
 # ---------------------------------------------------------------------------
 
 LP_TOL = 1e-9
+_unit = st.floats(0.0, 1.0)
 
 
 @given(st.integers(1, 4), st.floats(1.0625, 4.0), st.lists(_unit, min_size=4, max_size=4))

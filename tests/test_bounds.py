@@ -24,11 +24,9 @@ from monoenv.bounds import (
     gamma_bound,
     lower_bound_phi,
     phi_beta_kappa,
-    psi_value,
     ratio_box_asymptotics,
     ratio_box_constants,
     ratio_box_ratios,
-    root_poly_value,
     sigma_beta,
     simplex_bounds,
     simplex_peak,
@@ -427,7 +425,6 @@ RATIO_BOX_CALLS = {
     "ratio_box_ratios": ratio_box_ratios,
     "ratio_box_asymptotics": ratio_box_asymptotics,
     "ratio_box_e_point": bounds.ratio_box_e_point,
-    "psi_value": lambda n, r: psi_value(n, r, 0.375),
     "d_bound_cases": d_bound_cases,
 }
 # and the oracle's 50-digit diagonal, which reads the record only to refuse a bad (n, r)
@@ -522,11 +519,16 @@ class TestRatioBoxRecord:
         assert type(info.value) is error and str(info.value).startswith(message)
 
 
+def _psi(n, r, t):
+    """The diagonal profile psi(t) of [1, r]^n, as D reads its candidates."""
+    return bounds._psi(bounds._require_ratio_box(n, r), t)[0]
+
+
 class TestDBoundCases:
     def test_psi_endpoints_vanish(self):
         for n, r in [(2, 1.5), (3, 2.0), (5, 10.0)]:
-            assert psi_value(n, r, 0.0) == pytest.approx(0.0, abs=1e-12)
-            assert psi_value(n, r, 1.0) == pytest.approx(0.0, abs=1e-9)
+            assert _psi(n, r, 0.0) == pytest.approx(0.0, abs=1e-12)
+            assert _psi(n, r, 1.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_derivative_signs_three_two(self):
         n, r = 3, 2.0
@@ -557,7 +559,7 @@ class TestDBoundCases:
         ts = np.linspace(0.0, 1.0, 10_001)
         for n, r in [(3, 2.0), (10, 1.2), (50, 2.0), (100, 2.0), (100, 10.0), (100, 1.01)]:
             res = d_bound_cases(n, r)
-            grid_max = ts[int(np.argmax(psi_value(n, r, ts)))]
+            grid_max = ts[int(np.argmax([_psi(n, r, float(t)) for t in ts]))]
             assert res.t_star == pytest.approx(grid_max, abs=1e-4)
 
     def test_d_is_the_largest_candidate_bit_for_bit(self):
@@ -567,7 +569,7 @@ class TestDBoundCases:
         for _ in range(120):
             n = int(rng.integers(2, 401))
             r = 1.0 + 10.0 ** rng.uniform(-12.0, 2.5)
-            full = max(psi_value(n, r, i / n) for i in range(1, n))
+            full = max(_psi(n, r, i / n) for i in range(1, n))
             assert ratio_box_constants(n, r)[0] == full
 
 
@@ -905,7 +907,7 @@ class TestRootFinder:
     def test_sign_pattern(self):
         res = find_root_power_linear(5, 2.0)
         grid = np.arange(1e-3, 1.0 + 1e-9, 1e-3)
-        vals = root_poly_value(5, 2.0, grid)
+        vals = (1.0 - grid) ** 5 + 2.0 * grid - 1.0
         before = grid < res.root - 1e-9
         after = grid > res.root + 1e-9
         assert np.all(vals[before] < 0.0)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import inspect
 import json
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import monoenv
 from monoenv import checks, polyrelax
-from monoenv.cli import EXIT_OK, EXIT_SCALE, EXIT_USAGE, EXIT_VERIFY, main
+from monoenv.cli import EXIT_OK, EXIT_SCALE, EXIT_USAGE, EXIT_VERIFY, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -475,18 +476,47 @@ class TestSigmaRoot:
     (["root", "--lambda1", "6", "--lambda2", "3", "--tol", "nan", "--grid", "0"], "grid"),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_unread_shared_flag_is_a_usage_error(capsys, tmp_path, argv, flag):
-    # apart from verify, each of these printed its usual output and exited 0
+    # apart from verify, each of these printed its usual output and exited 0.
+    # verify refuses a flag its case does not read; argparse ends the rest,
+    # whose parsers do not offer the flag
     poly = tmp_path / "p.txt"
     poly.write_text("1 1 1 0\n-1 0 1 1\n")
     argv = [str(poly) if a == "{poly}" else a for a in argv]
-    code, out, err = run_cli(capsys, *argv)
-    assert code == EXIT_USAGE
-    assert out == "" and err.startswith("error: ") and f"does not read --{flag}" in err
+    if argv[0] == "verify":
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: ") and f"does not read --{flag}" in err
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE and out == ""
+    assert f"--{flag}" in err.split("unrecognized arguments: ", 1)[1].split()
 
 
 def test_sigma_reads_grid(capsys):
     code, out, _ = run_cli(capsys, "sigma", "--alpha", "1,2", "--grid", "4")
     assert code == EXIT_OK and "sigma numeric" in out
+
+
+# the options each subcommand offers: a flag is offered only where it is read
+OFFERED = {
+    "bounds": {"--alpha", "--n", "--domain", "--r", "--lower", "--upper", "--lam", "--out"},
+    "verify": {"--case", "--alpha", "--n", "--r", "--trials", "--seed", "--grid", "--tol",
+               "--out"},
+    "figure1": {"--n-min", "--n-max", "--r-list", "--svg", "--out"},
+    "facets": {"--n", "--format", "--out"},
+    "gap": {"--poly", "--certify", "--out"},
+    "sigma": {"--alpha", "--beta", "--domain", "--lower", "--upper", "--lam", "--grid", "--out"},
+    "root": {"--lambda1", "--lambda2", "--out"},
+}
+
+
+def test_each_subcommand_offers_only_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    offered = {name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, sp in sub.choices.items()}
+    assert offered == OFFERED
 
 
 # the domain flags each --domain reads, and a valid value for every flag

@@ -21,8 +21,6 @@ from monoenv import (
     Verdict,
     error_report,
     eval_monomial,
-    scale_error,
-    scale_point,
 )
 from monoenv import envelopes
 from monoenv.core import TOL_EXACT, as_points, monomial_values
@@ -100,31 +98,6 @@ class TestEvalMonomial:
             x = rng.random(n)
             v = eval_monomial(Monomial(alpha), x)
             assert 0.0 <= v <= np.min(x) + 1e-15
-
-
-class TestScaleError:
-    def test_doubling_box(self):
-        assert scale_error(0.25, [2.0, 2.0], Monomial((1, 1))) == 1.0
-
-    def test_identity_scaling(self):
-        assert scale_error(1.0, [1.0, 1.0, 1.0], Monomial((1, 1, 1))) == 1.0
-
-    def test_reflection_preserves_error(self):
-        # |c**alpha| = 1 for a pure reflection
-        err = 28.0 / 27.0
-        assert scale_error(err, [-1.0, 1.0, 1.0], Monomial((1, 1, 1))) == pytest.approx(err)
-
-    def test_zero_entry_rejected(self):
-        with pytest.raises(ValueError):
-            scale_error(1.0, [0.0, 1.0], Monomial((1, 1)))
-
-    def test_companion_point_map(self):
-        m = Monomial((1, 1, 1))
-        x, w = scale_point([1 / 3, 1 / 3, 1 / 3], -1.0, [-1.0, 1.0, 1.0], m)
-        assert np.allclose(x, [-1 / 3, 1 / 3, 1 / 3])
-        assert w == 1.0
-        # error value is preserved at the mapped point
-        assert abs(w - eval_monomial(m, x)) == pytest.approx(28.0 / 27.0)
 
 
 class TestDomains:

@@ -194,10 +194,6 @@ def _gamma(dom):
     envelopes.gamma_vector(Monomial.multilinear(dom.n), dom)
 
 
-def _edge(dom):
-    envelopes.underestimator_necessary(Monomial.multilinear(dom.n), dom, np.ones(dom.n))
-
-
 def _sigma(dom):
     bounds.sigma_beta(Monomial.multilinear(dom.n), dom, np.ones(dom.n))
 
@@ -209,7 +205,6 @@ def _sampled(dom):
 
 REJECTS = [
     (_gamma, (RatioBox, SymBox), UnsupportedDomain),
-    (_edge, (RatioBox, SymBox, StdSimplex, CornerSimplexOne, ComplementSimplex), UnsupportedDomain),
     (_sigma, (RatioBox, SymBox), UnsupportedDomain),
     (_sampled, (StdSimplex, CornerSimplexOne, ComplementSimplex), ValueError),
 ]

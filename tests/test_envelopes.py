@@ -29,7 +29,6 @@ from monoenv.envelopes import (
     convex_env_unitbox_multilinear,
     envelopes_symbox,
     gamma_vector,
-    underestimator_necessary,
     underestimator_value,
 )
 
@@ -162,13 +161,6 @@ class TestGammaVector:
     def test_simplex_projections_give_alpha(self):
         g = gamma_vector(Monomial((2, 3)), StdSimplex(2))
         assert np.allclose(g, [2.0, 3.0])
-
-    def test_necessary_condition_filter(self):
-        m = Monomial((3, 2))
-        dom = UnitBox(2)
-        assert underestimator_necessary(m, dom, [3.0, 2.0])
-        assert underestimator_necessary(m, dom, [4.0, 2.5])  # above alpha: unconstrained
-        assert not underestimator_necessary(m, dom, [2.0, 2.0])  # below gamma = alpha
 
 
 class TestRatioBoxEnvelopes:
