@@ -126,6 +126,8 @@ def _ratio_cases():
         "RatioBox": lambda r: RatioBox(3, r),
         "concave_env_ratiobox": lambda r: envelopes.concave_env_ratiobox(3, r, [1.0, 1.0, 1.0]),
         "convex_env_ratiobox": lambda r: envelopes.convex_env_ratiobox(3, r, [1.0, 1.0, 1.0]),
+        "concave_ratiobox": lambda r: envelopes.concave_ratiobox(3, r),
+        "convex_ratiobox": lambda r: envelopes.convex_ratiobox(3, r),
         "ratio_box_constants": lambda r: bounds.ratio_box_constants(3, r),
         "ratio_box_e_point": lambda r: bounds.ratio_box_e_point(3, r),
         "ratio_box_ratios": lambda r: bounds.ratio_box_ratios(3, r),
@@ -135,7 +137,7 @@ def _ratio_cases():
         "ratio_box_diagonal_max": lambda r: oracle.ratio_box_diagonal_max(3, r),
     }
     for name, call in entries.items():
-        for label, bad in (("inf", INF), ("nan", NAN), ("one", 1.0)):
+        for label, bad in (("inf", INF), ("nan", NAN), ("one", 1.0), ("half", 0.5)):
             yield f"{name}-{label}", lambda c=call, v=bad: c(v)
 
 
@@ -186,7 +188,17 @@ def _dimension_cases():
     entries = {
         "StdSimplex": StdSimplex, "SymBox": SymBox, "UnitBox": UnitBox,
         "RatioBox": lambda n: RatioBox(n, 2.0), "ComplementSimplex": ComplementSimplex,
-        "build_symbox_hull": hulls.build_symbox_hull,
+        "build_symbox_hull": hulls.build_symbox_hull, "FacetSystem": hulls.FacetSystem,
+        # each envelope reads n through the domain it builds
+        "convex_unitbox_multilinear": envelopes.convex_unitbox_multilinear,
+        "convex_env_unitbox_multilinear": lambda n: envelopes.convex_env_unitbox_multilinear(
+            n, [0.5, 0.5]),
+        "symbox_bounds": envelopes.symbox_bounds,
+        "envelopes_symbox": lambda n: envelopes.envelopes_symbox(n, [0.5, 0.5]),
+        "concave_ratiobox": lambda n: envelopes.concave_ratiobox(n, 2.0),
+        "convex_ratiobox": lambda n: envelopes.convex_ratiobox(n, 2.0),
+        "concave_env_ratiobox": lambda n: envelopes.concave_env_ratiobox(n, 2.0, [1.0, 1.0]),
+        "convex_env_ratiobox": lambda n: envelopes.convex_env_ratiobox(n, 2.0, [1.0, 1.0]),
     }
     for name, call in entries.items():
         for label, bad in NON_INTEGERS.items():
@@ -218,6 +230,7 @@ def _integer_cases():
         "c2": bounds.c2,
         "lower_bound_phi": lambda d: bounds.lower_bound_phi(d, 0.0, 1.0),
         "dineq_margins": bounds.dineq_margins,
+        "dineq_check": bounds.dineq_check,
         **{f.__name__: lambda n, f=f: f(n, 2.0) for f in ratio_box},
         "ratio_box_diagonal_gap": lambda n: oracle.ratio_box_diagonal_gap(n, 2.0, 0.5),
         "find_root_power_linear": lambda k: bounds.find_root_power_linear(k, 1.5),
@@ -346,6 +359,9 @@ def test_a_huge_int_is_refused_at_once_by_its_digit_count(name, call, error):
 UPPER_LIMITS = {
     "FacetSystem": (20, hulls.FacetSystem),
     "Domain.vertices": (20, lambda n: UnitBox(n).vertices()),
+    "SubBox.vertices": (20, lambda n: SubBox((0.25,) * n, (0.75,) * n).vertices()),
+    "ComplementSimplex.vertices": (20, lambda n: ComplementSimplex(n).vertices()),
+    "build_symbox_hull": (20, hulls.build_symbox_hull),
     "verify_integrality": (6, lambda n: hulls.verify_integrality(n, trials=1)),
     "sampled_hull_envelope": (4, lambda n: oracle.sampled_hull_envelope(
         Monomial.multilinear(n), UnitBox(n), np.full(n, 0.5), oracle.OVER)),
